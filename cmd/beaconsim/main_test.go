@@ -115,7 +115,7 @@ func TestRunDetectorFlag(t *testing.T) {
 
 // TestRunMetroReport exercises the -metro path end to end: the report
 // carries the throughput and peak-memory lines (satellite contract), and
-// a parallel invocation is identical to the serial one once the
+// a sharded invocation is identical to the one-shard one once the
 // machine-dependent queue/events/memory lines are stripped — the exact
 // comparison the CI parallel-identity leg performs on the built binary.
 func TestRunMetroReport(t *testing.T) {
@@ -134,31 +134,54 @@ func TestRunMetroReport(t *testing.T) {
 	runMetroOnce := func(workers string) string {
 		t.Helper()
 		var b strings.Builder
-		args := []string{"-metro", "-nodes", "3000", "-seed", "2", "-metro-workers", workers}
+		args := []string{"-metro", "-nodes", "20000", "-seed", "2", "-metro-workers", workers}
 		if err := run(args, &b); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
 	}
 
-	serial := runMetroOnce("1")
+	one := runMetroOnce("1")
 	for _, want := range []string{
 		"population", "probes", "consistency check",
 		"events/s", "GOMAXPROCS", "memory", "peak footprint",
-		"x 1 worker(s)",
+		"x 1 shard(s)",
 	} {
-		if !strings.Contains(serial, want) {
-			t.Errorf("metro report missing %q:\n%s", want, serial)
+		if !strings.Contains(one, want) {
+			t.Errorf("metro report missing %q:\n%s", want, one)
 		}
 	}
 
-	parallel := runMetroOnce("4")
-	if !strings.Contains(parallel, "x 4 worker(s)") {
-		t.Errorf("parallel report does not name the worker count:\n%s", parallel)
+	sharded := runMetroOnce("3")
+	if !strings.Contains(sharded, "x 3 shard(s)") {
+		t.Errorf("sharded report does not name the shard count:\n%s", sharded)
 	}
-	if stripMachine(serial) != stripMachine(parallel) {
-		t.Fatalf("parallel metro report diverged from serial:\n--- serial\n%s\n--- parallel\n%s",
-			serial, parallel)
+	if stripMachine(one) != stripMachine(sharded) {
+		t.Fatalf("sharded metro report diverged from one shard:\n--- one shard\n%s\n--- sharded\n%s",
+			one, sharded)
+	}
+}
+
+// TestRunMetroReportsShardCount: the queue line reports the shards the
+// kernel ran, not the -metro-workers value, which the population's
+// streaming chunk count caps.
+func TestRunMetroReportsShardCount(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, workers string
+		want           string
+	}{
+		{"1000", "4", "timing wheel x 1 shard(s)"},
+		{"20000", "8", "timing wheel x 3 shard(s)"},
+		{"20000", "0", "timing wheel x 1 shard(s)"},
+	} {
+		var b strings.Builder
+		if err := run([]string{"-metro", "-nodes", tc.nodes, "-metro-workers", tc.workers}, &b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "queue                "+tc.want) {
+			t.Errorf("-nodes %s -metro-workers %s: queue line does not read %q:\n%s",
+				tc.nodes, tc.workers, tc.want, b.String())
+		}
 	}
 }
 

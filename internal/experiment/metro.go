@@ -8,17 +8,16 @@ import (
 
 	"beaconsec/internal/metrics"
 	"beaconsec/internal/scenario"
-	"beaconsec/internal/sim"
 	"beaconsec/internal/textplot"
 )
 
 // metroSizes are the population points the metro runner sweeps. The full
-// set tops out at 50k nodes — large enough that the wheel is the
-// auto-selected queue and the standing event population is tens of
-// thousands, small enough for a figure run; the 100k–1M regime lives in
-// the benchmarks (BenchmarkSchedulerWheelFireMillion,
-// BenchmarkDeployMetro*, BenchmarkRunMetroParallel) and
-// results/BENCH_*_metro.json / BENCH_*_parallel.json.
+// set tops out at 50k nodes — large enough that the standing event
+// population is tens of thousands, small enough for a figure run; the
+// 100k–1M regime lives in the benchmarks
+// (BenchmarkSchedulerWheelFireMillion, BenchmarkDeployMetro*,
+// BenchmarkRunMetroWorkers) and results/BENCH_*_metro.json /
+// BENCH_*_parallel.json.
 func metroSizes(o Options) []int64 {
 	if o.Quick {
 		return []int64{2_000, 5_000}
@@ -38,21 +37,20 @@ func metroWorkers(o Options) int {
 }
 
 // ExtraMetro regenerates the metro-scale extension experiment: for each
-// population it runs the streamed probe scenario under BOTH event queues
-// plus the space-partitioned parallel kernel, errors if the queues
-// diverge in any way or the parallel run diverges in any identity-pinned
-// field (the tentpole contracts, enforced on every figure regeneration,
-// not just in tests), and reports the deterministic outcome curves.
-// Wall-clock throughput and the execution environment are recorded in
-// the notes only — they vary by machine, so they must never enter the
-// series a golden file might pin.
+// population it runs the streamed probe scenario on one shard and on
+// metroWorkers(o) shards, errors if the sharded run diverges in any
+// identity-pinned field (the kernel's contract, enforced on every figure
+// regeneration, not just in tests), and reports the deterministic outcome
+// curves of the one-shard run. Wall-clock throughput and the execution
+// environment are recorded in the notes only — they vary by machine, so
+// they must never enter the series a golden file might pin.
 func ExtraMetro(o Options) (Result, error) {
 	ctx := context.Background()
 	sizes := metroSizes(o)
 	workers := metroWorkers(o)
 	res := Result{
 		ID:     "extra-metro",
-		Title:  "E6: metro scale — streamed scenarios at 2k-50k nodes, wheel vs heap",
+		Title:  "E6: metro scale — streamed scenarios at 2k-50k nodes, one shard vs many",
 		XLabel: "nodes",
 		YLabel: "rate / normalized count",
 	}
@@ -65,57 +63,41 @@ func ExtraMetro(o Options) (Result, error) {
 	for i, n := range sizes {
 		cfg := scenario.MetroPaper(n, o.Seed)
 
-		cfg.Queue = sim.QueueHeap
-		heapStart := time.Now()
-		heap, err := scenario.RunMetro(ctx, cfg)
+		cfg.Workers = 1
+		oneStart := time.Now()
+		one, err := scenario.RunMetro(ctx, cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("metro %d nodes (heap): %w", n, err)
+			return Result{}, fmt.Errorf("metro %d nodes (K=1): %w", n, err)
 		}
-		heapWall := time.Since(heapStart)
+		oneWall := time.Since(oneStart)
 
-		cfg.Queue = sim.QueueWheel
-		wheelStart := time.Now()
-		wheel, err := scenario.RunMetro(ctx, cfg)
-		if err != nil {
-			return Result{}, fmt.Errorf("metro %d nodes (wheel): %w", n, err)
-		}
-		wheelWall := time.Since(wheelStart)
-
-		hb, _ := json.Marshal(heap)
-		wb, _ := json.Marshal(wheel)
-		if string(hb) != string(wb) {
-			return Result{}, fmt.Errorf(
-				"metro %d nodes: wheel diverged from heap queue\nheap:  %s\nwheel: %s", n, hb, wb)
-		}
-
+		cfg.Workers = workers
+		k := len(cfg.Deploy.ShardRanges(workers))
 		parStart := time.Now()
-		par, err := scenario.RunMetroParallel(ctx, cfg, workers)
+		par, err := scenario.RunMetro(ctx, cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("metro %d nodes (parallel x%d): %w", n, workers, err)
+			return Result{}, fmt.Errorf("metro %d nodes (K=%d): %w", n, k, err)
 		}
 		parWall := time.Since(parStart)
 		pb, _ := json.Marshal(par.Identity())
-		sb, _ := json.Marshal(wheel.Identity())
-		if string(pb) != string(sb) {
+		ob, _ := json.Marshal(one.Identity())
+		if string(pb) != string(ob) {
 			return Result{}, fmt.Errorf(
-				"metro %d nodes: parallel x%d diverged from serial in identity-pinned fields\nserial:   %s\nparallel: %s",
-				n, workers, sb, pb)
+				"metro %d nodes: K=%d diverged from K=1 in identity-pinned fields\nK=1: %s\nK=%d: %s",
+				n, k, ob, k, pb)
 		}
 
 		xs[i] = float64(n)
-		flagRate[i] = wheel.FlagRate
-		timeoutRate[i] = float64(wheel.Timeouts) / float64(wheel.Probes)
-		pendingPerNode[i] = float64(wheel.Sim.MaxPending) / float64(n)
-		depthP99[i] = wheel.QueueDepth.Quantile(0.99) / float64(n)
+		flagRate[i] = one.FlagRate
+		timeoutRate[i] = float64(one.Timeouts) / float64(one.Probes)
+		pendingPerNode[i] = float64(one.Sim.MaxPending) / float64(n)
+		depthP99[i] = one.QueueDepth.Quantile(0.99) / float64(n)
 
-		events := float64(wheel.Sim.Events)
 		res.Notes = append(res.Notes, fmt.Sprintf(
-			"%d nodes: %d events, max pending %d; wall-clock %.0fms heap vs %.0fms wheel (%.2fx, machine-dependent); parallel x%d %.0fms (%.2fx vs wheel), identity-pinned fields byte-identical",
-			n, wheel.Sim.Events, wheel.Sim.MaxPending,
-			float64(heapWall.Milliseconds()), float64(wheelWall.Milliseconds()),
-			events/wheelWall.Seconds()/(events/heapWall.Seconds()),
-			workers, float64(parWall.Milliseconds()),
-			wheelWall.Seconds()/parWall.Seconds()))
+			"%d nodes: %d events, max pending %d; wall-clock %.0fms at K=1 vs %.0fms at K=%d (%.2fx, machine-dependent), identity-pinned fields byte-identical",
+			n, one.Sim.Events, one.Sim.MaxPending,
+			float64(oneWall.Milliseconds()), float64(parWall.Milliseconds()), k,
+			oneWall.Seconds()/parWall.Seconds()))
 
 		if o.Progress != nil {
 			o.Progress(i+1, len(sizes), time.Since(start))
@@ -129,8 +111,7 @@ func ExtraMetro(o Options) (Result, error) {
 	}
 	env := metrics.CaptureEnv()
 	res.Notes = append(res.Notes,
-		"wheel and heap queues byte-identical at every size (checked this run)",
-		fmt.Sprintf("parallel kernel (x%d shards) identity-pinned fields byte-identical at every size (checked this run)", workers),
+		fmt.Sprintf("sharded kernel (-metro-workers %d) identity-pinned fields byte-identical to K=1 at every size (checked this run)", workers),
 		"memory-bounded: deployment streamed, per-node results never retained",
 		fmt.Sprintf("env: %s %s/%s, GOMAXPROCS=%d of %d CPUs (scaling numbers are meaningless without this)",
 			env.GoVersion, env.GOOS, env.GOARCH, env.GOMAXPROCS, env.NumCPU))

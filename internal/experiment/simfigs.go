@@ -158,7 +158,6 @@ func simSweep(o Options, label string, ps []float64, trials int, mutate func(*sc
 	// cache key.
 	cfgAt := func(point int) scenario.Config {
 		cfg := scenario.Paper()
-		cfg.Queue = o.Queue
 		cfg.Strategy = analysis.StrategyForP(ps[point])
 		cfg.RTTThreshold = threshold
 		if o.Quick {
@@ -357,7 +356,6 @@ func Fig14(o Options) (Result, error) {
 	cfgAt := func(point int) scenario.Config {
 		c := combos[point]
 		cfg := scenario.Paper()
-		cfg.Queue = o.Queue
 		cfg.Deploy.Na = c.na
 		cfg.Revoke = revoke.Config{ReportCap: c.tau, AlertThreshold: c.tauP}
 		cfg.RTTThreshold = threshold
@@ -460,7 +458,6 @@ func ExtraLocalization(o Options) (Result, error) {
 	type locSample struct{ Defended, Undefended float64 }
 	cfgAt := func(point int, defended bool) scenario.Config {
 		cfg := scenario.Paper()
-		cfg.Queue = o.Queue
 		cfg.Strategy = analysis.StrategyForP(ps[point])
 		cfg.Collude = false
 		cfg.CalibrationTrials = 500
@@ -565,7 +562,6 @@ func ExtraAblation(o Options) (Result, error) {
 	}
 	cfgFor := func(vi int) scenario.Config {
 		cfg := scenario.Paper()
-		cfg.Queue = o.Queue
 		cfg.Strategy = analysis.StrategyForP(0) // benign-behaving compromised nodes
 		cfg.Collude = false
 		cfg.CalibrationTrials = 500

@@ -176,7 +176,7 @@ func (b *Beacon) serveReply(d mac.Delivery) {
 // observe runs the detector pipeline on a completed probe.
 func (b *Beacon) observe(p *probe, d mac.Delivery, reply replyInfo) {
 	o := observationFrom(b.env, b.det, b.self.Loc, true, p, d, reply)
-	v := b.env.evalDetector(o)
+	v := b.env.Detector.EvaluateDetector(o)
 	b.Verdicts[v]++
 	// One determination per target: further malicious verdicts from the
 	// node's other detecting pseudonyms add no information.

@@ -29,12 +29,12 @@ type Env struct {
 	Medium *phy.Medium
 	Master *crypto.Master
 	Dep    *deploy.Deployment
-	// Core is the detector configuration (ε_max, RTT threshold, range).
+	// Core is the detection configuration (ε_max, RTT threshold, range)
+	// the wormhole context, the malicious beacons' attack sizing and
+	// robust localization read.
 	Core core.Config
-	// Detector, when non-nil, replaces the paper pipeline Core encodes
-	// with a pluggable implementation from core's detector registry;
-	// nil keeps the paper pipeline (evaluated directly through Core, so
-	// the default path is byte-identical to the pre-registry code).
+	// Detector evaluates every completed exchange: the paper pipeline or
+	// any other implementation from core's detector registry.
 	Detector core.Detector
 	// Uplink carries alerts to the base station.
 	Uplink *revoke.Uplink
@@ -59,24 +59,6 @@ type Env struct {
 	// location (beacons); sensors keep the probabilistic detector (a
 	// leash needs an own location).
 	UseGeoLeash bool
-}
-
-// evalDetector routes a detecting node's completed exchange through the
-// environment's detector.
-func (e *Env) evalDetector(o core.Observation) core.Verdict {
-	if e.Detector != nil {
-		return e.Detector.EvaluateDetector(o)
-	}
-	return e.Core.EvaluateDetector(o)
-}
-
-// evalSensor routes a sensor's completed exchange through the
-// environment's detector.
-func (e *Env) evalSensor(o core.Observation) core.Verdict {
-	if e.Detector != nil {
-		return e.Detector.EvaluateSensor(o)
-	}
-	return e.Core.EvaluateSensor(o)
 }
 
 // detectorFor builds node i's wormhole detector.

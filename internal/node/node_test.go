@@ -58,17 +58,26 @@ func newFixture(t *testing.T, seed uint64, strategy analysis.Strategy) (*fixture
 	})
 	bs := revoke.NewBaseStation(revoke.Config{ReportCap: 10, AlertThreshold: 0})
 	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
-	threshold := core.CalibrateRTT(1000, phy.DefaultJitter(), seed).Threshold()
+	coreCfg := core.Config{
+		MaxDistError: 10,
+		MaxRTT:       core.CalibrateRTT(1000, phy.DefaultJitter(), seed).Threshold(),
+		Range:        cfg.Range,
+	}
+	det, err := core.NewDetector(core.DetectorSpec{}, core.DetectorEnv{
+		MaxDistError: coreCfg.MaxDistError,
+		MaxRTT:       coreCfg.MaxRTT,
+		Range:        coreCfg.Range,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := &Env{
-		Sched:  sched,
-		Medium: medium,
-		Master: crypto.NewMaster([]byte("node-test")),
-		Dep:    dep,
-		Core: core.Config{
-			MaxDistError: 10,
-			MaxRTT:       threshold,
-			Range:        cfg.Range,
-		},
+		Sched:          sched,
+		Medium:         medium,
+		Master:         crypto.NewMaster([]byte("node-test")),
+		Dep:            dep,
+		Core:           coreCfg,
+		Detector:       det,
 		Uplink:         uplink,
 		Src:            src.Split("nodes"),
 		WormholeRate:   0.9,

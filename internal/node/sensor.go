@@ -150,7 +150,7 @@ func (s *Sensor) observe(p *probe, d mac.Delivery, reply replyInfo) {
 		return
 	}
 	o := observationFrom(s.env, s.det, geo.Point{}, false, p, d, reply)
-	v := s.env.evalSensor(o)
+	v := s.env.Detector.EvaluateSensor(o)
 	s.Verdicts[v]++
 	if !v.Accepted() {
 		return

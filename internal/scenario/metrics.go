@@ -73,9 +73,8 @@ type Metrics struct {
 	// Revocation counts base-station and uplink activity.
 	Revocation RevocationMetrics `json:"revocation"`
 	// QueueDepth is the scheduler's standing event population: the queue
-	// size observed after every schedule. Identical for the wheel and
-	// heap queues (both fire the same event sequence), so it merges
-	// across queue choices.
+	// size observed after every schedule, a function of the
+	// deterministic event sequence.
 	QueueDepth *metrics.Histogram `json:"queue_depth,omitempty"`
 	// Phases is the per-phase breakdown (announce/collude/detect/
 	// localize/drain) in virtual time.

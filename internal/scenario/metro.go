@@ -35,35 +35,32 @@ import (
 // schedule/cancel/fire mix the event queue serves in a full run, at a
 // pending-event population proportional to the node count.
 //
-// Workers > 1 runs the same workload on a space-partitioned parallel
-// kernel (DESIGN.md §14): the streamed deployment is split into
-// contiguous index-range shards (deploy.ShardRanges), each shard owns a
-// private sim.Scheduler with its own queue, depth histogram, and
-// accumulators, and the shards advance in conservative lockstep windows
-// of one probe Timeout (the lookahead) separated by barriers. Because
-// probe chains are node-local and per-node rng is index-split, the
-// partition cannot change any probe outcome: every identity-pinned field
-// of MetroResult is byte-identical to the serial run at any worker count
-// (see MetroResult.Identity and TestRunMetroWorkerInvariance).
+// The kernel is space-partitioned (DESIGN.md §14): the streamed
+// deployment is split into K contiguous index-range shards
+// (deploy.ShardRanges), each shard owns a private sim.Scheduler with its
+// own queue, depth histogram, and accumulators, and the shards advance in
+// conservative lockstep windows of one probe Timeout (the lookahead)
+// separated by barriers. K=1 is one shard behind a one-party barrier.
+// Because probe chains are node-local and per-node rng is index-split,
+// the partition cannot change any probe outcome: every identity-pinned
+// field of MetroResult is byte-identical at any worker count (see
+// MetroResult.Identity and TestRunMetroWorkerInvariance).
 
 // MetroConfig parameterizes one metro-scale run. Start from MetroPaper()
 // and adjust.
 type MetroConfig struct {
 	// Deploy is the streamed deployment.
 	Deploy deploy.MetroConfig
-	// Queue selects the scheduler's event-queue implementation. As in
-	// Config, the choice is a pure performance knob: results are pinned
-	// byte-identical across queues (TestRunMetroQueueIdentity), so it is
-	// excluded from any cache-key material.
-	Queue sim.QueueKind `json:"-"`
-	// Workers selects the parallel shard count: 0 or 1 runs the serial
-	// kernel, K ≥ 2 runs K space-partitioned shards on their own
-	// goroutines. Like Queue it is a pure performance knob excluded from
-	// cache-key material — the identity-pinned fields of MetroResult
-	// (everything MetroResult.Identity covers) are byte-identical at any
-	// worker count; only the scheduler instrumentation (Sim.MaxPending,
-	// Sim.VirtualCycles, QueueDepth's distribution) becomes per-shard,
-	// with the merge semantics documented on MetroResult.
+	// Workers requests the shard count: the run uses
+	// K = len(Deploy.ShardRanges(Workers)) space-partitioned shards, each
+	// on its own goroutine (K=1 for Workers ≤ 1, and fewer than Workers
+	// when the population has fewer streaming chunks). It is a pure
+	// performance knob excluded from cache-key material — the
+	// identity-pinned fields of MetroResult (everything
+	// MetroResult.Identity covers) are byte-identical at any worker count;
+	// only the scheduler instrumentation (Sim.MaxPending, QueueDepth's
+	// distribution) is per-shard, with the merge semantics documented on
+	// MetroResult.
 	Workers int `json:"-"`
 	// Rounds is the number of probe exchanges each node runs.
 	Rounds int
@@ -71,7 +68,7 @@ type MetroConfig struct {
 	// node jitters around it).
 	Spacing sim.Time
 	// Timeout is the reply deadline of one probe. It doubles as the
-	// parallel kernel's conservative lookahead: no probe chain can affect
+	// kernel's conservative lookahead: no probe chain can affect
 	// virtual times more than one Timeout past its current event.
 	Timeout sim.Time
 	// LossRate is the probability a probe gets no reply.
@@ -108,10 +105,10 @@ func MetroPaper(n int64, seed uint64) MetroConfig {
 // reach: the last event of any chain lands no later than the first-round
 // stagger (≤ Spacing) plus Rounds inter-round gaps (each ≤ Spacing +
 // Spacing/4 jitter) plus one Timeout. Validate keeps that total under
-// 2^62 cycles so sim.Time additions (and the parallel kernel's
-// epoch·lookahead products) can never wrap the uint64 clock — an absurd
-// Spacing used to overflow the Spacing/4+1 jitter path into a
-// scheduling-in-the-past panic instead of a config error.
+// 2^62 cycles so sim.Time additions (and the kernel's epoch·lookahead
+// products) can never wrap the uint64 clock — an absurd Spacing used to
+// overflow the Spacing/4+1 jitter path into a scheduling-in-the-past
+// panic instead of a config error.
 const maxMetroVirtual = uint64(1) << 62
 
 // Validate returns an error for inconsistent configurations.
@@ -154,7 +151,7 @@ func (c MetroConfig) Validate() error {
 // MetroResult is a metro run's full accounting: population totals from
 // the count grid, probe outcomes, flag counts by responder ground truth,
 // and the scheduler's instrumentation. Everything here is deterministic
-// in (Deploy.Seed, Seed) and identical across queue implementations.
+// in (Deploy.Seed, Seed, K).
 //
 // Worker-count semantics: every field MetroResult.Identity covers —
 // population, probe/flag counters, FlagRate, the RTT histogram, and the
@@ -162,11 +159,11 @@ func (c MetroConfig) Validate() error {
 // any Workers value. The remaining instrumentation merges per-shard with
 // these documented semantics: Sim counters are summed across shards,
 // Sim.MaxPending is the max over shards (each shard's private queue
-// high-water mark, so it shrinks roughly by 1/K vs serial),
+// high-water mark, so it shrinks roughly by 1/K vs K=1),
 // Sim.VirtualCycles is the max over shards and is rounded up to the last
-// conservative epoch boundary, and QueueDepth merges the per-shard depth
-// histograms (total Count still equals the number of schedules, but the
-// distribution reflects shard-local depths).
+// conservative epoch boundary at every K, and QueueDepth merges the
+// per-shard depth histograms (total Count still equals the number of
+// schedules, but the distribution reflects shard-local depths).
 type MetroResult struct {
 	// Population (from the deployment grid).
 	Nodes     int64 `json:"nodes"`
@@ -187,21 +184,21 @@ type MetroResult struct {
 	FlagRate         float64 `json:"flag_rate"`
 
 	// Sim is the scheduler snapshot (MaxPending is the standing event
-	// population's high-water mark; per-shard at Workers > 1, see above).
+	// population's high-water mark; per-shard at K > 1, see above).
 	Sim sim.Stats `json:"sim"`
 	// QueueDepth is the queue size observed after every schedule
-	// (shard-local sizes at Workers > 1).
+	// (shard-local sizes at K > 1).
 	QueueDepth *metrics.Histogram `json:"queue_depth"`
 	// RTT is the reply round-trip distribution in cycles.
 	RTT *metrics.Histogram `json:"rtt"`
 }
 
 // MetroIdentity is the projection of a MetroResult that is pinned
-// byte-identical across every performance knob — queue implementation
-// and worker count alike. Tests, the extra-metro runner, and the CI
-// parallel-identity leg all compare runs through this projection; the
-// fields it omits (MaxPending, VirtualCycles, the depth distribution)
-// are the per-shard instrumentation documented on MetroResult.
+// byte-identical across worker counts. Tests, the extra-metro runner,
+// and the CI parallel-identity leg all compare runs through this
+// projection; the fields it omits (MaxPending, VirtualCycles, the depth
+// distribution) are the per-shard instrumentation documented on
+// MetroResult.
 type MetroIdentity struct {
 	Nodes     int64 `json:"nodes"`
 	Beacons   int64 `json:"beacons"`
@@ -217,7 +214,7 @@ type MetroIdentity struct {
 	FlagRate         float64 `json:"flag_rate"`
 
 	// Events/Scheduled/Cancelled are shard-summed scheduler totals; the
-	// sums equal the serial counts exactly (the partition moves events
+	// sums equal the K=1 counts exactly (the partition moves events
 	// between schedulers, it never creates or destroys them).
 	Events    uint64 `json:"events"`
 	Scheduled uint64 `json:"scheduled"`
@@ -226,7 +223,7 @@ type MetroIdentity struct {
 	RTT *metrics.Histogram `json:"rtt"`
 }
 
-// Identity returns the worker- and queue-invariant projection of r.
+// Identity returns the worker-invariant projection of r.
 func (r *MetroResult) Identity() MetroIdentity {
 	return MetroIdentity{
 		Nodes:            r.Nodes,
@@ -247,11 +244,11 @@ func (r *MetroResult) Identity() MetroIdentity {
 }
 
 // metroAccum is the constant-size accumulator one scheduler's probe
-// chains fold into. The serial kernel owns one; the parallel kernel owns
-// one per shard and merges them in ascending shard order. All sums are
-// exact (counters are integers and RTT observations are integral cycle
-// counts far below 2^53), so the merge is associative and the merged
-// totals equal the serial ones bit for bit.
+// chains fold into. Each shard owns one, and the kernel merges them in
+// ascending shard order. All sums are exact (counters are integers and
+// RTT observations are integral cycle counts far below 2^53), so the
+// merge is associative and the merged totals equal the K=1 ones bit for
+// bit.
 type metroAccum struct {
 	probes          int64
 	replies         int64
@@ -277,11 +274,10 @@ type metroChain struct {
 }
 
 // addMetroNode wires one node's probe chain onto sched, folding outcomes
-// into acc. This is the whole per-node protocol, shared verbatim by the
-// serial and parallel kernels: the chain touches nothing but its own
-// rng stream (index-split from root), the read-only grid, its scheduler,
-// and its accumulator — which is exactly why a node lands in a shard
-// without changing any outcome.
+// into acc. This is the whole per-node protocol: the chain touches
+// nothing but its own rng stream (index-split from root), the read-only
+// grid, its scheduler, and its accumulator — which is exactly why a node
+// lands in a shard without changing any outcome.
 func addMetroNode(cfg *MetroConfig, grid *deploy.MetroGrid, sched *sim.Scheduler, root *rng.Source, acc *metroAccum, n deploy.MetroNode) {
 	rttSpan := int(cfg.Timeout) / 2 // replies always beat the timeout
 	ch := &metroChain{src: root.SplitIndex(uint64(n.Index))}
@@ -333,87 +329,9 @@ func addMetroNode(cfg *MetroConfig, grid *deploy.MetroGrid, sched *sim.Scheduler
 	sched.At(start, probe)
 }
 
-// ctxPollEvents is how many events a draining scheduler fires between
-// context checks: frequent enough that a 1M-node run cancels in
-// milliseconds, rare enough to be invisible next to the events.
-const ctxPollEvents = 8192
-
-// drainScheduler runs sched until its queue is empty, polling ctx every
-// ctxPollEvents events so metro-scale runs stay interruptible (a bare
-// sched.Run would not be).
-func drainScheduler(ctx context.Context, sched *sim.Scheduler) error {
-	for {
-		for i := 0; i < ctxPollEvents; i++ {
-			if !sched.Step() {
-				return nil
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-}
-
-// RunMetro executes one metro-scale run, serial or parallel per
-// cfg.Workers. Peak memory is O(nodes) only in the pending-event
-// population and the per-node chain state (a rng state plus two words),
-// never in retained results: accumulators are constant-size and the
-// deployment exists only as its count grid. Cancelling ctx aborts the
-// run — mid-stream or mid-drain — and returns the context's error.
-func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Workers > 1 {
-		return runMetroParallel(ctx, cfg, cfg.Workers)
-	}
-	return runMetroSerial(ctx, cfg)
-}
-
-// RunMetroParallel executes one metro-scale run on the space-partitioned
-// parallel kernel with the given worker count, overriding cfg.Workers.
-// workers ≤ 1 (or a population with a single shard) runs the serial
-// kernel — which is also the definition the parallel identity contract
-// is pinned against.
-func RunMetroParallel(ctx context.Context, cfg MetroConfig, workers int) (*MetroResult, error) {
-	cfg.Workers = workers
-	return RunMetro(ctx, cfg)
-}
-
-func runMetroSerial(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
-	grid, err := cfg.Deploy.BuildGrid()
-	if err != nil {
-		return nil, err
-	}
-	depth := sim.DepthHistogram()
-	sched := sim.NewWithConfig(sim.Config{
-		Queue:       cfg.Queue,
-		PendingHint: cfg.Deploy.NumNodes,
-		Depth:       depth,
-	})
-	acc := newMetroAccum()
-	root := rng.New(cfg.Seed).Split("metro-probes")
-	err = cfg.Deploy.Stream(func(chunk []deploy.MetroNode) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		for i := range chunk {
-			addMetroNode(&cfg, grid, sched, root, acc, chunk[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: metro stream: %w", err)
-	}
-	if err := drainScheduler(ctx, sched); err != nil {
-		return nil, fmt.Errorf("scenario: metro run: %w", err)
-	}
-	return assembleMetroResult(grid, []*metroAccum{acc}, []sim.Stats{sched.Stats()}, []*metrics.Histogram{depth}), nil
-}
-
-// metroShard is one worker of the parallel kernel: a contiguous
-// index-range slice of the population on a private scheduler. Nothing in
-// it is shared — queue, depth histogram, accumulator, and the rng root
+// metroShard is one worker of the kernel: a contiguous index-range
+// slice of the population on a private scheduler. Nothing in it is
+// shared — queue, depth histogram, accumulator, and the rng root
 // (re-derived per shard from the seed) are all shard-local; the count
 // grid is shared read-only.
 type metroShard struct {
@@ -481,11 +399,18 @@ func (b *epochBarrier) arrive(pending int64, quit bool) (cont, aborted bool) {
 	return b.lastCont, b.lastQuit
 }
 
-func runMetroParallel(ctx context.Context, cfg MetroConfig, workers int) (*MetroResult, error) {
-	ranges := cfg.Deploy.ShardRanges(workers)
-	if len(ranges) <= 1 {
-		return runMetroSerial(ctx, cfg)
+// RunMetro executes one metro-scale run on
+// K = len(cfg.Deploy.ShardRanges(cfg.Workers)) shards. Peak memory is
+// O(nodes) only in the pending-event population and the per-node chain
+// state (a rng state plus two words), never in retained results:
+// accumulators are constant-size and the deployment exists only as its
+// count grid. Cancelling ctx aborts the run — mid-stream or at the
+// next epoch barrier — and returns the context's error.
+func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	ranges := cfg.Deploy.ShardRanges(cfg.Workers)
 	grid, err := cfg.Deploy.BuildGrid()
 	if err != nil {
 		return nil, err
@@ -496,7 +421,6 @@ func runMetroParallel(ctx context.Context, cfg MetroConfig, workers int) (*Metro
 		depth := sim.DepthHistogram()
 		shards[i] = &metroShard{
 			sched: sim.NewWithConfig(sim.Config{
-				Queue:       cfg.Queue,
 				PendingHint: r.Len(),
 				Depth:       depth,
 			}),
@@ -533,12 +457,13 @@ func runMetroParallel(ctx context.Context, cfg MetroConfig, workers int) (*Metro
 	}()
 
 	// Shard workers: ingest the shard's nodes (scheduling each chain in
-	// index order, exactly as the serial kernel would), then advance in
-	// conservative lockstep windows of one lookahead until the global
-	// pending population drains. Today no event crosses shards — probe
-	// chains are node-local — so the barrier never changes an outcome;
-	// it is the interface that stays correct when a future protocol
-	// stack injects cross-shard events with horizon ≥ lookahead.
+	// index order), then advance in conservative lockstep windows of one
+	// lookahead until the global pending population drains. Today no
+	// event crosses shards — probe chains are node-local — so the barrier
+	// never changes an outcome; it is the interface that stays correct
+	// when a future protocol stack injects cross-shard events with
+	// horizon ≥ lookahead. At K=1 it is one lock per epoch and doubles as
+	// the cancellation check.
 	lookahead := cfg.Timeout
 	barrier := newEpochBarrier(k)
 	var wg sync.WaitGroup
@@ -588,7 +513,7 @@ func runMetroParallel(ctx context.Context, cfg MetroConfig, workers int) (*Metro
 }
 
 // assembleMetroResult merges per-shard accumulators into the final
-// result in ascending shard order. With one shard this is the serial
+// result in ascending shard order. With one shard this is that shard's
 // result verbatim; with many, the identity-pinned fields merge exactly
 // (integer sums and integral histogram observations) and the scheduler
 // instrumentation merges per the semantics documented on MetroResult

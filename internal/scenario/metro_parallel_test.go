@@ -5,82 +5,87 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
-
-	"beaconsec/internal/sim"
 )
 
-// TestRunMetroWorkerInvariance is the tentpole property test: every
-// identity-pinned field of MetroResult (the MetroIdentity projection) is
-// byte-identical across worker counts, for both queue implementations.
-// CI runs this under -race, so it doubles as the data-race check on the
-// sharded kernel.
-func TestRunMetroWorkerInvariance(t *testing.T) {
-	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
-	for _, kind := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := MetroPaper(metroN(t), 11)
-			cfg.Queue = kind
-			serial, err := RunMetro(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := json.Marshal(serial.Identity())
-			for _, w := range workerCounts {
-				par, err := RunMetroParallel(context.Background(), cfg, w)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				got, _ := json.Marshal(par.Identity())
-				if string(got) != string(want) {
-					t.Errorf("workers=%d diverged from serial in identity-pinned fields:\nserial:   %s\nparallel: %s",
-						w, want, got)
-				}
-				// The per-shard instrumentation still has to account for
-				// the same workload: shard-local high-water marks can
-				// only shrink, never exceed the serial standing
-				// population, and the depth histogram must record every
-				// schedule exactly once across shards.
-				if par.Sim.MaxPending > serial.Sim.MaxPending {
-					t.Errorf("workers=%d: MaxPending %d exceeds serial %d",
-						w, par.Sim.MaxPending, serial.Sim.MaxPending)
-				}
-				if par.QueueDepth.Count != serial.QueueDepth.Count {
-					t.Errorf("workers=%d: depth observations %d, serial %d",
-						w, par.QueueDepth.Count, serial.QueueDepth.Count)
-				}
-			}
-		})
-	}
-}
+// metroHeapIdentityPath is the MetroIdentity of MetroPaper(10_000, 11)
+// as the serial kernel produced it on the binary-heap queue, before the
+// timing wheel became the only queue.
+var metroHeapIdentityPath = filepath.Join("..", "..", "results", "golden", "metro_10k_seed11_heap_identity.json")
 
-// TestRunMetroWorkersConfigKnob pins that cfg.Workers and the
-// RunMetroParallel argument are the same knob: setting one or the other
-// produces identical results (the argument overrides the field).
-func TestRunMetroWorkersConfigKnob(t *testing.T) {
-	cfg := MetroPaper(2_000, 5)
-	cfg.Workers = 3
-	viaField, err := RunMetro(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 0
-	viaArg, err := RunMetroParallel(context.Background(), cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, _ := json.Marshal(viaField)
-	ab, _ := json.Marshal(viaArg)
-	if string(fb) != string(ab) {
-		t.Fatalf("cfg.Workers=3 and RunMetroParallel(..., 3) diverged:\n%s\n%s", fb, ab)
-	}
+// TestRunMetroWorkerInvariance is the kernel's property test: every
+// identity-pinned field of MetroResult (the MetroIdentity projection) is
+// byte-identical across worker counts. The wheel subtest compares live
+// runs on the production queue; the heap subtest compares them with the
+// committed output of the retired heap queue. CI runs this under -race,
+// so it doubles as the data-race check on the sharded kernel.
+func TestRunMetroWorkerInvariance(t *testing.T) {
+	t.Run("wheel", func(t *testing.T) {
+		cfg := MetroPaper(metroN(t), 11)
+		one, err := RunMetro(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(one.Identity())
+		for _, w := range []int{2, 3, runtime.NumCPU()} {
+			cfg.Workers = w
+			par, err := RunMetro(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			got, _ := json.Marshal(par.Identity())
+			if string(got) != string(want) {
+				t.Errorf("workers=%d diverged from K=1 in identity-pinned fields:\nK=1:   %s\nK=%d: %s",
+					w, want, w, got)
+			}
+			// The per-shard instrumentation still has to account for
+			// the same workload: shard-local high-water marks can only
+			// shrink, never exceed the K=1 standing population, and the
+			// depth histogram must record every schedule exactly once
+			// across shards.
+			if par.Sim.MaxPending > one.Sim.MaxPending {
+				t.Errorf("workers=%d: MaxPending %d exceeds K=1 %d",
+					w, par.Sim.MaxPending, one.Sim.MaxPending)
+			}
+			if par.QueueDepth.Count != one.QueueDepth.Count {
+				t.Errorf("workers=%d: depth observations %d, K=1 %d",
+					w, par.QueueDepth.Count, one.QueueDepth.Count)
+			}
+		}
+	})
+	t.Run("heap", func(t *testing.T) {
+		raw, err := os.ReadFile(metroHeapIdentityPath)
+		if err != nil {
+			t.Fatalf("heap identity missing: %v", err)
+		}
+		var ref MetroIdentity
+		if err := json.Unmarshal(raw, &ref); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(ref)
+		cfg := MetroPaper(10_000, 11)
+		for _, w := range []int{1, 2, 3, runtime.NumCPU()} {
+			cfg.Workers = w
+			res, err := RunMetro(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			got, _ := json.Marshal(res.Identity())
+			if string(got) != string(want) {
+				t.Errorf("workers=%d diverged from the heap queue's identity:\nheap: %s\ngot:  %s",
+					w, want, got)
+			}
+		}
+	})
 }
 
 // TestRunMetroCanceledContext pins the cancellation contract at the
-// stream boundary: a context canceled before the run starts aborts both
-// kernels during ingest with the context's error and no result.
+// stream boundary: a context canceled before the run starts aborts the
+// run during ingest with the context's error and no result.
 func TestRunMetroCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -98,8 +103,9 @@ func TestRunMetroCanceledContext(t *testing.T) {
 }
 
 // TestRunMetroCancelMidRun cancels a large run from another goroutine
-// shortly after it starts, so cancellation lands mid-stream or mid-drain
-// rather than at the entry check. The population is sized to take far
+// shortly after it starts, so cancellation lands mid-stream or at an
+// epoch barrier (the quit vote, at K=1 too) rather than at the entry
+// check. The population is sized to take far
 // longer than the cancel delay on any machine.
 func TestRunMetroCancelMidRun(t *testing.T) {
 	if testing.Short() {
@@ -132,12 +138,12 @@ func TestRunMetroCancelMidRun(t *testing.T) {
 	}
 }
 
-// BenchmarkRunMetroParallel measures the sharded kernel's scaling curve.
+// BenchmarkRunMetroWorkers measures the sharded kernel's scaling curve.
 // Under -short (the CI bench-smoke leg) it runs a 2k-node population
 // once per worker count — a compilation-and-liveness check; the real
 // curve comes from the full run at 100k nodes and from
 // results/BENCH_*_parallel.json at 1M.
-func BenchmarkRunMetroParallel(b *testing.B) {
+func BenchmarkRunMetroWorkers(b *testing.B) {
 	nodes := int64(100_000)
 	if testing.Short() {
 		nodes = 2_000
@@ -145,9 +151,10 @@ func BenchmarkRunMetroParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			cfg := MetroPaper(nodes, 1)
+			cfg.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := RunMetroParallel(context.Background(), cfg, workers); err != nil {
+				if _, err := RunMetro(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -110,14 +110,6 @@ type Config struct {
 	// Seed drives everything except deployment placement (Deploy.Seed).
 	Seed uint64
 
-	// Queue selects the scheduler's event-queue implementation
-	// (sim.QueueAuto picks by population). The wheel and the heap are
-	// pinned byte-identical — same event order, same results — so the
-	// choice is a pure performance knob and is excluded from cache keys
-	// (json:"-"): trials cached under one queue satisfy runs under the
-	// other.
-	Queue sim.QueueKind `json:"-"`
-
 	// bruteForceMedium is a test hook: it forces the radio medium's
 	// historical O(N) receiver scan instead of the spatial grid (see
 	// phy.Config.BruteForce). The two paths are pinned byte-identical
@@ -272,12 +264,10 @@ func Run(cfg Config) (*Result, error) {
 	}
 	dep := deploy.New(cfg.Deploy)
 	src := rng.New(cfg.Seed)
-	// Queue depth is always observed: the histogram is pure accounting
-	// (identical for wheel and heap since both fire the same event
-	// sequence), so keeping it on preserves result identity across queues.
+	// Queue depth is always observed: the histogram is pure accounting,
+	// a function of the deterministic event sequence.
 	depth := sim.DepthHistogram()
 	sched := sim.NewWithConfig(sim.Config{
-		Queue:       cfg.Queue,
 		PendingHint: int64(cfg.Deploy.N),
 		Depth:       depth,
 	})
@@ -328,13 +318,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	// The default paper detector runs through the Core config directly
-	// (Env.Detector nil), keeping the hot path and its output bit-for-bit
-	// identical to the pre-registry pipeline.
-	var envDetector core.Detector
-	if det.Spec().Canonical() != core.DefaultDetectorName {
-		envDetector = det
-	}
 
 	bs := revoke.NewBaseStation(cfg.Revoke)
 	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
@@ -346,7 +329,7 @@ func Run(cfg Config) (*Result, error) {
 		Master:             master,
 		Dep:                dep,
 		Core:               coreCfg,
-		Detector:           envDetector,
+		Detector:           det,
 		Uplink:             uplink,
 		Src:                src.Split("nodes"),
 		WormholeRate:       cfg.WormholeRate,

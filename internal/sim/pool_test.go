@@ -106,8 +106,8 @@ func BenchmarkScheduleFire(b *testing.B) {
 }
 
 // BenchmarkScheduleFireDepth measures the same cycle with a standing
-// queue of 1000 pending events, so the heap sift cost is realistic for
-// a mid-run protocol simulation.
+// queue of 1000 pending events, so the queue cost is realistic for a
+// mid-run protocol simulation.
 func BenchmarkScheduleFireDepth(b *testing.B) {
 	s := New()
 	fn := func() {}

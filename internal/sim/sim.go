@@ -10,10 +10,10 @@
 //
 // Determinism: events at equal times fire in scheduling order (FIFO),
 // which combined with the seeded rng package makes every run reproducible.
-// The scheduler offers two event-queue implementations behind one
-// interface — a binary min-heap and a hierarchical timing wheel — pinned
-// to the identical (at, seq) total order (see DESIGN.md §13), so queue
-// choice is a performance knob, never a behavioral one.
+// The event queue is a hierarchical timing wheel (wheel.go) that pops in
+// (at, seq) order. A binary min-heap in the test files is its oracle: the
+// order tests drive the same Scheduler over both and require identical
+// fire sequences (see DESIGN.md §13).
 package sim
 
 import (
@@ -64,11 +64,11 @@ type event struct {
 	seq uint64 // tie-break: FIFO among equal times
 	gen uint64 // recycle generation, checked by Handle.Cancel
 	fn  func()
-	// index is ≥ 0 while queued and -1 once popped. The heap stores its
-	// slot here; the wheel only distinguishes queued from popped.
+	// index is ≥ 0 while queued and -1 once popped. The wheel only
+	// distinguishes queued from popped; the test heap stores its slot here.
 	index int
 	// next chains events in a timing-wheel slot (intrusive list, so the
-	// wheel never allocates per pending event). Unused by the heap.
+	// wheel never allocates per pending event).
 	next *event
 }
 
@@ -94,10 +94,11 @@ func (h Handle) Cancel() bool {
 	return true
 }
 
-// queue is the event-queue contract the Scheduler drives. Both
-// implementations deliver events in ascending (at, seq) order — the
-// determinism contract — and keep cancelled events enqueued until popped
-// (lazy cancellation), so size() and pop sequences are identical across
+// queue is the event-queue contract the Scheduler drives: the timing
+// wheel in production, the min-heap oracle in tests. An implementation
+// delivers events in ascending (at, seq) order — the determinism
+// contract — and keeps cancelled events enqueued until popped (lazy
+// cancellation), so size() and pop sequences are identical across
 // implementations.
 type queue interface {
 	// push enqueues ev (setting ev.index ≥ 0). ev.at may lie before a
@@ -116,135 +117,10 @@ type queue interface {
 	nextAt() (t Time, ok bool)
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq). It is typed
-// (not container/heap) so sift operations avoid interface dispatch on
-// the kernel's hottest path. It is the oracle implementation the timing
-// wheel is pinned against.
-type eventQueue []*event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) push(ev *event) {
-	ev.index = len(*q)
-	*q = append(*q, ev)
-	// Sift up.
-	h := *q
-	i := ev.index
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() *event {
-	h := *q
-	n := len(h) - 1
-	h.swap(0, n)
-	ev := h[n]
-	h[n] = nil
-	ev.index = -1
-	h = h[:n]
-	*q = h
-	// Sift down from the root.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
-	return ev
-}
-
-func (q *eventQueue) size() int64 { return int64(len(*q)) }
-
-func (q *eventQueue) nextAt() (Time, bool) {
-	if len(*q) == 0 {
-		return 0, false
-	}
-	return (*q)[0].at, true
-}
-
-// QueueKind selects the Scheduler's event-queue implementation.
-type QueueKind uint8
-
-const (
-	// QueueAuto picks the heap for small schedules and the timing wheel
-	// when Config.PendingHint predicts a large standing event population
-	// (≥ autoWheelThreshold pending events).
-	QueueAuto QueueKind = iota
-	// QueueHeap forces the binary min-heap (the oracle).
-	QueueHeap
-	// QueueWheel forces the hierarchical timing wheel.
-	QueueWheel
-)
-
-// autoWheelThreshold is the PendingHint at which QueueAuto switches from
-// the heap to the wheel: around a few thousand standing events the heap's
-// O(log n) sifts lose to the wheel's O(1) slot filing.
-const autoWheelThreshold = 4096
-
-// String implements fmt.Stringer.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueAuto:
-		return "auto"
-	case QueueHeap:
-		return "heap"
-	case QueueWheel:
-		return "wheel"
-	default:
-		return fmt.Sprintf("QueueKind(%d)", uint8(k))
-	}
-}
-
-// ParseQueueKind converts a flag value ("auto", "heap", "wheel") to a
-// QueueKind.
-func ParseQueueKind(s string) (QueueKind, error) {
-	switch s {
-	case "auto", "":
-		return QueueAuto, nil
-	case "heap":
-		return QueueHeap, nil
-	case "wheel":
-		return QueueWheel, nil
-	default:
-		return QueueAuto, fmt.Errorf("sim: unknown queue kind %q (want auto, heap or wheel)", s)
-	}
-}
-
-// Config parameterizes a Scheduler. The zero value reproduces New():
-// auto queue selection with no hint, which is the heap.
+// Config parameterizes a Scheduler. The zero value reproduces New().
 type Config struct {
-	// Queue selects the event-queue implementation.
-	Queue QueueKind
 	// PendingHint is the expected steady-state number of pending events;
-	// QueueAuto selects the wheel at or above autoWheelThreshold. Zero
-	// means unknown.
+	// it presizes the event free list. Zero means unknown.
 	PendingHint int64
 	// Depth, when non-nil, observes the queue depth after every schedule
 	// — the standing event population histogram. Nil disables (no cost
@@ -260,7 +136,7 @@ func DepthHistogram() *metrics.Histogram {
 }
 
 // Scheduler owns the virtual clock and the event queue. The zero value is
-// ready to use (heap queue). Scheduler is not safe for concurrent use: the
+// ready to use. Scheduler is not safe for concurrent use: the
 // simulation is single-threaded by design (determinism), and experiments
 // parallelize across independent Scheduler instances instead.
 type Scheduler struct {
@@ -275,52 +151,37 @@ type Scheduler struct {
 	depth      *metrics.Histogram
 }
 
-// initialQueueCap pre-sizes the event queue and free list so a typical
-// protocol run reaches its steady state without growing either slice.
+// initialQueueCap pre-sizes the wheel's ready buffer and the free list so
+// a typical protocol run reaches its steady state without growing either
+// slice.
 const initialQueueCap = 256
 
-// New returns a Scheduler starting at time zero, using the min-heap queue.
+// New returns a Scheduler starting at time zero.
 func New() *Scheduler {
-	return NewWithConfig(Config{Queue: QueueHeap})
+	return NewWithConfig(Config{})
 }
 
 // NewWithConfig returns a Scheduler starting at time zero with the given
-// queue selection and instrumentation.
+// sizing hint and instrumentation.
 func NewWithConfig(cfg Config) *Scheduler {
-	kind := cfg.Queue
-	if kind == QueueAuto {
-		if cfg.PendingHint >= autoWheelThreshold {
-			kind = QueueWheel
-		} else {
-			kind = QueueHeap
-		}
-	}
-	// PendingHint also presizes the free list (and the heap's slice) so a
-	// metro-scale run reaches steady state without reallocation churn.
+	// PendingHint presizes the free list so a metro-scale run reaches
+	// steady state without reallocation churn.
 	capHint := int64(initialQueueCap)
 	if cfg.PendingHint > capHint {
 		capHint = min(cfg.PendingHint, 1<<22)
 	}
-	var q queue
-	if kind == QueueWheel {
-		q = newWheelQueue()
-	} else {
-		eq := make(eventQueue, 0, capHint)
-		q = &eq
-	}
 	return &Scheduler{
-		q:     q,
+		q:     newWheelQueue(),
 		free:  make([]*event, 0, capHint),
 		depth: cfg.Depth,
 	}
 }
 
-// lazyQueue returns the scheduler's queue, initializing a heap for a
+// lazyQueue returns the scheduler's queue, initializing the wheel for a
 // zero-value Scheduler.
 func (s *Scheduler) lazyQueue() queue {
 	if s.q == nil {
-		eq := make(eventQueue, 0, initialQueueCap)
-		s.q = &eq
+		s.q = newWheelQueue()
 	}
 	return s.q
 }

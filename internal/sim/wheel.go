@@ -15,8 +15,8 @@ import (
 // The 12-bit rung width is a cascade trade: most MAC/phy timer horizons
 // fit in one or two rungs, so an event is usually filed once and served,
 // never touched cold in between; the price is a 64-word occupancy bitmap
-// per level, whose next-slot scan is a handful of TrailingZeros64 because
-// pending events cluster in few words.
+// per level, whose next-slot scan a one-word summary of its nonzero words
+// keeps at two TrailingZeros64 even for a near-empty queue.
 //
 // Schedule and cancel are O(1); pop is amortized O(1) for short-horizon
 // timer distributions (an event cascades once per nonzero base-4096 digit
@@ -25,8 +25,8 @@ import (
 // costs zero additional allocations.
 //
 // Determinism contract (DESIGN.md §13): pops are in ascending (at, seq)
-// order, byte-identical to the eventQueue min-heap oracle. Two mechanisms
-// make that hold:
+// order, byte-identical to the min-heap oracle in heap_test.go. Two
+// mechanisms make that hold:
 //
 //   - Level-0 slots are single-time: an event is at level 0 iff its time
 //     differs from cur only in the low 12 bits, and its slot index IS
@@ -48,10 +48,16 @@ type wheelQueue struct {
 	head  int
 	n     int64 // queued events, including cancelled-but-unpopped
 	// occupied[l] has bit s (word s/64, bit s%64) set iff slot[l][s] is
-	// non-empty, so finding the next occupied slot is a few
-	// TrailingZeros64 per level.
+	// non-empty, and words[l] has bit w set iff occupied[l][w] is nonzero
+	// (wheelWords is 64, one bit per word), so finding the next occupied
+	// slot is two TrailingZeros64 per level even when a sparse queue
+	// leaves most words empty.
 	occupied [wheelLevels][wheelWords]uint64
-	slot     [wheelLevels][wheelSlots]*event
+	words    [wheelLevels]uint64
+	// slot[l] is allocated when level l first files an event: a small
+	// queue (an RTT calibration pair) touches one or two levels, so it
+	// never pays to zero, or the GC to scan, the other 32 KB arrays.
+	slot [wheelLevels]*[wheelSlots]*event
 }
 
 const (
@@ -94,26 +100,31 @@ func (w *wheelQueue) place(ev *event) {
 		l = levelOf(x)
 		s = (at >> (uint(l) * wheelBits)) & wheelMask
 	}
-	ev.next = w.slot[l][s]
-	w.slot[l][s] = ev
+	sl := w.slot[l]
+	if sl == nil {
+		sl = new([wheelSlots]*event)
+		w.slot[l] = sl
+	}
+	ev.next = sl[s]
+	sl[s] = ev
 	w.occupied[l][s>>6] |= 1 << (s & 63)
+	w.words[l] |= 1 << (s >> 6)
 }
 
 // nextOccupied returns the first occupied slot ≥ from at level l, or -1
 // when the rest of the level is empty.
 func (w *wheelQueue) nextOccupied(l int, from uint64) int {
 	word := from >> 6
-	m := w.occupied[l][word] &^ (1<<(from&63) - 1)
-	for {
-		if m != 0 {
-			return int(word<<6) + bits.TrailingZeros64(m)
-		}
-		word++
-		if word >= wheelWords {
-			return -1
-		}
-		m = w.occupied[l][word]
+	if m := w.occupied[l][word] &^ (1<<(from&63) - 1); m != 0 {
+		return int(word<<6) + bits.TrailingZeros64(m)
 	}
+	// 2<<63 wraps to 0, so past the last word the mask clears everything.
+	later := w.words[l] &^ (2<<word - 1)
+	if later == 0 {
+		return -1
+	}
+	word = uint64(bits.TrailingZeros64(later))
+	return int(word<<6) + bits.TrailingZeros64(w.occupied[l][word])
 }
 
 // ensureReady makes ready[head] the minimum queued event, advancing the
@@ -144,7 +155,9 @@ func (w *wheelQueue) advance() {
 		s := uint64(sl)
 		head := w.slot[l][s]
 		w.slot[l][s] = nil
-		w.occupied[l][s>>6] &^= 1 << (s & 63)
+		if w.occupied[l][s>>6] &^= 1 << (s & 63); w.occupied[l][s>>6] == 0 {
+			w.words[l] &^= 1 << (s >> 6)
+		}
 		if l == 0 {
 			// Bottom rung: a single-time slot. cur keeps its high bits;
 			// the slot index is exactly the served time's low bits.
@@ -201,7 +214,8 @@ func (w *wheelQueue) rewind(at uint64) {
 	div := levelOf(at ^ w.cur)
 	var batch []*event
 	for l := 0; l < div; l++ {
-		for word := 0; word < wheelWords; word++ {
+		for ws := w.words[l]; ws != 0; ws &= ws - 1 {
+			word := bits.TrailingZeros64(ws)
 			for m := w.occupied[l][word]; m != 0; m &= m - 1 {
 				s := word<<6 + bits.TrailingZeros64(m)
 				for ev := w.slot[l][s]; ev != nil; {
@@ -214,6 +228,7 @@ func (w *wheelQueue) rewind(at uint64) {
 			}
 			w.occupied[l][word] = 0
 		}
+		w.words[l] = 0
 	}
 	batch = append(batch, w.ready[w.head:]...)
 	clear(w.ready) // drop stale refs so recycled events stay collectable

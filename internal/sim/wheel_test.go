@@ -37,10 +37,10 @@ func decodeDelta(class, a, b byte) Time {
 // brute-force pattern): the heap's (at, seq) order is the contract.
 func diffQueues(t *testing.T, script []byte) {
 	t.Helper()
-	heap := New()
-	wheel := NewWithConfig(Config{Queue: QueueWheel})
+	heap := newHeapScheduler(Config{})
+	wheel := New()
 	if _, ok := wheel.q.(*wheelQueue); !ok {
-		t.Fatal("QueueWheel did not select the wheel queue")
+		t.Fatal("New did not select the wheel queue")
 	}
 
 	var hLog, wLog []fire
@@ -162,7 +162,7 @@ func FuzzQueueOrder(f *testing.F) {
 // pulled the wheel's cursor forward; the next At lands between the clock
 // and the cursor and must still fire in (at, seq) order.
 func TestWheelRewindAfterRunUntil(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := New()
 	var order []int
 	s.At(1_000_000, func() { order = append(order, 2) })
 	s.RunUntil(10) // cursor has advanced to 1_000_000; now == 10
@@ -184,7 +184,7 @@ func TestWheelRewindAfterRunUntil(t *testing.T) {
 // bottom-rung filing vs. cascaded overflow filing) still fire in
 // scheduling order.
 func TestWheelSameTickFIFO(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := New()
 	const target = Time(1 << 20)
 	var order []int
 	// Scheduled far in advance: files in an overflow rung, cascades later.
@@ -208,7 +208,7 @@ func TestWheelSameTickFIFO(t *testing.T) {
 // lists plus the pooled free list mean a warm schedule→fire cycle never
 // touches the allocator.
 func TestWheelScheduleFireZeroAlloc(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := New()
 	count := 0
 	fn := func() { count++ }
 	cycle := func() {
@@ -229,7 +229,7 @@ func TestWheelScheduleFireZeroAlloc(t *testing.T) {
 // TestWheelDeepScheduleFireZeroAlloc pins the same property with a
 // standing population across many rungs, so cascades are exercised too.
 func TestWheelDeepScheduleFireZeroAlloc(t *testing.T) {
-	s := NewWithConfig(Config{Queue: QueueWheel})
+	s := New()
 	fn := func() {}
 	for i := 0; i < 4096; i++ {
 		s.At(s.Now()+Time(1000+i*37), fn)
@@ -252,9 +252,12 @@ func TestWheelDeepScheduleFireZeroAlloc(t *testing.T) {
 // TestQueueDepthHistogram pins the Config.Depth hook: every At observes
 // the post-push queue depth.
 func TestQueueDepthHistogram(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
+	for _, q := range []struct {
+		name string
+		new  func(Config) *Scheduler
+	}{{"heap", newHeapScheduler}, {"wheel", NewWithConfig}} {
 		h := DepthHistogram()
-		s := NewWithConfig(Config{Queue: kind, Depth: h})
+		s := q.new(Config{Depth: h})
 		fn := func() {}
 		for i := 0; i < 10; i++ {
 			s.At(Time(100+i), fn)
@@ -263,37 +266,11 @@ func TestQueueDepthHistogram(t *testing.T) {
 			t.Fatal(err)
 		}
 		if h.Count != 10 {
-			t.Fatalf("%v: depth histogram has %d observations, want 10", kind, h.Count)
+			t.Fatalf("%s: depth histogram has %d observations, want 10", q.name, h.Count)
 		}
 		if h.Max != 10 {
-			t.Fatalf("%v: depth histogram Max = %v, want 10", kind, h.Max)
+			t.Fatalf("%s: depth histogram Max = %v, want 10", q.name, h.Max)
 		}
-	}
-}
-
-// TestQueueAutoSelection pins the auto heuristic: small hints stay on
-// the heap oracle, metro-scale hints move to the wheel.
-func TestQueueAutoSelection(t *testing.T) {
-	small := NewWithConfig(Config{Queue: QueueAuto, PendingHint: 100})
-	if _, ok := small.q.(*eventQueue); !ok {
-		t.Fatalf("auto with hint 100 selected %T, want heap", small.q)
-	}
-	big := NewWithConfig(Config{Queue: QueueAuto, PendingHint: 100_000})
-	if _, ok := big.q.(*wheelQueue); !ok {
-		t.Fatalf("auto with hint 100000 selected %T, want wheel", big.q)
-	}
-}
-
-// TestParseQueueKind covers the flag parser round trip.
-func TestParseQueueKind(t *testing.T) {
-	for _, want := range []QueueKind{QueueAuto, QueueHeap, QueueWheel} {
-		got, err := ParseQueueKind(want.String())
-		if err != nil || got != want {
-			t.Fatalf("ParseQueueKind(%q) = %v, %v", want.String(), got, err)
-		}
-	}
-	if _, err := ParseQueueKind("calendar"); err == nil {
-		t.Fatal("ParseQueueKind accepted an unknown kind")
 	}
 }
 
@@ -301,9 +278,10 @@ func TestParseQueueKind(t *testing.T) {
 // scheduler with a standing population of `standing` pending events and
 // randomized short-horizon timer delays — the MAC/phy timer distribution
 // the wheel is built for. The delay sequence is a fixed xorshift stream,
-// identical for every queue kind.
-func benchScheduleFire(b *testing.B, kind QueueKind, standing int) {
-	s := NewWithConfig(Config{Queue: kind, PendingHint: int64(standing)})
+// identical for both queues. newSched is NewWithConfig (the wheel) or
+// newHeapScheduler (the oracle).
+func benchScheduleFire(b *testing.B, newSched func(Config) *Scheduler, standing int) {
+	s := newSched(Config{PendingHint: int64(standing)})
 	fn := func() {}
 	rnd := uint64(0x9E3779B97F4A7C15)
 	horizon := func() Time {
@@ -329,13 +307,13 @@ func benchScheduleFire(b *testing.B, kind QueueKind, standing int) {
 
 // BenchmarkSchedulerWheelFire is the wheel counterpart of
 // BenchmarkScheduleFire: warm steady state, no standing queue.
-func BenchmarkSchedulerWheelFire(b *testing.B) { benchScheduleFire(b, QueueWheel, 0) }
+func BenchmarkSchedulerWheelFire(b *testing.B) { benchScheduleFire(b, NewWithConfig, 0) }
 
 // BenchmarkSchedulerWheelFireDepth / BenchmarkSchedulerHeapFireDepth
 // measure the mixed-horizon cycle with 1000 standing events (the
 // paper-scale regime).
-func BenchmarkSchedulerWheelFireDepth(b *testing.B) { benchScheduleFire(b, QueueWheel, 1000) }
-func BenchmarkSchedulerHeapFireDepth(b *testing.B)  { benchScheduleFire(b, QueueHeap, 1000) }
+func BenchmarkSchedulerWheelFireDepth(b *testing.B) { benchScheduleFire(b, NewWithConfig, 1000) }
+func BenchmarkSchedulerHeapFireDepth(b *testing.B)  { benchScheduleFire(b, newHeapScheduler, 1000) }
 
 // skipInShort gates the metro-scale macro benchmarks out of -short bench
 // smokes (CI runs every benchmark at -benchtime 1x -short): building a
@@ -353,26 +331,26 @@ func skipInShort(b *testing.B) {
 // ~20-level sift paths per operation and the wheel files in O(1).
 func BenchmarkSchedulerHeapFireMillion(b *testing.B) {
 	skipInShort(b)
-	benchScheduleFire(b, QueueHeap, 1_000_000)
+	benchScheduleFire(b, newHeapScheduler, 1_000_000)
 }
 
 func BenchmarkSchedulerWheelFireMillion(b *testing.B) {
 	skipInShort(b)
-	benchScheduleFire(b, QueueWheel, 1_000_000)
+	benchScheduleFire(b, NewWithConfig, 1_000_000)
 }
 
 // BenchmarkSchedulerWheelMillion and BenchmarkSchedulerHeapMillion are
 // the end-to-end metro measurement: schedule a one-million-event backlog
 // spread across rungs, then drain it — total schedule+fire throughput at
 // up to 1M pending events.
-func BenchmarkSchedulerWheelMillion(b *testing.B) { benchMillion(b, QueueWheel) }
-func BenchmarkSchedulerHeapMillion(b *testing.B)  { benchMillion(b, QueueHeap) }
+func BenchmarkSchedulerWheelMillion(b *testing.B) { benchMillion(b, NewWithConfig) }
+func BenchmarkSchedulerHeapMillion(b *testing.B)  { benchMillion(b, newHeapScheduler) }
 
-func benchMillion(b *testing.B, kind QueueKind) {
+func benchMillion(b *testing.B, newSched func(Config) *Scheduler) {
 	skipInShort(b)
 	const backlog = 1_000_000
 	fn := func() {}
-	s := NewWithConfig(Config{Queue: kind, PendingHint: backlog})
+	s := newSched(Config{PendingHint: backlog})
 	cycle := func() {
 		base := s.Now()
 		for j := 0; j < backlog; j++ {
