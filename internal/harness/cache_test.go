@@ -64,6 +64,43 @@ func TestSweepCacheColdMatchesUncached(t *testing.T) {
 	}
 }
 
+// TestSweepCodecWithoutCache pins that results pass through the codec
+// even with no cache: the reducer sees what the codec carries and
+// nothing else, as it would on a cache hit, and the sweep does not hold
+// the unexported state (for a scenario result, the whole simulation)
+// until it ends.
+func TestSweepCodecWithoutCache(t *testing.T) {
+	type result struct {
+		Trial int
+		graph []byte
+	}
+	spec := Spec[result]{
+		Label:   "codec",
+		Points:  []string{"a", "b"},
+		Trials:  3,
+		Seed:    1,
+		Workers: 2,
+		Codec:   JSONCodec[result](),
+		Run: func(_ context.Context, job Job) (result, error) {
+			return result{Trial: job.Trial, graph: make([]byte, 1<<10)}, nil
+		},
+	}
+	_, err := SweepReduce(context.Background(), spec, func(point int, trials []result) int {
+		for tr, r := range trials {
+			if r.Trial != tr {
+				t.Errorf("point %d trial %d: decoded Trial = %d", point, tr, r.Trial)
+			}
+			if r.graph != nil {
+				t.Errorf("point %d trial %d: reducer saw the unexported field Run set", point, tr)
+			}
+		}
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSweepWarmReplaysWithoutRunning pins the headline behavior: a warm
 // sweep runs zero jobs, reports every job as a cache hit, and returns
 // results identical to the cold sweep — at one worker and at NumCPU.

@@ -194,9 +194,7 @@ type Spec[R any] struct {
 	// processes, content-addressed by (cache.CodeSalt, Key, point label,
 	// job seeds). Identical in-flight jobs — two concurrent sweeps over
 	// the same grid — are single-flighted to one computation. Requires
-	// Key and Codec; with Cache set, every result (hit or miss) passes
-	// through Codec, so cold and warm sweeps are byte-identical by
-	// construction.
+	// Key and Codec.
 	Cache *cache.Cache
 	// Key is the canonical, versioned encoding of every Run input the
 	// job seeds do not already capture — i.e. the experiment
@@ -205,6 +203,11 @@ type Spec[R any] struct {
 	Key []byte
 	// Codec serializes R for cache storage. JSONCodec[R]() fits any R
 	// whose meaningful state is exported fields of JSON-exact types.
+	// When set, every result passes through it, with or without a
+	// cache: reducers see the same decoded value in both modes, so cold
+	// and warm sweeps are byte-identical by construction, and the sweep
+	// holds only what the codec carries until it ends (not, say, a
+	// scenario result's whole simulation).
 	Codec Codec[R]
 }
 
@@ -244,13 +247,22 @@ func JobFingerprint(specKey []byte, pointLabel string, job Job) cache.Key {
 	return cache.Fingerprint(cache.CodeSalt, specKey, []byte(pointLabel), grid[:])
 }
 
-// runJob executes one job, through the cache when configured. The
-// returned hit reports whether a stored or shared result was replayed
-// instead of running spec.Run.
+// runJob executes one job, through the cache when configured and
+// through the codec whenever there is one. The returned hit reports
+// whether a stored or shared result was replayed instead of running
+// spec.Run.
 func runJob[R any](ctx context.Context, spec *Spec[R], job Job) (R, bool, error) {
 	var zero R
 	if spec.Cache == nil {
 		r, err := spec.Run(ctx, job)
+		if err != nil || spec.Codec == nil {
+			return r, false, err
+		}
+		data, err := spec.Codec.Marshal(r)
+		if err != nil {
+			return zero, false, err
+		}
+		r, err = spec.Codec.Unmarshal(data)
 		return r, false, err
 	}
 	key := JobFingerprint(spec.Key, spec.Points[job.Point], job)

@@ -19,6 +19,7 @@ package phy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"beaconsec/internal/geo"
 	"beaconsec/internal/rng"
@@ -192,6 +193,9 @@ type Radio struct {
 	pos     geo.Point
 	medium  *Medium
 	handler Handler
+	// neighbours lists every other radio within range, in ascending
+	// registration order: the receivers of every Transmit from r.
+	neighbours []neighbour
 	// inflight arrivals, for collision marking.
 	inflight []*arrival
 	// tx intervals for half-duplex suppression, pruned lazily.
@@ -259,13 +263,16 @@ type Config struct {
 	// Jitter is the SPDR hardware-delay model; the zero value selects
 	// DefaultJitter.
 	Jitter Jitter
-	// BruteForce forces transmissions to resolve receivers with the
-	// historical O(N) scan over all radios instead of the spatial grid.
-	// The two paths are defined to be byte-identical (same receivers,
-	// same visit order, same rng draws); this switch exists so tests and
-	// benchmarks can pin that equivalence. Production callers leave it
-	// false.
-	BruteForce bool
+}
+
+// neighbour is one receiver of a launch: a radio within range of the
+// origin, with the true distance and propagation delay from the origin
+// to it. Radios are indices into Medium.radios, so the tables hold no
+// pointers and cost the garbage collector nothing to scan.
+type neighbour struct {
+	dist  float64 // feet
+	rx    int32   // index into Medium.radios
+	delay uint32  // propagation(dist), in cycles
 }
 
 // Medium is the shared radio channel. It is bound to one sim.Scheduler and
@@ -275,8 +282,9 @@ type Medium struct {
 	src     *rng.Source
 	cfg     Config
 	radios  []*Radio
-	grid    *geo.Grid // spatial index over radio positions; cell = Range
-	scratch []int32   // reusable candidate buffer for grid queries
+	grid    *geo.Grid   // spatial index over radio positions; cell = Range
+	cands   []int32     // reusable candidate buffer for grid queries
+	inRange []neighbour // reusable result buffer for resolve
 	taps    []Tap
 	stats   Stats
 	actives []interval // ongoing transmissions anywhere, for carrier sense
@@ -287,9 +295,14 @@ type Medium struct {
 
 // NewMedium creates a medium over the given scheduler. src must be a
 // dedicated stream (the medium consumes it for jitter and ranging error).
+// It panics unless 0 < cfg.Range < about 5.7e11 ft.
 func NewMedium(sched *sim.Scheduler, src *rng.Source, cfg Config) *Medium {
 	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("phy: non-positive range %v", cfg.Range))
+	}
+	// The neighbour tables hold propagation delays in 32 bits.
+	if cfg.Range/speedOfLightFtPerSec*sim.CPUHz >= math.MaxUint32 {
+		panic(fmt.Sprintf("phy: range %v ft overflows a 32-bit propagation delay", cfg.Range))
 	}
 	if cfg.Ranging == nil {
 		cfg.Ranging = Perfect{}
@@ -306,12 +319,41 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// NewRadio registers a radio at pos.
+// NewRadio registers a radio at pos and builds its neighbour table.
+// The new radio also joins the table of each radio in range of it. It
+// has the highest index, so every table stays in ascending registration
+// order, even when radios register after transmissions have started.
 func (m *Medium) NewRadio(pos geo.Point) *Radio {
 	r := &Radio{pos: pos, medium: m}
+	self := int32(len(m.radios))
+	r.neighbours = slices.Clone(m.resolve(pos))
+	for _, n := range r.neighbours {
+		// Dist is symmetric bit for bit — the coordinate differences
+		// negate exactly and hypot drops their signs — so the entry a
+		// launch from the neighbour would compute has the same distance
+		// and delay.
+		other := m.radios[n.rx]
+		other.neighbours = append(other.neighbours, neighbour{dist: n.dist, rx: self, delay: n.delay})
+	}
 	m.radios = append(m.radios, r)
 	m.grid.Add(pos) // grid index == position in m.radios
 	return r
+}
+
+// resolve returns, in ascending registration order, every radio whose
+// distance from origin is not above Range, with that distance and its
+// propagation delay. The result aliases a buffer the next call reuses.
+func (m *Medium) resolve(origin geo.Point) []neighbour {
+	m.cands = m.grid.Candidates(origin, m.cfg.Range, m.cands[:0])
+	m.inRange = m.inRange[:0]
+	for _, ri := range m.cands {
+		// The hypot predicate, not a squared-distance comparison: the
+		// two can disagree on borderline floats.
+		if d := origin.Dist(m.radios[ri].pos); !(d > m.cfg.Range) {
+			m.inRange = append(m.inRange, neighbour{dist: d, rx: ri, delay: uint32(propagation(d))})
+		}
+	}
+	return m.inRange
 }
 
 // AddTap registers an attack-tooling tap invoked for every transmission.
@@ -358,7 +400,7 @@ func (m *Medium) pruneActives(now sim.Time) {
 func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	now := m.sched.Now()
 	r.pruneTx(now)
-	info := m.launch(r.pos, r, f)
+	info := m.launch(r.pos, f, r.neighbours)
 	r.tx = append(r.tx, interval{info.AirStart, info.AirEnd})
 	// Transmitting corrupts anything the sender was receiving.
 	for _, a := range r.inflight {
@@ -373,12 +415,17 @@ func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 }
 
 // Inject puts f on air from an arbitrary point, with no sending radio:
-// wormhole tunnel exits and replay attackers use this.
+// wormhole tunnel exits and replay attackers use this. An injection
+// point has no neighbour table, so its receivers come from the grid.
 func (m *Medium) Inject(origin geo.Point, f Frame) TxInfo {
-	return m.launch(origin, nil, f)
+	m.stats.Injections++
+	return m.launch(origin, f, m.resolve(origin))
 }
 
-func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
+// launch puts f on air from origin to receivers, which must be in
+// ascending registration order — the order the medium's rng draws for
+// them are taken in.
+func (m *Medium) launch(origin geo.Point, f Frame, receivers []neighbour) TxInfo {
 	if len(f.Data) == 0 {
 		panic("phy: transmitting empty frame")
 	}
@@ -409,43 +456,12 @@ func (m *Medium) launch(origin geo.Point, sender *Radio, f Frame) TxInfo {
 	}
 	m.stats.Transmissions++
 	m.stats.BytesOnAir += uint64(len(f.Data))
-	if sender == nil {
-		m.stats.Injections++
-	}
 	// Prune here, not only in carrier sense: a run that never samples
 	// Busy (no CSMA contention) must not grow actives for its lifetime.
 	m.pruneActives(start)
 	m.actives = append(m.actives, interval{start, end})
-
-	if m.cfg.BruteForce {
-		for _, rx := range m.radios {
-			if rx == sender {
-				continue
-			}
-			trueDist := origin.Dist(rx.pos)
-			if trueDist > m.cfg.Range {
-				continue
-			}
-			m.deliver(rx, origin, trueDist, f, info)
-		}
-	} else {
-		// Candidates come back in ascending radio index — registration
-		// order, i.e. exactly the order the brute-force scan visits —
-		// and the in-range predicate below is the scan's own, so the
-		// delivery sequence (and with it the medium's rng draw order)
-		// is byte-identical to the O(N) path.
-		m.scratch = m.grid.Candidates(origin, m.cfg.Range, m.scratch[:0])
-		for _, ri := range m.scratch {
-			rx := m.radios[ri]
-			if rx == sender {
-				continue
-			}
-			trueDist := origin.Dist(rx.pos)
-			if trueDist > m.cfg.Range {
-				continue
-			}
-			m.deliver(rx, origin, trueDist, f, info)
-		}
+	for _, n := range receivers {
+		m.deliver(m.radios[n.rx], n, f, info)
 	}
 	for _, t := range m.taps {
 		t(origin, f, info)
@@ -480,8 +496,8 @@ func (m *Medium) getPending() *pending {
 	return p
 }
 
-func (m *Medium) deliver(rx *Radio, origin geo.Point, trueDist float64, f Frame, info TxInfo) {
-	prop := propagation(trueDist)
+func (m *Medium) deliver(rx *Radio, n neighbour, f Frame, info TxInfo) {
+	prop := sim.Time(n.delay)
 	span := interval{info.AirStart + prop, info.AirEnd + prop}
 	p := m.getPending()
 	p.rx = rx
@@ -511,7 +527,7 @@ func (m *Medium) deliver(rx *Radio, origin geo.Point, trueDist float64, f Frame,
 	// byte-time plus propagation plus hardware delay after air start.
 	p.frame = f
 	p.firstByte = info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
-	p.measured = m.cfg.Ranging.Measure(trueDist+f.RangeBias, m.src)
+	p.measured = m.cfg.Ranging.Measure(n.dist+f.RangeBias, m.src)
 	p.end = span.end
 
 	m.sched.At(span.end, p.fire)

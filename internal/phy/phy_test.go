@@ -380,12 +380,16 @@ func TestEmptyFramePanics(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero range did not panic")
-		}
-	}()
-	NewMedium(sim.New(), rng.New(1), Config{})
+	for _, r := range []float64{0, 1e12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("range %v did not panic", r)
+				}
+			}()
+			NewMedium(sim.New(), rng.New(1), Config{Range: r})
+		}()
+	}
 }
 
 func TestTapSeesAllTransmissions(t *testing.T) {

@@ -109,12 +109,6 @@ type Config struct {
 	Distributed bool
 	// Seed drives everything except deployment placement (Deploy.Seed).
 	Seed uint64
-
-	// bruteForceMedium is a test hook: it forces the radio medium's
-	// historical O(N) receiver scan instead of the spatial grid (see
-	// phy.Config.BruteForce). The two paths are pinned byte-identical
-	// by TestGridVsBruteForceByteIdentical.
-	bruteForceMedium bool
 }
 
 // Paper returns the reconstructed configuration of the paper's §4
@@ -224,8 +218,12 @@ type Result struct {
 	// the per-phase breakdown.
 	Metrics Metrics
 
-	// Sensors retains per-sensor outcomes for downstream analysis (nil
-	// unless Config kept it — populated always; callers may drop it).
+	// The run's nodes and base station, for inspection through the
+	// accessors below. Through their radios they reach the whole
+	// simulation, so a Result holds every node, the medium and the
+	// scheduler for as long as it lives. They are unexported, so JSON
+	// (and with it the trial cache and harness.Sweep's codec pass)
+	// drops them.
 	beacons   []*node.Beacon
 	malicious []*node.Malicious
 	sensors   []*node.Sensor
@@ -272,9 +270,8 @@ func Run(cfg Config) (*Result, error) {
 		Depth:       depth,
 	})
 	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
-		Range:      cfg.Deploy.Range,
-		Ranging:    phy.BoundedUniform{MaxError: cfg.MaxDistError},
-		BruteForce: cfg.bruteForceMedium,
+		Range:   cfg.Deploy.Range,
+		Ranging: phy.BoundedUniform{MaxError: cfg.MaxDistError},
 	})
 	master := crypto.NewMaster([]byte(fmt.Sprintf("scenario-%d", cfg.Seed)))
 
