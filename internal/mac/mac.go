@@ -78,10 +78,15 @@ type SendOptions struct {
 
 // Stats counts link-layer events.
 type Stats struct {
-	Sent        uint64
-	Backoffs    uint64
-	CSMADrops   uint64
-	AuthFail    uint64
+	Sent      uint64
+	Backoffs  uint64
+	CSMADrops uint64
+	AuthFail  uint64
+	// NotForUs counts uncorrupted frames addressed to an identity the
+	// node does not own: those its radio filtered by link address
+	// (phy.Radio.Filtered), which never reach the endpoint, plus those
+	// that reached it unaddressed or under an address several radios
+	// listen on.
 	NotForUs    uint64
 	DecodeError uint64
 	Delivered   uint64
@@ -111,8 +116,9 @@ type Endpoint struct {
 	stats   Stats
 }
 
-// NewEndpoint binds a link layer to a radio. The store's first identity is
-// the primary. src must be a dedicated stream.
+// NewEndpoint binds a link layer to a radio, which from then on listens
+// on the link address of each of the store's identities. The store's
+// first identity is the primary. src must be a dedicated stream.
 func NewEndpoint(sched *sim.Scheduler, radio *phy.Radio, store *crypto.Store, src *rng.Source) *Endpoint {
 	ids := store.Identities()
 	if len(ids) == 0 {
@@ -126,7 +132,21 @@ func NewEndpoint(sched *sim.Scheduler, radio *phy.Radio, store *crypto.Store, sr
 		primary: ids[0],
 	}
 	radio.SetHandler(e.onReception)
+	addrs := make([]uint32, len(ids))
+	for i, id := range ids {
+		addrs[i] = linkAddr(id)
+	}
+	radio.Listen(addrs...)
 	return e
+}
+
+// linkAddr is the phy link address of identity id: the identity itself,
+// except that broadcast frames are unaddressed.
+func linkAddr(id ident.NodeID) uint32 {
+	if id == ident.Broadcast {
+		return 0
+	}
+	return uint32(id)
 }
 
 // SetHandler installs the upper-layer packet handler.
@@ -136,7 +156,11 @@ func (e *Endpoint) SetHandler(h Handler) { e.handler = h }
 func (e *Endpoint) Primary() ident.NodeID { return e.primary }
 
 // Stats returns a copy of the endpoint counters.
-func (e *Endpoint) Stats() Stats { return e.stats }
+func (e *Endpoint) Stats() Stats {
+	s := e.stats
+	s.NotForUs += e.radio.Filtered()
+	return s
+}
 
 // Radio returns the underlying radio.
 func (e *Endpoint) Radio() *phy.Radio { return e.radio }
@@ -207,6 +231,7 @@ func (e *Endpoint) attempt(srcID, dst ident.NodeID, seq uint16, payload any, opt
 	}
 	frame := phy.Frame{
 		Data:         sizing,
+		Dst:          linkAddr(dst),
 		RangeBias:    opts.RangeBias,
 		WormholeMark: opts.WormholeMark,
 	}

@@ -65,18 +65,24 @@ func TestUnicastDelivery(t *testing.T) {
 }
 
 func TestUnicastNotDeliveredToThirdParty(t *testing.T) {
+	// The third party's radio filters the frame by link address: its
+	// endpoint never sees it, yet counts it as NotForUs.
 	f := newFixture(150)
 	a := f.endpoint(geo.Point{X: 0, Y: 0}, 1)
 	_ = f.endpoint(geo.Point{X: 100, Y: 0}, 2)
 	c := f.endpoint(geo.Point{X: 50, Y: 0}, 3)
-	got := 0
+	got, heard := 0, 0
 	c.SetHandler(func(Delivery) { got++ })
+	c.radio.SetHandler(func(rec phy.Reception) {
+		heard++
+		c.onReception(rec)
+	})
 	a.Send(2, packet.BeaconRequest{}, SendOptions{})
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != 0 {
-		t.Errorf("third party received %d packets", got)
+	if got != 0 || heard != 0 {
+		t.Errorf("third party received %d packets, its radio handler ran %d times", got, heard)
 	}
 	if c.Stats().NotForUs != 1 {
 		t.Errorf("NotForUs = %d, want 1", c.Stats().NotForUs)

@@ -40,10 +40,112 @@ func bruteForce(m *Medium, origin geo.Point, sender *Radio) []neighbour {
 // comparison.
 type receptionLog struct {
 	radio     int
-	data0     byte
+	frame     int // the launching action's index, from the frame's first bytes
 	measured  float64
 	firstByte sim.Time
 	end       sim.Time
+}
+
+// Kinds of harness action.
+const (
+	actTransmit = iota // Transmit from radio, modulo the radios registered when it fires
+	actInject          // Inject from origin
+	actRegister        // NewRadio at origin; it listens if listen is set
+	actListen          // radio listens on its address, and maybe another's
+	actBusy            // sample every radio's carrier sense
+)
+
+// action is one scheduled step of the differential harness.
+type action struct {
+	kind   int
+	radio  int
+	origin geo.Point
+	at     sim.Time
+	size   int
+	// dst is the frame's link address for launches; for actListen, a
+	// second address the radio listens on (0 for none).
+	dst    uint32
+	listen bool
+}
+
+// sharedAddr is an address two of the initial radios listen on.
+const sharedAddr = 1 << 20
+
+// addr is the link address radio i listens on.
+func addr(i int) uint32 { return uint32(i) + 1 }
+
+// fieldTrial is one random field and action schedule.
+type fieldTrial struct {
+	positions []geo.Point
+	actions   []action
+}
+
+// newFieldTrial draws a field — off-field positions, colocated radios,
+// pairs exactly Range apart and a radio on a cell corner — and a
+// schedule of launches, registrations, Listen calls and carrier-sense
+// samples. Frames go to random radios' addresses (owned or not), to an
+// address nobody listens on, to the shared address, or unaddressed.
+func newFieldTrial(rnd *rand.Rand) fieldTrial {
+	n := 20 + rnd.Intn(180)
+	positions := make([]geo.Point, n)
+	for i := range positions {
+		// Include off-field positions (wormhole endpoints, replay
+		// attackers can sit anywhere).
+		positions[i] = geo.Point{
+			X: -100 + 1200*rnd.Float64(),
+			Y: -100 + 1200*rnd.Float64(),
+		}
+	}
+	// Colocated radios, pairs exactly Range apart (on an axis, on a
+	// diagonal, across a grid cell edge) and a radio on a cell corner.
+	copy(positions, []geo.Point{
+		{X: 500, Y: 500},
+		{X: 500, Y: 500},
+		{X: 650, Y: 500},
+		{X: 590, Y: 620},
+		{X: 300, Y: 300},
+		{X: 300, Y: 150},
+	})
+	actions := make([]action, 80)
+	for i := range actions {
+		a := action{at: sim.Time(rnd.Intn(5_000_000)), size: 8 + rnd.Intn(24)}
+		switch k := rnd.Intn(10); {
+		case k < 5:
+			a.kind = actTransmit
+		case k < 7:
+			a.kind = actInject
+		case k < 8:
+			a.kind = actRegister
+			a.listen = rnd.Intn(2) == 0
+		case k < 9:
+			a.kind = actListen
+			if rnd.Intn(3) == 0 {
+				a.dst = addr(rnd.Intn(n))
+			}
+		default:
+			a.kind = actBusy
+		}
+		a.radio = rnd.Intn(1 << 16)
+		a.origin = geo.Point{X: -100 + 1200*rnd.Float64(), Y: -100 + 1200*rnd.Float64()}
+		if a.kind == actRegister && rnd.Intn(3) == 0 {
+			// Late radios colocated with, or exactly Range from, an
+			// initial one.
+			p := positions[rnd.Intn(n)]
+			a.origin = []geo.Point{p, {X: p.X + 150, Y: p.Y}, {X: p.X, Y: p.Y - 150}}[rnd.Intn(3)]
+		}
+		if a.kind == actTransmit || a.kind == actInject {
+			switch k := rnd.Intn(8); {
+			case k < 5:
+				a.dst = addr(rnd.Intn(n + 10))
+			case k < 6:
+				a.dst = 0xABCDEF
+			case k < 7:
+				a.dst = sharedAddr
+			}
+		}
+		actions[i] = a
+	}
+	return fieldTrial{positions: positions, actions: actions}
 }
 
 // loggedMedium is a medium whose radios all log their receptions. Its
@@ -54,12 +156,23 @@ type loggedMedium struct {
 	m      *Medium
 	radios []*Radio
 	log    []receptionLog
+	busy   []bool // every carrier-sense sample, in order
 	// oracle resolves every launch's receivers with bruteForce instead
 	// of the neighbour tables and the grid.
 	oracle bool
+	// listen makes the radios call Listen as the actions say. The
+	// listeners model below is kept either way.
+	listen bool
+	// listeners models Listen: the radios listening on each address,
+	// and whether each radio listens.
+	listeners map[uint32][]int
+	listening []bool
+	// kept[f][i] reports whether frame f (an action index) reaches radio
+	// i's handler on a listening medium, decided when f is launched.
+	kept map[int][]bool
 }
 
-func newLoggedMedium(oracle bool) *loggedMedium {
+func newLoggedMedium(oracle, listen bool) *loggedMedium {
 	sched := sim.New()
 	return &loggedMedium{
 		sched: sched,
@@ -67,7 +180,10 @@ func newLoggedMedium(oracle bool) *loggedMedium {
 			Range:   150,
 			Ranging: BoundedUniform{MaxError: 10},
 		}),
-		oracle: oracle,
+		oracle:    oracle,
+		listen:    listen,
+		listeners: make(map[uint32][]int),
+		kept:      make(map[int][]bool),
 	}
 }
 
@@ -77,29 +193,109 @@ func (l *loggedMedium) add(p geo.Point) {
 	r.SetHandler(func(rec Reception) {
 		l.log = append(l.log, receptionLog{
 			radio:     i,
-			data0:     rec.Frame.Data[0],
+			frame:     int(rec.Frame.Data[0])<<8 | int(rec.Frame.Data[1]),
 			measured:  rec.MeasuredDist,
 			firstByte: rec.FirstByteSPDR,
 			end:       rec.End,
 		})
 	})
 	l.radios = append(l.radios, r)
+	l.listening = append(l.listening, false)
 }
 
-func (l *loggedMedium) transmit(r *Radio, f Frame) {
-	if l.oracle {
-		r.neighbours = bruteForce(l.m, r.pos, r)
+// doListen makes radio i listen on addrs, in the model and, on a
+// listening medium, on the radio.
+func (l *loggedMedium) doListen(i int, addrs ...uint32) {
+	l.listening[i] = true
+	for _, a := range addrs {
+		if a != 0 && !slices.Contains(l.listeners[a], i) {
+			l.listeners[a] = append(l.listeners[a], i)
+		}
 	}
-	l.m.Transmit(r, f)
+	if l.listen {
+		l.radios[i].Listen(addrs...)
+	}
 }
 
-func (l *loggedMedium) inject(origin geo.Point, f Frame) {
-	if !l.oracle {
-		l.m.Inject(origin, f)
-		return
+// sampleBusy records every radio's carrier sense.
+func (l *loggedMedium) sampleBusy() {
+	for _, rx := range l.radios {
+		l.busy = append(l.busy, l.m.Busy(rx))
 	}
-	l.m.stats.Injections++
-	l.m.launch(origin, f, bruteForce(l.m, origin, nil))
+}
+
+// launch puts a frame for action index f on air from sender, or from
+// origin when sender is nil, recording which radios the model says
+// receive it. Carrier sense is sampled again as the frame ends: at its
+// AirEnd, and one cycle later, which is when it ends at the radios
+// whose propagation delay rounds to one cycle.
+func (l *loggedMedium) launch(f int, a action, sender *Radio) {
+	fr := Frame{Data: make([]byte, a.size), Dst: a.dst}
+	fr.Data[0], fr.Data[1] = byte(f>>8), byte(f)
+	owners := l.listeners[a.dst]
+	kept := make([]bool, len(l.radios))
+	for i := range kept {
+		kept[i] = !l.listening[i] || a.dst == 0 || len(owners) > 1 || slices.Contains(owners, i)
+	}
+	l.kept[f] = kept
+	var info TxInfo
+	switch {
+	case sender == nil && l.oracle:
+		l.m.stats.Injections++
+		info = l.m.launch(a.origin, fr, bruteForce(l.m, a.origin, nil))
+	case sender == nil:
+		info = l.m.Inject(a.origin, fr)
+	default:
+		if l.oracle {
+			sender.neighbours = bruteForce(l.m, sender.pos, sender)
+		}
+		info = l.m.Transmit(sender, fr)
+	}
+	l.sched.At(info.AirEnd, l.sampleBusy)
+	l.sched.At(info.AirEnd+1, l.sampleBusy)
+}
+
+// play runs tr on a fresh medium: the initial radios register, every
+// radio but each fifth listens on its address, radios 0 and 1 also on
+// sharedAddr, and then the actions fire. check, if non-nil, runs after
+// every action.
+func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMedium, action)) *loggedMedium {
+	l := newLoggedMedium(oracle, listen)
+	for i, p := range tr.positions {
+		l.add(p)
+		if i%5 != 4 {
+			l.doListen(i, addr(i))
+		}
+	}
+	l.doListen(0, sharedAddr)
+	l.doListen(1, sharedAddr)
+	for f, a := range tr.actions {
+		l.sched.At(a.at, func() {
+			r := a.radio % len(l.radios)
+			switch a.kind {
+			case actTransmit:
+				l.launch(f, a, l.radios[r])
+			case actInject:
+				l.launch(f, a, nil)
+			case actRegister:
+				l.add(a.origin)
+				if a.listen {
+					l.doListen(len(l.radios)-1, addr(len(l.radios)-1))
+				}
+			case actListen:
+				l.doListen(r, addr(r), a.dst)
+			case actBusy:
+				l.sampleBusy()
+			}
+			if check != nil {
+				check(l, a)
+			}
+		})
+	}
+	if err := l.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 // TestGridDeliveryMatchesBruteForce pins receiver resolution to the
@@ -112,130 +308,133 @@ func (l *loggedMedium) inject(origin geo.Point, f Frame) {
 func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
-		n := 20 + rnd.Intn(180)
-		positions := make([]geo.Point, n)
-		for i := range positions {
-			// Include off-field positions (wormhole endpoints, replay
-			// attackers can sit anywhere).
-			positions[i] = geo.Point{
-				X: -100 + 1200*rnd.Float64(),
-				Y: -100 + 1200*rnd.Float64(),
-			}
-		}
-		// Colocated radios, pairs exactly Range apart (on an axis, on a
-		// diagonal, across a grid cell edge) and a radio on a cell corner.
-		copy(positions, []geo.Point{
-			{X: 500, Y: 500},
-			{X: 500, Y: 500},
-			{X: 650, Y: 500},
-			{X: 590, Y: 620},
-			{X: 300, Y: 300},
-			{X: 300, Y: 150},
-		})
-
-		type action struct {
-			kind   int // 0: Transmit, 1: Inject from origin, 2: NewRadio at origin
-			radio  int // sender, modulo the radios registered when it fires
-			origin geo.Point
-			at     sim.Time
-			size   int
-		}
-		actions := make([]action, 60)
-		for i := range actions {
-			a := action{at: sim.Time(rnd.Intn(5_000_000)), size: 8 + rnd.Intn(24)}
-			switch k := rnd.Intn(8); {
-			case k < 5:
-				a.radio = rnd.Intn(1 << 16)
-			case k < 7:
-				a.kind = 1
-			default:
-				a.kind = 2
-			}
-			a.origin = geo.Point{X: -100 + 1200*rnd.Float64(), Y: -100 + 1200*rnd.Float64()}
-			if a.kind == 2 && rnd.Intn(3) == 0 {
-				// Late radios colocated with, or exactly Range from, an
-				// initial one.
-				p := positions[rnd.Intn(n)]
-				a.origin = []geo.Point{p, {X: p.X + 150, Y: p.Y}, {X: p.X, Y: p.Y - 150}}[rnd.Intn(3)]
-			}
-			actions[i] = a
-		}
-
-		run := func(oracle bool) ([]receptionLog, Stats) {
-			l := newLoggedMedium(oracle)
-			for _, p := range positions {
-				l.add(p)
-			}
-			for _, a := range actions {
-				a := a
-				l.sched.At(a.at, func() {
-					f := Frame{Data: make([]byte, a.size)}
-					f.Data[0] = byte(a.size)
-					switch a.kind {
-					case 0:
-						l.transmit(l.radios[a.radio%len(l.radios)], f)
-					case 1:
-						if !oracle && !slices.Equal(l.m.resolve(a.origin), bruteForce(l.m, a.origin, nil)) {
-							t.Errorf("trial %d: grid receivers of %v differ from the scan's", trial, a.origin)
-						}
-						l.inject(a.origin, f)
-					case 2:
-						l.add(a.origin)
-						if oracle {
-							return
-						}
-						for i, r := range l.radios {
-							if want := bruteForce(l.m, r.pos, r); !slices.Equal(r.neighbours, want) {
-								t.Errorf("trial %d: radio %d's table after registering %v:\n got %v\nwant %v",
-									trial, i, a.origin, r.neighbours, want)
-							}
-						}
+		tr := newFieldTrial(rnd)
+		got := play(t, tr, false, false, func(l *loggedMedium, a action) {
+			switch a.kind {
+			case actInject:
+				if !slices.Equal(l.m.resolve(a.origin), bruteForce(l.m, a.origin, nil)) {
+					t.Errorf("trial %d: grid receivers of %v differ from the scan's", trial, a.origin)
+				}
+			case actRegister:
+				for i, r := range l.radios {
+					if want := bruteForce(l.m, r.pos, r); !slices.Equal(r.neighbours, want) {
+						t.Errorf("trial %d: radio %d's table after registering %v:\n got %v\nwant %v",
+							trial, i, a.origin, r.neighbours, want)
 					}
-				})
+				}
 			}
-			if err := l.sched.Run(); err != nil {
-				t.Fatal(err)
-			}
-			return l.log, l.m.Stats()
-		}
-
-		gotLog, gotStats := run(false)
-		wantLog, wantStats := run(true)
+		})
+		want := play(t, tr, true, false, nil)
 		if t.Failed() {
 			t.FailNow()
 		}
-		if gotStats != wantStats {
-			t.Fatalf("trial %d: stats diverge: %+v vs oracle %+v", trial, gotStats, wantStats)
+		if got.m.Stats() != want.m.Stats() {
+			t.Fatalf("trial %d: stats diverge: %+v vs oracle %+v", trial, got.m.Stats(), want.m.Stats())
 		}
-		if len(gotLog) != len(wantLog) {
-			t.Fatalf("trial %d: %d receptions, oracle %d", trial, len(gotLog), len(wantLog))
-		}
-		for i := range gotLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("trial %d: reception %d diverges: %+v vs oracle %+v",
-					trial, i, gotLog[i], wantLog[i])
-			}
+		compareLogs(t, trial, got.log, want.log)
+		if !slices.Equal(got.busy, want.busy) {
+			t.Fatalf("trial %d: carrier sense diverges from the oracle's", trial)
 		}
 	}
 }
 
-// TestTransmitPrunesActives pins the satellite fix: a run that never
-// carrier-senses (no Busy calls) must not accumulate active intervals
-// forever.
-func TestTransmitPrunesActives(t *testing.T) {
-	sched, m := newTestMedium(Config{Range: 150})
-	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
-	for i := 0; i < 200; i++ {
-		m.Transmit(tx, frame(16))
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
+// TestListenMatchesPromiscuous pins address filtering to a medium where
+// no radio listens: the owners of each frame's address see the same
+// receptions, in the same order, with the same measurements and
+// timestamps; Stats and every carrier-sense sample are identical; each
+// radio's Filtered count is exactly the uncorrupted receptions it would
+// otherwise have had for frames addressed elsewhere; and the scheduler
+// runs fewer events.
+func TestListenMatchesPromiscuous(t *testing.T) {
+	rnd := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 10; trial++ {
+		tr := newFieldTrial(rnd)
+		got := play(t, tr, false, true, nil)
+		all := play(t, tr, false, false, nil)
+		if got.m.Stats() != all.m.Stats() {
+			t.Fatalf("trial %d: stats diverge: %+v vs promiscuous %+v", trial, got.m.Stats(), all.m.Stats())
 		}
-		// Move time well past the frame so the interval expires.
-		sched.After(FrameAirTime(16)*4, func() {})
-		sched.Run()
+		if !slices.Equal(got.busy, all.busy) {
+			t.Fatalf("trial %d: carrier sense diverges from the promiscuous medium's", trial)
+		}
+		var want []receptionLog
+		filtered := make([]uint64, len(all.radios))
+		for _, rec := range all.log {
+			if all.kept[rec.frame][rec.radio] {
+				want = append(want, rec)
+			} else {
+				filtered[rec.radio]++
+			}
+		}
+		if len(want) == len(all.log) {
+			t.Fatalf("trial %d: no reception was filtered", trial)
+		}
+		compareLogs(t, trial, got.log, want)
+		for i, r := range got.radios {
+			if r.Filtered() != filtered[i] {
+				t.Errorf("trial %d: radio %d filtered %d frames, want %d", trial, i, r.Filtered(), filtered[i])
+			}
+		}
+		if got.sched.Fired() >= all.sched.Fired() {
+			t.Errorf("trial %d: %d events with filtering, %d without", trial, got.sched.Fired(), all.sched.Fired())
+		}
 	}
-	if len(m.actives) > 2 {
-		t.Fatalf("actives grew to %d entries despite no carrier sensing", len(m.actives))
+}
+
+// compareLogs fails the test at the first reception where got and want
+// differ.
+func compareLogs(t *testing.T, trial int, got, want []receptionLog) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: %d receptions, want %d", trial, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("trial %d: reception %d diverges: %+v, want %+v", trial, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPassagesDoNotAccumulate pins what lazy pruning leaves behind: a
+// listening radio that only ever hears frames for other addresses, and
+// never transmits or carrier-senses, holds no more passages than there
+// are frames still on air at it.
+func TestPassagesDoNotAccumulate(t *testing.T) {
+	sched, m := newTestMedium(Config{Range: 150})
+	rx := m.NewRadio(geo.Point{X: 0, Y: 0})
+	rx.SetHandler(func(Reception) { t.Error("a frame for another address reached the handler") })
+	rx.Listen(1)
+	senders := []*Radio{
+		m.NewRadio(geo.Point{X: 10, Y: 0}),
+		m.NewRadio(geo.Point{X: 0, Y: 100}),
+		m.NewRadio(geo.Point{X: -140, Y: 20}),
+	}
+	rnd := rand.New(rand.NewSource(3))
+	var ends []sim.Time // when each frame finishes arriving at rx
+	air := FrameAirTime(16)
+	for i := 0; i < 300; i++ {
+		s := senders[rnd.Intn(len(senders))]
+		dst := []uint32{2, 3, 0x10000}[rnd.Intn(3)]
+		// About half the frames overlap their predecessor.
+		sched.At(sim.Time(i)*air+sim.Time(rnd.Int63n(int64(air))), func() {
+			info := m.Transmit(s, Frame{Data: make([]byte, 16), Dst: dst})
+			ends = append(ends, info.AirEnd+propagation(s.pos.Dist(rx.pos)))
+			onAir := 0
+			for _, end := range ends {
+				if end > sched.Now() {
+					onAir++
+				}
+			}
+			if len(rx.passages) > onAir {
+				t.Fatalf("frame %d: %d passages held, %d frames on air", i, len(rx.passages), onAir)
+			}
+		})
+	}
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rx.Filtered() == 0 || rx.Filtered() == 300 {
+		t.Errorf("Filtered = %d of 300 frames, want some filtered and some corrupted", rx.Filtered())
 	}
 }
 
@@ -243,26 +442,33 @@ func TestTransmitPrunesActives(t *testing.T) {
 // event free list, delivery pool, and scratch buffers are warm, a
 // transmit→deliver cycle performs zero heap allocations (the frame
 // buffer itself is owned and reused by the caller here, as the
-// benchmarks and batch paths do).
+// benchmarks and batch paths do). The listening leg addresses the frame
+// to one of the receivers, so the others hold passages.
 func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
 	}
-	sched, m := newTestMedium(Config{Range: 150})
-	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
-	for i := 0; i < 40; i++ {
-		m.NewRadio(geo.Point{X: float64(i), Y: 10})
-	}
-	buf := make([]byte, 16)
-	cycle := func() {
-		m.Transmit(tx, Frame{Data: buf})
-		sched.Run()
-	}
-	for i := 0; i < 50; i++ { // warm pools
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("steady-state transmit+deliver allocates %.1f times per op, want 0", avg)
+	for _, listen := range []bool{false, true} {
+		sched, m := newTestMedium(Config{Range: 150})
+		tx := m.NewRadio(geo.Point{X: 0, Y: 0})
+		for i := 0; i < 40; i++ {
+			r := m.NewRadio(geo.Point{X: float64(i), Y: 10})
+			r.SetHandler(func(Reception) {})
+			if listen {
+				r.Listen(addr(i))
+			}
+		}
+		buf := make([]byte, 16)
+		cycle := func() {
+			m.Transmit(tx, Frame{Data: buf, Dst: addr(7)})
+			sched.Run()
+		}
+		for i := 0; i < 50; i++ { // warm pools
+			cycle()
+		}
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Fatalf("steady-state transmit+deliver (listening %v) allocates %.1f times per op, want 0", listen, avg)
+		}
 	}
 }
 
@@ -331,26 +537,36 @@ func paperField(n int, seed int64) []geo.Point {
 // scheduler drain of its deliveries) from the field's centre against
 // nRadios radios at the paper's density. Transmit reads the sender's
 // neighbour table; inject resolves the same point through the grid,
-// as wormhole exits and replay attackers do. Pools are warmed before
-// the timer starts so the reported allocs/op is the steady state.
-func benchTransmit(b *testing.B, nRadios int, inject bool) {
+// as wormhole exits and replay attackers do. With unicast, every radio
+// listens on its own address and the frame is addressed to one
+// receiver, so the rest of the neighbourhood holds passages. Pools are
+// warmed before the timer starts so the reported allocs/op is the
+// steady state.
+func benchTransmit(b *testing.B, nRadios int, inject, unicast bool) {
 	sched := sim.New()
 	m := NewMedium(sched, rng.New(7), Config{
 		Range:   150,
 		Ranging: BoundedUniform{MaxError: 10},
 	})
-	for _, p := range paperField(nRadios, 5) {
-		m.NewRadio(p).SetHandler(func(Reception) {})
+	for i, p := range paperField(nRadios, 5) {
+		r := m.NewRadio(p)
+		r.SetHandler(func(Reception) {})
+		if unicast {
+			r.Listen(addr(i))
+		}
 	}
 	side := math.Sqrt(float64(nRadios) * 1e6 / 1110)
 	centre := geo.Point{X: side / 2, Y: side / 2}
 	tx := m.NewRadio(centre)
-	buf := make([]byte, 24)
+	f := Frame{Data: make([]byte, 24)}
+	if unicast {
+		f.Dst = addr(int(tx.neighbours[0].rx))
+	}
 	launch := func() {
 		if inject {
-			m.Inject(centre, Frame{Data: buf})
+			m.Inject(centre, f)
 		} else {
-			m.Transmit(tx, Frame{Data: buf})
+			m.Transmit(tx, f)
 		}
 		sched.Run()
 	}
@@ -366,10 +582,13 @@ func benchTransmit(b *testing.B, nRadios int, inject bool) {
 
 func BenchmarkTransmit(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("radios=%d", n), func(b *testing.B) { benchTransmit(b, n, false) })
+		b.Run(fmt.Sprintf("radios=%d", n), func(b *testing.B) { benchTransmit(b, n, false, false) })
 	}
 	for _, n := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("inject/radios=%d", n), func(b *testing.B) { benchTransmit(b, n, true) })
+		b.Run(fmt.Sprintf("inject/radios=%d", n), func(b *testing.B) { benchTransmit(b, n, true, false) })
+	}
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("unicast/radios=%d", n), func(b *testing.B) { benchTransmit(b, n, false, true) })
 	}
 }
 

@@ -127,6 +127,10 @@ var (
 type Frame struct {
 	// Data is the encoded packet.
 	Data []byte
+	// Dst is the link address of the frame's destination; zero means
+	// unaddressed. A radio that listens on other addresses only (see
+	// Radio.Listen) does not receive the frame.
+	Dst uint32
 	// RangeBias shifts the distance the receiver's ranging measures,
 	// modelling transmit-power manipulation by a malicious sender.
 	// Benign senders use 0.
@@ -188,16 +192,35 @@ type arrival struct {
 	corrupted bool
 }
 
+// passage is a frame on air at a radio that filters it out by address:
+// it collides, can be corrupted and asserts carrier exactly as an
+// arrival does, but has no pending record and no reception event.
+// counted means it is in Stats.Deliveries and the radio's filtered
+// count; it is cleared when the passage is corrupted.
+type passage struct {
+	span               interval
+	corrupted, counted bool
+}
+
 // Radio is one node's transceiver at a fixed position.
 type Radio struct {
 	pos     geo.Point
 	medium  *Medium
 	handler Handler
+	index   int32 // position in Medium.radios
+	// listening is set by Listen: r filters addressed frames.
+	listening bool
 	// neighbours lists every other radio within range, in ascending
 	// registration order: the receivers of every Transmit from r.
 	neighbours []neighbour
 	// inflight arrivals, for collision marking.
 	inflight []*arrival
+	// passages of frames addressed to other radios, pruned lazily;
+	// passEnd is the latest end among them.
+	passages []passage
+	passEnd  sim.Time
+	// filtered counts the passages counted as deliveries.
+	filtered uint64
 	// tx intervals for half-duplex suppression, pruned lazily.
 	tx []interval
 }
@@ -210,6 +233,70 @@ func (r *Radio) Medium() *Medium { return r.medium }
 
 // SetHandler installs the reception callback. A nil handler drops frames.
 func (r *Radio) SetHandler(h Handler) { r.handler = h }
+
+// Listen makes r filter frames by link address, as a mote's radio drops
+// frames meant for other nodes. From then on a frame addressed to
+// another address still occupies r's air — it collides, suffers from
+// half-duplex and asserts carrier — but never reaches r's handler, and
+// costs the scheduler no event. r still receives unaddressed frames,
+// frames for any address it listens on, and frames for an address more
+// than one radio listens on. Address 0 marks unaddressed frames, so
+// listening on it changes nothing. A radio that never calls Listen
+// receives every frame in range.
+func (r *Radio) Listen(addrs ...uint32) {
+	m := r.medium
+	if m.owners == nil {
+		m.owners = make(map[uint32]int32)
+	}
+	r.listening = true
+	for _, a := range addrs {
+		if a == 0 {
+			continue
+		}
+		if o, ok := m.owners[a]; ok && o != r.index {
+			m.owners[a] = everyone
+		} else {
+			m.owners[a] = r.index
+		}
+	}
+}
+
+// Filtered returns how many uncorrupted frames r filtered out because
+// they were addressed to an address it does not listen on (see Listen). Each is counted
+// when it goes on air, and withdrawn if a collision or half-duplex
+// corrupts it later.
+func (r *Radio) Filtered() uint64 { return r.filtered }
+
+// livePassages drops r's passages that ended at or before now and
+// returns the rest. When it drops them cannot be observed: a frame that
+// has ended can neither overlap a later frame or transmission nor
+// assert carrier.
+func (r *Radio) livePassages(now sim.Time) []passage {
+	if now >= r.passEnd {
+		// All have ended, the common case: no need to read them.
+		r.passages = r.passages[:0]
+		return nil
+	}
+	keep := r.passages[:0]
+	for _, p := range r.passages {
+		if p.span.end > now {
+			keep = append(keep, p)
+		}
+	}
+	r.passages = keep
+	return keep
+}
+
+// spoil corrupts a passage at r, withdrawing the delivery it was
+// counted as, if any.
+func (m *Medium) spoil(r *Radio, p *passage) {
+	p.corrupted = true
+	if p.counted {
+		p.counted = false
+		m.stats.Deliveries--
+		r.filtered--
+	}
+}
 
 func (r *Radio) pruneTx(now sim.Time) {
 	keep := r.tx[:0]
@@ -233,9 +320,15 @@ func (r *Radio) transmittingDuring(span interval) bool {
 // Stats counts medium-level events, for tests and experiment reporting.
 type Stats struct {
 	Transmissions uint64
-	Deliveries    uint64
-	Collisions    uint64
-	HalfDuplex    uint64
+	// Deliveries counts uncorrupted frames at radios with a handler: the
+	// receptions handed to a handler, plus the frames a listening radio
+	// filtered out (Radio.Filtered). A filtered frame is counted when it
+	// goes on air and withdrawn if it is corrupted later, so once every
+	// frame has ended the count equals what it would be if no radio
+	// listened.
+	Deliveries uint64
+	Collisions uint64
+	HalfDuplex uint64
 	// Injections counts radio-less launches (wormhole tunnel exits and
 	// replay attackers): attack traffic, a subset of Transmissions.
 	Injections uint64
@@ -287,11 +380,22 @@ type Medium struct {
 	inRange []neighbour // reusable result buffer for resolve
 	taps    []Tap
 	stats   Stats
-	actives []interval // ongoing transmissions anywhere, for carrier sense
+	// owners maps each link address a radio listens on to that radio's
+	// index, or to everyone when several radios listen on it.
+	owners map[uint32]int32
 	// pendFree recycles pending-delivery records (and their pre-bound
 	// fire closures) so steady-state delivery allocates nothing.
 	pendFree []*pending
 }
+
+// Sentinel owners of a frame's destination address.
+const (
+	// everyone: the frame is unaddressed, or more than one radio listens
+	// on its address, so no radio filters it.
+	everyone int32 = -1
+	// nobody: no radio listens on the frame's address.
+	nobody int32 = -2
+)
 
 // NewMedium creates a medium over the given scheduler. src must be a
 // dedicated stream (the medium consumes it for jitter and ranging error).
@@ -324,8 +428,8 @@ func (m *Medium) Stats() Stats { return m.stats }
 // has the highest index, so every table stays in ascending registration
 // order, even when radios register after transmissions have started.
 func (m *Medium) NewRadio(pos geo.Point) *Radio {
-	r := &Radio{pos: pos, medium: m}
 	self := int32(len(m.radios))
+	r := &Radio{pos: pos, medium: m, index: self}
 	r.neighbours = slices.Clone(m.resolve(pos))
 	for _, n := range r.neighbours {
 		// Dist is symmetric bit for bit — the coordinate differences
@@ -370,29 +474,22 @@ func propagation(dist float64) sim.Time {
 // within range of r right now. Used by the MAC for CSMA.
 func (m *Medium) Busy(r *Radio) bool {
 	now := m.sched.Now()
-	m.pruneActives(now)
 	// Carrier sense cannot tell where a transmission came from without
 	// demodulating; conservatively, any active transmission in range
-	// asserts carrier. Positions of active transmissions are not stored
-	// (they have already been resolved into per-receiver arrivals), so
-	// sense via the radio's own inflight arrivals plus its own tx state.
+	// asserts carrier, addressed to r or not. Sense via the radio's own
+	// arrivals and passages plus its own tx state.
 	for _, a := range r.inflight {
 		if a.span.start <= now && now < a.span.end {
 			return true
 		}
 	}
-	r.pruneTx(now)
-	return len(r.tx) > 0
-}
-
-func (m *Medium) pruneActives(now sim.Time) {
-	keep := m.actives[:0]
-	for _, iv := range m.actives {
-		if iv.end > now {
-			keep = append(keep, iv)
+	for _, p := range r.livePassages(now) {
+		if p.span.start <= now {
+			return true
 		}
 	}
-	m.actives = keep
+	r.pruneTx(now)
+	return len(r.tx) > 0
 }
 
 // Transmit puts f on air from radio r, returning its timing. The sender
@@ -401,14 +498,19 @@ func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	now := m.sched.Now()
 	r.pruneTx(now)
 	info := m.launch(r.pos, f, r.neighbours)
-	r.tx = append(r.tx, interval{info.AirStart, info.AirEnd})
+	span := interval{info.AirStart, info.AirEnd}
+	r.tx = append(r.tx, span)
 	// Transmitting corrupts anything the sender was receiving.
 	for _, a := range r.inflight {
-		if overlaps(a.span, interval{info.AirStart, info.AirEnd}) {
-			if !a.corrupted {
-				a.corrupted = true
-				m.stats.HalfDuplex++
-			}
+		if overlaps(a.span, span) && !a.corrupted {
+			a.corrupted = true
+			m.stats.HalfDuplex++
+		}
+	}
+	for i := range r.livePassages(now) {
+		if p := &r.passages[i]; overlaps(p.span, span) && !p.corrupted {
+			m.spoil(r, p)
+			m.stats.HalfDuplex++
 		}
 	}
 	return info
@@ -424,7 +526,9 @@ func (m *Medium) Inject(origin geo.Point, f Frame) TxInfo {
 
 // launch puts f on air from origin to receivers, which must be in
 // ascending registration order — the order the medium's rng draws for
-// them are taken in.
+// them are taken in. A receiver gets a reception event if it does not
+// listen, if it owns f.Dst, or if no radio filters f; every other
+// receiver gets a passage.
 func (m *Medium) launch(origin geo.Point, f Frame, receivers []neighbour) TxInfo {
 	if len(f.Data) == 0 {
 		panic("phy: transmitting empty frame")
@@ -456,12 +560,16 @@ func (m *Medium) launch(origin geo.Point, f Frame, receivers []neighbour) TxInfo
 	}
 	m.stats.Transmissions++
 	m.stats.BytesOnAir += uint64(len(f.Data))
-	// Prune here, not only in carrier sense: a run that never samples
-	// Busy (no CSMA contention) must not grow actives for its lifetime.
-	m.pruneActives(start)
-	m.actives = append(m.actives, interval{start, end})
+	owner := everyone
+	if f.Dst != 0 {
+		owner = nobody
+		if o, ok := m.owners[f.Dst]; ok {
+			owner = o
+		}
+	}
 	for _, n := range receivers {
-		m.deliver(m.radios[n.rx], n, f, info)
+		rx := m.radios[n.rx]
+		m.deliver(rx, n, f, info, owner == everyone || n.rx == owner || !rx.listening)
 	}
 	for _, t := range m.taps {
 		t(origin, f, info)
@@ -496,40 +604,61 @@ func (m *Medium) getPending() *pending {
 	return p
 }
 
-func (m *Medium) deliver(rx *Radio, n neighbour, f Frame, info TxInfo) {
+// deliver puts f on air at rx: as a reception event if event is set, as
+// a passage otherwise. Both take the same collision and half-duplex
+// marks and the same rng draws, so which radios listen changes neither
+// the medium's stream nor any reception.
+func (m *Medium) deliver(rx *Radio, n neighbour, f Frame, info TxInfo, event bool) {
+	now := m.sched.Now()
 	prop := sim.Time(n.delay)
 	span := interval{info.AirStart + prop, info.AirEnd + prop}
-	p := m.getPending()
-	p.rx = rx
-	p.arr = arrival{span: span}
-	a := &p.arr
+	corrupted := false
 	// Collision: overlapping arrivals corrupt each other ("node B either
 	// receives the original signal or receives nothing in case of
 	// collision").
 	for _, other := range rx.inflight {
 		if overlaps(other.span, span) {
-			if !other.corrupted {
-				other.corrupted = true
-			}
-			a.corrupted = true
+			other.corrupted = true
+			corrupted = true
+			m.stats.Collisions++
+		}
+	}
+	for i := range rx.livePassages(now) {
+		if other := &rx.passages[i]; overlaps(other.span, span) {
+			m.spoil(rx, other)
+			corrupted = true
 			m.stats.Collisions++
 		}
 	}
 	// Half-duplex: a receiver that is transmitting misses the frame.
-	rx.pruneTx(m.sched.Now())
+	rx.pruneTx(now)
 	if rx.transmittingDuring(span) {
-		a.corrupted = true
+		corrupted = true
 		m.stats.HalfDuplex++
 	}
-	rx.inflight = append(rx.inflight, a)
-
 	// t2/t4: first byte available in the receiving register one
 	// byte-time plus propagation plus hardware delay after air start.
-	p.frame = f
-	p.firstByte = info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
-	p.measured = m.cfg.Ranging.Measure(n.dist+f.RangeBias, m.src)
-	p.end = span.end
+	firstByte := info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
+	measured := m.cfg.Ranging.Measure(n.dist+f.RangeBias, m.src)
 
+	if !event {
+		counted := !corrupted && rx.handler != nil
+		rx.passages = append(rx.passages, passage{span: span, corrupted: corrupted, counted: counted})
+		rx.passEnd = max(rx.passEnd, span.end)
+		if counted {
+			m.stats.Deliveries++
+			rx.filtered++
+		}
+		return
+	}
+	p := m.getPending()
+	p.rx = rx
+	p.arr = arrival{span: span, corrupted: corrupted}
+	rx.inflight = append(rx.inflight, &p.arr)
+	p.frame = f
+	p.firstByte = firstByte
+	p.measured = measured
+	p.end = span.end
 	m.sched.At(span.end, p.fire)
 }
 

@@ -12,8 +12,15 @@ import (
 
 // scenarioGoldenPath is json.Marshal of Run on goldenConfig, generated
 // while the radio medium still resolved every transmission's receivers
-// with a spatial-grid query (and, equivalently, the O(N) scan).
+// with a spatial-grid query (and, equivalently, the O(N) scan), and
+// still gave every receiver in range a reception event.
 var scenarioGoldenPath = filepath.Join("..", "..", "results", "golden", "scenario_small_seed21.json")
+
+// schedGoldenPath pins the scheduler's own accounting of the same run
+// (see schedAccounting) since radios filter frames by link address:
+// receptions at radios that do not own a frame's destination take no
+// event.
+var schedGoldenPath = filepath.Join("..", "..", "results", "golden", "scenario_small_seed21_sched.json")
 
 // goldenConfig exercises every delivery path: CSMA contention, a
 // wormhole tunnel and a replay attacker (Inject from arbitrary points)
@@ -29,30 +36,86 @@ func goldenConfig() Config {
 	return cfg
 }
 
-// TestRunGolden pins a full run to the committed golden byte for byte,
+// TestRunGolden pins a full run to the committed goldens byte for byte,
 // so a change in receiver set, visit order or rng draw order anywhere
-// in the medium surfaces as a diff.
+// in the medium surfaces as a diff. The scheduler's own accounting is
+// compared with its own golden, and everything else with the golden
+// written before address filtering.
 func TestRunGolden(t *testing.T) {
-	want, err := os.ReadFile(scenarioGoldenPath)
-	if err != nil {
-		t.Fatalf("golden file missing: %v", err)
-	}
 	res, err := Run(goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.Marshal(res)
+	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		i := 0
-		for i < len(got) && i < len(want) && got[i] == want[i] {
-			i++
-		}
-		t.Fatalf("run diverges from the golden at byte %d:\n  want: …%s…\n  got:  …%s…",
-			i, excerpt(want, i), excerpt(got, i))
+	got, gotSched := schedAccounting(t, raw)
+	wantRaw, err := os.ReadFile(scenarioGoldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing: %v", err)
 	}
+	want, _ := schedAccounting(t, wantRaw)
+	wantSched, err := os.ReadFile(schedGoldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing: %v", err)
+	}
+	compareGolden(t, "run", got, want)
+	compareGolden(t, "scheduler accounting", gotSched, wantSched)
+}
+
+// schedAccounting splits a marshalled Result into the fields that count
+// only the scheduler's own work — Metrics.sim.{events,scheduled,
+// max_pending}, Metrics.queue_depth and Metrics.phases[].events — and
+// everything else, each re-marshalled. Numbers keep their literal
+// text, and keys come out sorted.
+func schedAccounting(t *testing.T, raw []byte) (rest, sched []byte) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var res map[string]any
+	if err := dec.Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	m := res["Metrics"].(map[string]any)
+	sim := m["sim"].(map[string]any)
+	acct := map[string]any{"queue_depth": m["queue_depth"]}
+	for _, k := range []string{"events", "scheduled", "max_pending"} {
+		acct[k] = sim[k]
+		delete(sim, k)
+	}
+	delete(m, "queue_depth")
+	var phaseEvents []any
+	for _, p := range m["phases"].([]any) {
+		phase := p.(map[string]any)
+		phaseEvents = append(phaseEvents, phase["events"])
+		delete(phase, "events")
+	}
+	acct["phase_events"] = phaseEvents
+	rest, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err = json.Marshal(acct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rest, sched
+}
+
+// compareGolden fails the test at the first byte where got and want
+// differ.
+func compareGolden(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	t.Errorf("%s diverges from the golden at byte %d:\n  want: …%s…\n  got:  …%s…",
+		what, i, excerpt(want, i), excerpt(got, i))
 }
 
 // excerpt returns up to 60 bytes either side of b[i].
