@@ -77,11 +77,11 @@ type macState struct {
 	innerU, outerU encoding.BinaryUnmarshaler
 	cache          map[Key]*macEntry
 	isum, osum     [sha256.Size]byte
-	// lenBuf is KDF's length-prefix scratch. It lives here rather than
-	// on KDF's stack because writing a stack array through the
-	// hash.Hash interface would force it to escape (one heap
-	// allocation per call).
-	lenBuf [4]byte
+	// ctxBuf is KDF's scratch for its length-prefixed context. KDF
+	// copies the context in and writes it once: writing the caller's
+	// slices through the hash.Hash interface would force them to escape
+	// (a heap allocation per element per call).
+	ctxBuf []byte
 }
 
 var statePool = sync.Pool{New: func() any {
@@ -157,13 +157,15 @@ func (s *macState) finish(e *macEntry) []byte {
 func KDF(k Key, context ...[]byte) Key {
 	s := statePool.Get().(*macState)
 	e := s.begin(k)
+	buf := s.ctxBuf[:0]
 	for _, c := range context {
 		// Length-prefix each context element so concatenation is
 		// unambiguous (("ab","c") must not collide with ("a","bc")).
-		binary.BigEndian.PutUint32(s.lenBuf[:], uint32(len(c)))
-		s.inner.Write(s.lenBuf[:])
-		s.inner.Write(c)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(c)))
+		buf = append(buf, c...)
 	}
+	s.inner.Write(buf)
+	s.ctxBuf = buf
 	var out Key
 	copy(out[:], s.finish(e))
 	statePool.Put(s)
@@ -190,14 +192,17 @@ func Verify(k Key, msg []byte, tag Tag) bool {
 // Master is a network master secret from which the master-key pairwise
 // scheme derives all pairwise and base-station keys. In a real deployment
 // the master is destroyed after predistribution; here it stands in for the
-// predistribution ceremony.
+// predistribution ceremony. A Master is immutable once made, so
+// concurrent use is safe.
 type Master struct {
-	secret Key
+	secret    Key
+	broadcast Key // derived once: every broadcast send and receive reads it
 }
 
 // NewMaster creates a master secret from seed material.
 func NewMaster(seed []byte) *Master {
-	return &Master{secret: KDF(Key{}, []byte("beaconsec/master"), seed)}
+	secret := KDF(Key{}, []byte("beaconsec/master"), seed)
+	return &Master{secret: secret, broadcast: KDF(secret, []byte("broadcast"))}
 }
 
 // Pairwise returns the unique key shared by nodes a and b. It is
@@ -219,9 +224,7 @@ func (m *Master) Pairwise(a, b ident.NodeID) Key {
 // so a compromised node can forge hellos. Nothing security-relevant rides
 // on hellos — a forged hello only creates a neighbor-table entry whose
 // subsequent unicast exchanges are authenticated pairwise.
-func (m *Master) BroadcastKey() Key {
-	return KDF(m.secret, []byte("broadcast"))
-}
+func (m *Master) BroadcastKey() Key { return m.broadcast }
 
 // BaseStationKey returns the unique key node id shares with the base
 // station (paper §3.1: "each beacon node shares a unique random key with
@@ -237,26 +240,17 @@ func (m *Master) BaseStationKey(id ident.NodeID) Key {
 // pseudonyms) and its base-station key.
 //
 // The zero value is unusable; construct with NewStore. Store derives
-// pairwise keys lazily from the master reference — equivalent, in the
-// simulation, to having predistributed them.
+// pairwise and base-station keys on demand from the master reference —
+// equivalent, in the simulation, to having predistributed them.
 type Store struct {
 	master *Master
 	ids    []ident.NodeID
-	bsKeys map[ident.NodeID]Key
 }
 
 // NewStore provisions a node that owns the given identities (first ID is
 // the node's real identity).
 func NewStore(master *Master, ids ...ident.NodeID) *Store {
-	s := &Store{
-		master: master,
-		ids:    append([]ident.NodeID(nil), ids...),
-		bsKeys: make(map[ident.NodeID]Key, len(ids)),
-	}
-	for _, id := range ids {
-		s.bsKeys[id] = master.BaseStationKey(id)
-	}
-	return s
+	return &Store{master: master, ids: append([]ident.NodeID(nil), ids...)}
 }
 
 // Owns reports whether this node holds keying material for identity id.
@@ -291,11 +285,10 @@ func (s *Store) BroadcastKey() Key {
 }
 
 // BaseStationKey returns the key identity self shares with the base
-// station.
+// station. It panics if the store does not own self.
 func (s *Store) BaseStationKey(self ident.NodeID) Key {
-	k, ok := s.bsKeys[self]
-	if !ok {
+	if !s.Owns(self) {
 		panic("crypto: store does not own identity " + self.String())
 	}
-	return k
+	return s.master.BaseStationKey(self)
 }

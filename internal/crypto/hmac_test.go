@@ -130,8 +130,8 @@ func TestSignVerifyConcurrent(t *testing.T) {
 var raceEnabled bool
 
 // TestSignVerifyKDFZeroAlloc pins the point of the rewrite: on a warm
-// state, signing, verifying, and deriving keys do zero heap
-// allocations.
+// state, signing, verifying, and deriving keys — pairwise keys
+// included — do zero heap allocations.
 func TestSignVerifyKDFZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts; allocation pin not meaningful")
@@ -143,8 +143,10 @@ func TestSignVerifyKDFZeroAlloc(t *testing.T) {
 	// allocates the variadic [][]byte itself, which is the caller's
 	// allocation, not KDF's.
 	ctx := [][]byte{msg}
-	tag := Sign(k, msg) // warm the pool and the key's midstate cache
+	m := NewMaster([]byte("zero-alloc"))
+	tag := Sign(k, msg) // warm the pool and the keys' midstate caches
 	KDF(k, ctx...)
+	m.Pairwise(3, 9)
 	if avg := testing.AllocsPerRun(100, func() { Sign(k, msg) }); avg != 0 {
 		t.Errorf("Sign allocates %.1f times per op, want 0", avg)
 	}
@@ -153,6 +155,9 @@ func TestSignVerifyKDFZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { KDF(k, ctx...) }); avg != 0 {
 		t.Errorf("KDF allocates %.1f times per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { m.Pairwise(9, 3) }); avg != 0 {
+		t.Errorf("Pairwise allocates %.1f times per op, want 0", avg)
 	}
 }
 

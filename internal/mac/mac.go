@@ -225,22 +225,31 @@ func (e *Endpoint) attempt(srcID, dst ident.NodeID, seq uint16, payload any, opt
 	if !ok {
 		panic("mac: sending under unowned identity " + srcID.String())
 	}
-	sizing, err := packet.Encode(srcID, dst, seq, payload, key)
-	if err != nil {
-		panic("mac: unencodable payload: " + err.Error())
-	}
 	frame := phy.Frame{
-		Data:         sizing,
 		Dst:          linkAddr(dst),
 		RangeBias:    opts.RangeBias,
 		WormholeMark: opts.WormholeMark,
 	}
-	if opts.Compose != nil {
-		want := len(sizing)
+	if opts.Compose == nil {
+		data, err := packet.Encode(srcID, dst, seq, payload, key)
+		if err != nil {
+			panic("mac: unencodable payload: " + err.Error())
+		}
+		frame.Data = data
+	} else {
+		// payload only sizes the frame, so it is neither encoded nor
+		// signed: Finalize encodes and signs the composed payload into
+		// the buffer before any receiver sees a byte, and nothing reads
+		// Data before then.
+		want, err := packet.Size(payload)
+		if err != nil {
+			panic("mac: unencodable payload: " + err.Error())
+		}
+		sizing := make([]byte, want)
+		frame.Data = sizing
 		frame.Finalize = func(t3 sim.Time) []byte {
-			// Re-encode in place over the sizing buffer: the frame owns
-			// it, Finalize runs before any receiver sees the bytes, and
-			// the encoded size is pinned, so rebuilding costs no
+			// Encode in place over the sizing buffer: the frame owns it
+			// and the encoded size is pinned, so this costs no
 			// allocation.
 			final, err := packet.EncodeTo(sizing[:0], srcID, dst, seq, opts.Compose(t3), key)
 			if err != nil {

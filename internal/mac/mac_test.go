@@ -179,7 +179,7 @@ func TestForgedPacketRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.medium.Inject(geo.Point{X: 0, Y: 0}, phy.Frame{Data: data})
+	f.medium.Inject(f.medium.NewPort(geo.Point{X: 0, Y: 0}), phy.Frame{Data: data})
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +224,46 @@ func TestComposeReceivesT3(t *testing.T) {
 	}
 }
 
+// TestComposedFrameOnAirIsEncoding pins that sizing a composed frame
+// without signing it changes nothing on air: the bytes launched are
+// exactly packet.Encode of the composed payload.
+func TestComposedFrameOnAirIsEncoding(t *testing.T) {
+	f := newFixture(150)
+	a := f.endpoint(geo.Point{X: 0, Y: 0}, 1, 900)
+	_ = f.endpoint(geo.Point{X: 100, Y: 0}, 2)
+	var onAir [][]byte
+	f.medium.AddTap(func(_ geo.Point, fr phy.Frame, _ phy.TxInfo) {
+		onAir = append(onAir, append([]byte(nil), fr.Data...))
+	})
+	composed := func(t3 sim.Time) packet.BeaconReply {
+		return packet.BeaconReply{Loc: geo.Point{X: 3, Y: -4}, Turnaround: uint32(t3) * 7, Echo: 5}
+	}
+	var seq uint16
+	var t3 sim.Time
+	f.sched.At(1000, func() {
+		seq = a.Send(2, packet.BeaconReply{}, SendOptions{
+			Identity: 900,
+			Compose: func(at sim.Time) any {
+				t3 = at
+				return composed(at)
+			},
+		})
+	})
+	if err := f.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(onAir) != 1 {
+		t.Fatalf("%d frames on air, want 1", len(onAir))
+	}
+	want, err := packet.Encode(900, 2, seq, composed(t3), f.master.Pairwise(900, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(onAir[0]) != string(want) {
+		t.Errorf("on air %x, want packet.Encode of the composed payload %x", onAir[0], want)
+	}
+}
+
 func TestCSMADefersUntilIdle(t *testing.T) {
 	f := newFixture(1000)
 	// A long foreign transmission occupies the channel; an endpoint that
@@ -242,8 +282,9 @@ func TestCSMADefersUntilIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	port := f.medium.NewPort(geo.Point{X: 50, Y: 0})
 	f.sched.At(0, func() {
-		f.medium.Inject(geo.Point{X: 50, Y: 0}, phy.Frame{Data: data})
+		f.medium.Inject(port, phy.Frame{Data: data})
 	})
 	var sentOK bool
 	var sentInfo phy.TxInfo
@@ -332,7 +373,7 @@ func TestTruthPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.medium.Inject(geo.Point{X: 0, Y: 0}, phy.Frame{Data: data, Replayed: true, WormholeMark: true})
+	f.medium.Inject(f.medium.NewPort(geo.Point{X: 0, Y: 0}), phy.Frame{Data: data, Replayed: true, WormholeMark: true})
 	if err := f.sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +399,11 @@ func TestCSMAExhaustionDropsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	frameTime := phy.FrameAirTime(len(data))
+	jammer := f.medium.NewPort(geo.Point{X: 50, Y: 0})
 	for i := 0; i < 200; i++ {
 		at := sim.Time(i) * frameTime
 		f.sched.At(at, func() {
-			f.medium.Inject(geo.Point{X: 50, Y: 0}, phy.Frame{Data: data})
+			f.medium.Inject(jammer, phy.Frame{Data: data})
 		})
 	}
 	dropped := false

@@ -16,7 +16,8 @@ import (
 // two neighbor nodes is at least the transmission time of one entire
 // packet"), which dwarfs the ≈4.5-bit benign RTT spread.
 type ReplayAttacker struct {
-	// Pos is the attacker's position.
+	// Pos is the attacker's position. It is fixed once installed:
+	// NewReplayAttacker builds the medium's injection port there.
 	Pos geo.Point
 	// ExtraDelay is added beyond the unavoidable one-packet
 	// store-and-forward delay.
@@ -26,11 +27,12 @@ type ReplayAttacker struct {
 
 	sched  *sim.Scheduler
 	medium *phy.Medium
+	port   *phy.Port
 }
 
 // NewReplayAttacker installs a replay attacker on the medium.
 func NewReplayAttacker(sched *sim.Scheduler, medium *phy.Medium, pos geo.Point, extraDelay sim.Time) *ReplayAttacker {
-	a := &ReplayAttacker{Pos: pos, ExtraDelay: extraDelay, sched: sched, medium: medium}
+	a := &ReplayAttacker{Pos: pos, ExtraDelay: extraDelay, sched: sched, medium: medium, port: medium.NewPort(pos)}
 	medium.AddTap(a.tap)
 	return a
 }
@@ -55,6 +57,6 @@ func (a *ReplayAttacker) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	a.Replayed++
 	// Store-and-forward: cannot start before hearing the whole frame.
 	a.sched.At(info.AirEnd+a.ExtraDelay, func() {
-		a.medium.Inject(a.Pos, replay)
+		a.medium.Inject(a.port, replay)
 	})
 }

@@ -228,13 +228,23 @@ func typeOf(p any) (Type, error) {
 	}
 }
 
+// Size returns the length Encode gives a packet carrying payload, without
+// encoding or signing it.
+func Size(payload any) (int, error) {
+	n, err := payloadSize(payload)
+	if err != nil {
+		return 0, err
+	}
+	return headerSize + n + crypto.TagSize, nil
+}
+
 // Encode serializes a packet and appends its authentication tag under key.
 func Encode(src, dst ident.NodeID, seq uint16, payload any, key crypto.Key) ([]byte, error) {
-	n, err := payloadSize(payload)
+	n, err := Size(payload)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeTo(make([]byte, 0, headerSize+n+crypto.TagSize), src, dst, seq, payload, key)
+	return EncodeTo(make([]byte, 0, n), src, dst, seq, payload, key)
 }
 
 // EncodeTo is Encode in append style: it serializes the packet into

@@ -49,10 +49,11 @@ type receptionLog struct {
 // Kinds of harness action.
 const (
 	actTransmit = iota // Transmit from radio, modulo the radios registered when it fires
-	actInject          // Inject from origin
+	actInject          // Inject through port radio, modulo the ports made when it fires
 	actRegister        // NewRadio at origin; it listens if listen is set
 	actListen          // radio listens on its address, and maybe another's
 	actBusy            // sample every radio's carrier sense
+	actPort            // NewPort at origin
 )
 
 // action is one scheduled step of the differential harness.
@@ -74,17 +75,22 @@ const sharedAddr = 1 << 20
 // addr is the link address radio i listens on.
 func addr(i int) uint32 { return uint32(i) + 1 }
 
-// fieldTrial is one random field and action schedule.
+// fieldTrial is one random field and action schedule. ports[0] is made
+// before the first radio, ports[1] halfway through the initial radios
+// and ports[2] after the last of them.
 type fieldTrial struct {
 	positions []geo.Point
+	ports     [3]geo.Point
 	actions   []action
 }
 
 // newFieldTrial draws a field — off-field positions, colocated radios,
-// pairs exactly Range apart and a radio on a cell corner — and a
-// schedule of launches, registrations, Listen calls and carrier-sense
-// samples. Frames go to random radios' addresses (owned or not), to an
-// address nobody listens on, to the shared address, or unaddressed.
+// pairs exactly Range apart and a radio on a cell corner — with ports
+// colocated with a radio, exactly Range from one and anywhere, and a
+// schedule of launches, registrations of radios and ports, Listen calls
+// and carrier-sense samples. Frames go to random radios' addresses
+// (owned or not), to an address nobody listens on, to the shared
+// address, or unaddressed.
 func newFieldTrial(rnd *rand.Rand) fieldTrial {
 	n := 20 + rnd.Intn(180)
 	positions := make([]geo.Point, n)
@@ -106,10 +112,17 @@ func newFieldTrial(rnd *rand.Rand) fieldTrial {
 		{X: 300, Y: 300},
 		{X: 300, Y: 150},
 	})
+	// Colocated with radios 0 and 1 and exactly Range from radio 2;
+	// exactly Range from radio 4 on a cell corner; anywhere.
+	ports := [3]geo.Point{
+		{X: 500, Y: 500},
+		{X: 450, Y: 300},
+		{X: -100 + 1200*rnd.Float64(), Y: -100 + 1200*rnd.Float64()},
+	}
 	actions := make([]action, 80)
 	for i := range actions {
 		a := action{at: sim.Time(rnd.Intn(5_000_000)), size: 8 + rnd.Intn(24)}
-		switch k := rnd.Intn(10); {
+		switch k := rnd.Intn(11); {
 		case k < 5:
 			a.kind = actTransmit
 		case k < 7:
@@ -122,14 +135,16 @@ func newFieldTrial(rnd *rand.Rand) fieldTrial {
 			if rnd.Intn(3) == 0 {
 				a.dst = addr(rnd.Intn(n))
 			}
-		default:
+		case k < 10:
 			a.kind = actBusy
+		default:
+			a.kind = actPort
 		}
 		a.radio = rnd.Intn(1 << 16)
 		a.origin = geo.Point{X: -100 + 1200*rnd.Float64(), Y: -100 + 1200*rnd.Float64()}
-		if a.kind == actRegister && rnd.Intn(3) == 0 {
-			// Late radios colocated with, or exactly Range from, an
-			// initial one.
+		if (a.kind == actRegister || a.kind == actPort) && rnd.Intn(3) == 0 {
+			// Late radios and ports colocated with, or exactly Range
+			// from, an initial radio.
 			p := positions[rnd.Intn(n)]
 			a.origin = []geo.Point{p, {X: p.X + 150, Y: p.Y}, {X: p.X, Y: p.Y - 150}}[rnd.Intn(3)]
 		}
@@ -145,7 +160,7 @@ func newFieldTrial(rnd *rand.Rand) fieldTrial {
 		}
 		actions[i] = a
 	}
-	return fieldTrial{positions: positions, actions: actions}
+	return fieldTrial{positions: positions, ports: ports, actions: actions}
 }
 
 // loggedMedium is a medium whose radios all log their receptions. Its
@@ -155,10 +170,11 @@ type loggedMedium struct {
 	sched  *sim.Scheduler
 	m      *Medium
 	radios []*Radio
+	ports  []*Port
 	log    []receptionLog
 	busy   []bool // every carrier-sense sample, in order
 	// oracle resolves every launch's receivers with bruteForce instead
-	// of the neighbour tables and the grid.
+	// of the radios' and ports' neighbour tables.
 	oracle bool
 	// listen makes the radios call Listen as the actions say. The
 	// listeners model below is kept either way.
@@ -224,12 +240,12 @@ func (l *loggedMedium) sampleBusy() {
 	}
 }
 
-// launch puts a frame for action index f on air from sender, or from
-// origin when sender is nil, recording which radios the model says
+// launch puts a frame for action index f on air from sender, or through
+// port when sender is nil, recording which radios the model says
 // receive it. Carrier sense is sampled again as the frame ends: at its
 // AirEnd, and one cycle later, which is when it ends at the radios
 // whose propagation delay rounds to one cycle.
-func (l *loggedMedium) launch(f int, a action, sender *Radio) {
+func (l *loggedMedium) launch(f int, a action, sender *Radio, port *Port) {
 	fr := Frame{Data: make([]byte, a.size), Dst: a.dst}
 	fr.Data[0], fr.Data[1] = byte(f>>8), byte(f)
 	owners := l.listeners[a.dst]
@@ -242,9 +258,9 @@ func (l *loggedMedium) launch(f int, a action, sender *Radio) {
 	switch {
 	case sender == nil && l.oracle:
 		l.m.stats.Injections++
-		info = l.m.launch(a.origin, fr, bruteForce(l.m, a.origin, nil))
+		info = l.m.launch(port.pos, &fr, bruteForce(l.m, port.pos, nil))
 	case sender == nil:
-		info = l.m.Inject(a.origin, fr)
+		info = l.m.Inject(port, fr)
 	default:
 		if l.oracle {
 			sender.neighbours = bruteForce(l.m, sender.pos, sender)
@@ -255,18 +271,23 @@ func (l *loggedMedium) launch(f int, a action, sender *Radio) {
 	l.sched.At(info.AirEnd+1, l.sampleBusy)
 }
 
-// play runs tr on a fresh medium: the initial radios register, every
-// radio but each fifth listens on its address, radios 0 and 1 also on
-// sharedAddr, and then the actions fire. check, if non-nil, runs after
-// every action.
+// play runs tr on a fresh medium: the initial radios and ports
+// register, every radio but each fifth listens on its address, radios 0
+// and 1 also on sharedAddr, and then the actions fire. check, if
+// non-nil, runs after every action.
 func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMedium, action)) *loggedMedium {
 	l := newLoggedMedium(oracle, listen)
+	l.ports = append(l.ports, l.m.NewPort(tr.ports[0]))
 	for i, p := range tr.positions {
+		if i == len(tr.positions)/2 {
+			l.ports = append(l.ports, l.m.NewPort(tr.ports[1]))
+		}
 		l.add(p)
 		if i%5 != 4 {
 			l.doListen(i, addr(i))
 		}
 	}
+	l.ports = append(l.ports, l.m.NewPort(tr.ports[2]))
 	l.doListen(0, sharedAddr)
 	l.doListen(1, sharedAddr)
 	for f, a := range tr.actions {
@@ -274,9 +295,11 @@ func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMe
 			r := a.radio % len(l.radios)
 			switch a.kind {
 			case actTransmit:
-				l.launch(f, a, l.radios[r])
+				l.launch(f, a, l.radios[r], nil)
 			case actInject:
-				l.launch(f, a, nil)
+				l.launch(f, a, nil, l.ports[a.radio%len(l.ports)])
+			case actPort:
+				l.ports = append(l.ports, l.m.NewPort(a.origin))
 			case actRegister:
 				l.add(a.origin)
 				if a.listen {
@@ -299,28 +322,30 @@ func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMe
 }
 
 // TestGridDeliveryMatchesBruteForce pins receiver resolution to the
-// O(N) scan: the neighbour tables (Transmit) and the grid (Inject)
-// resolve exactly the receivers the scan does, in the same order,
-// consuming the medium's rng stream identically — so every downstream
-// byte (measurements, timestamps, event order) is unchanged. Radios
-// also register between transmissions, as the node tests' probe and
-// forger radios do.
+// O(N) scan: the neighbour tables of radios (Transmit) and of ports
+// (Inject) resolve exactly the receivers the scan does, in the same
+// order, consuming the medium's rng stream identically — so every
+// downstream byte (measurements, timestamps, event order) is unchanged.
+// Radios also register between transmissions, as the node tests' probe
+// and forger radios do, and ports before, between and after them.
 func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		tr := newFieldTrial(rnd)
 		got := play(t, tr, false, false, func(l *loggedMedium, a action) {
-			switch a.kind {
-			case actInject:
-				if !slices.Equal(l.m.resolve(a.origin), bruteForce(l.m, a.origin, nil)) {
-					t.Errorf("trial %d: grid receivers of %v differ from the scan's", trial, a.origin)
+			if a.kind != actRegister && a.kind != actPort {
+				return
+			}
+			for i, r := range l.radios {
+				if want := bruteForce(l.m, r.pos, r); !slices.Equal(r.neighbours, want) {
+					t.Errorf("trial %d: radio %d's table after registering %v:\n got %v\nwant %v",
+						trial, i, a.origin, r.neighbours, want)
 				}
-			case actRegister:
-				for i, r := range l.radios {
-					if want := bruteForce(l.m, r.pos, r); !slices.Equal(r.neighbours, want) {
-						t.Errorf("trial %d: radio %d's table after registering %v:\n got %v\nwant %v",
-							trial, i, a.origin, r.neighbours, want)
-					}
+			}
+			for i, p := range l.ports {
+				if want := bruteForce(l.m, p.pos, nil); !slices.Equal(p.neighbours, want) {
+					t.Errorf("trial %d: port %d's table after registering %v:\n got %v\nwant %v",
+						trial, i, a.origin, p.neighbours, want)
 				}
 			}
 		})
@@ -442,32 +467,41 @@ func TestPassagesDoNotAccumulate(t *testing.T) {
 // event free list, delivery pool, and scratch buffers are warm, a
 // transmit→deliver cycle performs zero heap allocations (the frame
 // buffer itself is owned and reused by the caller here, as the
-// benchmarks and batch paths do). The listening leg addresses the frame
-// to one of the receivers, so the others hold passages.
+// benchmarks and batch paths do). The listening legs address the frame
+// to one of the receivers, so the others hold passages; the inject leg
+// launches through a port instead of a radio.
 func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
 	}
-	for _, listen := range []bool{false, true} {
+	for _, leg := range []struct {
+		name           string
+		listen, inject bool
+	}{{"promiscuous", false, false}, {"listening", true, false}, {"inject", true, true}} {
 		sched, m := newTestMedium(Config{Range: 150})
 		tx := m.NewRadio(geo.Point{X: 0, Y: 0})
+		port := m.NewPort(geo.Point{X: 0, Y: 0})
 		for i := 0; i < 40; i++ {
 			r := m.NewRadio(geo.Point{X: float64(i), Y: 10})
 			r.SetHandler(func(Reception) {})
-			if listen {
+			if leg.listen {
 				r.Listen(addr(i))
 			}
 		}
 		buf := make([]byte, 16)
 		cycle := func() {
-			m.Transmit(tx, Frame{Data: buf, Dst: addr(7)})
+			if leg.inject {
+				m.Inject(port, Frame{Data: buf, Dst: addr(7)})
+			} else {
+				m.Transmit(tx, Frame{Data: buf, Dst: addr(7)})
+			}
 			sched.Run()
 		}
 		for i := 0; i < 50; i++ { // warm pools
 			cycle()
 		}
 		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-			t.Fatalf("steady-state transmit+deliver (listening %v) allocates %.1f times per op, want 0", listen, avg)
+			t.Fatalf("steady-state %s launch+deliver allocates %.1f times per op, want 0", leg.name, avg)
 		}
 	}
 }
@@ -536,8 +570,8 @@ func paperField(n int, seed int64) []geo.Point {
 // benchTransmit measures one launch (receiver resolution plus the
 // scheduler drain of its deliveries) from the field's centre against
 // nRadios radios at the paper's density. Transmit reads the sender's
-// neighbour table; inject resolves the same point through the grid,
-// as wormhole exits and replay attackers do. With unicast, every radio
+// neighbour table; inject launches from the same point through a port
+// made once, as wormhole exits and replay attackers do. With unicast, every radio
 // listens on its own address and the frame is addressed to one
 // receiver, so the rest of the neighbourhood holds passages. Pools are
 // warmed before the timer starts so the reported allocs/op is the
@@ -558,13 +592,14 @@ func benchTransmit(b *testing.B, nRadios int, inject, unicast bool) {
 	side := math.Sqrt(float64(nRadios) * 1e6 / 1110)
 	centre := geo.Point{X: side / 2, Y: side / 2}
 	tx := m.NewRadio(centre)
+	port := m.NewPort(centre)
 	f := Frame{Data: make([]byte, 24)}
 	if unicast {
 		f.Dst = addr(int(tx.neighbours[0].rx))
 	}
 	launch := func() {
 		if inject {
-			m.Inject(centre, f)
+			m.Inject(port, f)
 		} else {
 			m.Transmit(tx, f)
 		}

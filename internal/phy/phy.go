@@ -61,10 +61,18 @@ func (j Jitter) draw(src *rng.Source) sim.Time {
 	return sim.Time(math.Round(src.Uniform(j.Min, j.Max)))
 }
 
+// skip advances src past one draw without computing it: draw's Uniform
+// takes exactly one word.
+func (Jitter) skip(src *rng.Source) { src.Uint64() }
+
 // Ranging converts a true transmitter-receiver distance into the distance
-// the receiver's RSSI measurement yields.
+// the receiver's RSSI measurement yields. It is sealed: phy's three
+// models are its only implementations, because discard must take
+// exactly the words Measure does.
 type Ranging interface {
 	Measure(trueDist float64, src *rng.Source) float64
+	// discard advances src past one Measure without computing it.
+	discard(src *rng.Source)
 }
 
 // BoundedUniform adds a uniform error in [-MaxError, +MaxError]; the paper
@@ -82,6 +90,8 @@ func (b BoundedUniform) Measure(trueDist float64, src *rng.Source) float64 {
 	}
 	return d
 }
+
+func (BoundedUniform) discard(src *rng.Source) { src.Uint64() }
 
 // TruncatedGaussian adds N(0, Sigma) error truncated to ±MaxError,
 // modelling RSSI ranging with log-normal shadowing whose outliers are
@@ -107,11 +117,17 @@ func (g TruncatedGaussian) Measure(trueDist float64, src *rng.Source) float64 {
 	return d
 }
 
+// discard runs Measure: the polar method's rejection loop takes a
+// variable number of words.
+func (g TruncatedGaussian) discard(src *rng.Source) { g.Measure(0, src) }
+
 // Perfect is error-free ranging, for tests and theoretical baselines.
 type Perfect struct{}
 
 // Measure implements Ranging.
 func (Perfect) Measure(trueDist float64, _ *rng.Source) float64 { return trueDist }
+
+func (Perfect) discard(*rng.Source) {}
 
 // Interface compliance.
 var (
@@ -274,17 +290,24 @@ func (r *Radio) Filtered() uint64 { return r.filtered }
 func (r *Radio) livePassages(now sim.Time) []passage {
 	if now >= r.passEnd {
 		// All have ended, the common case: no need to read them.
-		r.passages = r.passages[:0]
+		if len(r.passages) > 0 {
+			r.passages = r.passages[:0]
+		}
 		return nil
 	}
-	keep := r.passages[:0]
-	for _, p := range r.passages {
-		if p.span.end > now {
-			keep = append(keep, p)
+	for i, p := range r.passages {
+		if p.span.end <= now {
+			keep := r.passages[:i]
+			for _, p := range r.passages[i+1:] {
+				if p.span.end > now {
+					keep = append(keep, p)
+				}
+			}
+			r.passages = keep
+			break
 		}
 	}
-	r.passages = keep
-	return keep
+	return r.passages
 }
 
 // spoil corrupts a passage at r, withdrawing the delivery it was
@@ -298,14 +321,20 @@ func (m *Medium) spoil(r *Radio, p *passage) {
 	}
 }
 
+// pruneTx drops r's transmissions that ended at or before now.
 func (r *Radio) pruneTx(now sim.Time) {
-	keep := r.tx[:0]
-	for _, iv := range r.tx {
-		if iv.end > now {
-			keep = append(keep, iv)
+	for i, iv := range r.tx {
+		if iv.end <= now {
+			keep := r.tx[:i]
+			for _, iv := range r.tx[i+1:] {
+				if iv.end > now {
+					keep = append(keep, iv)
+				}
+			}
+			r.tx = keep
+			return
 		}
 	}
-	r.tx = keep
 }
 
 func (r *Radio) transmittingDuring(span interval) bool {
@@ -315,6 +344,17 @@ func (r *Radio) transmittingDuring(span interval) bool {
 		}
 	}
 	return false
+}
+
+// Port is a fixed point that injects frames with no radio: a wormhole
+// tunnel's exit or a replay attacker's antenna. Like a radio, it keeps
+// a neighbour table — every radio within range, in ascending
+// registration order — that NewPort builds and NewRadio extends, so an
+// injection never searches for its receivers. A port is never a
+// receiver, and it lives as long as its medium.
+type Port struct {
+	pos        geo.Point
+	neighbours []neighbour
 }
 
 // Stats counts medium-level events, for tests and experiment reporting.
@@ -375,6 +415,7 @@ type Medium struct {
 	src     *rng.Source
 	cfg     Config
 	radios  []*Radio
+	ports   []*Port
 	grid    *geo.Grid   // spatial index over radio positions; cell = Range
 	cands   []int32     // reusable candidate buffer for grid queries
 	inRange []neighbour // reusable result buffer for resolve
@@ -424,9 +465,10 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 func (m *Medium) Stats() Stats { return m.stats }
 
 // NewRadio registers a radio at pos and builds its neighbour table.
-// The new radio also joins the table of each radio in range of it. It
-// has the highest index, so every table stays in ascending registration
-// order, even when radios register after transmissions have started.
+// The new radio also joins the table of each radio and port in range of
+// it. It has the highest index, so every table stays in ascending
+// registration order, even when radios register after transmissions
+// have started.
 func (m *Medium) NewRadio(pos geo.Point) *Radio {
 	self := int32(len(m.radios))
 	r := &Radio{pos: pos, medium: m, index: self}
@@ -439,9 +481,23 @@ func (m *Medium) NewRadio(pos geo.Point) *Radio {
 		other := m.radios[n.rx]
 		other.neighbours = append(other.neighbours, neighbour{dist: n.dist, rx: self, delay: n.delay})
 	}
+	for _, p := range m.ports {
+		// Origin first, as every table computes it.
+		if d := p.pos.Dist(pos); !(d > m.cfg.Range) {
+			p.neighbours = append(p.neighbours, neighbour{dist: d, rx: self, delay: uint32(propagation(d))})
+		}
+	}
 	m.radios = append(m.radios, r)
 	m.grid.Add(pos) // grid index == position in m.radios
 	return r
+}
+
+// NewPort makes an injection port at pos and builds its neighbour table:
+// the radios a launch from pos reaches, as for a radio at pos.
+func (m *Medium) NewPort(pos geo.Point) *Port {
+	p := &Port{pos: pos, neighbours: slices.Clone(m.resolve(pos))}
+	m.ports = append(m.ports, p)
+	return p
 }
 
 // resolve returns, in ascending registration order, every radio whose
@@ -497,7 +553,7 @@ func (m *Medium) Busy(r *Radio) bool {
 func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	now := m.sched.Now()
 	r.pruneTx(now)
-	info := m.launch(r.pos, f, r.neighbours)
+	info := m.launch(r.pos, &f, r.neighbours)
 	span := interval{info.AirStart, info.AirEnd}
 	r.tx = append(r.tx, span)
 	// Transmitting corrupts anything the sender was receiving.
@@ -516,20 +572,20 @@ func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	return info
 }
 
-// Inject puts f on air from an arbitrary point, with no sending radio:
-// wormhole tunnel exits and replay attackers use this. An injection
-// point has no neighbour table, so its receivers come from the grid.
-func (m *Medium) Inject(origin geo.Point, f Frame) TxInfo {
+// Inject puts f on air from port p, which must have been made by m's
+// NewPort, with no sending radio: wormhole tunnel exits and replay
+// attackers use this.
+func (m *Medium) Inject(p *Port, f Frame) TxInfo {
 	m.stats.Injections++
-	return m.launch(origin, f, m.resolve(origin))
+	return m.launch(p.pos, &f, p.neighbours)
 }
 
 // launch puts f on air from origin to receivers, which must be in
 // ascending registration order — the order the medium's rng draws for
 // them are taken in. A receiver gets a reception event if it does not
 // listen, if it owns f.Dst, or if no radio filters f; every other
-// receiver gets a passage.
-func (m *Medium) launch(origin geo.Point, f Frame, receivers []neighbour) TxInfo {
+// receiver gets a passage. launch may rewrite *f (see Frame.Finalize).
+func (m *Medium) launch(origin geo.Point, f *Frame, receivers []neighbour) TxInfo {
 	if len(f.Data) == 0 {
 		panic("phy: transmitting empty frame")
 	}
@@ -569,10 +625,10 @@ func (m *Medium) launch(origin geo.Point, f Frame, receivers []neighbour) TxInfo
 	}
 	for _, n := range receivers {
 		rx := m.radios[n.rx]
-		m.deliver(rx, n, f, info, owner == everyone || n.rx == owner || !rx.listening)
+		m.deliver(rx, n, f, start, end, owner == everyone || n.rx == owner || !rx.listening)
 	}
 	for _, t := range m.taps {
-		t(origin, f, info)
+		t(origin, *f, info)
 	}
 	return info
 }
@@ -604,14 +660,14 @@ func (m *Medium) getPending() *pending {
 	return p
 }
 
-// deliver puts f on air at rx: as a reception event if event is set, as
-// a passage otherwise. Both take the same collision and half-duplex
-// marks and the same rng draws, so which radios listen changes neither
-// the medium's stream nor any reception.
-func (m *Medium) deliver(rx *Radio, n neighbour, f Frame, info TxInfo, event bool) {
-	now := m.sched.Now()
+// deliver puts f, launched at now and on air until end, on air at rx:
+// as a reception event if event is set, as a passage otherwise. Both
+// take the same collision and half-duplex marks and the same rng words,
+// so which radios listen changes neither the medium's stream nor any
+// reception.
+func (m *Medium) deliver(rx *Radio, n neighbour, f *Frame, now, end sim.Time, event bool) {
 	prop := sim.Time(n.delay)
-	span := interval{info.AirStart + prop, info.AirEnd + prop}
+	span := interval{now + prop, end + prop}
 	corrupted := false
 	// Collision: overlapping arrivals corrupt each other ("node B either
 	// receives the original signal or receives nothing in case of
@@ -636,12 +692,12 @@ func (m *Medium) deliver(rx *Radio, n neighbour, f Frame, info TxInfo, event boo
 		corrupted = true
 		m.stats.HalfDuplex++
 	}
-	// t2/t4: first byte available in the receiving register one
-	// byte-time plus propagation plus hardware delay after air start.
-	firstByte := info.AirStart + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
-	measured := m.cfg.Ranging.Measure(n.dist+f.RangeBias, m.src)
-
 	if !event {
+		// Nothing reads a passage's timestamp or measurement: take the
+		// words their draws would, in the same order, without the
+		// arithmetic.
+		m.cfg.Jitter.skip(m.src)
+		m.cfg.Ranging.discard(m.src)
 		counted := !corrupted && rx.handler != nil
 		rx.passages = append(rx.passages, passage{span: span, corrupted: corrupted, counted: counted})
 		rx.passEnd = max(rx.passEnd, span.end)
@@ -655,9 +711,11 @@ func (m *Medium) deliver(rx *Radio, n neighbour, f Frame, info TxInfo, event boo
 	p.rx = rx
 	p.arr = arrival{span: span, corrupted: corrupted}
 	rx.inflight = append(rx.inflight, &p.arr)
-	p.frame = f
-	p.firstByte = firstByte
-	p.measured = measured
+	p.frame = *f
+	// t2/t4: first byte available in the receiving register one
+	// byte-time plus propagation plus hardware delay after air start.
+	p.firstByte = now + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
+	p.measured = m.cfg.Ranging.Measure(n.dist+f.RangeBias, m.src)
 	p.end = span.end
 	m.sched.At(span.end, p.fire)
 }

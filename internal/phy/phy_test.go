@@ -229,7 +229,7 @@ func TestInjectDeliversFromOrigin(t *testing.T) {
 	var rec Reception
 	n := 0
 	rx.SetHandler(func(r Reception) { rec = r; n++ })
-	m.Inject(geo.Point{X: 30, Y: 40}, Frame{Data: make([]byte, 16), Replayed: true})
+	m.Inject(m.NewPort(geo.Point{X: 30, Y: 40}), Frame{Data: make([]byte, 16), Replayed: true})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +289,54 @@ func TestTruncatedGaussianRanging(t *testing.T) {
 	}
 	if mean := sum / 10000; math.Abs(mean-100) > 0.5 {
 		t.Errorf("gaussian ranging mean %v, want ~100", mean)
+	}
+}
+
+// TestPassageWordsMatchDraws pins the passage shortcut: from identically
+// seeded sources, Jitter.skip leaves the stream where draw does and each
+// ranging model's discard leaves it where its Measure does, so a
+// passage moves every later draw exactly as an arrival would. The
+// Gaussian's σ is wide enough that the polar method rejects points and
+// the error is truncated.
+func TestPassageWordsMatchDraws(t *testing.T) {
+	next := func(src *rng.Source) (w [8]uint64) {
+		for i := range w {
+			w[i] = src.Uint64()
+		}
+		return w
+	}
+	gauss := TruncatedGaussian{Sigma: 20, MaxError: 10}
+	rejected, truncated := 0, 0
+	for seed := uint64(0); seed < 2000; seed++ {
+		drawn, skipped := rng.New(seed), rng.New(seed)
+		DefaultJitter().draw(drawn)
+		DefaultJitter().skip(skipped)
+		if next(drawn) != next(skipped) {
+			t.Fatalf("seed %d: Jitter.skip leaves the stream elsewhere than draw", seed)
+		}
+		for _, model := range []Ranging{BoundedUniform{MaxError: 10}, Perfect{}, gauss} {
+			measured, discarded := rng.New(seed), rng.New(seed)
+			start := *measured
+			if d := model.Measure(100, measured); model == gauss && math.Abs(d-100) == gauss.MaxError {
+				truncated++
+			}
+			if model == gauss {
+				words := 0
+				for s := start; s != *measured; s.Uint64() {
+					words++
+				}
+				if words > 2 {
+					rejected++
+				}
+			}
+			model.discard(discarded)
+			if next(measured) != next(discarded) {
+				t.Fatalf("seed %d: %T.discard leaves the stream elsewhere than Measure", seed, model)
+			}
+		}
+	}
+	if rejected == 0 || truncated == 0 {
+		t.Errorf("Gaussian rejected %d and truncated %d of 2000 draws, want both", rejected, truncated)
 	}
 }
 
@@ -400,7 +448,7 @@ func TestTapSeesAllTransmissions(t *testing.T) {
 		origins = append(origins, origin)
 	})
 	m.Transmit(tx, frame(16))
-	m.Inject(geo.Point{X: 70, Y: 80}, frame(16))
+	m.Inject(m.NewPort(geo.Point{X: 70, Y: 80}), frame(16))
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}

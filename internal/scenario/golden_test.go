@@ -23,7 +23,7 @@ var scenarioGoldenPath = filepath.Join("..", "..", "results", "golden", "scenari
 var schedGoldenPath = filepath.Join("..", "..", "results", "golden", "scenario_small_seed21_sched.json")
 
 // goldenConfig exercises every delivery path: CSMA contention, a
-// wormhole tunnel and a replay attacker (Inject from arbitrary points)
+// wormhole tunnel and a replay attacker (Inject through their ports)
 // and collusion traffic.
 func goldenConfig() Config {
 	cfg := smallConfig(0.3, 21)

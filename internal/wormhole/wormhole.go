@@ -32,13 +32,16 @@ import (
 // by the RTT filter; the ablation experiments exercise that case via a
 // large Latency.
 type Tunnel struct {
+	// A and B are the endpoints. They are fixed once installed: Install
+	// builds the medium's injection ports there.
 	A, B geo.Point
 	// Latency is the tunnel's one-way relay delay in cycles.
 	Latency sim.Time
 
-	medium   *phy.Medium
-	sched    *sim.Scheduler
-	captureR float64
+	medium       *phy.Medium
+	sched        *sim.Scheduler
+	portA, portB *phy.Port
+	captureR     float64
 	// Forwarded counts frames relayed (both directions).
 	Forwarded uint64
 }
@@ -53,6 +56,8 @@ func Install(sched *sim.Scheduler, medium *phy.Medium, a, b geo.Point, latency s
 		B:        b,
 		medium:   medium,
 		sched:    sched,
+		portA:    medium.NewPort(a),
+		portB:    medium.NewPort(b),
 		captureR: medium.Range(),
 		Latency:  latency,
 	}
@@ -66,12 +71,12 @@ func (t *Tunnel) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	if f.Replayed {
 		return
 	}
-	var exit geo.Point
+	var exit *phy.Port
 	switch {
 	case origin.Dist(t.A) <= t.captureR:
-		exit = t.B
+		exit = t.portB
 	case origin.Dist(t.B) <= t.captureR:
-		exit = t.A
+		exit = t.portA
 	default:
 		return
 	}
