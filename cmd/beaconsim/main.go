@@ -88,6 +88,9 @@ func run(args []string, out io.Writer) error {
 	cfg.Deploy.Na = *na
 	cfg.Deploy.DetectingIDs = *m
 	cfg.Deploy.Seed = *seed
+	if !(*p >= 0 && *p <= 1) { // NaN fails this too
+		return fmt.Errorf("-p %v outside [0,1]", *p)
+	}
 	cfg.Strategy = analysis.StrategyForP(*p)
 	cfg.Revoke = revoke.Config{ReportCap: *tau, AlertThreshold: *tauPrime}
 	cfg.WormholeRate = *pd

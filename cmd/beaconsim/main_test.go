@@ -41,6 +41,26 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadProbabilities feeds -p and -pd values outside [0,1]:
+// each must come back as an error, never a panic or a finished run.
+func TestRunRejectsBadProbabilities(t *testing.T) {
+	for _, args := range [][]string{
+		{"-p", "2"}, {"-p", "-1"}, {"-p", "Inf"}, {"-p", "NaN"}, {"-pd", "NaN"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%v panicked: %v", args, r)
+				}
+			}()
+			var b strings.Builder
+			if err := run(smallArgs(args...), &b); err == nil {
+				t.Errorf("%v accepted", args)
+			}
+		}()
+	}
+}
+
 // TestRunCachedReplayMatches runs the same configuration cold and warm
 // through -cache: the warm run must report a hit and print the same
 // numbers (only the cache status line differs).

@@ -1,8 +1,8 @@
 // Command revoked runs the networked base station: a long-lived TCP
 // service accepting authenticated alert uplinks from beacon nodes and
 // answering revocation-status queries (paper §3, "revoking malicious
-// beacon nodes"). It is the live counterpart of the in-simulation
-// revoke.BaseStation.
+// beacon nodes"). It runs the same revoke.Sharded station as the
+// simulation, with more lock shards.
 //
 // Usage:
 //
@@ -51,7 +51,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:7764", "TCP address to serve alerts and queries on")
 	tau := fs.Int("tau", 5, "report cap τ: alerts accepted per reporter beyond the first")
 	tauPrime := fs.Int("tauprime", 3, "alert threshold τ′: a node is revoked when its alert counter exceeds this")
-	shards := fs.Int("shards", 16, "lock shards for the revocation counters (rounded up to a power of two)")
+	shards := fs.Int("shards", 16, fmt.Sprintf("lock shards for the revocation counters (rounded up to a power of two, at most %d)", revoke.MaxShards))
 	master := fs.String("master", "", "master secret for key derivation (required)")
 	idle := fs.Duration("idle", 2*time.Minute, "drop connections idle longer than this (0 = never)")
 	status := fs.String("status", "", "optional HTTP address serving the status snapshot at /status")

@@ -178,4 +178,11 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run(ctx, []string{"-bogus"}, &out); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// Counts above revoke.MaxShards are refused before anything is
+	// allocated, including ones whose power-of-two rounding overflows.
+	for _, n := range []string{"65537", "1073741824", "9223372036854775807"} {
+		if err := run(ctx, []string{"-master", "x", "-shards", n}, &out); err == nil {
+			t.Errorf("-shards %s accepted", n)
+		}
+	}
 }

@@ -1,14 +1,8 @@
 // Package crypto implements the key-management substrate the paper assumes:
-// "two communicating nodes share a unique pairwise key", discharged by
-// implementing the cited mechanisms — the Eschenauer–Gligor random key-pool
-// predistribution scheme (pool.go), the Chan–Perrig–Song q-composite
-// variant, and a KDF-based master-key pairwise scheme — plus packet
-// authentication with truncated HMAC-SHA256 tags (TinySec-style).
-//
-// The simulation's protocol stack uses the master-key pairwise scheme by
-// default (every node pair shares a unique key, exactly the paper's
-// assumption); the predistribution schemes are provided as validated
-// substrates with their own connectivity analysis.
+// "two communicating nodes share a unique pairwise key". A KDF-based
+// master-key scheme gives every node pair its own key, exactly the paper's
+// assumption; packets are authenticated with truncated HMAC-SHA256 tags
+// (TinySec-style), and µTESLA (mutesla.go) authenticates broadcasts.
 package crypto
 
 import (

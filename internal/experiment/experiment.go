@@ -52,9 +52,6 @@ type Options struct {
 	MetroWorkers int
 }
 
-// DefaultOptions is the full-fidelity configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // progress adapts the caller's callback to the harness's Progress type.
 func (o Options) progress() func(harness.Progress) {
 	if o.Progress == nil {

@@ -31,16 +31,11 @@ type Beacon struct {
 
 	// Local, when non-nil, is this node's own revocation ledger for the
 	// distributed (base-station-free) variant: alerts are gossiped to
-	// beacon neighbors and every beacon applies the §3 counting
+	// beacon neighbors (pairwise-authenticated) instead of sent up to
+	// the base station, and every beacon applies the §3 counting
 	// algorithm locally. The paper lists this as future work; the
 	// experiment suite quantifies what the missing global view costs.
-	Local *revoke.BaseStation
-	// GossipAlerts sends each alert to every beacon neighbor
-	// (pairwise-authenticated) in addition to any uplink.
-	GossipAlerts bool
-	// UplinkAlerts sends alerts to the base station (the paper's §3
-	// design); disabled in the purely distributed variant.
-	UplinkAlerts bool
+	Local *revoke.Sharded
 
 	// Verdicts counts detector-pipeline outcomes by verdict.
 	Verdicts map[core.Verdict]int
@@ -69,7 +64,6 @@ func NewBeacon(env *Env, i int) *Beacon {
 		detectingIDs: ids[1:],
 		neighbors:    make(map[ident.NodeID]bool),
 		alerted:      make(map[ident.NodeID]bool),
-		UplinkAlerts: true,
 		Verdicts:     make(map[core.Verdict]int),
 	}
 	b.req = newRequester(env, b.ep)
@@ -183,22 +177,18 @@ func (b *Beacon) observe(p *probe, d mac.Delivery, reply replyInfo) {
 	if v.Alertable() && !b.alerted[p.target] {
 		b.alerted[p.target] = true
 		b.AlertsSent = append(b.AlertsSent, p.target)
-		if b.UplinkAlerts {
+		if b.Local == nil {
 			b.env.Uplink.SendAlert(b.self.ID, p.target, nil)
+		} else {
+			b.gossipAlert(p.target)
 		}
-		b.broadcastAlert(p.target)
 	}
 }
 
-// broadcastAlert gossips an alert to every beacon neighbor
-// (pairwise-authenticated unicasts) and feeds the node's own ledger.
-func (b *Beacon) broadcastAlert(target ident.NodeID) {
-	if b.Local != nil {
-		b.Local.HandleAlert(b.self.ID, target)
-	}
-	if !b.GossipAlerts {
-		return
-	}
+// gossipAlert feeds an alert to the node's own ledger and gossips it to
+// every beacon neighbor (pairwise-authenticated unicasts).
+func (b *Beacon) gossipAlert(target ident.NodeID) {
+	b.Local.HandleAlert(b.self.ID, target)
 	for _, peer := range b.NeighborBeacons() {
 		if peer == target {
 			continue

@@ -242,21 +242,3 @@ func (m *Malicious) GossipFakeAlertAt(at sim.Time, target ident.NodeID) {
 		}
 	})
 }
-
-// FloodAlertsAt schedules the uncoordinated colluding-reporter behavior:
-// the malicious node spends its entire report budget (τ+1 alerts)
-// accusing randomly chosen benign beacons. The scenario layer implements
-// the stronger coordinated variant on top of SendAlertAt.
-func (m *Malicious) FloodAlertsAt(at sim.Time, reportBudget int) {
-	m.env.Sched.At(at, func() {
-		src := m.env.Src.Split(fmt.Sprintf("flood/%d", m.self.ID))
-		benign := m.env.Dep.BenignBeacons()
-		if len(benign) == 0 {
-			return
-		}
-		for r := 0; r < reportBudget; r++ {
-			target := m.env.Dep.Nodes[benign[src.Intn(len(benign))]].ID
-			m.env.Uplink.SendAlert(m.self.ID, target, nil)
-		}
-	})
-}

@@ -29,7 +29,7 @@ import (
 type fixture struct {
 	sched  *sim.Scheduler
 	env    *Env
-	bs     *revoke.BaseStation
+	bs     *revoke.Sharded
 	dep    *deploy.Deployment
 	uplink *revoke.Uplink
 }
@@ -56,7 +56,7 @@ func newFixture(t *testing.T, seed uint64, strategy analysis.Strategy) (*fixture
 		Range:   cfg.Range,
 		Ranging: phy.BoundedUniform{MaxError: 10},
 	})
-	bs := revoke.NewBaseStation(revoke.Config{ReportCap: 10, AlertThreshold: 0})
+	bs := revoke.NewSharded(revoke.Config{ReportCap: 10, AlertThreshold: 0}, 1)
 	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
 	coreCfg := core.Config{
 		MaxDistError: 10,

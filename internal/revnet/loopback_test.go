@@ -3,7 +3,7 @@ package revnet
 // Loopback integration suite: a real Server on 127.0.0.1 driven by real
 // Clients over TCP. The load test is the PR's acceptance gate: N
 // concurrent clients firing interleaved alerts must leave the server in
-// exactly the revocation state a serial in-process revoke.BaseStation
+// exactly the revocation state a serial in-process one-shard station
 // reaches on the same alerts — the counter scheme is order-insensitive
 // as long as no reporter exceeds its τ budget (every alert stream here
 // stays under it, so any interleaving accepts the same pairs).
@@ -91,10 +91,11 @@ func makeStreams(clients, perClient, targetSpread int) [][]alertPair {
 	return streams
 }
 
-// serialBaseline replays every stream into a fresh single-mutex base
-// station, in stream order.
-func serialBaseline(cfg revoke.Config, streams [][]alertPair) *revoke.BaseStation {
-	bs := revoke.NewBaseStation(cfg)
+// serialBaseline replays every stream into a fresh one-shard station, in
+// stream order. revoke's own tests tie Sharded to a serial reference at
+// every shard count.
+func serialBaseline(cfg revoke.Config, streams [][]alertPair) *revoke.Sharded {
+	bs := revoke.NewSharded(cfg, 1)
 	for _, stream := range streams {
 		for _, a := range stream {
 			bs.HandleAlert(a.reporter, a.target)

@@ -22,9 +22,9 @@ type ServerConfig struct {
 	// Revoke holds the paper's τ/τ′ thresholds.
 	Revoke revoke.Config
 	// Shards is the lock-shard count for the alert/report counters
-	// (rounded up to a power of two; default 16). More shards cost a few
-	// hundred bytes each and reduce contention between concurrent
-	// connections.
+	// (rounded up to a power of two; default 16; at most
+	// revoke.MaxShards). More shards cost a few hundred bytes each and
+	// reduce contention between concurrent connections.
 	Shards int
 	// Master derives each node's base-station key; it stands in for the
 	// predistribution ceremony exactly as in the simulation.
@@ -62,6 +62,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 16
+	}
+	if cfg.Shards > revoke.MaxShards {
+		return nil, fmt.Errorf("revnet: %d shards exceeds the maximum %d", cfg.Shards, revoke.MaxShards)
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = &Metrics{}

@@ -10,13 +10,7 @@
 // the paper's false-positive analysis (and Figure 14) is built on.
 package revoke
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"beaconsec/internal/ident"
-)
+import "fmt"
 
 // Config holds the two thresholds.
 type Config struct {
@@ -124,138 +118,4 @@ func (s *Stats) record(o Outcome) {
 	case OutcomeDuplicate:
 		s.Duplicates++
 	}
-}
-
-// BaseStation runs the revocation algorithm. It is safe for concurrent
-// use; within the single-threaded simulation the lock is uncontended.
-type BaseStation struct {
-	mu       sync.Mutex
-	cfg      Config
-	reports  map[ident.NodeID]int
-	alerts   map[ident.NodeID]int
-	revoked  map[ident.NodeID]bool
-	seen     map[pair]bool
-	onRevoke []func(ident.NodeID)
-	stats    Stats
-}
-
-type pair struct {
-	reporter, target ident.NodeID
-}
-
-// NewBaseStation constructs a base station; it panics on an invalid
-// configuration (thresholds are deployment constants, never runtime
-// input).
-func NewBaseStation(cfg Config) *BaseStation {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	return &BaseStation{
-		cfg:     cfg,
-		reports: make(map[ident.NodeID]int),
-		alerts:  make(map[ident.NodeID]int),
-		revoked: make(map[ident.NodeID]bool),
-		seen:    make(map[pair]bool),
-	}
-}
-
-// OnRevoke registers a callback invoked (synchronously, in HandleAlert)
-// whenever a node is revoked — the hook the scenario layer uses to
-// distribute revocation messages.
-func (bs *BaseStation) OnRevoke(fn func(ident.NodeID)) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	bs.onRevoke = append(bs.onRevoke, fn)
-}
-
-// HandleAlert processes one authenticated alert (reporter accuses target)
-// per the paper's algorithm and returns what happened.
-func (bs *BaseStation) HandleAlert(reporter, target ident.NodeID) Outcome {
-	bs.mu.Lock()
-	if reporter == target {
-		bs.stats.record(OutcomeSelfReport)
-		bs.mu.Unlock()
-		return OutcomeSelfReport
-	}
-	// "the alert from a revoked detecting node will still be accepted"
-	// — revocation of the reporter is deliberately not checked.
-	if bs.revoked[target] {
-		bs.stats.record(OutcomeAlreadyRevoked)
-		bs.mu.Unlock()
-		return OutcomeAlreadyRevoked
-	}
-	if bs.seen[pair{reporter, target}] {
-		bs.stats.record(OutcomeDuplicate)
-		bs.mu.Unlock()
-		return OutcomeDuplicate
-	}
-	if bs.reports[reporter] > bs.cfg.ReportCap {
-		bs.stats.record(OutcomeReporterCapped)
-		bs.mu.Unlock()
-		return OutcomeReporterCapped
-	}
-	bs.seen[pair{reporter, target}] = true
-	bs.reports[reporter]++
-	bs.alerts[target]++
-	if bs.alerts[target] <= bs.cfg.AlertThreshold {
-		bs.stats.record(OutcomeAccepted)
-		bs.mu.Unlock()
-		return OutcomeAccepted
-	}
-	bs.revoked[target] = true
-	bs.stats.record(OutcomeRevoked)
-	callbacks := make([]func(ident.NodeID), len(bs.onRevoke))
-	copy(callbacks, bs.onRevoke)
-	bs.mu.Unlock()
-	for _, fn := range callbacks {
-		fn(target)
-	}
-	return OutcomeRevoked
-}
-
-// Revoked reports whether id has been revoked.
-func (bs *BaseStation) Revoked(id ident.NodeID) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.revoked[id]
-}
-
-// RevokedSet returns the sorted list of revoked node IDs.
-func (bs *BaseStation) RevokedSet() []ident.NodeID {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	out := make([]ident.NodeID, 0, len(bs.revoked))
-	for id := range bs.revoked {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// AlertCount returns the current alert counter of id.
-func (bs *BaseStation) AlertCount(id ident.NodeID) int {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.alerts[id]
-}
-
-// ReportCount returns the current report counter of id.
-func (bs *BaseStation) ReportCount(id ident.NodeID) int {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.reports[id]
-}
-
-// Handled returns the total number of alerts processed (any outcome).
-func (bs *BaseStation) Handled() uint64 {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.stats.Handled
-}
-
-// Stats returns a copy of the base station's outcome counters.
-func (bs *BaseStation) Stats() Stats {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.stats
 }

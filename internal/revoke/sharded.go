@@ -8,10 +8,23 @@ import (
 	"beaconsec/internal/ident"
 )
 
-// Sharded is a concurrency-optimized base station for the networked
-// revocation service. It implements exactly the BaseStation algorithm but
-// splits its state across 2^k lock shards so concurrent HandleAlert calls
-// for unrelated nodes never contend on one mutex:
+// Sharded is the paper's §3 base station. HandleAlert applies one
+// authenticated alert (reporter accuses target) by this check sequence:
+//
+//  1. a self-report (reporter == target) is ignored;
+//  2. an alert against an already revoked target is ignored; the
+//     reporter's own revocation is deliberately not checked (a revoked
+//     detecting node's alerts are still accepted);
+//  3. a repeat of an accepted (reporter, target) pair is ignored, so
+//     retransmission cannot inflate the counters;
+//  4. an alert from a reporter whose report counter exceeds τ is
+//     ignored;
+//  5. otherwise the alert is accepted: the reporter's report counter and
+//     the target's alert counter each rise by one, and the target is
+//     revoked once its alert counter exceeds τ′.
+//
+// The state is split across 2^k lock shards so concurrent HandleAlert
+// calls for unrelated nodes never contend on one mutex:
 //
 //   - target-keyed state (alert counters, the revoked set, the
 //     (reporter, target) dedup set, outcome stats) shards by target ID;
@@ -21,11 +34,11 @@ import (
 //
 // HandleAlert locks one reporter shard, then one target shard — always in
 // that order, and never a second shard of either kind — so the lock graph
-// is bipartite and deadlock-free, and the per-alert critical section is
-// the same check sequence as BaseStation.HandleAlert. For any single
-// serial stream of alerts the two produce identical outcomes (pinned by
-// test); under concurrency, outcomes for racing alerts depend on arrival
-// order exactly as they would for a single-mutex station.
+// is bipartite and deadlock-free. A serial stream of alerts gets the same
+// outcomes at every shard count (pinned by test against a serial
+// reference); under concurrency, outcomes for racing alerts depend on
+// arrival order exactly as they would for a single-mutex station. The
+// simulation runs one shard; the networked service runs many.
 type Sharded struct {
 	cfg  Config
 	mask uint16
@@ -51,15 +64,24 @@ type targetShard struct {
 	stats   Stats
 }
 
-// NewSharded constructs a sharded station with at least the given shard
-// count (rounded up to a power of two; minimum 1). Like NewBaseStation it
-// panics on an invalid configuration.
+type pair struct {
+	reporter, target ident.NodeID
+}
+
+// MaxShards bounds the shard count: shards are indexed by the low 16 bits
+// of a NodeID, so any beyond 2^16 would never be used.
+const MaxShards = 1 << 16
+
+// NewSharded constructs a station with at least the given shard count,
+// rounded up to a power of two. It panics on an invalid configuration or
+// a shard count outside [1, MaxShards] (thresholds and shard counts are
+// deployment constants, never runtime input).
 func NewSharded(cfg Config, shards int) *Sharded {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if shards < 1 {
-		panic(fmt.Sprintf("revoke: shard count %d must be >= 1", shards))
+	if shards < 1 || shards > MaxShards {
+		panic(fmt.Sprintf("revoke: shard count %d outside [1, %d]", shards, MaxShards))
 	}
 	n := 1
 	for n < shards {
@@ -119,7 +141,7 @@ func (s *Sharded) HandleAlert(reporter, target ident.NodeID) Outcome {
 	return out
 }
 
-// apply is BaseStation.HandleAlert's check sequence under the caller's
+// apply runs the check sequence listed on Sharded under the caller's
 // shard locks.
 func (s *Sharded) apply(rs *reporterShard, ts *targetShard, reporter, target ident.NodeID) Outcome {
 	if reporter == target {

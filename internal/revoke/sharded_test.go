@@ -11,7 +11,7 @@ import (
 )
 
 // TestShardedMatchesBaseStationSerial pins that for any serial alert
-// stream the sharded station and the single-mutex BaseStation are
+// stream the sharded station and the serial reference BaseStation are
 // indistinguishable: same per-alert outcomes, same counters, same revoked
 // set, same stats.
 func TestShardedMatchesBaseStationSerial(t *testing.T) {
@@ -33,15 +33,15 @@ func TestShardedMatchesBaseStationSerial(t *testing.T) {
 		if !reflect.DeepEqual(sh.RevokedSet(), bs.RevokedSet()) {
 			t.Errorf("shards=%d revoked sets differ: %v vs %v", shards, sh.RevokedSet(), bs.RevokedSet())
 		}
-		if sh.Stats() != bs.Stats() {
-			t.Errorf("shards=%d stats differ: %+v vs %+v", shards, sh.Stats(), bs.Stats())
+		if sh.Stats() != bs.stats {
+			t.Errorf("shards=%d stats differ: %+v vs %+v", shards, sh.Stats(), bs.stats)
 		}
 		for id := ident.NodeID(1); id <= 60; id++ {
-			if sh.AlertCount(id) != bs.AlertCount(id) {
-				t.Errorf("shards=%d AlertCount(%v) = %d, want %d", shards, id, sh.AlertCount(id), bs.AlertCount(id))
+			if sh.AlertCount(id) != bs.alerts[id] {
+				t.Errorf("shards=%d AlertCount(%v) = %d, want %d", shards, id, sh.AlertCount(id), bs.alerts[id])
 			}
-			if sh.ReportCount(id) != bs.ReportCount(id) {
-				t.Errorf("shards=%d ReportCount(%v) = %d, want %d", shards, id, sh.ReportCount(id), bs.ReportCount(id))
+			if sh.ReportCount(id) != bs.reports[id] {
+				t.Errorf("shards=%d ReportCount(%v) = %d, want %d", shards, id, sh.ReportCount(id), bs.reports[id])
 			}
 		}
 	}
@@ -96,11 +96,11 @@ func TestShardedConcurrentMatchesSerialBaseline(t *testing.T) {
 	if got, want := sh.RevokedSet(), base.RevokedSet(); !reflect.DeepEqual(got, want) {
 		t.Errorf("concurrent revoked set %v != serial %v", got, want)
 	}
-	if got, want := sh.Handled(), base.Handled(); got != want {
+	if got, want := sh.Handled(), base.stats.Handled; got != want {
 		t.Errorf("handled %d != %d", got, want)
 	}
 	for id := ident.NodeID(100); id < 100+targetSpread; id++ {
-		if got, want := sh.AlertCount(id), base.AlertCount(id); got != want {
+		if got, want := sh.AlertCount(id), base.alerts[id]; got != want {
 			t.Errorf("AlertCount(%v) = %d, want %d", id, got, want)
 		}
 	}
@@ -152,7 +152,7 @@ func TestShardedShardStatsSumToStats(t *testing.T) {
 }
 
 func TestShardedShardCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}} {
+	for _, tc := range []struct{ in, want int }{{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32}, {65536, 65536}} {
 		if got := NewSharded(cfg(1, 1), tc.in).NumShards(); got != tc.want {
 			t.Errorf("NumShards(%d) = %d, want %d", tc.in, got, tc.want)
 		}
@@ -163,6 +163,7 @@ func TestShardedPanicsOnBadInput(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad config": func() { NewSharded(cfg(-1, 0), 4) },
 		"zero shard": func() { NewSharded(cfg(1, 1), 0) },
+		"above 2^16": func() { NewSharded(cfg(1, 1), MaxShards+1) },
 	} {
 		func() {
 			defer func() {
@@ -188,11 +189,7 @@ func benchAlerts(n int) []struct{ reporter, target ident.NodeID } {
 	return out
 }
 
-type alertSink interface {
-	HandleAlert(reporter, target ident.NodeID) Outcome
-}
-
-func benchParallelAlerts(b *testing.B, station alertSink) {
+func benchParallelAlerts(b *testing.B, station *Sharded) {
 	alerts := benchAlerts(1 << 14)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -213,9 +210,9 @@ func benchParallelAlerts(b *testing.B, station alertSink) {
 
 // BenchmarkHandleAlertParallelSingle vs ...Sharded is the contention
 // benchmark recorded in EXPERIMENTS.md: the same parallel workload
-// against one global mutex and against the sharded station.
+// against one shard (the station the simulation runs) and against 32.
 func BenchmarkHandleAlertParallelSingle(b *testing.B) {
-	benchParallelAlerts(b, NewBaseStation(Config{ReportCap: 1 << 20, AlertThreshold: 1 << 20}))
+	benchParallelAlerts(b, NewSharded(Config{ReportCap: 1 << 20, AlertThreshold: 1 << 20}, 1))
 }
 
 func BenchmarkHandleAlertParallelSharded(b *testing.B) {

@@ -17,7 +17,7 @@ import (
 // times, each attempt costing Delay of simulated time.
 type Uplink struct {
 	sched *sim.Scheduler
-	bs    *BaseStation
+	bs    *Sharded
 	src   *rng.Source
 
 	// LossRate is the per-attempt loss probability in [0, 1).
@@ -48,7 +48,7 @@ func (s *UplinkStats) Merge(o UplinkStats) {
 }
 
 // NewUplink builds an uplink to bs over the given scheduler.
-func NewUplink(sched *sim.Scheduler, bs *BaseStation, src *rng.Source) *Uplink {
+func NewUplink(sched *sim.Scheduler, bs *Sharded, src *rng.Source) *Uplink {
 	return &Uplink{
 		sched:   sched,
 		bs:      bs,

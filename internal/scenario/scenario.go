@@ -146,16 +146,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("scenario: unknown detector %q (registered: %v)",
 			c.Detector.Name, core.DetectorNames())
 	}
-	if c.AttackBias < 0 {
+	// Each range check is written so that NaN, which fails every
+	// comparison, fails it too.
+	if !(c.AttackBias >= 0) {
 		return fmt.Errorf("scenario: AttackBias %v must be non-negative", c.AttackBias)
 	}
-	if c.MaxDistError <= 0 {
+	if !(c.MaxDistError > 0) {
 		return fmt.Errorf("scenario: MaxDistError %v must be positive", c.MaxDistError)
 	}
-	if c.WormholeRate < 0 || c.WormholeRate > 1 {
+	if !(c.WormholeRate >= 0 && c.WormholeRate <= 1) {
 		return fmt.Errorf("scenario: WormholeRate %v outside [0,1]", c.WormholeRate)
 	}
-	if c.UplinkLoss < 0 || c.UplinkLoss >= 1 {
+	if !(c.UplinkLoss >= 0 && c.UplinkLoss < 1) {
 		return fmt.Errorf("scenario: UplinkLoss %v outside [0,1)", c.UplinkLoss)
 	}
 	return nil
@@ -227,11 +229,11 @@ type Result struct {
 	beacons   []*node.Beacon
 	malicious []*node.Malicious
 	sensors   []*node.Sensor
-	bs        *revoke.BaseStation
+	bs        *revoke.Sharded
 }
 
 // BaseStation exposes the run's base station for inspection.
-func (r *Result) BaseStation() *revoke.BaseStation { return r.bs }
+func (r *Result) BaseStation() *revoke.Sharded { return r.bs }
 
 // Sensors exposes the run's sensor nodes.
 func (r *Result) Sensors() []*node.Sensor { return r.sensors }
@@ -316,7 +318,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	bs := revoke.NewBaseStation(cfg.Revoke)
+	bs := revoke.NewSharded(cfg.Revoke, 1)
 	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
 	uplink.LossRate = cfg.UplinkLoss
 
@@ -351,9 +353,7 @@ func Run(cfg Config) (*Result, error) {
 		case deploy.KindBeacon:
 			b := node.NewBeacon(env, i)
 			if cfg.Distributed {
-				b.Local = revoke.NewBaseStation(cfg.Revoke)
-				b.GossipAlerts = true
-				b.UplinkAlerts = false
+				b.Local = revoke.NewSharded(cfg.Revoke, 1)
 			}
 			b.AnnounceAt(helloAt1 + sim.Time(hello.Uint64()%uint64(sim.Seconds(2))))
 			b.AnnounceAt(helloAt2 + sim.Time(hello.Uint64()%uint64(sim.Seconds(2))))

@@ -47,6 +47,10 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.MaxDistError = 0 },
 		func(c *Config) { c.WormholeRate = 1.5 },
 		func(c *Config) { c.UplinkLoss = 1 },
+		func(c *Config) { c.WormholeRate = math.NaN() },
+		func(c *Config) { c.UplinkLoss = math.NaN() },
+		func(c *Config) { c.MaxDistError = math.NaN() },
+		func(c *Config) { c.AttackBias = math.NaN() },
 	}
 	for i, mut := range bad {
 		cfg := Paper()
