@@ -19,7 +19,13 @@ type BaseStation struct {
 	stats   Stats
 }
 
+// NewBaseStation constructs the reference; like NewSharded it panics on an
+// invalid configuration, so the two are never compared on thresholds the
+// production station refuses.
 func NewBaseStation(cfg Config) *BaseStation {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	return &BaseStation{
 		cfg:     cfg,
 		reports: make(map[ident.NodeID]int),

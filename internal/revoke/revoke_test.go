@@ -25,6 +25,15 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestNewBaseStationPanicsOnBadConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic")
+		}
+	}()
+	NewBaseStation(cfg(-1, 0))
+}
+
 // forEachShardCount runs fn as one subtest per shard count, each on a
 // fresh station with the given thresholds: one shard, as the simulation
 // runs, and four, as the networked service runs several.
