@@ -39,7 +39,6 @@ import (
 	"beaconsec/internal/georoute"
 	"beaconsec/internal/ident"
 	"beaconsec/internal/localization"
-	"beaconsec/internal/phy"
 	"beaconsec/internal/revoke"
 	"beaconsec/internal/rng"
 	"beaconsec/internal/scenario"
@@ -87,7 +86,7 @@ const (
 // MICA2-class radio stack and returns the empirical RTT distribution,
 // reproducing the paper's Figure 4 methodology.
 func CalibrateRTT(trials int, seed uint64) Calibration {
-	return core.CalibrateRTT(trials, phy.DefaultJitter(), seed)
+	return core.CalibrateRTT(trials, seed)
 }
 
 // Analysis (the paper's §2.3 and §3.2 closed forms).

@@ -29,11 +29,10 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *trials <= 0 {
-		return fmt.Errorf("trials must be positive, got %d", *trials)
+	cal, err := core.CalibrateRTTWorkers(*trials, *seed, 0)
+	if err != nil {
+		return err
 	}
-
-	cal := core.CalibrateRTT(*trials, phy.DefaultJitter(), *seed)
 	fmt.Fprintf(out, "RTT calibration over %d exchanges (CPU @ 7.3728 MHz, %d cycles/bit)\n\n",
 		cal.Len(), phy.CyclesPerBit)
 	fmt.Fprintln(out, "  quantile      RTT (cycles)")

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"beaconsec/internal/core"
 )
 
 func TestRunOutput(t *testing.T) {
@@ -19,9 +22,11 @@ func TestRunOutput(t *testing.T) {
 }
 
 func TestRunRejectsBadTrials(t *testing.T) {
-	var b strings.Builder
-	if err := run([]string{"-trials", "0"}, &b); err == nil {
-		t.Error("trials=0 accepted")
+	for _, trials := range []string{"0", "-1", "9223372036854775807", fmt.Sprint(core.MaxCalibrationTrials + 1)} {
+		var b strings.Builder
+		if err := run([]string{"-trials", trials}, &b); err == nil {
+			t.Errorf("trials=%s accepted", trials)
+		}
 	}
 }
 

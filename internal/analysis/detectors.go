@@ -5,7 +5,7 @@ import "math"
 // Closed-form per-exchange characteristics of the detector
 // implementations in internal/core under the simulator's noise model:
 //
-//   - ranging error U ~ Uniform(-ε, ε) (phy's BoundedUniform), so the
+//   - ranging error U ~ Uniform(-ε, ε) (phy's Config.RangeError), so the
 //     distance residual of an attack signal with enlargement b is U + b;
 //   - RTT jitter the sum of four independent per-hop uniform delays, so
 //     the standardized RTT residual is q = √3·(W − 2) with W ~

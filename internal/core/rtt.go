@@ -33,15 +33,20 @@ type Calibration struct {
 // parallelism.
 const calBatchSize = 500
 
-// CalibrateRTT measures trials request/reply exchanges with the given
-// jitter model and returns the empirical distribution. The paper
-// performs 10,000 trials on MICA2 motes; this is the simulated
-// equivalent. It panics on a non-positive trial count; use
-// CalibrateRTTWorkers for an error return and an explicit worker bound.
-func CalibrateRTT(trials int, jitter phy.Jitter, seed uint64) Calibration {
-	cal, err := CalibrateRTTWorkers(trials, jitter, seed, 0)
+// MaxCalibrationTrials bounds the exchanges one calibration measures,
+// so the batch count cannot overflow and the sample buffer stays within
+// memory. The paper measures 10,000.
+const MaxCalibrationTrials = 1 << 24
+
+// CalibrateRTT measures trials request/reply exchanges and returns the
+// empirical distribution. The paper performs 10,000 trials on MICA2
+// motes; this is the simulated equivalent. It panics on a trial count
+// outside [1, MaxCalibrationTrials]; use CalibrateRTTWorkers for an
+// error return and an explicit worker bound.
+func CalibrateRTT(trials int, seed uint64) Calibration {
+	cal, err := CalibrateRTTWorkers(trials, seed, 0)
 	if err != nil {
-		panic("core: " + err.Error())
+		panic(err.Error())
 	}
 	return cal
 }
@@ -51,9 +56,9 @@ func CalibrateRTT(trials int, jitter phy.Jitter, seed uint64) Calibration {
 // dedicated two-node network seeded from the batch index, and the
 // batches run concurrently on the trial harness. The merged distribution
 // is identical for any worker count (0 means one worker per CPU).
-func CalibrateRTTWorkers(trials int, jitter phy.Jitter, seed uint64, workers int) (Calibration, error) {
-	if trials <= 0 {
-		return Calibration{}, fmt.Errorf("core: non-positive calibration trials %d", trials)
+func CalibrateRTTWorkers(trials int, seed uint64, workers int) (Calibration, error) {
+	if trials <= 0 || trials > MaxCalibrationTrials {
+		return Calibration{}, fmt.Errorf("core: calibration trials %d outside [1, %d]", trials, MaxCalibrationTrials)
 	}
 	batches := (trials + calBatchSize - 1) / calBatchSize
 	labels := make([]string, batches)
@@ -71,7 +76,7 @@ func CalibrateRTTWorkers(trials int, jitter phy.Jitter, seed uint64, workers int
 			if job.Point == batches-1 {
 				count = trials - calBatchSize*(batches-1)
 			}
-			return measureRTTBatch(count, calPairDist, jitter, job.Seed)
+			return measureRTTBatch(count, calPairDist, job.Seed)
 		},
 	})
 	if err != nil {
@@ -90,13 +95,10 @@ const calPairDist = 100
 
 // measureRTTBatch runs one batch of request/reply exchanges on a
 // dedicated two-node network and returns the raw RTT samples.
-func measureRTTBatch(trials int, pairDist float64, jitter phy.Jitter, seed uint64) ([]float64, error) {
+func measureRTTBatch(trials int, pairDist float64, seed uint64) ([]float64, error) {
 	src := rng.New(seed)
 	sched := sim.New()
-	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
-		Range:  150,
-		Jitter: jitter,
-	})
+	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{Range: 150})
 	a := medium.NewRadio(geo.Point{X: 0, Y: 0})
 	b := medium.NewRadio(geo.Point{X: pairDist, Y: 0})
 

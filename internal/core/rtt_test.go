@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"beaconsec/internal/phy"
@@ -9,7 +12,7 @@ import (
 
 func calibrate(t *testing.T, trials int, seed uint64) Calibration {
 	t.Helper()
-	return CalibrateRTT(trials, phy.DefaultJitter(), seed)
+	return CalibrateRTT(trials, seed)
 }
 
 func TestCalibrateRTTBasic(t *testing.T) {
@@ -17,12 +20,11 @@ func TestCalibrateRTTBasic(t *testing.T) {
 	if c.Len() != 2000 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	j := phy.DefaultJitter()
-	if c.XMin() < 4*j.Min-1 {
-		t.Errorf("XMin = %v below theoretical floor %v", c.XMin(), 4*j.Min)
+	if c.XMin() < 4*phy.JitterMin-1 {
+		t.Errorf("XMin = %v below theoretical floor %v", c.XMin(), 4*phy.JitterMin)
 	}
-	if c.XMax() > 4*j.Max+4 {
-		t.Errorf("XMax = %v above theoretical ceiling %v", c.XMax(), 4*j.Max)
+	if c.XMax() > 4*phy.JitterMax+4 {
+		t.Errorf("XMax = %v above theoretical ceiling %v", c.XMax(), 4*phy.JitterMax)
 	}
 	if c.XMin() >= c.XMax() {
 		t.Errorf("XMin %v >= XMax %v", c.XMin(), c.XMax())
@@ -144,7 +146,7 @@ func TestEmptyCalibration(t *testing.T) {
 func TestCalibrateRTTWorkersDeterministic(t *testing.T) {
 	// 1,200 trials span three batches; the merged sample set must be
 	// identical whatever the worker count.
-	base, err := CalibrateRTTWorkers(1200, phy.DefaultJitter(), 5, 1)
+	base, err := CalibrateRTTWorkers(1200, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestCalibrateRTTWorkersDeterministic(t *testing.T) {
 		t.Fatalf("Len = %d", base.Len())
 	}
 	for _, workers := range []int{0, 2, 8} {
-		c, err := CalibrateRTTWorkers(1200, phy.DefaultJitter(), 5, workers)
+		c, err := CalibrateRTTWorkers(1200, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,22 +165,30 @@ func TestCalibrateRTTWorkersDeterministic(t *testing.T) {
 }
 
 func TestCalibrateRTTWorkersInvalidTrials(t *testing.T) {
-	if _, err := CalibrateRTTWorkers(0, phy.DefaultJitter(), 1, 1); err == nil {
-		t.Error("CalibrateRTTWorkers(0) did not error")
+	// Counts above the maximum would overflow the batch count or
+	// allocate an unbounded sample buffer.
+	for _, trials := range []int{0, -1, MaxCalibrationTrials + 1, math.MaxInt} {
+		if _, err := CalibrateRTTWorkers(trials, 1, 1); err == nil {
+			t.Errorf("CalibrateRTTWorkers(%d) did not error", trials)
+		}
 	}
 }
 
 func TestCalibrateRTTInvalidTrialsPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("CalibrateRTT(0) did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("CalibrateRTT(0) did not panic")
+		}
+		if msg := fmt.Sprint(r); strings.HasPrefix(msg, "core: core:") {
+			t.Errorf("panic message %q repeats its prefix", msg)
 		}
 	}()
-	CalibrateRTT(0, phy.DefaultJitter(), 1)
+	CalibrateRTT(0, 1)
 }
 
 func BenchmarkCalibrateRTT1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		CalibrateRTT(1000, phy.DefaultJitter(), uint64(i))
+		CalibrateRTT(1000, uint64(i))
 	}
 }

@@ -123,7 +123,7 @@ type Deployment struct {
 	Space ident.Space
 	// Nodes lists all nodes: beacons at indices [0, Nb), sensors after.
 	Nodes []Node
-	index *geo.Index
+	grid  *geo.Grid // over Nodes' locations, cell = Range
 	byID  map[ident.NodeID]int
 }
 
@@ -190,6 +190,7 @@ func build(cfg Config, points []geo.Point, malicious map[int]bool) *Deployment {
 		Cfg:   cfg,
 		Space: space,
 		Nodes: make([]Node, cfg.N),
+		grid:  geo.NewGrid(cfg.Range),
 		byID:  make(map[ident.NodeID]int, cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -207,8 +208,8 @@ func build(cfg Config, points []geo.Point, malicious map[int]bool) *Deployment {
 		}
 		d.Nodes[i] = n
 		d.byID[n.ID] = i
+		d.grid.Add(n.Loc) // grid index == node index
 	}
-	d.index = geo.NewIndex(cfg.Field, points, cfg.Range)
 	return d
 }
 
@@ -222,15 +223,17 @@ func (d *Deployment) ByID(id ident.NodeID) (Node, bool) {
 }
 
 // Neighbors appends to dst the indices of all nodes within radio range of
-// node i (excluding i itself), in ascending index order.
+// node i (excluding i itself), in ascending index order. In range means
+// a squared distance not above Range².
 func (d *Deployment) Neighbors(i int, dst []int) []int {
-	return d.index.Within(d.Nodes[i].Loc, d.Cfg.Range, i, dst)
-}
-
-// NeighborsOf returns the indices of all nodes within range of an
-// arbitrary point.
-func (d *Deployment) NeighborsOf(p geo.Point, dst []int) []int {
-	return d.index.Within(p, d.Cfg.Range, -1, dst)
+	p, r := d.Nodes[i].Loc, d.Cfg.Range
+	var buf [256]int32 // the candidates at the paper's density, on the stack
+	for _, j := range d.grid.Candidates(p, r, buf[:0]) {
+		if int(j) != i && d.Nodes[j].Loc.Dist2(p) <= r*r {
+			dst = append(dst, int(j))
+		}
+	}
+	return dst
 }
 
 // Beacons returns the indices of all beacon nodes (benign and malicious).

@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"beaconsec/internal/geo"
@@ -158,17 +159,38 @@ func TestNeighborsSymmetricAndInRange(t *testing.T) {
 	}
 }
 
-func TestNeighborsOfPoint(t *testing.T) {
-	d := New(Paper())
-	center := geo.Point{X: 500, Y: 500}
-	got := d.NeighborsOf(center, nil)
-	for _, i := range got {
-		if d.Nodes[i].Loc.Dist(center) > d.Cfg.Range {
-			t.Fatalf("NeighborsOf returned out-of-range node %d", i)
-		}
+// TestNeighborsMatchScan checks Neighbors against an O(N) scan with the
+// squared-distance predicate, over several seeds. Nodes 0 and 1 are
+// placed where that predicate and the hypot one disagree: they are in
+// range by squared distance only.
+func TestNeighborsMatchScan(t *testing.T) {
+	p := geo.Point{X: 221.45068790910307, Y: 295.0483237721157}
+	q := geo.Point{X: 353.14399287108847, Y: 366.8596977193499}
+	cfg := Paper()
+	r2 := cfg.Range * cfg.Range
+	if p.Dist2(q) > r2 || p.Dist(q) <= cfg.Range {
+		t.Fatal("the pair does not separate the two predicates")
 	}
-	if len(got) == 0 {
-		t.Error("no nodes within range of field center (density ~70 expected)")
+	for seed := uint64(1); seed <= 4; seed++ {
+		cfg.Seed = seed
+		random := New(cfg)
+		locs := make([]geo.Point, len(random.Nodes))
+		for i, n := range random.Nodes {
+			locs[i] = n.Loc
+		}
+		locs[0], locs[1] = p, q
+		d := NewManual(cfg, locs, random.MaliciousBeacons())
+		for i, n := range d.Nodes {
+			var want []int
+			for j, m := range d.Nodes {
+				if j != i && m.Loc.Dist2(n.Loc) <= r2 {
+					want = append(want, j)
+				}
+			}
+			if got := d.Neighbors(i, nil); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: Neighbors(%d) = %v, want %v", seed, i, got, want)
+			}
+		}
 	}
 }
 

@@ -203,8 +203,8 @@ func TestMetroValidate(t *testing.T) {
 
 func TestConfigValidateGridBounds(t *testing.T) {
 	// The paper-scale Config shares the grid budget: a huge field with a
-	// small range must be rejected with the typed error instead of letting
-	// geo.NewIndex allocate the cell grid.
+	// small range is a misconfiguration, not a deployment, and must be
+	// rejected with the typed error.
 	cfg := Paper()
 	cfg.Field = geo.Square(1e6)
 	cfg.Range = 10

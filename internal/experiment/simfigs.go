@@ -24,7 +24,7 @@ func Fig4(o Options) (Result, error) {
 	if o.Quick {
 		trials = 500
 	}
-	cal, err := core.CalibrateRTTWorkers(trials, phy.DefaultJitter(), o.Seed, o.Workers)
+	cal, err := core.CalibrateRTTWorkers(trials, o.Seed, o.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -76,7 +76,7 @@ func calStats(o Options) (core.RTTStats, error) {
 	}
 	seed := o.Seed ^ 0xC0FFEE
 	compute := func() (core.RTTStats, error) {
-		cal, err := core.CalibrateRTTWorkers(calTrials, phy.DefaultJitter(), seed, o.Workers)
+		cal, err := core.CalibrateRTTWorkers(calTrials, seed, o.Workers)
 		if err != nil {
 			return core.RTTStats{}, err
 		}

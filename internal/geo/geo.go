@@ -74,139 +74,11 @@ func (r Rect) Clamp(p Point) Point {
 	}
 }
 
-// Index is a uniform-grid spatial index over a fixed set of points. It
-// answers "which points are within radius r of p" in expected O(k) for k
-// results, assuming roughly uniform deployments, which is what the paper's
-// random deployments produce.
-//
-// Build one with NewIndex; the index does not support mutation because
-// deployments in this system are static for the lifetime of a run.
-type Index struct {
-	bounds   Rect
-	cellSize float64
-	cols     int
-	rows     int
-	cells    [][]int32
-	points   []Point
-}
-
-// NewIndex builds an index over points within bounds, with grid cells sized
-// for queries of roughly queryRadius. A zero or negative queryRadius
-// defaults the cell size to bounds-width/16.
-func NewIndex(bounds Rect, points []Point, queryRadius float64) *Index {
-	cell := queryRadius
-	if cell <= 0 {
-		cell = bounds.Width() / 16
-	}
-	if cell <= 0 {
-		cell = 1
-	}
-	cols := int(math.Ceil(bounds.Width()/cell)) + 1
-	rows := int(math.Ceil(bounds.Height()/cell)) + 1
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	idx := &Index{
-		bounds:   bounds,
-		cellSize: cell,
-		cols:     cols,
-		rows:     rows,
-		cells:    make([][]int32, cols*rows),
-		points:   points,
-	}
-	for i, p := range points {
-		c := idx.cellOf(p)
-		idx.cells[c] = append(idx.cells[c], int32(i))
-	}
-	return idx
-}
-
-func (idx *Index) cellOf(p Point) int {
-	cx := int((p.X - idx.bounds.Min.X) / idx.cellSize)
-	cy := int((p.Y - idx.bounds.Min.Y) / idx.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= idx.cols {
-		cx = idx.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= idx.rows {
-		cy = idx.rows - 1
-	}
-	return cy*idx.cols + cx
-}
-
-// Within appends to dst the indices (into the points slice given to
-// NewIndex) of all points within radius r of p, excluding any index equal
-// to exclude (pass a negative exclude to keep all). The returned order is
-// deterministic: ascending point index.
-func (idx *Index) Within(p Point, r float64, exclude int, dst []int) []int {
-	if r < 0 {
-		return dst
-	}
-	r2 := r * r
-	minCX := int((p.X - r - idx.bounds.Min.X) / idx.cellSize)
-	maxCX := int((p.X + r - idx.bounds.Min.X) / idx.cellSize)
-	minCY := int((p.Y - r - idx.bounds.Min.Y) / idx.cellSize)
-	maxCY := int((p.Y + r - idx.bounds.Min.Y) / idx.cellSize)
-	if minCX < 0 {
-		minCX = 0
-	}
-	if minCY < 0 {
-		minCY = 0
-	}
-	if maxCX >= idx.cols {
-		maxCX = idx.cols - 1
-	}
-	if maxCY >= idx.rows {
-		maxCY = idx.rows - 1
-	}
-	start := len(dst)
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			for _, pi := range idx.cells[cy*idx.cols+cx] {
-				i := int(pi)
-				if i == exclude {
-					continue
-				}
-				if idx.points[i].Dist2(p) <= r2 {
-					dst = append(dst, i)
-				}
-			}
-		}
-	}
-	sortInts(dst[start:])
-	return dst
-}
-
-// Len returns the number of indexed points.
-func (idx *Index) Len() int { return len(idx.points) }
-
-// Point returns the i-th indexed point.
-func (idx *Index) Point(i int) Point { return idx.points[i] }
-
-// sortInts is an insertion sort; Within result sets are small (node
-// neighborhoods), where insertion sort beats sort.Ints and avoids the
-// interface allocation.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}
-
 // Grid is an incremental uniform hash grid over points in unbounded
-// space: unlike Index it needs no bounds up front, accepts points
-// anywhere (including outside any nominal field, e.g. wormhole
-// endpoints), and supports Add after construction. The radio medium
-// uses it to resolve transmissions in O(neighbors) instead of O(N).
+// space: it needs no bounds up front, accepts points anywhere (including
+// outside any nominal field, e.g. wormhole endpoints), and supports Add
+// at any time. The radio medium, deployments and the routing substrate
+// use it to find neighbours in O(neighbors) instead of O(N).
 //
 // Determinism contract: Candidates visits grid cells in a fixed order
 // (row-major over the query box) and then sorts the gathered indices

@@ -119,114 +119,3 @@ func TestRectClamp(t *testing.T) {
 		t.Errorf("Clamp moved interior point: %v", got)
 	}
 }
-
-// bruteWithin is the reference implementation the index must agree with.
-func bruteWithin(points []Point, p Point, r float64, exclude int) []int {
-	var out []int
-	for i, q := range points {
-		if i == exclude {
-			continue
-		}
-		if q.Dist(p) <= r {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func randomPoints(seed uint64, n int, side float64) []Point {
-	src := rng.New(seed)
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{src.Uniform(0, side), src.Uniform(0, side)}
-	}
-	return pts
-}
-
-func TestIndexMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(99, 500, 1000)
-	idx := NewIndex(Square(1000), pts, 150)
-	src := rng.New(7)
-	for trial := 0; trial < 200; trial++ {
-		q := Point{src.Uniform(-50, 1050), src.Uniform(-50, 1050)}
-		r := src.Uniform(0, 300)
-		exclude := src.Intn(len(pts))
-		got := idx.Within(q, r, exclude, nil)
-		want := bruteWithin(pts, q, r, exclude)
-		if !equalInts(got, want) {
-			t.Fatalf("trial %d: Within(%v, %.1f) = %v, want %v", trial, q, r, got, want)
-		}
-	}
-}
-
-func TestIndexZeroRadius(t *testing.T) {
-	pts := []Point{{5, 5}, {6, 6}}
-	idx := NewIndex(Square(10), pts, 1)
-	got := idx.Within(Point{5, 5}, 0, -1, nil)
-	if !equalInts(got, []int{0}) {
-		t.Errorf("zero-radius query = %v, want [0]", got)
-	}
-	if got := idx.Within(Point{5, 5}, -1, -1, nil); len(got) != 0 {
-		t.Errorf("negative-radius query = %v, want empty", got)
-	}
-}
-
-func TestIndexAppendsToDst(t *testing.T) {
-	pts := []Point{{1, 1}}
-	idx := NewIndex(Square(10), pts, 5)
-	dst := []int{42}
-	got := idx.Within(Point{1, 1}, 5, -1, dst)
-	if len(got) != 2 || got[0] != 42 || got[1] != 0 {
-		t.Errorf("Within did not append: %v", got)
-	}
-}
-
-func TestIndexAccessors(t *testing.T) {
-	pts := []Point{{1, 2}, {3, 4}}
-	idx := NewIndex(Square(10), pts, 5)
-	if idx.Len() != 2 {
-		t.Errorf("Len = %d", idx.Len())
-	}
-	if idx.Point(1) != (Point{3, 4}) {
-		t.Errorf("Point(1) = %v", idx.Point(1))
-	}
-}
-
-func TestIndexEmpty(t *testing.T) {
-	idx := NewIndex(Square(10), nil, 5)
-	if got := idx.Within(Point{5, 5}, 100, -1, nil); len(got) != 0 {
-		t.Errorf("empty index returned %v", got)
-	}
-}
-
-func TestIndexDefaultCellSize(t *testing.T) {
-	pts := randomPoints(3, 50, 100)
-	idx := NewIndex(Square(100), pts, 0)
-	got := idx.Within(Point{50, 50}, 30, -1, nil)
-	want := bruteWithin(pts, Point{50, 50}, 30, -1)
-	if !equalInts(got, want) {
-		t.Errorf("default cell size query = %v, want %v", got, want)
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func BenchmarkIndexWithin(b *testing.B) {
-	pts := randomPoints(1, 1000, 1000)
-	idx := NewIndex(Square(1000), pts, 150)
-	buf := make([]int, 0, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = idx.Within(pts[i%len(pts)], 150, i%len(pts), buf[:0])
-	}
-}

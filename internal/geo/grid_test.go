@@ -7,8 +7,20 @@ import (
 	"testing"
 )
 
+// bruteWithin is the O(N) scan the grid must agree with: every point
+// within r of p, in ascending index order.
+func bruteWithin(points []Point, p Point, r float64) []int {
+	var out []int
+	for i, q := range points {
+		if q.Dist(p) <= r {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // gridWithin filters grid candidates with the same exact predicate the
-// brute-force scan (bruteWithin, shared with the Index tests) uses.
+// brute-force scan uses.
 func gridWithin(g *Grid, points []Point, p Point, r float64) []int {
 	var out []int
 	for _, ci := range g.Candidates(p, r, nil) {
@@ -58,7 +70,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 				origin = points[rnd.Intn(len(points))]
 			}
 			r := rnd.Float64() * 2 * cell
-			want := bruteWithin(points, origin, r, -1)
+			want := bruteWithin(points, origin, r)
 			got := gridWithin(g, points, origin, r)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: grid found %d, brute force %d (cell=%v r=%v origin=%v)",
@@ -96,7 +108,7 @@ func TestGridCandidatesSortedSuperset(t *testing.T) {
 			}
 			inCand[c] = true
 		}
-		for _, i := range bruteWithin(points, origin, r, -1) {
+		for _, i := range bruteWithin(points, origin, r) {
 			if !inCand[int32(i)] {
 				t.Fatalf("point %d within r=%v of %v missing from candidates", i, r, origin)
 			}

@@ -42,40 +42,22 @@ func New(truth, believed []geo.Point, rangeFt float64) *Network {
 		adj:      make([][]int32, len(truth)),
 		rangeFt:  rangeFt,
 	}
-	idx := geo.NewIndex(boundsOf(truth), n.truth, rangeFt)
-	buf := make([]int, 0, 64)
-	for i := range n.truth {
-		buf = idx.Within(n.truth[i], rangeFt, i, buf[:0])
-		for _, j := range buf {
-			n.adj[i] = append(n.adj[i], int32(j))
+	// Two nodes are neighbours when their squared distance is not
+	// above rangeFt².
+	g := geo.NewGrid(rangeFt)
+	for _, p := range n.truth {
+		g.Add(p)
+	}
+	var cands []int32
+	for i, p := range n.truth {
+		cands = g.Candidates(p, rangeFt, cands[:0])
+		for _, j := range cands {
+			if int(j) != i && n.truth[j].Dist2(p) <= rangeFt*rangeFt {
+				n.adj[i] = append(n.adj[i], j)
+			}
 		}
 	}
 	return n
-}
-
-func boundsOf(pts []geo.Point) geo.Rect {
-	r := geo.Rect{}
-	if len(pts) == 0 {
-		return geo.Square(1)
-	}
-	r.Min, r.Max = pts[0], pts[0]
-	for _, p := range pts {
-		if p.X < r.Min.X {
-			r.Min.X = p.X
-		}
-		if p.Y < r.Min.Y {
-			r.Min.Y = p.Y
-		}
-		if p.X > r.Max.X {
-			r.Max.X = p.X
-		}
-		if p.Y > r.Max.Y {
-			r.Max.Y = p.Y
-		}
-	}
-	r.Max.X++
-	r.Max.Y++
-	return r
 }
 
 // Neighbors returns node i's true radio neighbors.

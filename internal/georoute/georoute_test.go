@@ -1,6 +1,7 @@
 package georoute
 
 import (
+	"slices"
 	"testing"
 
 	"beaconsec/internal/geo"
@@ -23,6 +24,35 @@ func randomPairs(seed uint64, n, count int) [][2]int {
 		pairs[i] = [2]int{src.Intn(n), src.Intn(n)}
 	}
 	return pairs
+}
+
+// TestAdjacencyMatchesScan checks New's adjacency against an O(N) scan
+// with the squared-distance predicate, over several seeds. Nodes 0 and 1
+// are placed where that predicate and the hypot one disagree: they are
+// in range by squared distance only.
+func TestAdjacencyMatchesScan(t *testing.T) {
+	const rangeFt = 150
+	p := geo.Point{X: 221.45068790910307, Y: 295.0483237721157}
+	q := geo.Point{X: 353.14399287108847, Y: 366.8596977193499}
+	if p.Dist2(q) > rangeFt*rangeFt || p.Dist(q) <= rangeFt {
+		t.Fatal("the pair does not separate the two predicates")
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		truth := densePoints(seed, 500, 1000)
+		truth[0], truth[1] = p, q
+		net := New(truth, truth, rangeFt)
+		for i, a := range truth {
+			var want []int32
+			for j, b := range truth {
+				if j != i && b.Dist2(a) <= rangeFt*rangeFt {
+					want = append(want, int32(j))
+				}
+			}
+			if got := net.Neighbors(i); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: Neighbors(%d) = %v, want %v", seed, i, got, want)
+			}
+		}
+	}
 }
 
 func TestDeliverTruePositions(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // ReplayAttacker is a store-and-forward local replay attacker: it records
 // every beacon reply transmitted within its radio range and re-injects it
-// from its own position after the original finishes plus ExtraDelay.
+// from its own position the moment the original finishes.
 //
 // This is the attack §2.2.2's RTT filter defeats: a local replay costs at
 // least one full packet time ("the delay of replaying a signal between
@@ -19,9 +19,6 @@ type ReplayAttacker struct {
 	// Pos is the attacker's position. It is fixed once installed:
 	// NewReplayAttacker builds the medium's injection port there.
 	Pos geo.Point
-	// ExtraDelay is added beyond the unavoidable one-packet
-	// store-and-forward delay.
-	ExtraDelay sim.Time
 	// Replayed counts re-injected frames.
 	Replayed uint64
 
@@ -31,8 +28,8 @@ type ReplayAttacker struct {
 }
 
 // NewReplayAttacker installs a replay attacker on the medium.
-func NewReplayAttacker(sched *sim.Scheduler, medium *phy.Medium, pos geo.Point, extraDelay sim.Time) *ReplayAttacker {
-	a := &ReplayAttacker{Pos: pos, ExtraDelay: extraDelay, sched: sched, medium: medium, port: medium.NewPort(pos)}
+func NewReplayAttacker(sched *sim.Scheduler, medium *phy.Medium, pos geo.Point) *ReplayAttacker {
+	a := &ReplayAttacker{Pos: pos, sched: sched, medium: medium, port: medium.NewPort(pos)}
 	medium.AddTap(a.tap)
 	return a
 }
@@ -56,7 +53,7 @@ func (a *ReplayAttacker) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	replay.Data = data
 	a.Replayed++
 	// Store-and-forward: cannot start before hearing the whole frame.
-	a.sched.At(info.AirEnd+a.ExtraDelay, func() {
+	a.sched.At(info.AirEnd, func() {
 		a.medium.Inject(a.port, replay)
 	})
 }

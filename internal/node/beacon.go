@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"beaconsec/internal/core"
 	"beaconsec/internal/deploy"
@@ -80,14 +81,7 @@ func (b *Beacon) TrueLoc() geo.Point { return b.self.Loc }
 
 // NeighborBeacons returns the sorted-by-ID list of beacon neighbors
 // discovered so far.
-func (b *Beacon) NeighborBeacons() []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(b.neighbors))
-	for id := range b.neighbors {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
+func (b *Beacon) NeighborBeacons() []ident.NodeID { return sortedIDs(b.neighbors) }
 
 // Timeouts returns the count of unanswered probes.
 func (b *Beacon) Timeouts() int { return b.req.Timeouts }
@@ -197,10 +191,13 @@ func (b *Beacon) gossipAlert(target ident.NodeID) {
 	}
 }
 
-func sortIDs(ids []ident.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
+// sortedIDs returns the members of set in ascending ID order, so that
+// what a node sends to them does not depend on map iteration order.
+func sortedIDs(set map[ident.NodeID]bool) []ident.NodeID {
+	out := make([]ident.NodeID, 0, len(set))
+	for id := range set {
+		out = append(out, id)
 	}
+	slices.Sort(out)
+	return out
 }

@@ -44,12 +44,6 @@ type Env struct {
 	// WormholeRate is p_d for the per-node probabilistic wormhole
 	// detectors.
 	WormholeRate float64
-	// RequestRetries is how many times requesters re-send an unanswered
-	// beacon request (loss recovery).
-	RequestRetries int
-	// RequestTimeout is how long a requester waits for a reply; zero
-	// selects one second.
-	RequestTimeout sim.Time
 	// RobustLocalization makes sensors solve with the LMS-robust
 	// multilaterator, trimming references inconsistent with the honest
 	// majority.
@@ -76,13 +70,12 @@ func (e *Env) endpointFor(i int, ids ...ident.NodeID) *mac.Endpoint {
 	return mac.NewEndpoint(e.Sched, radio, store, e.Src.Split(fmt.Sprintf("mac/%d", i)))
 }
 
-// timeout returns the effective request timeout.
-func (e *Env) timeout() sim.Time {
-	if e.RequestTimeout == 0 {
-		return sim.Seconds(1)
-	}
-	return e.RequestTimeout
-}
+// A requester waits one second for a reply and re-sends an unanswered
+// beacon request once (loss recovery).
+const (
+	requestTimeout sim.Time = sim.CPUHz
+	requestRetries          = 1
+)
 
 // probe tracks one outstanding beacon request.
 type probe struct {
@@ -153,7 +146,7 @@ func (r *requester) start(p *probe) {
 	}
 	seq := r.ep.NextSeq()
 	r.pending[seq] = p
-	p.timer = r.env.Sched.After(r.env.timeout(), func() {
+	p.timer = r.env.Sched.After(requestTimeout, func() {
 		if r.pending[seq] == p {
 			r.retryOrFail(p, seq)
 		}
@@ -175,7 +168,7 @@ func (r *requester) start(p *probe) {
 func (r *requester) retryOrFail(p *probe, seq uint16) {
 	delete(r.pending, seq)
 	p.timer.Cancel()
-	if p.tries <= r.env.RequestRetries {
+	if p.tries <= requestRetries {
 		r.start(p)
 		return
 	}

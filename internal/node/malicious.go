@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/deploy"
@@ -60,9 +61,6 @@ type MaliciousConfig struct {
 	// requester position; the default (0 selects 5·ε_max) also makes
 	// the corruption of localization unmistakable.
 	RangeBias float64
-	// TurnaroundSkew is how much ActFakeReplay under-reports t3-t2, in
-	// cycles; zero selects a full packet time beyond the threshold.
-	TurnaroundSkew uint32
 }
 
 // Malicious is a compromised beacon node. It serves beacon signals like a
@@ -77,6 +75,8 @@ type Malicious struct {
 	self deploy.Node
 	ep   *mac.Endpoint
 	cfg  MaliciousConfig
+	// skew is how much ActFakeReplay under-reports t3-t2, in cycles.
+	skew uint32
 
 	farClaim  geo.Point
 	neighbors map[ident.NodeID]bool // beacon IDs heard in hellos
@@ -103,14 +103,12 @@ func NewMalicious(env *Env, i int, cfg MaliciousConfig) *Malicious {
 	if cfg.RangeBias == 0 {
 		cfg.RangeBias = 5 * env.Core.MaxDistError
 	}
-	if cfg.TurnaroundSkew == 0 {
-		cfg.TurnaroundSkew = uint32(env.Core.MaxRTT) + uint32(phy.FrameAirTime(38))
-	}
 	m := &Malicious{
 		env:            env,
 		self:           n,
 		ep:             env.endpointFor(i, n.ID),
 		cfg:            cfg,
+		skew:           fakeReplaySkew(env.Core.MaxRTT),
 		farClaim:       farClaimFor(n.Loc, env.Dep.Cfg),
 		neighbors:      make(map[ident.NodeID]bool),
 		ActionsTaken:   make(map[Action]int),
@@ -119,6 +117,18 @@ func NewMalicious(env *Env, i int, cfg MaliciousConfig) *Malicious {
 	}
 	m.ep.SetHandler(m.handle)
 	return m
+}
+
+// fakeReplaySkew returns a full packet time beyond the RTT threshold
+// maxRTT, truncated to whole cycles and saturated to the uint32 range in
+// float64: Go leaves the conversion of an out-of-range float to the
+// machine, and with the RTT filter off maxRTT is MaxFloat64.
+func fakeReplaySkew(maxRTT float64) uint32 {
+	s := math.Trunc(maxRTT) + float64(phy.FrameAirTime(38))
+	if !(s < math.MaxUint32) { // NaN too
+		return math.MaxUint32
+	}
+	return uint32(max(s, 0))
 }
 
 // farClaimFor picks a declared location guaranteed to be more than one
@@ -194,7 +204,7 @@ func (m *Malicious) handle(d mac.Delivery) {
 		loc = m.farClaim
 		mark = true
 	case ActFakeReplay:
-		skew = m.cfg.TurnaroundSkew
+		skew = m.skew
 	case ActAttack:
 		bias = m.cfg.RangeBias
 		m.AttackedIDs[req] = true
@@ -234,7 +244,7 @@ func (m *Malicious) SendAlertAt(at sim.Time, target ident.NodeID) {
 // behavior in the distributed (base-station-free) revocation variant.
 func (m *Malicious) GossipFakeAlertAt(at sim.Time, target ident.NodeID) {
 	m.env.Sched.At(at, func() {
-		for peer := range m.neighbors {
+		for _, peer := range sortedIDs(m.neighbors) {
 			if peer == target {
 				continue
 			}

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"beaconsec/internal/analysis"
@@ -48,42 +50,8 @@ func newFixture(t *testing.T, seed uint64, strategy analysis.Strategy) (*fixture
 	locs := []geo.Point{
 		{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 50, Y: 80}, {X: 50, Y: 30}, {X: 40, Y: 60},
 	}
-	dep := deploy.NewManual(cfg, locs, []int{2})
-
-	src := rng.New(seed)
-	sched := sim.New()
-	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
-		Range:   cfg.Range,
-		Ranging: phy.BoundedUniform{MaxError: 10},
-	})
-	bs := revoke.NewSharded(revoke.Config{ReportCap: 10, AlertThreshold: 0}, 1)
-	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
-	coreCfg := core.Config{
-		MaxDistError: 10,
-		MaxRTT:       core.CalibrateRTT(1000, phy.DefaultJitter(), seed).Threshold(),
-		Range:        cfg.Range,
-	}
-	det, err := core.NewDetector(core.DetectorSpec{}, core.DetectorEnv{
-		MaxDistError: coreCfg.MaxDistError,
-		MaxRTT:       coreCfg.MaxRTT,
-		Range:        coreCfg.Range,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &Env{
-		Sched:          sched,
-		Medium:         medium,
-		Master:         crypto.NewMaster([]byte("node-test")),
-		Dep:            dep,
-		Core:           coreCfg,
-		Detector:       det,
-		Uplink:         uplink,
-		Src:            src.Split("nodes"),
-		WormholeRate:   0.9,
-		RequestRetries: 1,
-	}
-	f := &fixture{sched: sched, env: env, bs: bs, dep: dep, uplink: uplink}
+	f := newTestEnv(t, seed, deploy.NewManual(cfg, locs, []int{2}))
+	env := f.env
 
 	b0 := NewBeacon(env, 0)
 	b1 := NewBeacon(env, 1)
@@ -96,6 +64,46 @@ func newFixture(t *testing.T, seed uint64, strategy analysis.Strategy) (*fixture
 	mal.AnnounceAt(sim.Millis(240))
 
 	return f, []*Beacon{b0, b1}, mal, []*Sensor{s0, s1}
+}
+
+// newTestEnv builds the substrate a test's nodes run on over dep: a
+// medium with ±10 ft ranging, a one-shard base station and the paper
+// detector with a calibrated RTT threshold.
+func newTestEnv(t *testing.T, seed uint64, dep *deploy.Deployment) *fixture {
+	t.Helper()
+	src := rng.New(seed)
+	sched := sim.New()
+	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
+		Range:      dep.Cfg.Range,
+		RangeError: 10,
+	})
+	bs := revoke.NewSharded(revoke.Config{ReportCap: 10, AlertThreshold: 0}, 1)
+	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
+	coreCfg := core.Config{
+		MaxDistError: 10,
+		MaxRTT:       core.CalibrateRTT(1000, seed).Threshold(),
+		Range:        dep.Cfg.Range,
+	}
+	det, err := core.NewDetector(core.DetectorSpec{}, core.DetectorEnv{
+		MaxDistError: coreCfg.MaxDistError,
+		MaxRTT:       coreCfg.MaxRTT,
+		Range:        coreCfg.Range,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{
+		Sched:        sched,
+		Medium:       medium,
+		Master:       crypto.NewMaster([]byte("node-test")),
+		Dep:          dep,
+		Core:         coreCfg,
+		Detector:     det,
+		Uplink:       uplink,
+		Src:          src.Split("nodes"),
+		WormholeRate: 0.9,
+	}
+	return &fixture{sched: sched, env: env, bs: bs, dep: dep, uplink: uplink}
 }
 
 func (f *fixture) run(t *testing.T) {
@@ -342,7 +350,7 @@ func TestReplayAttackerCaughtByRTTFilter(t *testing.T) {
 	// filter and must NOT trigger an alert against the benign source
 	// (the paper's false-positive-avoidance claim).
 	f, beacons, _, sensors := newFixture(t, 11, analysis.Strategy{PN: 1})
-	attacker := NewReplayAttacker(f.sched, f.env.Medium, geo.Point{X: 60, Y: 40}, 0)
+	attacker := NewReplayAttacker(f.sched, f.env.Medium, geo.Point{X: 60, Y: 40})
 	for _, b := range beacons {
 		b.StartDetection(sim.Seconds(1), sim.Seconds(10))
 	}
@@ -448,5 +456,84 @@ func TestSensorIgnoresForgedRevocation(t *testing.T) {
 	f.run(t)
 	if s.Revoked(mal.ID()) {
 		t.Error("sensor honored a revocation not from the base station")
+	}
+}
+
+// TestGossipFakeAlertsInIDOrder pins the colluders' gossip order: each
+// fabricated alert goes to the beacon neighbours in ascending ID order,
+// whatever order their hellos arrived in, so a run does not depend on
+// map iteration order. The hellos arrive in descending ID order, so
+// sending in the order they were heard fails too.
+func TestGossipFakeAlertsInIDOrder(t *testing.T) {
+	const rounds = 4
+	locs := []geo.Point{
+		{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 0, Y: 100}, {X: 100, Y: 100}, {X: 30, Y: 60}, {X: 50, Y: 50},
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		cfg := deploy.Config{N: 6, Nb: 6, Na: 1, Field: geo.Square(200), Range: 150, DetectingIDs: 1, Seed: seed}
+		f := newTestEnv(t, seed, deploy.NewManual(cfg, locs, []int{5}))
+		mal := NewMalicious(f.env, 5, MaliciousConfig{Strategy: analysis.Strategy{PN: 1}})
+		var benign []*Beacon
+		for i := 0; i < 5; i++ {
+			benign = append(benign, NewBeacon(f.env, i))
+		}
+		for k := range benign {
+			benign[len(benign)-1-k].AnnounceAt(sim.Millis(10 + 100*float64(k)))
+		}
+		// The destination of every alert the colluder puts on air, by
+		// sequence number; a retransmission repeats its sequence number.
+		dst := make(map[uint16]ident.NodeID)
+		var seqs []uint16
+		f.env.Medium.AddTap(func(_ geo.Point, fr phy.Frame, _ phy.TxInfo) {
+			h, err := packet.PeekHeader(fr.Data)
+			if err != nil || h.Type != packet.TypeAlert || h.Src != mal.ID() {
+				return
+			}
+			if _, seen := dst[h.Seq]; !seen {
+				dst[h.Seq] = h.Dst
+				seqs = append(seqs, h.Seq)
+			}
+		})
+		for r := 0; r < rounds; r++ {
+			mal.GossipFakeAlertAt(sim.Seconds(1+float64(r)), benign[r].ID())
+		}
+		f.run(t)
+		if len(mal.neighbors) != len(benign) {
+			t.Fatalf("seed %d: colluder heard %d of %d beacon neighbours", seed, len(mal.neighbors), len(benign))
+		}
+		// Each round skips its target, so it sends len(benign)-1 alerts
+		// with consecutive sequence numbers.
+		per := len(benign) - 1
+		if len(seqs) != rounds*per {
+			t.Fatalf("seed %d: %d alerts on air, want %d", seed, len(seqs), rounds*per)
+		}
+		slices.Sort(seqs)
+		for i := range seqs {
+			if i%per != 0 && dst[seqs[i]] <= dst[seqs[i-1]] {
+				t.Errorf("seed %d, round %d: alert to %d sent after alert to %d",
+					seed, i/per, dst[seqs[i]], dst[seqs[i-1]])
+			}
+		}
+	}
+}
+
+// TestFakeReplaySkew pins how much a fake replay under-reports its
+// turnaround: a full 38-byte frame time beyond the RTT threshold, and
+// the uint32 maximum when the RTT filter is off and the threshold is
+// MaxFloat64, where a direct conversion would be left to the machine.
+func TestFakeReplaySkew(t *testing.T) {
+	f, _, mal, _ := newFixture(t, 1, analysis.Strategy{PN: 1})
+	if want := uint32(f.env.Core.MaxRTT) + uint32(phy.FrameAirTime(38)); mal.skew != want {
+		t.Errorf("skew = %d at threshold %v, want %d", mal.skew, f.env.Core.MaxRTT, want)
+	}
+	f.env.Core.MaxRTT = math.MaxFloat64
+	off := NewMalicious(f.env, 2, MaliciousConfig{Strategy: analysis.Strategy{PN: 1}})
+	if off.skew != math.MaxUint32 {
+		t.Errorf("skew = %d with the RTT filter off, want %d", off.skew, uint32(math.MaxUint32))
+	}
+	for _, maxRTT := range []float64{math.NaN(), math.Inf(1), math.MaxUint32} {
+		if got := fakeReplaySkew(maxRTT); got != math.MaxUint32 {
+			t.Errorf("fakeReplaySkew(%v) = %d, want %d", maxRTT, got, uint32(math.MaxUint32))
+		}
 	}
 }

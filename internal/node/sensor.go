@@ -74,14 +74,7 @@ func (s *Sensor) ID() ident.NodeID { return s.self.ID }
 func (s *Sensor) TrueLoc() geo.Point { return s.self.Loc }
 
 // NeighborBeacons returns the discovered beacon neighbors in ID order.
-func (s *Sensor) NeighborBeacons() []ident.NodeID {
-	out := make([]ident.NodeID, 0, len(s.neighbors))
-	for id := range s.neighbors {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
-}
+func (s *Sensor) NeighborBeacons() []ident.NodeID { return sortedIDs(s.neighbors) }
 
 // Timeouts returns the count of unanswered requests.
 func (s *Sensor) Timeouts() int { return s.req.Timeouts }

@@ -191,11 +191,8 @@ type loggedMedium struct {
 func newLoggedMedium(oracle, listen bool) *loggedMedium {
 	sched := sim.New()
 	return &loggedMedium{
-		sched: sched,
-		m: NewMedium(sched, rng.New(42), Config{
-			Range:   150,
-			Ranging: BoundedUniform{MaxError: 10},
-		}),
+		sched:     sched,
+		m:         NewMedium(sched, rng.New(42), Config{Range: 150, RangeError: 10}),
 		oracle:    oracle,
 		listen:    listen,
 		listeners: make(map[uint32][]int),
@@ -578,10 +575,7 @@ func paperField(n int, seed int64) []geo.Point {
 // steady state.
 func benchTransmit(b *testing.B, nRadios int, inject, unicast bool) {
 	sched := sim.New()
-	m := NewMedium(sched, rng.New(7), Config{
-		Range:   150,
-		Ranging: BoundedUniform{MaxError: 10},
-	})
+	m := NewMedium(sched, rng.New(7), Config{Range: 150, RangeError: 10})
 	for i, p := range paperField(nRadios, 5) {
 		r := m.NewRadio(p)
 		r.SetHandler(func(Reception) {})

@@ -1,7 +1,7 @@
 // Package phy simulates the physical radio layer of a MICA2-class mote
-// network: log-distance/bounded-error RSSI ranging, bit-level transmission
-// timing, half-duplex radios, collisions, and the SPDR-register byte
-// timestamps the paper's round-trip-time detector depends on (Figure 3).
+// network: bounded-error RSSI ranging, bit-level transmission timing,
+// half-duplex radios, collisions, and the SPDR-register byte timestamps
+// the paper's round-trip-time detector depends on (Figure 3).
 //
 // The paper's RTT detector works because
 //
@@ -40,101 +40,23 @@ const (
 	speedOfLightFtPerSec = 983_571_056.0
 )
 
-// Jitter models the hardware delay between the SPDR shift register and the
-// air, per byte (the paper's d1..d4). Draws are uniform in [Min, Max]
-// cycles: a hard-bounded distribution, because the paper's claim that the
-// detector "can always detect locally replayed beacon signals between two
-// benign neighbor nodes" requires the benign RTT spread to be bounded.
-//
-// Defaults are calibrated so the no-attack RTT spread over 10,000 trials
-// is ≈ 4.5 bit-times (1,728 cycles), the figure that survives in the
-// paper's text.
-type Jitter struct {
-	Min, Max float64
-}
-
-// DefaultJitter is the calibrated MICA2-like jitter: 4 draws sum to
-// [12996, 14724] cycles, a spread of 4.5 bit-times.
-func DefaultJitter() Jitter { return Jitter{Min: 3249, Max: 3681} }
-
-func (j Jitter) draw(src *rng.Source) sim.Time {
-	return sim.Time(math.Round(src.Uniform(j.Min, j.Max)))
-}
-
-// skip advances src past one draw without computing it: draw's Uniform
-// takes exactly one word.
-func (Jitter) skip(src *rng.Source) { src.Uint64() }
-
-// Ranging converts a true transmitter-receiver distance into the distance
-// the receiver's RSSI measurement yields. It is sealed: phy's three
-// models are its only implementations, because discard must take
-// exactly the words Measure does.
-type Ranging interface {
-	Measure(trueDist float64, src *rng.Source) float64
-	// discard advances src past one Measure without computing it.
-	discard(src *rng.Source)
-}
-
-// BoundedUniform adds a uniform error in [-MaxError, +MaxError]; the paper
-// assumes "a technique (e.g. RSSI) used to estimate the distance ... that
-// has the maximum error of [10] feet", which is exactly this model.
-type BoundedUniform struct {
-	MaxError float64
-}
-
-// Measure implements Ranging.
-func (b BoundedUniform) Measure(trueDist float64, src *rng.Source) float64 {
-	d := trueDist + src.Uniform(-b.MaxError, b.MaxError)
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-func (BoundedUniform) discard(src *rng.Source) { src.Uint64() }
-
-// TruncatedGaussian adds N(0, Sigma) error truncated to ±MaxError,
-// modelling RSSI ranging with log-normal shadowing whose outliers are
-// rejected by averaging multiple samples.
-type TruncatedGaussian struct {
-	Sigma    float64
-	MaxError float64
-}
-
-// Measure implements Ranging.
-func (g TruncatedGaussian) Measure(trueDist float64, src *rng.Source) float64 {
-	e := g.Sigma * src.NormFloat64()
-	if e > g.MaxError {
-		e = g.MaxError
-	}
-	if e < -g.MaxError {
-		e = -g.MaxError
-	}
-	d := trueDist + e
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// discard runs Measure: the polar method's rejection loop takes a
-// variable number of words.
-func (g TruncatedGaussian) discard(src *rng.Source) { g.Measure(0, src) }
-
-// Perfect is error-free ranging, for tests and theoretical baselines.
-type Perfect struct{}
-
-// Measure implements Ranging.
-func (Perfect) Measure(trueDist float64, _ *rng.Source) float64 { return trueDist }
-
-func (Perfect) discard(*rng.Source) {}
-
-// Interface compliance.
-var (
-	_ Ranging = BoundedUniform{}
-	_ Ranging = TruncatedGaussian{}
-	_ Ranging = Perfect{}
+// The SPDR hardware delay between the shift register and the air, per
+// byte (the paper's d1..d4), is uniform in [JitterMin, JitterMax]
+// cycles: a hard-bounded distribution, because the paper's claim that
+// the detector "can always detect locally replayed beacon signals
+// between two benign neighbor nodes" requires the benign RTT spread to
+// be bounded. The bounds are calibrated so the no-attack RTT spread over
+// 10,000 trials is ≈ 4.5 bit-times (1,728 cycles), the figure that
+// survives in the paper's text: four draws sum to [12996, 14724] cycles.
+const (
+	JitterMin = 3249
+	JitterMax = 3681
 )
+
+// jitter draws one per-byte hardware delay. It takes exactly one word.
+func jitter(src *rng.Source) sim.Time {
+	return sim.Time(math.Round(src.Uniform(JitterMin, JitterMax)))
+}
 
 // Frame is one unit of air traffic: raw bytes plus attacker-controlled
 // physical metadata. Protocol logic never reads the metadata; it only
@@ -391,11 +313,13 @@ func (s *Stats) Merge(o Stats) {
 type Config struct {
 	// Range is the maximum communication range in feet.
 	Range float64
-	// Ranging is the distance-measurement model; nil means Perfect.
-	Ranging Ranging
-	// Jitter is the SPDR hardware-delay model; the zero value selects
-	// DefaultJitter.
-	Jitter Jitter
+	// RangeError bounds the RSSI ranging error in feet: a reception
+	// measures its distance plus an error uniform in [-RangeError,
+	// +RangeError], clamped at zero. The paper assumes "a technique
+	// (e.g. RSSI) used to estimate the distance ... that has the maximum
+	// error of [10] feet", which is exactly this model. Zero measures
+	// exactly, unclamped.
+	RangeError float64
 }
 
 // neighbour is one receiver of a launch: a radio within range of the
@@ -440,7 +364,8 @@ const (
 
 // NewMedium creates a medium over the given scheduler. src must be a
 // dedicated stream (the medium consumes it for jitter and ranging error).
-// It panics unless 0 < cfg.Range < about 5.7e11 ft.
+// It panics unless 0 < cfg.Range < about 5.7e11 ft and cfg.RangeError is
+// finite and not negative.
 func NewMedium(sched *sim.Scheduler, src *rng.Source, cfg Config) *Medium {
 	if cfg.Range <= 0 {
 		panic(fmt.Sprintf("phy: non-positive range %v", cfg.Range))
@@ -449,11 +374,8 @@ func NewMedium(sched *sim.Scheduler, src *rng.Source, cfg Config) *Medium {
 	if cfg.Range/speedOfLightFtPerSec*sim.CPUHz >= math.MaxUint32 {
 		panic(fmt.Sprintf("phy: range %v ft overflows a 32-bit propagation delay", cfg.Range))
 	}
-	if cfg.Ranging == nil {
-		cfg.Ranging = Perfect{}
-	}
-	if cfg.Jitter == (Jitter{}) {
-		cfg.Jitter = DefaultJitter()
+	if !(cfg.RangeError >= 0) || math.IsInf(cfg.RangeError, 1) {
+		panic(fmt.Sprintf("phy: ranging error bound %v is not finite and non-negative", cfg.RangeError))
 	}
 	return &Medium{sched: sched, src: src, cfg: cfg, grid: geo.NewGrid(cfg.Range)}
 }
@@ -596,7 +518,7 @@ func (m *Medium) launch(origin geo.Point, f *Frame, receivers []neighbour) TxInf
 	// this may precede AirStart). Clamped at time zero, which can only
 	// matter for transmissions in the first few thousand cycles of a run.
 	firstOut := start + CyclesPerByte
-	if d := m.cfg.Jitter.draw(m.src); d < firstOut {
+	if d := jitter(m.src); d < firstOut {
 		firstOut -= d
 	} else {
 		firstOut = 0
@@ -694,10 +616,12 @@ func (m *Medium) deliver(rx *Radio, n neighbour, f *Frame, now, end sim.Time, ev
 	}
 	if !event {
 		// Nothing reads a passage's timestamp or measurement: take the
-		// words their draws would, in the same order, without the
-		// arithmetic.
-		m.cfg.Jitter.skip(m.src)
-		m.cfg.Ranging.discard(m.src)
+		// words their draws would — one for the jitter, one for the
+		// ranging error if it is bounded — without the arithmetic.
+		m.src.Uint64()
+		if m.cfg.RangeError != 0 {
+			m.src.Uint64()
+		}
 		counted := !corrupted && rx.handler != nil
 		rx.passages = append(rx.passages, passage{span: span, corrupted: corrupted, counted: counted})
 		rx.passEnd = max(rx.passEnd, span.end)
@@ -714,10 +638,25 @@ func (m *Medium) deliver(rx *Radio, n neighbour, f *Frame, now, end sim.Time, ev
 	p.frame = *f
 	// t2/t4: first byte available in the receiving register one
 	// byte-time plus propagation plus hardware delay after air start.
-	p.firstByte = now + CyclesPerByte + prop + m.cfg.Jitter.draw(m.src)
-	p.measured = m.cfg.Ranging.Measure(n.dist+f.RangeBias, m.src)
+	p.firstByte = now + CyclesPerByte + prop + jitter(m.src)
+	p.measured = m.measure(n.dist + f.RangeBias)
 	p.end = span.end
 	m.sched.At(span.end, p.fire)
+}
+
+// measure returns the distance a reception measures for a frame whose
+// origin is dist feet away, attacker bias included: dist plus an error
+// uniform in ±RangeError, clamped at zero. A zero bound returns dist
+// exactly and takes no word.
+func (m *Medium) measure(dist float64) float64 {
+	if m.cfg.RangeError == 0 {
+		return dist
+	}
+	d := dist + m.src.Uniform(-m.cfg.RangeError, m.cfg.RangeError)
+	if d < 0 {
+		d = 0
+	}
+	return d
 }
 
 // deliverNow completes one arrival: it unhooks the arrival record,

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"beaconsec/internal/geo"
@@ -82,9 +83,8 @@ func TestTransmitTiming(t *testing.T) {
 		}
 		// t1 is before the first byte finishes on air, within the
 		// jitter bounds.
-		j := DefaultJitter()
-		lo := 1000 + CyclesPerByte - sim.Time(j.Max)
-		hi := 1000 + CyclesPerByte - sim.Time(j.Min)
+		lo := sim.Time(1000 + CyclesPerByte - JitterMax)
+		hi := sim.Time(1000 + CyclesPerByte - JitterMin)
 		if info.FirstByteSPDR < lo || info.FirstByteSPDR > hi {
 			t.Errorf("FirstByteSPDR = %v, want in [%v, %v]", info.FirstByteSPDR, lo, hi)
 		}
@@ -104,13 +104,12 @@ func TestTransmitTiming(t *testing.T) {
 func TestRTTStructure(t *testing.T) {
 	// The core PHY property the paper's Figure 4 rests on: a full
 	// request/reply exchange's RTT = (t4-t1)-(t3-t2) lands in
-	// [4*Jitter.Min, 4*Jitter.Max] (+ tiny propagation), regardless of
+	// [4*JitterMin, 4*JitterMax] (+ tiny propagation), regardless of
 	// MAC/processing delay between t2 and t3.
 	const trials = 500
 	sched, m := newTestMedium(Config{Range: 150})
 	a := m.NewRadio(geo.Point{X: 0, Y: 0})
 	b := m.NewRadio(geo.Point{X: 100, Y: 0})
-	j := DefaultJitter()
 
 	var rtts []float64
 	var t1, t2, t3, t4 sim.Time
@@ -151,7 +150,7 @@ func TestRTTStructure(t *testing.T) {
 	if len(rtts) != trials {
 		t.Fatalf("completed %d exchanges, want %d", len(rtts), trials)
 	}
-	lo, hi := 4*j.Min-1, 4*j.Max+3 // +2 propagation cycles margin
+	lo, hi := float64(4*JitterMin-1), float64(4*JitterMax+3) // +2 propagation cycles margin
 	for i, r := range rtts {
 		if r < lo || r > hi {
 			t.Fatalf("exchange %d: RTT %v outside [%v, %v]", i, r, lo, hi)
@@ -224,7 +223,7 @@ func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 }
 
 func TestInjectDeliversFromOrigin(t *testing.T) {
-	sched, m := newTestMedium(Config{Range: 150, Ranging: Perfect{}})
+	sched, m := newTestMedium(Config{Range: 150})
 	rx := m.NewRadio(geo.Point{X: 0, Y: 0})
 	var rec Reception
 	n := 0
@@ -245,7 +244,7 @@ func TestInjectDeliversFromOrigin(t *testing.T) {
 }
 
 func TestRangeBiasShiftsMeasurement(t *testing.T) {
-	sched, m := newTestMedium(Config{Range: 150, Ranging: Perfect{}})
+	sched, m := newTestMedium(Config{Range: 150})
 	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
 	rx := m.NewRadio(geo.Point{X: 50, Y: 0})
 	var got float64
@@ -259,84 +258,76 @@ func TestRangeBiasShiftsMeasurement(t *testing.T) {
 	}
 }
 
-func TestBoundedUniformRanging(t *testing.T) {
-	r := BoundedUniform{MaxError: 10}
-	src := rng.New(5)
-	for i := 0; i < 10000; i++ {
-		d := r.Measure(100, src)
-		if d < 90 || d > 110 {
-			t.Fatalf("measurement %v outside ±10 of 100", d)
+// TestRangeErrorBounds checks the ranging model on a medium: each
+// measurement lies within ±RangeError of the true distance, the errors
+// reach across that band, and a measurement below zero is clamped to
+// zero.
+func TestRangeErrorBounds(t *testing.T) {
+	const trials = 2000
+	for _, dist := range []float64{100, 1} {
+		sched, m := newTestMedium(Config{Range: 150, RangeError: 10})
+		tx := m.NewRadio(geo.Point{})
+		rx := m.NewRadio(geo.Point{X: dist})
+		var got []float64
+		rx.SetHandler(func(r Reception) { got = append(got, r.MeasuredDist) })
+		for i := 0; i < trials; i++ {
+			sched.At(sim.Time(i)*sim.Millis(10), func() { m.Transmit(tx, frame(16)) })
 		}
-	}
-	// Never negative.
-	for i := 0; i < 1000; i++ {
-		if d := r.Measure(1, src); d < 0 {
-			t.Fatalf("negative measurement %v", d)
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != trials {
+			t.Fatalf("dist %v: %d receptions, want %d", dist, len(got), trials)
+		}
+		lo, hi := max(dist-10, 0), dist+10
+		minD, maxD := slices.Min(got), slices.Max(got)
+		if minD < lo || maxD > hi {
+			t.Fatalf("dist %v: measurements span [%v, %v], want inside [%v, %v]", dist, minD, maxD, lo, hi)
+		}
+		if minD > lo+1 || maxD < hi-1 {
+			t.Errorf("dist %v: measurements span [%v, %v], want close to [%v, %v]", dist, minD, maxD, lo, hi)
+		}
+		if dist < 10 && minD != 0 {
+			t.Errorf("dist %v: no measurement clamped at 0 (min %v)", dist, minD)
 		}
 	}
 }
 
-func TestTruncatedGaussianRanging(t *testing.T) {
-	r := TruncatedGaussian{Sigma: 4, MaxError: 10}
-	src := rng.New(6)
-	var sum float64
-	for i := 0; i < 10000; i++ {
-		d := r.Measure(100, src)
-		if d < 90 || d > 110 {
-			t.Fatalf("measurement %v outside truncation", d)
-		}
-		sum += d
-	}
-	if mean := sum / 10000; math.Abs(mean-100) > 0.5 {
-		t.Errorf("gaussian ranging mean %v, want ~100", mean)
-	}
-}
-
-// TestPassageWordsMatchDraws pins the passage shortcut: from identically
-// seeded sources, Jitter.skip leaves the stream where draw does and each
-// ranging model's discard leaves it where its Measure does, so a
-// passage moves every later draw exactly as an arrival would. The
-// Gaussian's σ is wide enough that the polar method rejects points and
-// the error is truncated.
+// TestPassageWordsMatchDraws pins the passage shortcut: a frame a radio
+// filters out takes exactly the rng words a reception of it would — one
+// for the jitter, and one for the ranging error unless its bound is 0 —
+// so which radios listen moves no later draw.
 func TestPassageWordsMatchDraws(t *testing.T) {
-	next := func(src *rng.Source) (w [8]uint64) {
-		for i := range w {
-			w[i] = src.Uint64()
+	for _, bound := range []float64{0, 10} {
+		want := 2 // the launch's jitter and the receiver's
+		if bound != 0 {
+			want++ // the ranging error
 		}
-		return w
-	}
-	gauss := TruncatedGaussian{Sigma: 20, MaxError: 10}
-	rejected, truncated := 0, 0
-	for seed := uint64(0); seed < 2000; seed++ {
-		drawn, skipped := rng.New(seed), rng.New(seed)
-		DefaultJitter().draw(drawn)
-		DefaultJitter().skip(skipped)
-		if next(drawn) != next(skipped) {
-			t.Fatalf("seed %d: Jitter.skip leaves the stream elsewhere than draw", seed)
-		}
-		for _, model := range []Ranging{BoundedUniform{MaxError: 10}, Perfect{}, gauss} {
-			measured, discarded := rng.New(seed), rng.New(seed)
-			start := *measured
-			if d := model.Measure(100, measured); model == gauss && math.Abs(d-100) == gauss.MaxError {
-				truncated++
+		for _, passage := range []bool{false, true} {
+			src := rng.New(9)
+			start := *src
+			m := NewMedium(sim.New(), src, Config{Range: 150, RangeError: bound})
+			tx := m.NewRadio(geo.Point{})
+			rx := m.NewRadio(geo.Point{X: 100})
+			rx.SetHandler(func(Reception) {})
+			var filtered uint64
+			if passage {
+				rx.Listen(2) // the frame is for address 1
+				filtered = 1
 			}
-			if model == gauss {
-				words := 0
-				for s := start; s != *measured; s.Uint64() {
-					words++
-				}
-				if words > 2 {
-					rejected++
-				}
+			m.Transmit(tx, Frame{Data: make([]byte, 16), Dst: 1})
+			if got := rx.Filtered(); got != filtered {
+				t.Fatalf("bound %v, passage %v: Filtered = %d, want %d", bound, passage, got, filtered)
 			}
-			model.discard(discarded)
-			if next(measured) != next(discarded) {
-				t.Fatalf("seed %d: %T.discard leaves the stream elsewhere than Measure", seed, model)
+			words := 0
+			for s := start; s != *src; s.Uint64() {
+				words++
+			}
+			if words != want {
+				t.Errorf("bound %v, passage %v: a launch to one receiver took %d words, want %d",
+					bound, passage, words, want)
 			}
 		}
-	}
-	if rejected == 0 || truncated == 0 {
-		t.Errorf("Gaussian rejected %d and truncated %d of 2000 draws, want both", rejected, truncated)
 	}
 }
 
@@ -428,14 +419,20 @@ func TestEmptyFramePanics(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	for _, r := range []float64{0, 1e12} {
+	for _, cfg := range []Config{
+		{Range: 0},
+		{Range: 1e12},
+		{Range: 150, RangeError: -1},
+		{Range: 150, RangeError: math.NaN()},
+		{Range: 150, RangeError: math.Inf(1)},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("range %v did not panic", r)
+					t.Errorf("%+v did not panic", cfg)
 				}
 			}()
-			NewMedium(sim.New(), rng.New(1), Config{Range: r})
+			NewMedium(sim.New(), rng.New(1), cfg)
 		}()
 	}
 }

@@ -100,17 +100,30 @@ func TestSubtleAttackSeparatesDetectors(t *testing.T) {
 
 // TestRTTStatsPinSkipsCalibration: with both the threshold and the
 // calibration statistics pinned (as the bake-off pins them), a run with
-// a moments-hungry detector must not calibrate at all — pin an
-// impossible trial count so any calibration attempt fails loudly.
+// a moments-hungry detector must not calibrate at all. Unpinned, the
+// threshold and the statistics share one calibration.
 func TestRTTStatsPinSkipsCalibration(t *testing.T) {
+	calibrations := 0
+	defer func(f func(int, uint64) core.Calibration) { calibrateRTT = f }(calibrateRTT)
+	calibrateRTT = func(trials int, seed uint64) core.Calibration {
+		calibrations++
+		return core.CalibrateRTT(trials, seed)
+	}
 	cfg := smallConfig(0.3, 1)
 	cfg.Detector = core.DetectorSpec{Name: "mahalanobis"}
 	pinned := core.RTTStats{Mean: 50000, Std: 250, Min: 49200, Max: 50870, Threshold: 50900}
 	cfg.RTTStats = &pinned
 	cfg.RTTThreshold = pinned.Threshold
-	cfg.CalibrationTrials = -1 // any calibration attempt errors out
 	res := run(t, cfg)
 	if res.RTTThreshold != pinned.Threshold {
 		t.Errorf("RTT threshold %v, want pinned %v", res.RTTThreshold, pinned.Threshold)
+	}
+	if calibrations != 0 {
+		t.Errorf("pinned run calibrated %d times, want 0", calibrations)
+	}
+	cfg.RTTStats, cfg.RTTThreshold = nil, 0
+	run(t, cfg)
+	if calibrations != 1 {
+		t.Errorf("unpinned run calibrated %d times, want 1", calibrations)
 	}
 }

@@ -87,7 +87,8 @@ type Config struct {
 	// recovers; the paper assumes eventual delivery).
 	UplinkLoss float64
 	// RTTThreshold overrides the local-replay threshold; zero runs a
-	// fresh calibration (CalibrationTrials exchanges).
+	// fresh calibration of CalibrationTrials exchanges, at most
+	// core.MaxCalibrationTrials (zero selects 2000).
 	RTTThreshold      float64
 	CalibrationTrials int
 	// DisableRTTFilter / DisableWormholeFilter are ablation switches.
@@ -151,14 +152,17 @@ func (c Config) Validate() error {
 	if !(c.AttackBias >= 0) {
 		return fmt.Errorf("scenario: AttackBias %v must be non-negative", c.AttackBias)
 	}
-	if !(c.MaxDistError > 0) {
-		return fmt.Errorf("scenario: MaxDistError %v must be positive", c.MaxDistError)
+	if !(c.MaxDistError > 0) || math.IsInf(c.MaxDistError, 1) {
+		return fmt.Errorf("scenario: MaxDistError %v must be positive and finite", c.MaxDistError)
 	}
 	if !(c.WormholeRate >= 0 && c.WormholeRate <= 1) {
 		return fmt.Errorf("scenario: WormholeRate %v outside [0,1]", c.WormholeRate)
 	}
 	if !(c.UplinkLoss >= 0 && c.UplinkLoss < 1) {
 		return fmt.Errorf("scenario: UplinkLoss %v outside [0,1)", c.UplinkLoss)
+	}
+	if c.CalibrationTrials < 0 || c.CalibrationTrials > core.MaxCalibrationTrials {
+		return fmt.Errorf("scenario: CalibrationTrials %d outside [0, %d]", c.CalibrationTrials, core.MaxCalibrationTrials)
 	}
 	return nil
 }
@@ -257,6 +261,10 @@ var (
 	endAt      = sim.Seconds(140)
 )
 
+// calibrateRTT measures the no-attack RTT distribution. Tests replace it
+// to observe when a run calibrates.
+var calibrateRTT = core.CalibrateRTT
+
 // Run executes one simulation.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -272,8 +280,8 @@ func Run(cfg Config) (*Result, error) {
 		Depth:       depth,
 	})
 	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
-		Range:   cfg.Deploy.Range,
-		Ranging: phy.BoundedUniform{MaxError: cfg.MaxDistError},
+		Range:      cfg.Deploy.Range,
+		RangeError: cfg.MaxDistError,
 	})
 	master := crypto.NewMaster([]byte(fmt.Sprintf("scenario-%d", cfg.Seed)))
 
@@ -286,7 +294,7 @@ func Run(cfg Config) (*Result, error) {
 			if trials == 0 {
 				trials = 2000
 			}
-			c := core.CalibrateRTT(trials, phy.DefaultJitter(), cfg.Seed^0xCA11B8)
+			c := calibrateRTT(trials, cfg.Seed^0xCA11B8)
 			calMemo = &c
 		}
 		return *calMemo
@@ -332,7 +340,6 @@ func Run(cfg Config) (*Result, error) {
 		Uplink:             uplink,
 		Src:                src.Split("nodes"),
 		WormholeRate:       cfg.WormholeRate,
-		RequestRetries:     1,
 		RobustLocalization: cfg.RobustLocalization,
 		UseGeoLeash:        cfg.UseGeoLeash,
 	}
@@ -396,7 +403,7 @@ func Run(cfg Config) (*Result, error) {
 		wormhole.Install(sched, medium, w.A, w.B, w.Latency)
 	}
 	for _, p := range cfg.ReplayAttackers {
-		node.NewReplayAttacker(sched, medium, p, 0)
+		node.NewReplayAttacker(sched, medium, p)
 	}
 
 	res.Medium = medium.Stats() // placeholder; refreshed after the run

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"beaconsec/internal/analysis"
+	"beaconsec/internal/core"
 	"beaconsec/internal/geo"
 	"beaconsec/internal/revoke"
 )
@@ -51,12 +52,19 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.UplinkLoss = math.NaN() },
 		func(c *Config) { c.MaxDistError = math.NaN() },
 		func(c *Config) { c.AttackBias = math.NaN() },
+		func(c *Config) { c.MaxDistError = math.Inf(1) },
+		func(c *Config) { c.CalibrationTrials = -1 },
+		func(c *Config) { c.CalibrationTrials = core.MaxCalibrationTrials + 1 },
 	}
 	for i, mut := range bad {
 		cfg := Paper()
 		mut(&cfg)
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		// Run validates first: a bad config is an error, not a panic.
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("bad config %d ran", i)
 		}
 	}
 }

@@ -217,11 +217,10 @@ func TestAnalogTunnelEvadesRTTFilter(t *testing.T) {
 	// added delay to stay under ~4.5 bit-times: a near-zero-latency
 	// analog relay produces an RTT inside the benign spread.
 	rtt := tunnelRTT(t, 2)
-	j := phy.DefaultJitter()
-	if max := 4*j.Max + 2*2 + 4; rtt > max {
+	if max := float64(4*phy.JitterMax + 2*2 + 4); rtt > max {
 		t.Errorf("analog tunnel RTT = %v, exceeds benign bound %v", rtt, max)
 	}
-	if min := 4 * j.Min; rtt < min {
+	if min := float64(4 * phy.JitterMin); rtt < min {
 		t.Errorf("analog tunnel RTT = %v below %v", rtt, min)
 	}
 }
@@ -231,8 +230,7 @@ func TestSlowTunnelInflatesRTT(t *testing.T) {
 	// the RTT by 2×latency — which is what the RTT filter catches.
 	latency := phy.FrameAirTime(16)
 	rtt := tunnelRTT(t, latency)
-	j := phy.DefaultJitter()
-	wantMin := 4*j.Min + 2*float64(latency) - 1
+	wantMin := 4*phy.JitterMin + 2*float64(latency) - 1
 	if rtt < wantMin {
 		t.Errorf("slow tunnel RTT = %v, want >= %v", rtt, wantMin)
 	}
