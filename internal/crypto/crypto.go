@@ -3,6 +3,11 @@
 // master-key scheme gives every node pair its own key, exactly the paper's
 // assumption; packets are authenticated with truncated HMAC-SHA256 tags
 // (TinySec-style), and µTESLA (mutesla.go) authenticates broadcasts.
+//
+// Keys sign and verify through their MAC, the key's HMAC pad states
+// hashed once. A simulated run holds one Keyring: it derives each pair's
+// MAC on first use and gives both ends the same one, so a packet pays
+// for neither a key derivation nor a lookup of its pads.
 package crypto
 
 import (
@@ -32,45 +37,95 @@ type Key [KeySize]byte
 type Tag [TagSize]byte
 
 // HMAC-SHA256 fast path. crypto/hmac allocates two fresh digests per
-// New, which made every packet sign and every receiver-side verify heap
-// traffic on the simulator's hottest path. The implementation below is
-// the textbook HMAC construction (key ≤ block size, which KeySize
-// guarantees) over reusable sha256 states, with a per-state cache of
-// marshaled pad midstates so repeated keys skip the two pad block
-// compressions too. Steady-state Sign/Verify/KDF do zero heap
-// allocations. Outputs are bit-identical to crypto/hmac (pinned by
-// test), so nothing downstream — golden figures, regression bands —
-// moves.
+// New and hashes both pad blocks again for every message. Here a key's
+// pad blocks are hashed once, into a MAC, and each tag restores those
+// two states into a pooled scratch digest: a tag costs the message's
+// blocks plus one outer block, and Sign, Verify and KDF allocate
+// nothing. This is the textbook HMAC construction (key ≤ block size,
+// which KeySize guarantees); outputs are bit-identical to crypto/hmac
+// (pinned by test), so nothing downstream — golden figures, regression
+// bands — moves.
 
 const (
 	// hmacBlockSize is sha256's block size; KeySize (32) must stay ≤ it
 	// or the pad construction below would need the key-hashing step.
 	hmacBlockSize = 64
-	// macCacheMax bounds each pooled state's key-midstate cache; on
-	// overflow the whole cache is dropped (keys cluster in time, so the
-	// refill cost amortizes away).
-	macCacheMax = 8192
+	ipad, opad    = 0x36, 0x5c
+	// chainAt is where a marshaled sha256 state holds its chaining
+	// value: after the 4-byte magic.
+	chainAt = 4
 )
 
 // Compile-time guard for the no-key-hashing assumption.
 var _ [hmacBlockSize - KeySize]struct{}
 
-// macEntry is the sha256 state pair for one key after absorbing the
-// inner (0x36) and outer (0x5c) pads.
-type macEntry struct {
-	inner, outer []byte
+// MAC is one key's HMAC-SHA256 context: the sha256 chaining values after
+// the inner (key⊕0x36) and outer (key⊕0x5c) pad blocks. It is 64 bytes
+// and holds no pointers, so the garbage collector never scans a table of
+// them.
+type MAC struct {
+	inner, outer [sha256.Size]byte
+}
+
+// NewMAC hashes k's two pad blocks, once for every tag the MAC makes.
+func NewMAC(k Key) MAC {
+	s := statePool.Get().(*macState)
+	var m MAC
+	s.absorbPad(&k, ipad)
+	s.chain(&m.inner)
+	s.absorbPad(&k, opad)
+	s.chain(&m.outer)
+	statePool.Put(s)
+	return m
+}
+
+// Sign computes the authentication tag of msg.
+func (m *MAC) Sign(msg []byte) Tag {
+	s := statePool.Get().(*macState)
+	var t Tag
+	copy(t[:], s.hmac(m, msg))
+	statePool.Put(s)
+	return t
+}
+
+// Verify reports whether tag authenticates msg, in constant time.
+func (m *MAC) Verify(msg []byte, tag Tag) bool {
+	want := m.Sign(msg)
+	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
+}
+
+// derive is KDF under m's key.
+func (m *MAC) derive(context ...[]byte) Key {
+	s := statePool.Get().(*macState)
+	var out Key
+	copy(out[:], s.hmac(m, s.context(context)))
+	statePool.Put(s)
+	return out
+}
+
+// stateAppender is encoding.BinaryAppender (Go 1.24), declared here so
+// the module still builds with the Go version go.mod names.
+type stateAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
 }
 
 // macState is one reusable HMAC computation context. States live in a
 // sync.Pool: the simulation itself is single-threaded, but experiment
-// harnesses run many simulations concurrently through these package
-// functions.
+// harnesses run many simulations concurrently through these functions.
 type macState struct {
-	inner, outer   hash.Hash
-	innerM, outerM encoding.BinaryMarshaler
-	innerU, outerU encoding.BinaryUnmarshaler
-	cache          map[Key]*macEntry
-	isum, osum     [sha256.Size]byte
+	h  hash.Hash
+	hU encoding.BinaryUnmarshaler
+	hM encoding.BinaryMarshaler
+	// hA marshals h without allocating; it is nil before Go 1.24, where
+	// chain falls back to hM.
+	hA stateAppender
+	// state is a marshaled sha256 state that has absorbed exactly one
+	// block: the magic, a chaining value, an empty block buffer and
+	// length 64. restore writes a chaining value into it and unmarshals
+	// it; chain marshals over it to read one out.
+	state []byte
+	pad   [hmacBlockSize]byte
+	sum   [sha256.Size]byte
 	// ctxBuf is KDF's scratch for its length-prefixed context. KDF
 	// copies the context in and writes it once: writing the caller's
 	// slices through the hash.Hash interface would force them to escape
@@ -79,108 +134,94 @@ type macState struct {
 }
 
 var statePool = sync.Pool{New: func() any {
+	h := sha256.New()
 	s := &macState{
-		inner: sha256.New(),
-		outer: sha256.New(),
-		cache: make(map[Key]*macEntry, 64),
+		h:  h,
+		hU: h.(encoding.BinaryUnmarshaler),
+		hM: h.(encoding.BinaryMarshaler),
 	}
-	s.innerM = s.inner.(encoding.BinaryMarshaler)
-	s.outerM = s.outer.(encoding.BinaryMarshaler)
-	s.innerU = s.inner.(encoding.BinaryUnmarshaler)
-	s.outerU = s.outer.(encoding.BinaryUnmarshaler)
+	s.hA, _ = h.(stateAppender)
+	h.Write(s.pad[:])
+	var cv [sha256.Size]byte
+	s.chain(&cv) // leaves the one-block template in s.state
 	return s
 }}
 
-func (s *macState) entry(k Key) *macEntry {
-	if e, ok := s.cache[k]; ok {
-		return e
+// absorbPad resets the digest and hashes k's pad block: k xor b,
+// extended with b to the block size.
+func (s *macState) absorbPad(k *Key, b byte) {
+	for i := range s.pad {
+		s.pad[i] = b
 	}
-	var pad [hmacBlockSize]byte
-	for i := range pad {
-		var b byte
-		if i < KeySize {
-			b = k[i]
-		}
-		pad[i] = b ^ 0x36
+	for i, kb := range k {
+		s.pad[i] ^= kb
 	}
-	s.inner.Reset()
-	s.inner.Write(pad[:])
-	innerState, err := s.innerM.MarshalBinary()
+	s.h.Reset()
+	s.h.Write(s.pad[:])
+}
+
+// chain copies out the chaining value of the digest, which must have
+// absorbed exactly one block.
+func (s *macState) chain(cv *[sha256.Size]byte) {
+	var err error
+	if s.hA != nil {
+		s.state, err = s.hA.AppendBinary(s.state[:0])
+	} else {
+		s.state, err = s.hM.MarshalBinary()
+	}
 	if err != nil {
 		panic("crypto: sha256 state marshal: " + err.Error())
 	}
-	for i := range pad {
-		pad[i] ^= 0x36 ^ 0x5c
-	}
-	s.outer.Reset()
-	s.outer.Write(pad[:])
-	outerState, err := s.outerM.MarshalBinary()
-	if err != nil {
-		panic("crypto: sha256 state marshal: " + err.Error())
-	}
-	if len(s.cache) >= macCacheMax {
-		clear(s.cache)
-	}
-	e := &macEntry{inner: innerState, outer: outerState}
-	s.cache[k] = e
-	return e
+	copy(cv[:], s.state[chainAt:])
 }
 
-// begin restores the inner digest to "pads absorbed" for k; the caller
-// then Writes the message into s.inner and calls finish.
-func (s *macState) begin(k Key) *macEntry {
-	e := s.entry(k)
-	if err := s.innerU.UnmarshalBinary(e.inner); err != nil {
+// restore sets the digest to a one-block state with chaining value cv.
+func (s *macState) restore(cv *[sha256.Size]byte) {
+	copy(s.state[chainAt:], cv[:])
+	if err := s.hU.UnmarshalBinary(s.state); err != nil {
 		panic("crypto: sha256 state unmarshal: " + err.Error())
 	}
-	return e
 }
 
-// finish completes the outer hash and returns the 32-byte MAC, valid
-// until the state's next use.
-func (s *macState) finish(e *macEntry) []byte {
-	isum := s.inner.Sum(s.isum[:0])
-	if err := s.outerU.UnmarshalBinary(e.outer); err != nil {
-		panic("crypto: sha256 state unmarshal: " + err.Error())
-	}
-	s.outer.Write(isum)
-	return s.outer.Sum(s.osum[:0])
+// hmac returns the 32-byte HMAC of msg under m, valid until the state's
+// next use.
+func (s *macState) hmac(m *MAC, msg []byte) []byte {
+	s.restore(&m.inner)
+	s.h.Write(msg)
+	isum := s.h.Sum(s.sum[:0])
+	s.restore(&m.outer)
+	s.h.Write(isum)
+	return s.h.Sum(s.sum[:0])
 }
 
-// KDF derives a subkey from k bound to the given context labels.
-func KDF(k Key, context ...[]byte) Key {
-	s := statePool.Get().(*macState)
-	e := s.begin(k)
+// context length-prefixes each element and concatenates them into the
+// state's scratch buffer, so concatenation is unambiguous: ("ab","c")
+// must not collide with ("a","bc").
+func (s *macState) context(context [][]byte) []byte {
 	buf := s.ctxBuf[:0]
 	for _, c := range context {
-		// Length-prefix each context element so concatenation is
-		// unambiguous (("ab","c") must not collide with ("a","bc")).
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(c)))
 		buf = append(buf, c...)
 	}
-	s.inner.Write(buf)
 	s.ctxBuf = buf
+	return buf
+}
+
+// KDF derives a subkey from k bound to the given context labels. It
+// hashes k's pad blocks directly rather than through a MAC: a one-off
+// key gains nothing from keeping its pad states.
+func KDF(k Key, context ...[]byte) Key {
+	s := statePool.Get().(*macState)
+	msg := s.context(context)
+	s.absorbPad(&k, ipad)
+	s.h.Write(msg)
+	isum := s.h.Sum(s.sum[:0])
+	s.absorbPad(&k, opad)
+	s.h.Write(isum)
 	var out Key
-	copy(out[:], s.finish(e))
+	copy(out[:], s.h.Sum(s.sum[:0]))
 	statePool.Put(s)
 	return out
-}
-
-// Sign computes the authentication tag of msg under k.
-func Sign(k Key, msg []byte) Tag {
-	s := statePool.Get().(*macState)
-	e := s.begin(k)
-	s.inner.Write(msg)
-	var t Tag
-	copy(t[:], s.finish(e))
-	statePool.Put(s)
-	return t
-}
-
-// Verify reports whether tag authenticates msg under k, in constant time.
-func Verify(k Key, msg []byte, tag Tag) bool {
-	want := Sign(k, msg)
-	return subtle.ConstantTimeCompare(want[:], tag[:]) == 1
 }
 
 // Master is a network master secret from which the master-key pairwise
@@ -189,14 +230,15 @@ func Verify(k Key, msg []byte, tag Tag) bool {
 // predistribution ceremony. A Master is immutable once made, so
 // concurrent use is safe.
 type Master struct {
-	secret    Key
-	broadcast Key // derived once: every broadcast send and receive reads it
+	secret    MAC // every derivation is a tag under the secret
+	broadcast Key // derived once; each run's Keyring makes its MAC
 }
 
 // NewMaster creates a master secret from seed material.
 func NewMaster(seed []byte) *Master {
-	secret := KDF(Key{}, []byte("beaconsec/master"), seed)
-	return &Master{secret: secret, broadcast: KDF(secret, []byte("broadcast"))}
+	m := &Master{secret: NewMAC(KDF(Key{}, []byte("beaconsec/master"), seed))}
+	m.broadcast = m.secret.derive([]byte("broadcast"))
+	return m
 }
 
 // Pairwise returns the unique key shared by nodes a and b. It is
@@ -209,7 +251,7 @@ func (m *Master) Pairwise(a, b ident.NodeID) Key {
 	var buf [4]byte
 	binary.BigEndian.PutUint16(buf[0:], uint16(lo))
 	binary.BigEndian.PutUint16(buf[2:], uint16(hi))
-	return KDF(m.secret, []byte("pairwise"), buf[:])
+	return m.secret.derive([]byte("pairwise"), buf[:])
 }
 
 // BroadcastKey returns the network-wide key used only for unauthenticated-
@@ -226,25 +268,74 @@ func (m *Master) BroadcastKey() Key { return m.broadcast }
 func (m *Master) BaseStationKey(id ident.NodeID) Key {
 	var buf [2]byte
 	binary.BigEndian.PutUint16(buf[:], uint16(id))
-	return KDF(m.secret, []byte("base-station"), buf[:])
+	return m.secret.derive([]byte("base-station"), buf[:])
 }
 
+// ringChunk is the number of MACs in one Keyring storage chunk (32 KiB).
+const ringChunk = 512
+
+// Keyring is one run's predistributed pairwise keys. It derives each
+// unordered pair's MAC once, on first use, and from then on gives both
+// ends of the pair the same *MAC. Its storage holds no pointers: an
+// index from the ordered pair to a slot, and chunks of MACs that never
+// move, so a returned *MAC stays valid for the ring's life. A pair costs
+// its 64-byte MAC plus its index entry. A Keyring is not safe for
+// concurrent use; each simulated run owns one.
+type Keyring struct {
+	master    *Master
+	broadcast MAC
+	index     map[[2]ident.NodeID]int32
+	chunks    []*[ringChunk]MAC
+}
+
+// NewKeyring returns an empty keyring over master's keys.
+func NewKeyring(master *Master) *Keyring {
+	return &Keyring{
+		master:    master,
+		broadcast: NewMAC(master.BroadcastKey()),
+		index:     make(map[[2]ident.NodeID]int32),
+	}
+}
+
+// Pair returns the MAC of the key nodes a and b share. Pair(a, b) and
+// Pair(b, a) return the same pointer.
+func (r *Keyring) Pair(a, b ident.NodeID) *MAC {
+	if a > b {
+		a, b = b, a
+	}
+	pair := [2]ident.NodeID{a, b}
+	if i, ok := r.index[pair]; ok {
+		return &r.chunks[i/ringChunk][i%ringChunk]
+	}
+	i := int32(len(r.index))
+	if i%ringChunk == 0 {
+		r.chunks = append(r.chunks, new([ringChunk]MAC))
+	}
+	m := &r.chunks[i/ringChunk][i%ringChunk]
+	*m = NewMAC(r.master.Pairwise(a, b))
+	r.index[pair] = i
+	return m
+}
+
+// Broadcast returns the MAC of the network-wide discovery key.
+func (r *Keyring) Broadcast() *MAC { return &r.broadcast }
+
 // Store holds the keying material provisioned to one physical node: the
-// pairwise keys for each of its identities (its real ID plus any detecting
-// pseudonyms) and its base-station key.
+// pairwise MACs of each of its identities (its real ID plus any detecting
+// pseudonyms) and the broadcast MAC.
 //
-// The zero value is unusable; construct with NewStore. Store derives
-// pairwise and base-station keys on demand from the master reference —
-// equivalent, in the simulation, to having predistributed them.
+// The zero value is unusable; construct with NewStore. Store takes its
+// MACs from the run's Keyring, which derives each pair's once for both
+// ends — equivalent, in the simulation, to having predistributed them.
 type Store struct {
-	master *Master
-	ids    []ident.NodeID
+	keys *Keyring
+	ids  []ident.NodeID
 }
 
 // NewStore provisions a node that owns the given identities (first ID is
 // the node's real identity).
-func NewStore(master *Master, ids ...ident.NodeID) *Store {
-	return &Store{master: master, ids: append([]ident.NodeID(nil), ids...)}
+func NewStore(keys *Keyring, ids ...ident.NodeID) *Store {
+	return &Store{keys: keys, ids: append([]ident.NodeID(nil), ids...)}
 }
 
 // Owns reports whether this node holds keying material for identity id.
@@ -263,26 +354,32 @@ func (s *Store) Identities() []ident.NodeID {
 	return append([]ident.NodeID(nil), s.ids...)
 }
 
-// PairwiseKey returns the key shared between local identity self and peer.
-// It panics if the store does not own self: using an identity without its
-// keying material is always a programming error in the protocol stack.
-func (s *Store) PairwiseKey(self, peer ident.NodeID) Key {
-	if !s.Owns(self) {
-		panic("crypto: store does not own identity " + self.String())
+// Lookup returns the MAC local identity self uses with peer — the
+// broadcast MAC if peer is the broadcast address — or nil if the store
+// does not own self. A receiver learns from one call, and one scan of
+// the identities, whether a frame is addressed to it and under which MAC
+// it verifies.
+func (s *Store) Lookup(self, peer ident.NodeID) *MAC {
+	switch {
+	case !s.Owns(self):
+		return nil
+	case peer == ident.Broadcast:
+		return s.keys.Broadcast()
+	default:
+		return s.keys.Pair(self, peer)
 	}
-	return s.master.Pairwise(self, peer)
 }
 
-// BroadcastKey returns the network-wide discovery key.
-func (s *Store) BroadcastKey() Key {
-	return s.master.BroadcastKey()
-}
-
-// BaseStationKey returns the key identity self shares with the base
-// station. It panics if the store does not own self.
-func (s *Store) BaseStationKey(self ident.NodeID) Key {
-	if !s.Owns(self) {
+// Pair is Lookup for an identity the caller must own: it panics if the
+// store does not own self, because using an identity without its keying
+// material is always a programming error in the protocol stack.
+func (s *Store) Pair(self, peer ident.NodeID) *MAC {
+	m := s.Lookup(self, peer)
+	if m == nil {
 		panic("crypto: store does not own identity " + self.String())
 	}
-	return s.master.BaseStationKey(self)
+	return m
 }
+
+// Broadcast returns the MAC of the network-wide discovery key.
+func (s *Store) Broadcast() *MAC { return s.keys.Broadcast() }

@@ -33,21 +33,23 @@ func TestKDFLengthPrefixing(t *testing.T) {
 func TestSignVerify(t *testing.T) {
 	var k Key
 	k[3] = 9
+	m := NewMAC(k)
 	msg := []byte("beacon packet")
-	tag := Sign(k, msg)
-	if !Verify(k, msg, tag) {
+	tag := m.Sign(msg)
+	if !m.Verify(msg, tag) {
 		t.Fatal("Verify rejects valid tag")
 	}
-	if Verify(k, []byte("beacon packeT"), tag) {
+	if m.Verify([]byte("beacon packeT"), tag) {
 		t.Error("Verify accepts modified message")
 	}
 	var k2 Key
 	k2[3] = 10
-	if Verify(k2, msg, tag) {
+	m2 := NewMAC(k2)
+	if m2.Verify(msg, tag) {
 		t.Error("Verify accepts tag under wrong key")
 	}
 	tag[0] ^= 1
-	if Verify(k, msg, tag) {
+	if m.Verify(msg, tag) {
 		t.Error("Verify accepts modified tag")
 	}
 }
@@ -55,8 +57,9 @@ func TestSignVerify(t *testing.T) {
 func TestSignVerifyProperty(t *testing.T) {
 	var k Key
 	k[7] = 0x42
+	m := NewMAC(k)
 	f := func(msg []byte) bool {
-		return Verify(k, msg, Sign(k, msg))
+		return m.Verify(msg, m.Sign(msg))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -108,8 +111,7 @@ func TestBaseStationKeysUnique(t *testing.T) {
 }
 
 func TestStoreIdentities(t *testing.T) {
-	m := NewMaster([]byte("seed"))
-	s := NewStore(m, 5, 900, 901)
+	s := NewStore(NewKeyring(NewMaster([]byte("seed"))), 5, 900, 901)
 	if !s.Owns(5) || !s.Owns(900) || !s.Owns(901) {
 		t.Error("store does not own provisioned identities")
 	}
@@ -128,56 +130,61 @@ func TestStoreIdentities(t *testing.T) {
 
 func TestStorePairwiseMatchesPeer(t *testing.T) {
 	m := NewMaster([]byte("seed"))
-	alice := NewStore(m, 5)
-	bob := NewStore(m, 9)
-	if alice.PairwiseKey(5, 9) != bob.PairwiseKey(9, 5) {
-		t.Error("pairwise keys disagree between stores")
+	ring := NewKeyring(m)
+	alice := NewStore(ring, 5)
+	bob := NewStore(ring, 9)
+	if alice.Pair(5, 9) != bob.Pair(9, 5) {
+		t.Error("the two ends of a pair hold different MACs")
+	}
+	if *alice.Pair(5, 9) != NewMAC(m.Pairwise(5, 9)) {
+		t.Error("store MAC is not the pairwise key's")
+	}
+	if *alice.Broadcast() != NewMAC(m.BroadcastKey()) {
+		t.Error("store broadcast MAC is not the broadcast key's")
+	}
+	if alice.Lookup(5, ident.Broadcast) != alice.Broadcast() {
+		t.Error("Lookup toward the broadcast address is not the broadcast MAC")
 	}
 }
 
 func TestStorePairwiseDetectingIdentity(t *testing.T) {
 	m := NewMaster([]byte("seed"))
+	ring := NewKeyring(m)
 	// Beacon node 5 also holds detecting pseudonym 900.
-	beacon := NewStore(m, 5, 900)
-	target := NewStore(m, 9)
-	// Probing under the pseudonym must produce the key the target derives
-	// for "node 900" — the pseudonym is cryptographically a real node.
-	if beacon.PairwiseKey(900, 9) != target.PairwiseKey(9, 900) {
-		t.Error("detecting pseudonym key mismatch")
+	beacon := NewStore(ring, 5, 900)
+	target := NewStore(ring, 9)
+	// Probing under the pseudonym must use the MAC the target holds for
+	// "node 900" — the pseudonym is cryptographically a real node.
+	if beacon.Pair(900, 9) != target.Pair(9, 900) {
+		t.Error("detecting pseudonym MAC mismatch")
+	}
+	if *beacon.Pair(900, 9) != NewMAC(m.Pairwise(900, 9)) {
+		t.Error("detecting pseudonym MAC is not the pairwise key's")
 	}
 }
 
 func TestStoreUnownedIdentityPanics(t *testing.T) {
-	m := NewMaster([]byte("seed"))
-	s := NewStore(m, 5)
-	defer func() {
-		if recover() == nil {
-			t.Error("PairwiseKey under unowned identity did not panic")
-		}
-	}()
-	s.PairwiseKey(6, 9)
-}
-
-func TestStoreBaseStationKey(t *testing.T) {
-	m := NewMaster([]byte("seed"))
-	s := NewStore(m, 5)
-	if s.BaseStationKey(5) != m.BaseStationKey(5) {
-		t.Error("store base-station key mismatch")
+	s := NewStore(NewKeyring(NewMaster([]byte("seed"))), 5)
+	if s.Lookup(6, 9) != nil {
+		t.Error("Lookup under unowned identity returned a MAC")
+	}
+	if s.Lookup(5, 9) != s.Pair(5, 9) {
+		t.Error("Lookup and Pair disagree for an owned identity")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("BaseStationKey for unowned identity did not panic")
+			t.Error("Pair under unowned identity did not panic")
 		}
 	}()
-	s.BaseStationKey(6)
+	s.Pair(6, 9)
 }
 
 func BenchmarkSign(b *testing.B) {
-	var k Key
+	m := NewMAC(Key{})
 	msg := make([]byte, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Sign(k, msg)
+		m.Sign(msg)
 	}
 }
 
@@ -186,4 +193,35 @@ func BenchmarkPairwise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Pairwise(ident.NodeID(i&0xff), ident.NodeID(i>>8&0xff))
 	}
+}
+
+// BenchmarkKeyringPair measures a run's two kinds of pair lookups: a
+// hit, which every packet after a pair's first pays, and a miss, which
+// derives the pair's MAC and stores it. The miss leg starts a fresh ring
+// every 16k pairs, about a paper-scale run's count, so its allocations
+// are the storage growth a run amortises.
+func BenchmarkKeyringPair(b *testing.B) {
+	m := NewMaster([]byte("seed"))
+	b.Run("hit", func(b *testing.B) {
+		r := NewKeyring(m)
+		for i := 0; i < 256; i++ {
+			r.Pair(ident.NodeID(i), ident.NodeID(i+1))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Pair(ident.NodeID(i&0xff+1), ident.NodeID(i&0xff))
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		const perRing = 1 << 14
+		var r *Keyring
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%perRing == 0 {
+				r = NewKeyring(m)
+			}
+			r.Pair(ident.NodeID(1+i%perRing), 0x8000)
+		}
+	})
 }

@@ -77,7 +77,8 @@ func (c *TeslaChain) IntervalAt(t sim.Time) int {
 // against.
 func (c *TeslaChain) Sign(msg []byte, now sim.Time) (Tag, int) {
 	i := c.IntervalAt(now)
-	return Sign(c.keys[i], msg), i
+	m := NewMAC(c.keys[i])
+	return m.Sign(msg), i
 }
 
 // Disclosable returns the newest key the station may disclose at time
@@ -163,13 +164,14 @@ func (r *TeslaReceiver) Disclose(key Key, interval int) error {
 	r.anchor = key
 	r.anchorIx = interval
 
+	m := NewMAC(key)
 	kept := r.pending[:0]
 	for _, p := range r.pending {
 		if p.interval != interval {
 			kept = append(kept, p)
 			continue
 		}
-		if Verify(key, p.msg, p.tag) {
+		if m.Verify(p.msg, p.tag) {
 			r.Accepted = append(r.Accepted, p.msg)
 		} else {
 			r.Rejected++

@@ -171,14 +171,14 @@ func (e *Endpoint) NextSeq() uint16 {
 	return e.seq
 }
 
-func (e *Endpoint) keyFor(local, peer ident.NodeID) (crypto.Key, bool) {
+// keyFor returns the MAC a frame from local identity local to peer is
+// signed under: the broadcast MAC if either is the broadcast address,
+// else the pair's. It panics if the store does not own local.
+func (e *Endpoint) keyFor(local, peer ident.NodeID) *crypto.MAC {
 	if peer == ident.Broadcast || local == ident.Broadcast {
-		return e.store.BroadcastKey(), true
+		return e.store.Broadcast()
 	}
-	if !e.store.Owns(local) {
-		return crypto.Key{}, false
-	}
-	return e.store.PairwiseKey(local, peer), true
+	return e.store.Pair(local, peer)
 }
 
 // Send queues payload for dst with CSMA. The sequence number used is
@@ -221,10 +221,7 @@ func (e *Endpoint) attempt(srcID, dst ident.NodeID, seq uint16, payload any, opt
 		return
 	}
 
-	key, ok := e.keyFor(srcID, dst)
-	if !ok {
-		panic("mac: sending under unowned identity " + srcID.String())
-	}
+	key := e.keyFor(srcID, dst)
 	frame := phy.Frame{
 		Dst:          linkAddr(dst),
 		RangeBias:    opts.RangeBias,
@@ -274,17 +271,15 @@ func (e *Endpoint) onReception(rec phy.Reception) {
 		e.stats.DecodeError++
 		return
 	}
-	var local ident.NodeID
-	switch {
-	case h.Dst == ident.Broadcast:
-		local = ident.Broadcast
-	case e.store.Owns(h.Dst):
-		local = h.Dst
-	default:
-		e.stats.NotForUs++
-		return
+	local, key := h.Dst, e.store.Broadcast()
+	if local != ident.Broadcast {
+		// One scan of the store's identities decides both whether the
+		// frame is for this node and which MAC it verifies under.
+		if key = e.store.Lookup(local, h.Src); key == nil {
+			e.stats.NotForUs++
+			return
+		}
 	}
-	key, _ := e.keyFor(local, h.Src)
 	pkt, err := packet.Decode(rec.Frame.Data, key)
 	if err != nil {
 		e.stats.AuthFail++

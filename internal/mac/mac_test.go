@@ -16,22 +16,25 @@ type fixture struct {
 	sched  *sim.Scheduler
 	medium *phy.Medium
 	master *crypto.Master
+	keys   *crypto.Keyring
 	src    *rng.Source
 }
 
 func newFixture(rangeFt float64) *fixture {
 	sched := sim.New()
 	src := rng.New(42)
+	master := crypto.NewMaster([]byte("test"))
 	return &fixture{
 		sched:  sched,
 		medium: phy.NewMedium(sched, src.Split("medium"), phy.Config{Range: rangeFt}),
-		master: crypto.NewMaster([]byte("test")),
+		master: master,
+		keys:   crypto.NewKeyring(master),
 		src:    src,
 	}
 }
 
 func (f *fixture) endpoint(pos geo.Point, ids ...ident.NodeID) *Endpoint {
-	store := crypto.NewStore(f.master, ids...)
+	store := crypto.NewStore(f.keys, ids...)
 	radio := f.medium.NewRadio(pos)
 	return NewEndpoint(f.sched, radio, store, f.src.SplitIndex(uint64(ids[0])))
 }
@@ -175,7 +178,8 @@ func TestForgedPacketRejected(t *testing.T) {
 	b.SetHandler(func(Delivery) { got++ })
 	var wrongKey crypto.Key
 	wrongKey[5] = 0x66
-	data, err := packet.Encode(1, 2, 7, packet.BeaconReply{Loc: geo.Point{X: 5}}, wrongKey)
+	wrong := crypto.NewMAC(wrongKey)
+	data, err := packet.Encode(1, 2, 7, packet.BeaconReply{Loc: geo.Point{X: 5}}, &wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +259,8 @@ func TestComposedFrameOnAirIsEncoding(t *testing.T) {
 	if len(onAir) != 1 {
 		t.Fatalf("%d frames on air, want 1", len(onAir))
 	}
-	want, err := packet.Encode(900, 2, seq, composed(t3), f.master.Pairwise(900, 2))
+	pair := crypto.NewMAC(f.master.Pairwise(900, 2))
+	want, err := packet.Encode(900, 2, seq, composed(t3), &pair)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +282,7 @@ func TestCSMADefersUntilIdle(t *testing.T) {
 		}
 	})
 
-	bk := f.master.BroadcastKey()
+	bk := f.keys.Broadcast()
 	data, err := packet.Encode(5, ident.Broadcast, 1, packet.Hello{}, bk)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +373,7 @@ func TestTruthPropagation(t *testing.T) {
 	var truth Truth
 	n := 0
 	b.SetHandler(func(d Delivery) { truth = d.Truth; n++ })
-	key := f.master.Pairwise(1, 2)
+	key := f.keys.Pair(1, 2)
 	data, err := packet.Encode(1, 2, 3, packet.BeaconRequest{}, key)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +398,7 @@ func TestCSMAExhaustionDropsFrame(t *testing.T) {
 	_ = f.endpoint(geo.Point{X: 100, Y: 0}, 2)
 
 	// Jam: back-to-back foreign frames for a long time.
-	bk := f.master.BroadcastKey()
+	bk := f.keys.Broadcast()
 	data, err := packet.Encode(5, ident.Broadcast, 1, packet.Hello{}, bk)
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,9 @@ import (
 type Env struct {
 	Sched  *sim.Scheduler
 	Medium *phy.Medium
-	Master *crypto.Master
-	Dep    *deploy.Deployment
+	// Keys derives each pair's MAC once for the whole network.
+	Keys *crypto.Keyring
+	Dep  *deploy.Deployment
 	// Core is the detection configuration (ε_max, RTT threshold, range)
 	// the wormhole context, the malicious beacons' attack sizing and
 	// robust localization read.
@@ -65,7 +66,7 @@ func (e *Env) detectorFor(i int) wormhole.Detector {
 
 // endpointFor builds node i's link endpoint with the given identities.
 func (e *Env) endpointFor(i int, ids ...ident.NodeID) *mac.Endpoint {
-	store := crypto.NewStore(e.Master, ids...)
+	store := crypto.NewStore(e.Keys, ids...)
 	radio := e.Medium.NewRadio(e.Dep.Nodes[i].Loc)
 	return mac.NewEndpoint(e.Sched, radio, store, e.Src.Split(fmt.Sprintf("mac/%d", i)))
 }

@@ -95,7 +95,7 @@ func newTestEnv(t *testing.T, seed uint64, dep *deploy.Deployment) *fixture {
 	env := &Env{
 		Sched:        sched,
 		Medium:       medium,
-		Master:       crypto.NewMaster([]byte("node-test")),
+		Keys:         crypto.NewKeyring(crypto.NewMaster([]byte("node-test"))),
 		Dep:          dep,
 		Core:         coreCfg,
 		Detector:     det,
@@ -421,7 +421,7 @@ func TestBeaconServesOnlyPrimaryIdentity(t *testing.T) {
 	detID := f.env.Dep.Space.DetectingID(0, 0)
 
 	// A sensor-grade endpoint requests a beacon signal from the pseudonym.
-	probeStore := crypto.NewStore(f.env.Master, 4999)
+	probeStore := crypto.NewStore(f.env.Keys, 4999)
 	probeRadio := f.env.Medium.NewRadio(geo.Point{X: 10, Y: 10})
 	probe := mac.NewEndpoint(f.env.Sched, probeRadio, probeStore, rng.New(99))
 	replies := 0
@@ -447,7 +447,7 @@ func TestSensorIgnoresForgedRevocation(t *testing.T) {
 	// node must be ignored.
 	f, _, mal, sensors := newFixture(t, 16, analysis.Strategy{PN: 1})
 	s := sensors[0]
-	forger := crypto.NewStore(f.env.Master, 4998)
+	forger := crypto.NewStore(f.env.Keys, 4998)
 	forgerRadio := f.env.Medium.NewRadio(geo.Point{X: 45, Y: 25})
 	forgerEp := mac.NewEndpoint(f.env.Sched, forgerRadio, forger, rng.New(98))
 	f.env.Sched.At(sim.Seconds(1), func() {

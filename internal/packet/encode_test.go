@@ -22,7 +22,7 @@ var allPayloads = []any{
 // TestEncodeToMatchesEncode pins that the append-style path produces
 // byte-identical wire output for every payload type.
 func TestEncodeToMatchesEncode(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	for _, payload := range allPayloads {
 		want, err := Encode(3, 4, 77, payload, k)
 		if err != nil {
@@ -42,7 +42,7 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 // are preserved and the packet (including its tag, computed over only
 // the new bytes) lands after them.
 func TestEncodeToAppends(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	prefix := []byte{0xde, 0xad}
 	buf, err := EncodeTo(append([]byte(nil), prefix...), 1, 2, 3, Alert{Target: 5}, k)
 	if err != nil {
@@ -64,7 +64,7 @@ func TestEncodeToAppends(t *testing.T) {
 }
 
 func TestEncodeToRejectsUnknownPayload(t *testing.T) {
-	if _, err := EncodeTo(nil, 1, 2, 3, struct{}{}, testKey()); err == nil {
+	if _, err := EncodeTo(nil, 1, 2, 3, struct{}{}, testMAC()); err == nil {
 		t.Fatal("EncodeTo accepted an unencodable payload")
 	}
 }
@@ -79,7 +79,7 @@ func TestEncodeToReusedBufferZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts; allocation pin not meaningful")
 	}
-	k := testKey()
+	k := testMAC()
 	// Boxed once: passing a concrete BeaconReply at each call site would
 	// charge the interface-conversion allocation to the caller.
 	var payload any = BeaconReply{Loc: geo.Point{X: 1, Y: 2}, Turnaround: 3, Echo: 4}
@@ -101,7 +101,7 @@ func TestEncodeToReusedBufferZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkEncodeToReply(b *testing.B) {
-	k := testKey()
+	k := testMAC()
 	// Boxed once, as the mac layer's hot path holds it: a concrete
 	// struct at the call site would re-box every iteration.
 	var payload any = BeaconReply{Loc: geo.Point{X: 100, Y: 200}, Turnaround: 13000, Echo: 3}

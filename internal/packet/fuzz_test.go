@@ -13,8 +13,9 @@ import (
 // Accepting would require forging an HMAC tag, which random bytes do with
 // probability 2^-64 per attempt.
 func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
-	var k crypto.Key
-	k[9] = 0x77
+	var key crypto.Key
+	key[9] = 0x77
+	k := macOf(key)
 	f := func(data []byte) bool {
 		pkt, err := Decode(data, k)
 		if err == nil {
@@ -31,8 +32,9 @@ func TestDecodeNeverPanicsOnRandomBytes(t *testing.T) {
 // TestDecodeNeverPanicsOnMutatedPackets mutates valid packets at random
 // positions and checks the decoder's composure.
 func TestDecodeNeverPanicsOnMutatedPackets(t *testing.T) {
-	var k crypto.Key
-	k[1] = 0x31
+	var key crypto.Key
+	key[1] = 0x31
+	k := macOf(key)
 	src := rng.New(41)
 	base, err := Encode(3, 7, 11, BeaconReply{Turnaround: 5, Echo: 2}, k)
 	if err != nil {

@@ -16,19 +16,19 @@ import (
 	"beaconsec/internal/geo"
 )
 
-// fuzzKey is the fixed key fuzz inputs are decoded under. The fuzzer
-// cannot forge tags for it, so any accepted input must be a (possibly
-// seed-derived) correctly signed frame.
-func fuzzKey() crypto.Key {
+// fuzzKey is the MAC of the fixed key fuzz inputs are decoded under.
+// The fuzzer cannot forge tags for it, so any accepted input must be a
+// (possibly seed-derived) correctly signed frame.
+func fuzzKey() *crypto.MAC {
 	var k crypto.Key
 	for i := range k {
 		k[i] = byte(i*7 + 3)
 	}
-	return k
+	return macOf(k)
 }
 
 // seedFrames encodes one valid frame of every packet type under key.
-func seedFrames(tb testing.TB, key crypto.Key) [][]byte {
+func seedFrames(tb testing.TB, key *crypto.MAC) [][]byte {
 	tb.Helper()
 	payloads := []any{
 		Hello{},

@@ -28,7 +28,7 @@ var netPayloads = []struct {
 }
 
 func TestNetTypesRoundTrip(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	for _, tt := range netPayloads {
 		t.Run(tt.name, func(t *testing.T) {
 			data, err := Encode(3, ident.BaseStation, 42, tt.payload, k)
@@ -53,7 +53,7 @@ func TestNetTypesRoundTrip(t *testing.T) {
 }
 
 func TestNetTypesRejectTruncation(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	for _, tt := range netPayloads {
 		t.Run(tt.name, func(t *testing.T) {
 			data, err := Encode(3, ident.BaseStation, 42, tt.payload, k)
@@ -70,7 +70,7 @@ func TestNetTypesRejectTruncation(t *testing.T) {
 }
 
 func TestNetTypesRejectBadTag(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	var wrong crypto.Key
 	wrong[3] = 0x99
 	for _, tt := range netPayloads {
@@ -79,7 +79,7 @@ func TestNetTypesRejectBadTag(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Decode(data, wrong); !errors.Is(err, ErrBadTag) {
+			if _, err := Decode(data, macOf(wrong)); !errors.Is(err, ErrBadTag) {
 				t.Errorf("wrong key = %v, want ErrBadTag", err)
 			}
 			flipped := append([]byte(nil), data...)
@@ -95,7 +95,7 @@ func TestNetTypesRejectBadTag(t *testing.T) {
 // revoked byte is neither 0 nor 1 is rejected even when correctly signed:
 // accepting it would give one decoded packet two wire forms.
 func TestStatusRejectsNonCanonicalBool(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(3, 4, 5, RevocationStatus{Target: 9, Outcome: 1, Revoked: true}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestStatusRejectsNonCanonicalBool(t *testing.T) {
 	// hostile peer that holds the key.
 	body := append([]byte(nil), data[:len(data)-crypto.TagSize]...)
 	body[headerSize+3] = 2
-	tag := crypto.Sign(k, body)
+	tag := k.Sign(body)
 	forged := append(body, tag[:]...)
 	if _, err := Decode(forged, k); !errors.Is(err, ErrBadValue) {
 		t.Errorf("revoked byte 2 = %v, want ErrBadValue", err)
@@ -112,7 +112,7 @@ func TestStatusRejectsNonCanonicalBool(t *testing.T) {
 }
 
 func TestFrameLen(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	for _, tt := range netPayloads {
 		data, err := Encode(3, ident.BaseStation, 42, tt.payload, k)
 		if err != nil {
@@ -129,7 +129,7 @@ func TestFrameLen(t *testing.T) {
 }
 
 func TestFrameLenRejects(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(3, 4, 5, AlertUplink{Target: 9}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFrameLenRejects(t *testing.T) {
 // TestNetTypesCanonicalReEncode pins the fuzz invariant for the new types
 // directly: Decode then Encode reproduces the input bytes.
 func TestNetTypesCanonicalReEncode(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	for _, tt := range netPayloads {
 		data, err := Encode(9, 10, 11, tt.payload, k)
 		if err != nil {

@@ -238,13 +238,14 @@ func Size(payload any) (int, error) {
 	return headerSize + n + crypto.TagSize, nil
 }
 
-// Encode serializes a packet and appends its authentication tag under key.
-func Encode(src, dst ident.NodeID, seq uint16, payload any, key crypto.Key) ([]byte, error) {
+// Encode serializes a packet and appends its authentication tag under
+// mac.
+func Encode(src, dst ident.NodeID, seq uint16, payload any, mac *crypto.MAC) ([]byte, error) {
 	n, err := Size(payload)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeTo(make([]byte, 0, n), src, dst, seq, payload, key)
+	return EncodeTo(make([]byte, 0, n), src, dst, seq, payload, mac)
 }
 
 // EncodeTo is Encode in append style: it serializes the packet into
@@ -252,7 +253,7 @@ func Encode(src, dst ident.NodeID, seq uint16, payload any, key crypto.Key) ([]b
 // extended slice. Hot paths that own a reusable buffer — the MAC
 // layer's send-time payload composition, benchmarks, batch encoders —
 // use it to keep the sign→encode path allocation-free; dst may be nil.
-func EncodeTo(dst []byte, src, dstID ident.NodeID, seq uint16, payload any, key crypto.Key) ([]byte, error) {
+func EncodeTo(dst []byte, src, dstID ident.NodeID, seq uint16, payload any, mac *crypto.MAC) ([]byte, error) {
 	typ, err := typeOf(payload)
 	if err != nil {
 		return nil, err
@@ -295,7 +296,7 @@ func EncodeTo(dst []byte, src, dstID ident.NodeID, seq uint16, payload any, key 
 		buf = append(buf, revoked)
 	}
 
-	tag := crypto.Sign(key, buf[start:])
+	tag := mac.Sign(buf[start:])
 	buf = append(buf, tag[:]...)
 	return buf, nil
 }
@@ -319,8 +320,8 @@ func PeekHeader(data []byte) (Header, error) {
 	return h, nil
 }
 
-// Decode parses and authenticates a packet under key.
-func Decode(data []byte, key crypto.Key) (Packet, error) {
+// Decode parses and authenticates a packet under mac.
+func Decode(data []byte, mac *crypto.MAC) (Packet, error) {
 	h, err := PeekHeader(data)
 	if err != nil {
 		return Packet{}, err
@@ -331,7 +332,7 @@ func Decode(data []byte, key crypto.Key) (Packet, error) {
 	body := data[:len(data)-crypto.TagSize]
 	var tag crypto.Tag
 	copy(tag[:], data[len(data)-crypto.TagSize:])
-	if !crypto.Verify(key, body, tag) {
+	if !mac.Verify(body, tag) {
 		return Packet{}, ErrBadTag
 	}
 	n := int(data[7])

@@ -11,15 +11,22 @@ import (
 	"beaconsec/internal/ident"
 )
 
-func testKey() crypto.Key {
+// testMAC returns the MAC the codec tests sign and verify under.
+func testMAC() *crypto.MAC {
 	var k crypto.Key
 	k[0] = 0xAB
-	return k
+	return macOf(k)
+}
+
+// macOf returns k's MAC.
+func macOf(k crypto.Key) *crypto.MAC {
+	m := crypto.NewMAC(k)
+	return &m
 }
 
 func roundTrip(t *testing.T, payload any) Packet {
 	t.Helper()
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(3, 7, 42, payload, k)
 	if err != nil {
 		t.Fatalf("Encode(%T): %v", payload, err)
@@ -63,7 +70,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 }
 
 func TestRoundTripReplyProperty(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	f := func(x, y float64, turn uint32, echo, seq uint16, src, dst uint16) bool {
 		if math.IsNaN(x) || math.IsNaN(y) {
 			return true // NaN != NaN; locations are never NaN in practice
@@ -89,20 +96,20 @@ func TestRoundTripReplyProperty(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongKey(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(1, 2, 3, Alert{Target: 9}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wrong crypto.Key
 	wrong[0] = 0xCD
-	if _, err := Decode(data, wrong); !errors.Is(err, ErrBadTag) {
+	if _, err := Decode(data, macOf(wrong)); !errors.Is(err, ErrBadTag) {
 		t.Errorf("Decode with wrong key = %v, want ErrBadTag", err)
 	}
 }
 
 func TestDecodeRejectsTamperedBit(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(1, 2, 3, BeaconReply{Loc: geo.Point{X: 10, Y: 20}, Echo: 1}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +126,7 @@ func TestDecodeRejectsTamperedBit(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(1, 2, 3, BeaconReply{Loc: geo.Point{X: 1, Y: 2}}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +139,7 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 }
 
 func TestDecodeRejectsUnknownType(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(1, 2, 3, Hello{}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -144,13 +151,13 @@ func TestDecodeRejectsUnknownType(t *testing.T) {
 }
 
 func TestEncodeRejectsUnknownPayload(t *testing.T) {
-	if _, err := Encode(1, 2, 3, struct{ X int }{1}, testKey()); !errors.Is(err, ErrUnencodable) {
+	if _, err := Encode(1, 2, 3, struct{ X int }{1}, testMAC()); !errors.Is(err, ErrUnencodable) {
 		t.Errorf("Encode(unknown) = %v, want ErrUnencodable", err)
 	}
 }
 
 func TestPeekHeader(t *testing.T) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(9, ident.Broadcast, 77, Hello{}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +178,7 @@ func TestReplayedBytesDecodeUnderSameKey(t *testing.T) {
 	// A verbatim replay of an authentic packet still authenticates — the
 	// codec cannot stop replays; that is exactly why the paper needs the
 	// RTT and wormhole filters above this layer.
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(1, 2, 3, BeaconReply{Loc: geo.Point{X: 5, Y: 5}}, k)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +201,7 @@ func TestTypeString(t *testing.T) {
 }
 
 func BenchmarkEncodeReply(b *testing.B) {
-	k := testKey()
+	k := testMAC()
 	payload := BeaconReply{Loc: geo.Point{X: 100, Y: 200}, Turnaround: 13000, Echo: 3}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -205,7 +212,7 @@ func BenchmarkEncodeReply(b *testing.B) {
 }
 
 func BenchmarkDecodeReply(b *testing.B) {
-	k := testKey()
+	k := testMAC()
 	data, err := Encode(1, 2, 3, BeaconReply{Loc: geo.Point{X: 100, Y: 200}}, k)
 	if err != nil {
 		b.Fatal(err)

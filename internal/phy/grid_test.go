@@ -514,7 +514,8 @@ func TestSignEncodeDeliverVerifyZeroAlloc(t *testing.T) {
 	sched, m := newTestMedium(Config{Range: 150})
 	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
 	rx := m.NewRadio(geo.Point{X: 50, Y: 0})
-	key := crypto.KDF(crypto.Key{}, []byte("grid-test"))
+	mac := crypto.NewMAC(crypto.KDF(crypto.Key{}, []byte("grid-test")))
+	key := &mac
 	delivered := 0
 	rx.SetHandler(func(rec Reception) {
 		pkt, err := packet.Decode(rec.Frame.Data, key)

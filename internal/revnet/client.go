@@ -78,6 +78,7 @@ func (e *ExhaustedError) Unwrap() error { return e.Last }
 type Client struct {
 	cfg ClientConfig
 	m   *Metrics
+	mac crypto.MAC // of cfg.Key, derived once
 
 	sendMu sync.Mutex // serializes request/reply exchanges and guards the fields below
 	conn   net.Conn
@@ -122,6 +123,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	return &Client{
 		cfg: cfg,
 		m:   cfg.Metrics,
+		mac: crypto.NewMAC(cfg.Key),
 		in:  frameBuf(),
 		out: make([]byte, 0, packet.MaxSize),
 	}, nil
@@ -248,7 +250,7 @@ func (c *Client) exchangeLocked(deadline time.Time, payload any, target ident.No
 	c.seq++
 	seq := c.seq
 	var err error
-	c.out, err = packet.EncodeTo(c.out[:0], c.cfg.Self, ident.BaseStation, seq, payload, c.cfg.Key)
+	c.out, err = packet.EncodeTo(c.out[:0], c.cfg.Self, ident.BaseStation, seq, payload, &c.mac)
 	if err != nil {
 		return packet.RevocationStatus{}, err
 	}
@@ -263,7 +265,7 @@ func (c *Client) exchangeLocked(deadline time.Time, payload any, target ident.No
 	}
 	c.m.FramesIn.Inc()
 	c.m.BytesIn.Add(uint64(len(frame)))
-	pkt, err := packet.Decode(frame, c.cfg.Key)
+	pkt, err := packet.Decode(frame, &c.mac)
 	if err != nil {
 		return packet.RevocationStatus{}, fmt.Errorf("revnet: reply: %w", err)
 	}

@@ -172,7 +172,7 @@ func TestClientTruncatedReplyExhausts(t *testing.T) {
 	const attempts = 3
 	master := testMaster()
 	self := ident.NodeID(5)
-	key := master.BaseStationKey(self)
+	key := crypto.NewMAC(master.BaseStationKey(self))
 	// The server reads the request and short-writes the reply: a valid
 	// frame cut mid-body, then close.
 	addr := fakeServer(t, func(conn net.Conn) {
@@ -187,7 +187,7 @@ func TestClientTruncatedReplyExhausts(t *testing.T) {
 			return
 		}
 		reply, err := packet.Encode(ident.BaseStation, self, hdr.Seq,
-			packet.RevocationStatus{Target: 50, Outcome: uint8(revoke.OutcomeAccepted)}, key)
+			packet.RevocationStatus{Target: 50, Outcome: uint8(revoke.OutcomeAccepted)}, &key)
 		if err != nil {
 			return
 		}

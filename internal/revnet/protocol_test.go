@@ -22,9 +22,11 @@ import (
 	"beaconsec/internal/revoke"
 )
 
-func mustEncode(t *testing.T, src, dst ident.NodeID, seq uint16, payload any, key crypto.Key) []byte {
+// mustEncode encodes a frame signed under key's MAC.
+func mustEncode(t testing.TB, src, dst ident.NodeID, seq uint16, payload any, key crypto.Key) []byte {
 	t.Helper()
-	frame, err := packet.Encode(src, dst, seq, payload, key)
+	mac := crypto.NewMAC(key)
+	frame, err := packet.Encode(src, dst, seq, payload, &mac)
 	if err != nil {
 		t.Fatal(err)
 	}

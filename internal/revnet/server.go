@@ -187,6 +187,7 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 4*packet.MaxSize)
 	in := frameBuf()
 	out := make([]byte, 0, packet.MaxSize)
+	var keys reporterMAC
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
@@ -210,7 +211,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.m.FramesIn.Inc()
 		s.m.BytesIn.Add(uint64(len(frame)))
 
-		reply, ok := s.serveFrame(frame)
+		reply, ok := s.serveFrame(frame, &keys)
 		if !ok {
 			s.m.ConnsDropped.Inc()
 			return
@@ -229,17 +230,35 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// reporterMAC is one connection's base-station MAC, kept for the last
+// reporter that sent a frame on it. A client sends every frame under its
+// own identity, so a connection derives a key once, not once per frame.
+type reporterMAC struct {
+	src ident.NodeID // ident.Nobody until the first frame
+	mac crypto.MAC
+}
+
+// of returns src's base-station MAC, deriving it again whenever src is
+// not the last reporter.
+func (r *reporterMAC) of(master *crypto.Master, src ident.NodeID) *crypto.MAC {
+	if r.src != src {
+		r.src, r.mac = src, crypto.NewMAC(master.BaseStationKey(src))
+	}
+	return &r.mac
+}
+
 // frameReply is the response serveFrame instructs handle to send.
 type frameReply struct {
 	dst    ident.NodeID
 	seq    uint16
 	status packet.RevocationStatus
-	key    crypto.Key
+	key    *crypto.MAC
 }
 
-// serveFrame authenticates and applies one request frame. ok=false means
-// the frame was hostile or malformed and the connection must drop.
-func (s *Server) serveFrame(frame []byte) (frameReply, bool) {
+// serveFrame authenticates and applies one request frame, taking the
+// reporter's MAC from the connection's keys. ok=false means the frame was
+// hostile or malformed and the connection must drop.
+func (s *Server) serveFrame(frame []byte, keys *reporterMAC) (frameReply, bool) {
 	hdr, err := packet.PeekHeader(frame)
 	if err != nil {
 		s.m.ProtocolErrors.Inc()
@@ -252,7 +271,7 @@ func (s *Server) serveFrame(frame []byte) (frameReply, bool) {
 		s.m.ProtocolErrors.Inc()
 		return frameReply{}, false
 	}
-	key := s.cfg.Master.BaseStationKey(src)
+	key := keys.of(s.cfg.Master, src)
 	pkt, err := packet.Decode(frame, key)
 	if err != nil {
 		if errors.Is(err, packet.ErrBadTag) {

@@ -86,9 +86,10 @@ type Config struct {
 	// UplinkLoss is the per-attempt alert loss rate (retransmission
 	// recovers; the paper assumes eventual delivery).
 	UplinkLoss float64
-	// RTTThreshold overrides the local-replay threshold; zero runs a
-	// fresh calibration of CalibrationTrials exchanges, at most
-	// core.MaxCalibrationTrials (zero selects 2000).
+	// RTTThreshold overrides the local-replay threshold (cycles,
+	// non-negative and finite); zero runs a fresh calibration of
+	// CalibrationTrials exchanges, at most core.MaxCalibrationTrials
+	// (zero selects 2000). DisableRTTFilter turns the filter off.
 	RTTThreshold      float64
 	CalibrationTrials int
 	// DisableRTTFilter / DisableWormholeFilter are ablation switches.
@@ -160,6 +161,9 @@ func (c Config) Validate() error {
 	}
 	if !(c.UplinkLoss >= 0 && c.UplinkLoss < 1) {
 		return fmt.Errorf("scenario: UplinkLoss %v outside [0,1)", c.UplinkLoss)
+	}
+	if !(c.RTTThreshold >= 0) || math.IsInf(c.RTTThreshold, 1) {
+		return fmt.Errorf("scenario: RTTThreshold %v must be non-negative and finite (zero calibrates)", c.RTTThreshold)
 	}
 	if c.CalibrationTrials < 0 || c.CalibrationTrials > core.MaxCalibrationTrials {
 		return fmt.Errorf("scenario: CalibrationTrials %d outside [0, %d]", c.CalibrationTrials, core.MaxCalibrationTrials)
@@ -283,7 +287,7 @@ func Run(cfg Config) (*Result, error) {
 		Range:      cfg.Deploy.Range,
 		RangeError: cfg.MaxDistError,
 	})
-	master := crypto.NewMaster([]byte(fmt.Sprintf("scenario-%d", cfg.Seed)))
+	keys := crypto.NewKeyring(crypto.NewMaster([]byte(fmt.Sprintf("scenario-%d", cfg.Seed))))
 
 	// The no-attack RTT calibration is memoized so the threshold and any
 	// detector that asks for distribution moments share one measurement.
@@ -333,7 +337,7 @@ func Run(cfg Config) (*Result, error) {
 	env := &node.Env{
 		Sched:              sched,
 		Medium:             medium,
-		Master:             master,
+		Keys:               keys,
 		Dep:                dep,
 		Core:               coreCfg,
 		Detector:           det,

@@ -53,6 +53,9 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.MaxDistError = math.NaN() },
 		func(c *Config) { c.AttackBias = math.NaN() },
 		func(c *Config) { c.MaxDistError = math.Inf(1) },
+		func(c *Config) { c.RTTThreshold = math.NaN() },
+		func(c *Config) { c.RTTThreshold = -1 },
+		func(c *Config) { c.RTTThreshold = math.Inf(1) },
 		func(c *Config) { c.CalibrationTrials = -1 },
 		func(c *Config) { c.CalibrationTrials = core.MaxCalibrationTrials + 1 },
 	}
