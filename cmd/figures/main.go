@@ -15,6 +15,9 @@
 //	        [-cache] [-cache-dir DIR] [-cache-clear]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
+// -width and -height size each plot in characters: each at most 4096,
+// checked before anything runs; a plot smaller than 8×4 is raised to it.
+//
 // -json writes every figure result — series, notes, and the aggregate
 // ScenarioMetrics (per-phase timings, packet/collision/filter counters)
 // — as one machine-readable JSON document ("-" for stdout). -cpuprofile
@@ -45,6 +48,11 @@ import (
 	"beaconsec/internal/metrics"
 )
 
+// maxPlotSize bounds -width and -height. A plot is rendered as
+// width×height bytes only after every figure has been computed, so a
+// larger value must fail first, not then.
+const maxPlotSize = 4096
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
@@ -59,8 +67,8 @@ func run(args []string, out io.Writer) (err error) {
 	quick := fs.Bool("quick", false, "reduced trials and network size")
 	seed := fs.Uint64("seed", 1, "random seed")
 	outDir := fs.String("out", "", "directory for CSV and text output (optional)")
-	width := fs.Int("width", 72, "plot width in characters")
-	height := fs.Int("height", 20, "plot height in characters")
+	width := fs.Int("width", 72, fmt.Sprintf("plot width in characters (at most %d)", maxPlotSize))
+	height := fs.Int("height", 20, fmt.Sprintf("plot height in characters (at most %d)", maxPlotSize))
 	workers := fs.Int("workers", 0, "trial and figure concurrency (0 = all CPUs)")
 	progress := fs.Bool("progress", true, "print per-figure trial progress to stderr")
 	jsonOut := fs.String("json", "", "write results as JSON to FILE ('-' for stdout)")
@@ -72,6 +80,12 @@ func run(args []string, out io.Writer) (err error) {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to FILE")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *width > maxPlotSize {
+		return fmt.Errorf("-width %d exceeds %d", *width, maxPlotSize)
+	}
+	if *height > maxPlotSize {
+		return fmt.Errorf("-height %d exceeds %d", *height, maxPlotSize)
 	}
 
 	// Validate every destination directory up front: an unwritable -out

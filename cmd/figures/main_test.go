@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -167,6 +170,52 @@ func TestRunWritesOutputFiles(t *testing.T) {
 	if !strings.HasPrefix(string(csv), "series,x,y\n") {
 		t.Errorf("CSV header wrong: %q", string(csv[:20]))
 	}
+}
+
+// TestRunRejectsOversizePlot pins the plot-size bound: a -width or
+// -height above maxPlotSize is an error before run does anything — it
+// does not even create the -out directory — while the bound itself and
+// values below textplot's minimum still render.
+func TestRunRejectsOversizePlot(t *testing.T) {
+	for _, flag := range []string{"-width", "-height"} {
+		for _, v := range []int64{math.MaxInt64, 1e10, maxPlotSize + 1} {
+			out := filepath.Join(t.TempDir(), "out")
+			var b strings.Builder
+			err := run([]string{"-fig", "fig05", "-progress=false", "-out", out, flag, strconv.FormatInt(v, 10)}, &b)
+			if err == nil || !strings.Contains(err.Error(), flag) {
+				t.Errorf("%s %d: err = %v, want an error naming %s", flag, v, err, flag)
+			}
+			if _, serr := os.Stat(out); b.Len() != 0 || serr == nil {
+				t.Errorf("%s %d: ran before failing (%d bytes printed, -out created: %v)", flag, v, b.Len(), serr == nil)
+			}
+		}
+	}
+	for _, size := range [][2]string{{"4096", "4"}, {"8", "4096"}, {"-3", "0"}} {
+		var b strings.Builder
+		if err := run([]string{"-fig", "fig05", "-width", size[0], "-height", size[1]}, &b); err != nil {
+			t.Errorf("-width %s -height %s: %v", size[0], size[1], err)
+		}
+	}
+}
+
+// FuzzRun feeds run arbitrary -width, -height, -workers and
+// -metro-workers values around the analytic fig05, writing no files:
+// every value must run or return an error, never panic.
+func FuzzRun(f *testing.F) {
+	for _, v := range [][4]int{
+		{72, 20, 0, 0},
+		{math.MaxInt64, 20, 1, 1},
+		{72, 1e10, -1, -1},
+		{maxPlotSize + 1, maxPlotSize, math.MaxInt64, math.MaxInt64},
+		{math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64},
+	} {
+		f.Add(v[0], v[1], v[2], v[3])
+	}
+	f.Fuzz(func(t *testing.T, width, height, workers, metroWorkers int) {
+		_ = run([]string{"-fig", "fig05", "-progress=false",
+			"-width", strconv.Itoa(width), "-height", strconv.Itoa(height),
+			"-workers", strconv.Itoa(workers), "-metro-workers", strconv.Itoa(metroWorkers)}, io.Discard)
+	})
 }
 
 func TestRunRejectsUnknownFigure(t *testing.T) {

@@ -44,7 +44,7 @@ import (
 // serialization — so stale entries miss instead of being served. Entries
 // under an old salt are simply never addressed again (and age out of the
 // LRU; on disk they are inert files).
-const CodeSalt = "beaconsec-trials-v2"
+const CodeSalt = "beaconsec-trials-v3"
 
 // Key is a 32-byte content address: the SHA-256 fingerprint of a
 // computation's inputs.

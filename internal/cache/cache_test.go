@@ -149,6 +149,48 @@ func TestCorruptEntriesFallBackToRecompute(t *testing.T) {
 	}
 }
 
+// FuzzEntryBytes writes arbitrary bytes as the on-disk entry for a key
+// and reads the key through a fresh cache. GetOrCompute must not panic
+// or fail; it must serve the payload as a hit exactly when the bytes are
+// the entry encodeEntry writes for it, and otherwise recompute and count
+// the rejected entry in CorruptEntries.
+func FuzzEntryBytes(f *testing.F) {
+	key := Fingerprint(CodeSalt, []byte("fuzz"))
+	valid := encodeEntry(key, []byte("trial result bytes"))
+	f.Add(valid)
+	for _, corrupt := range corruptions() {
+		f.Add(corrupt(bytes.Clone(valid)))
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c := mustNew(t, Config{Dir: dir}) // an empty memory tier
+		path := c.entryPath(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recomputed := []byte("recomputed")
+		got, hit, err := c.GetOrCompute(key, func() ([]byte, error) { return recomputed, nil })
+		if err != nil {
+			t.Fatalf("entry bytes surfaced an error: %v", err)
+		}
+		stored := raw[min(len(raw), diskHeaderLen):]
+		corrupt := c.Stats().CorruptEntries
+		if bytes.Equal(raw, encodeEntry(key, stored)) {
+			if !hit || !bytes.Equal(got, stored) || corrupt != 0 {
+				t.Errorf("valid entry: hit=%v got %q, corrupt entries %d; want a hit on %q", hit, got, corrupt, stored)
+			}
+			return
+		}
+		if hit || !bytes.Equal(got, recomputed) || corrupt != 1 {
+			t.Errorf("invalid entry: hit=%v got %q, corrupt entries %d; want %q recomputed and 1 corrupt",
+				hit, got, corrupt, recomputed)
+		}
+	})
+}
+
 func TestStaleCodeSaltMisses(t *testing.T) {
 	dir := t.TempDir()
 	c := mustNew(t, Config{Dir: dir})

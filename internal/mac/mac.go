@@ -82,11 +82,10 @@ type Stats struct {
 	Backoffs  uint64
 	CSMADrops uint64
 	AuthFail  uint64
-	// NotForUs counts uncorrupted frames addressed to an identity the
-	// node does not own: those its radio filtered by link address
-	// (phy.Radio.Filtered), which never reach the endpoint, plus those
-	// that reached it unaddressed or under an address several radios
-	// listen on.
+	// NotForUs counts frames that reach the endpoint for an identity it
+	// does not own: unaddressed at the link, or under an address several
+	// radios listen on. A frame the radio filters by link address never
+	// reaches the endpoint and is not counted.
 	NotForUs    uint64
 	DecodeError uint64
 	Delivered   uint64
@@ -156,11 +155,7 @@ func (e *Endpoint) SetHandler(h Handler) { e.handler = h }
 func (e *Endpoint) Primary() ident.NodeID { return e.primary }
 
 // Stats returns a copy of the endpoint counters.
-func (e *Endpoint) Stats() Stats {
-	s := e.stats
-	s.NotForUs += e.radio.Filtered()
-	return s
-}
+func (e *Endpoint) Stats() Stats { return e.stats }
 
 // Radio returns the underlying radio.
 func (e *Endpoint) Radio() *phy.Radio { return e.radio }

@@ -69,7 +69,7 @@ func TestUnicastDelivery(t *testing.T) {
 
 func TestUnicastNotDeliveredToThirdParty(t *testing.T) {
 	// The third party's radio filters the frame by link address: its
-	// endpoint never sees it, yet counts it as NotForUs.
+	// endpoint never sees it and counts nothing.
 	f := newFixture(150)
 	a := f.endpoint(geo.Point{X: 0, Y: 0}, 1)
 	_ = f.endpoint(geo.Point{X: 100, Y: 0}, 2)
@@ -87,8 +87,22 @@ func TestUnicastNotDeliveredToThirdParty(t *testing.T) {
 	if got != 0 || heard != 0 {
 		t.Errorf("third party received %d packets, its radio handler ran %d times", got, heard)
 	}
-	if c.Stats().NotForUs != 1 {
-		t.Errorf("NotForUs = %d, want 1", c.Stats().NotForUs)
+	if s := c.Stats(); s != (Stats{}) {
+		t.Errorf("third party's stats = %+v, want all zero", s)
+	}
+	// The same packet with no link address reaches the third party's
+	// endpoint, which counts it as NotForUs.
+	data, err := packet.Encode(1, 2, 9, packet.BeaconRequest{}, f.keys.Pair(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.medium.Transmit(f.medium.NewRadio(geo.Point{X: 50, Y: 10}), phy.Frame{Data: data})
+	if err := f.sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 0 || heard != 1 || c.Stats().NotForUs != 1 {
+		t.Errorf("unaddressed frame: %d packets, %d receptions, NotForUs = %d; want 0, 1, 1",
+			got, heard, c.Stats().NotForUs)
 	}
 }
 

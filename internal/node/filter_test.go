@@ -13,9 +13,9 @@ import (
 // TestRadiosFilterUnicast runs the scenario package's golden config —
 // CSMA contention, a wormhole tunnel, a replay attacker and collusion
 // traffic — and checks that address filtering happens in the radio: no
-// endpoint's reception handler sees a unicast frame for an identity it
-// does not own, so each endpoint's NotForUs is exactly what its radio
-// filtered.
+// endpoint sees a unicast frame for an identity it does not own, so
+// every NotForUs is zero, and the medium hands each endpoint exactly the
+// frames its counters account for.
 func TestRadiosFilterUnicast(t *testing.T) {
 	cfg := scenario.Paper()
 	cfg.Deploy.N = 300
@@ -49,14 +49,18 @@ func TestRadiosFilterUnicast(t *testing.T) {
 	if len(eps) != cfg.Deploy.N {
 		t.Fatalf("%d endpoints, want %d", len(eps), cfg.Deploy.N)
 	}
-	var filtered uint64
+	var handled uint64
 	for i, ep := range eps {
-		if got, want := ep.Stats().NotForUs, ep.Radio().Filtered(); got != want {
-			t.Errorf("endpoint %d (%v): NotForUs = %d, its radio filtered %d", i, ep.Primary(), got, want)
+		s := ep.Stats()
+		if s.NotForUs != 0 {
+			t.Errorf("endpoint %d (%v): NotForUs = %d, want 0", i, ep.Primary(), s.NotForUs)
 		}
-		filtered += ep.Radio().Filtered()
+		handled += s.DecodeError + s.NotForUs + s.AuthFail + s.Delivered
 	}
-	if got := res.Metrics.Link.NotForUs; got != filtered || filtered == 0 {
-		t.Errorf("link NotForUs = %d, radios filtered %d", got, filtered)
+	if got := res.Metrics.Link.NotForUs; got != 0 {
+		t.Errorf("link NotForUs = %d, want 0", got)
+	}
+	if handled != res.Medium.Deliveries || handled == 0 {
+		t.Errorf("endpoints handled %d receptions, the medium delivered %d", handled, res.Medium.Deliveries)
 	}
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -163,22 +164,37 @@ func newFieldTrial(rnd *rand.Rand) fieldTrial {
 	return fieldTrial{positions: positions, ports: ports, actions: actions}
 }
 
+// mode selects how play drives a trial.
+type mode struct {
+	// oracle resolves every launch's receivers with bruteForce instead
+	// of the radios' and ports' neighbour tables.
+	oracle bool
+	// listen makes the radios call Listen as the actions say. The
+	// listeners model is kept either way.
+	listen bool
+	// reverse makes every launch visit its receivers in descending
+	// registration order.
+	reverse bool
+	// bystander registers one more radio after the initial ones: it
+	// listens on an address no frame is sent to, never transmits and
+	// logs nothing.
+	bystander bool
+}
+
+// bystanderAddr is the address the bystander listens on.
+const bystanderAddr = 1 << 21
+
 // loggedMedium is a medium whose radios all log their receptions. Its
 // rng streams are seeded identically across instances, so two of them
 // driven by the same actions must behave byte-identically.
 type loggedMedium struct {
+	mode
 	sched  *sim.Scheduler
 	m      *Medium
 	radios []*Radio
 	ports  []*Port
 	log    []receptionLog
 	busy   []bool // every carrier-sense sample, in order
-	// oracle resolves every launch's receivers with bruteForce instead
-	// of the radios' and ports' neighbour tables.
-	oracle bool
-	// listen makes the radios call Listen as the actions say. The
-	// listeners model below is kept either way.
-	listen bool
 	// listeners models Listen: the radios listening on each address,
 	// and whether each radio listens.
 	listeners map[uint32][]int
@@ -186,15 +202,18 @@ type loggedMedium struct {
 	// kept[f][i] reports whether frame f (an action index) reaches radio
 	// i's handler on a listening medium, decided when f is launched.
 	kept map[int][]bool
+	// receptions counts the receptions the model says the logged radios
+	// get: every receiver in range on a medium that does not listen, the
+	// kept ones on one that does.
+	receptions uint64
 }
 
-func newLoggedMedium(oracle, listen bool) *loggedMedium {
+func newLoggedMedium(md mode) *loggedMedium {
 	sched := sim.New()
 	return &loggedMedium{
+		mode:      md,
 		sched:     sched,
 		m:         NewMedium(sched, rng.New(42), Config{Range: 150, RangeError: 10}),
-		oracle:    oracle,
-		listen:    listen,
 		listeners: make(map[uint32][]int),
 		kept:      make(map[int][]bool),
 	}
@@ -251,17 +270,29 @@ func (l *loggedMedium) launch(f int, a action, sender *Radio, port *Port) {
 		kept[i] = !l.listening[i] || a.dst == 0 || len(owners) > 1 || slices.Contains(owners, i)
 	}
 	l.kept[f] = kept
-	var info TxInfo
-	switch {
-	case sender == nil && l.oracle:
-		l.m.stats.Injections++
-		info = l.m.launch(port.pos, &fr, bruteForce(l.m, port.pos, nil))
-	case sender == nil:
-		info = l.m.Inject(port, fr)
-	default:
-		if l.oracle {
-			sender.neighbours = bruteForce(l.m, sender.pos, sender)
+	var table *[]neighbour
+	var pos geo.Point
+	if sender != nil {
+		table, pos = &sender.neighbours, sender.pos
+	} else {
+		table, pos = &port.neighbours, port.pos
+	}
+	for _, n := range bruteForce(l.m, pos, sender) {
+		if int(n.rx) < len(kept) && (!l.listen || kept[n.rx]) {
+			l.receptions++
 		}
+	}
+	if l.oracle {
+		*table = bruteForce(l.m, pos, sender)
+	}
+	if l.reverse {
+		slices.Reverse(*table)
+		defer slices.Reverse(*table)
+	}
+	var info TxInfo
+	if sender == nil {
+		info = l.m.Inject(port, fr)
+	} else {
 		info = l.m.Transmit(sender, fr)
 	}
 	l.sched.At(info.AirEnd, l.sampleBusy)
@@ -270,10 +301,11 @@ func (l *loggedMedium) launch(f int, a action, sender *Radio, port *Port) {
 
 // play runs tr on a fresh medium: the initial radios and ports
 // register, every radio but each fifth listens on its address, radios 0
-// and 1 also on sharedAddr, and then the actions fire. check, if
-// non-nil, runs after every action.
-func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMedium, action)) *loggedMedium {
-	l := newLoggedMedium(oracle, listen)
+// and 1 also on sharedAddr, the bystander (if md asks for one) registers
+// at radio 0's position, and then the actions fire. check, if non-nil,
+// runs after every action.
+func play(t *testing.T, tr fieldTrial, md mode, check func(*loggedMedium, action)) *loggedMedium {
+	l := newLoggedMedium(md)
 	l.ports = append(l.ports, l.m.NewPort(tr.ports[0]))
 	for i, p := range tr.positions {
 		if i == len(tr.positions)/2 {
@@ -287,6 +319,9 @@ func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMe
 	l.ports = append(l.ports, l.m.NewPort(tr.ports[2]))
 	l.doListen(0, sharedAddr)
 	l.doListen(1, sharedAddr)
+	if md.bystander {
+		l.m.NewRadio(tr.positions[0]).Listen(bystanderAddr)
+	}
 	for f, a := range tr.actions {
 		l.sched.At(a.at, func() {
 			r := a.radio % len(l.radios)
@@ -321,15 +356,15 @@ func play(t *testing.T, tr fieldTrial, oracle, listen bool, check func(*loggedMe
 // TestGridDeliveryMatchesBruteForce pins receiver resolution to the
 // O(N) scan: the neighbour tables of radios (Transmit) and of ports
 // (Inject) resolve exactly the receivers the scan does, in the same
-// order, consuming the medium's rng stream identically — so every
-// downstream byte (measurements, timestamps, event order) is unchanged.
+// order, so every downstream byte (measurements, timestamps, event
+// order) is unchanged.
 // Radios also register between transmissions, as the node tests' probe
 // and forger radios do, and ports before, between and after them.
 func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		tr := newFieldTrial(rnd)
-		got := play(t, tr, false, false, func(l *loggedMedium, a action) {
+		got := play(t, tr, mode{}, func(l *loggedMedium, a action) {
 			if a.kind != actRegister && a.kind != actPort {
 				return
 			}
@@ -346,7 +381,7 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 				}
 			}
 		})
-		want := play(t, tr, true, false, nil)
+		want := play(t, tr, mode{oracle: true}, nil)
 		if t.Failed() {
 			t.FailNow()
 		}
@@ -363,44 +398,97 @@ func TestGridDeliveryMatchesBruteForce(t *testing.T) {
 // TestListenMatchesPromiscuous pins address filtering to a medium where
 // no radio listens: the owners of each frame's address see the same
 // receptions, in the same order, with the same measurements and
-// timestamps; Stats and every carrier-sense sample are identical; each
-// radio's Filtered count is exactly the uncorrupted receptions it would
-// otherwise have had for frames addressed elsewhere; and the scheduler
-// runs fewer events.
+// timestamps; every carrier-sense sample is identical; the reception
+// counters account for each reception the model says a radio gets
+// exactly once, and count no more of them than the promiscuous
+// medium's; and the scheduler runs fewer events.
 func TestListenMatchesPromiscuous(t *testing.T) {
 	rnd := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 10; trial++ {
 		tr := newFieldTrial(rnd)
-		got := play(t, tr, false, true, nil)
-		all := play(t, tr, false, false, nil)
-		if got.m.Stats() != all.m.Stats() {
-			t.Fatalf("trial %d: stats diverge: %+v vs promiscuous %+v", trial, got.m.Stats(), all.m.Stats())
-		}
+		got := play(t, tr, mode{listen: true}, nil)
+		all := play(t, tr, mode{}, nil)
 		if !slices.Equal(got.busy, all.busy) {
 			t.Fatalf("trial %d: carrier sense diverges from the promiscuous medium's", trial)
 		}
 		var want []receptionLog
-		filtered := make([]uint64, len(all.radios))
 		for _, rec := range all.log {
 			if all.kept[rec.frame][rec.radio] {
 				want = append(want, rec)
-			} else {
-				filtered[rec.radio]++
 			}
 		}
 		if len(want) == len(all.log) {
 			t.Fatalf("trial %d: no reception was filtered", trial)
 		}
 		compareLogs(t, trial, got.log, want)
-		for i, r := range got.radios {
-			if r.Filtered() != filtered[i] {
-				t.Errorf("trial %d: radio %d filtered %d frames, want %d", trial, i, r.Filtered(), filtered[i])
+		gs, as := got.m.Stats(), all.m.Stats()
+		for _, l := range []*loggedMedium{got, all} {
+			if s := l.m.Stats(); s.Deliveries+s.Collisions+s.HalfDuplex != l.receptions {
+				t.Errorf("trial %d, listen %v: %+v accounts for %d receptions, want %d",
+					trial, l.listen, s, s.Deliveries+s.Collisions+s.HalfDuplex, l.receptions)
 			}
+		}
+		if gs.Transmissions != as.Transmissions || gs.Injections != as.Injections || gs.BytesOnAir != as.BytesOnAir {
+			t.Errorf("trial %d: launch counters %+v diverge from the promiscuous %+v", trial, gs, as)
+		}
+		if gs.Collisions > as.Collisions || gs.HalfDuplex > as.HalfDuplex || gs.Collisions+gs.HalfDuplex == 0 {
+			t.Errorf("trial %d: losses %+v, promiscuous %+v", trial, gs, as)
 		}
 		if got.sched.Fired() >= all.sched.Fired() {
 			t.Errorf("trial %d: %d events with filtering, %d without", trial, got.sched.Fired(), all.sched.Fired())
 		}
 	}
+}
+
+// TestReceptionsIndependentOfVisitOrder pins the keyed draws: visiting
+// every launch's receivers in reverse leaves each radio's receptions,
+// Stats and carrier sense unchanged, on a listening medium and on one
+// that does not listen.
+func TestReceptionsIndependentOfVisitOrder(t *testing.T) {
+	rnd := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 10; trial++ {
+		tr := newFieldTrial(rnd)
+		for _, listen := range []bool{false, true} {
+			fwd := play(t, tr, mode{listen: listen}, nil)
+			rev := play(t, tr, mode{listen: listen, reverse: true}, nil)
+			if fwd.m.Stats() != rev.m.Stats() {
+				t.Fatalf("trial %d, listen %v: stats %+v, reversed %+v", trial, listen, fwd.m.Stats(), rev.m.Stats())
+			}
+			if !slices.Equal(fwd.busy, rev.busy) {
+				t.Fatalf("trial %d, listen %v: carrier sense depends on visit order", trial, listen)
+			}
+			// Receptions that end together at different radios fire in
+			// visit order, so compare each radio's own sequence.
+			compareLogs(t, trial, byRadio(rev.log), byRadio(fwd.log))
+		}
+	}
+}
+
+// TestBystanderChangesNothing pins that a radio which only listens
+// draws nothing another radio sees: registering one more listening
+// radio, after every other, leaves every other radio's receptions and
+// carrier sense unchanged.
+func TestBystanderChangesNothing(t *testing.T) {
+	rnd := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 10; trial++ {
+		tr := newFieldTrial(rnd)
+		// No radio registers after the bystander.
+		tr.actions = slices.DeleteFunc(tr.actions, func(a action) bool { return a.kind == actRegister })
+		want := play(t, tr, mode{listen: true}, nil)
+		got := play(t, tr, mode{listen: true, bystander: true}, nil)
+		compareLogs(t, trial, got.log, want.log)
+		if !slices.Equal(got.busy, want.busy) {
+			t.Fatalf("trial %d: the bystander changes carrier sense", trial)
+		}
+	}
+}
+
+// byRadio returns log stably sorted by radio: each radio's receptions
+// in the order they fired.
+func byRadio(log []receptionLog) []receptionLog {
+	out := slices.Clone(log)
+	slices.SortStableFunc(out, func(a, b receptionLog) int { return cmp.Compare(a.radio, b.radio) })
+	return out
 }
 
 // compareLogs fails the test at the first reception where got and want
@@ -417,56 +505,13 @@ func compareLogs(t *testing.T, trial int, got, want []receptionLog) {
 	}
 }
 
-// TestPassagesDoNotAccumulate pins what lazy pruning leaves behind: a
-// listening radio that only ever hears frames for other addresses, and
-// never transmits or carrier-senses, holds no more passages than there
-// are frames still on air at it.
-func TestPassagesDoNotAccumulate(t *testing.T) {
-	sched, m := newTestMedium(Config{Range: 150})
-	rx := m.NewRadio(geo.Point{X: 0, Y: 0})
-	rx.SetHandler(func(Reception) { t.Error("a frame for another address reached the handler") })
-	rx.Listen(1)
-	senders := []*Radio{
-		m.NewRadio(geo.Point{X: 10, Y: 0}),
-		m.NewRadio(geo.Point{X: 0, Y: 100}),
-		m.NewRadio(geo.Point{X: -140, Y: 20}),
-	}
-	rnd := rand.New(rand.NewSource(3))
-	var ends []sim.Time // when each frame finishes arriving at rx
-	air := FrameAirTime(16)
-	for i := 0; i < 300; i++ {
-		s := senders[rnd.Intn(len(senders))]
-		dst := []uint32{2, 3, 0x10000}[rnd.Intn(3)]
-		// About half the frames overlap their predecessor.
-		sched.At(sim.Time(i)*air+sim.Time(rnd.Int63n(int64(air))), func() {
-			info := m.Transmit(s, Frame{Data: make([]byte, 16), Dst: dst})
-			ends = append(ends, info.AirEnd+propagation(s.pos.Dist(rx.pos)))
-			onAir := 0
-			for _, end := range ends {
-				if end > sched.Now() {
-					onAir++
-				}
-			}
-			if len(rx.passages) > onAir {
-				t.Fatalf("frame %d: %d passages held, %d frames on air", i, len(rx.passages), onAir)
-			}
-		})
-	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rx.Filtered() == 0 || rx.Filtered() == 300 {
-		t.Errorf("Filtered = %d of 300 frames, want some filtered and some corrupted", rx.Filtered())
-	}
-}
-
 // TestTransmitSteadyStateZeroAlloc pins the pooling work: once the
 // event free list, delivery pool, and scratch buffers are warm, a
 // transmit→deliver cycle performs zero heap allocations (the frame
 // buffer itself is owned and reused by the caller here, as the
 // benchmarks and batch paths do). The listening legs address the frame
-// to one of the receivers, so the others hold passages; the inject leg
-// launches through a port instead of a radio.
+// to one of the receivers, so it is a passage at the others; the inject
+// leg launches through a port instead of a radio.
 func TestTransmitSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
@@ -571,7 +616,7 @@ func paperField(n int, seed int64) []geo.Point {
 // neighbour table; inject launches from the same point through a port
 // made once, as wormhole exits and replay attackers do. With unicast, every radio
 // listens on its own address and the frame is addressed to one
-// receiver, so the rest of the neighbourhood holds passages. Pools are
+// receiver, so it is a passage at the rest of the neighbourhood. Pools are
 // warmed before the timer starts so the reported allocs/op is the
 // steady state.
 func benchTransmit(b *testing.B, nRadios int, inject, unicast bool) {

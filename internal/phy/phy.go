@@ -14,6 +14,15 @@
 // analog) and every reception reports the receiver-side time the first
 // byte was available in the register (t2/t4 analog), with per-byte
 // hardware jitter drawn from a bounded distribution.
+//
+// A radio that listens on link addresses (Radio.Listen) drops a frame
+// addressed elsewhere before it has a timestamp or a distance, as a
+// MICA2 radio does. Such a frame is a passage: bare air occupancy that
+// corrupts the receptions it overlaps and asserts carrier, with no
+// event, no draw and no counter. Every draw comes from a stream keyed by
+// (origin, the origin's launch count, receiver), so no reception depends
+// on which radios listen or on the order a launch visits its receivers,
+// and Stats counts receptions only.
 package phy
 
 import (
@@ -53,7 +62,7 @@ const (
 	JitterMax = 3681
 )
 
-// jitter draws one per-byte hardware delay. It takes exactly one word.
+// jitter draws one per-byte hardware delay.
 func jitter(src *rng.Source) sim.Time {
 	return sim.Time(math.Round(src.Uniform(JitterMin, JitterMax)))
 }
@@ -67,7 +76,7 @@ type Frame struct {
 	Data []byte
 	// Dst is the link address of the frame's destination; zero means
 	// unaddressed. A radio that listens on other addresses only (see
-	// Radio.Listen) does not receive the frame.
+	// Radio.Listen) does not receive the frame: it is a passage there.
 	Dst uint32
 	// RangeBias shifts the distance the receiver's ranging measures,
 	// modelling transmit-power manipulation by a malicious sender.
@@ -119,25 +128,19 @@ type Handler func(Reception)
 // tunnels, replay attackers). origin is the true injection point.
 type Tap func(origin geo.Point, f Frame, info TxInfo)
 
-type interval struct {
-	start, end sim.Time
-}
-
-func overlaps(a, b interval) bool { return a.start < b.end && b.start < a.end }
-
+// arrival is one reception on air at its radio.
 type arrival struct {
-	span      interval
-	corrupted bool
+	end  sim.Time // when the frame has arrived
+	lost bool     // corrupted by an overlapping frame or a transmission
 }
 
-// passage is a frame on air at a radio that filters it out by address:
-// it collides, can be corrupted and asserts carrier exactly as an
-// arrival does, but has no pending record and no reception event.
-// counted means it is in Stats.Deliveries and the radio's filtered
-// count; it is cleared when the passage is corrupted.
-type passage struct {
-	span               interval
-	corrupted, counted bool
+// lose marks the reception lost and counts it under cause, unless it is
+// lost already: each lost reception counts once, under its first cause.
+func (a *arrival) lose(cause *uint64) {
+	if !a.lost {
+		a.lost = true
+		*cause++
+	}
 }
 
 // Radio is one node's transceiver at a fixed position.
@@ -145,22 +148,16 @@ type Radio struct {
 	pos     geo.Point
 	medium  *Medium
 	handler Handler
-	index   int32 // position in Medium.radios
-	// listening is set by Listen: r filters addressed frames.
-	listening bool
+	index   int32 // position in Medium.radios and Medium.air
+	// launches counts r's transmissions; it keys their draws.
+	launches uint64
 	// neighbours lists every other radio within range, in ascending
 	// registration order: the receivers of every Transmit from r.
 	neighbours []neighbour
 	// inflight arrivals, for collision marking.
 	inflight []*arrival
-	// passages of frames addressed to other radios, pruned lazily;
-	// passEnd is the latest end among them.
-	passages []passage
-	passEnd  sim.Time
-	// filtered counts the passages counted as deliveries.
-	filtered uint64
-	// tx intervals for half-duplex suppression, pruned lazily.
-	tx []interval
+	// txEnd is when r's latest transmission ends, for half-duplex.
+	txEnd sim.Time
 }
 
 // Pos returns the radio's true position.
@@ -174,19 +171,20 @@ func (r *Radio) SetHandler(h Handler) { r.handler = h }
 
 // Listen makes r filter frames by link address, as a mote's radio drops
 // frames meant for other nodes. From then on a frame addressed to
-// another address still occupies r's air — it collides, suffers from
-// half-duplex and asserts carrier — but never reaches r's handler, and
-// costs the scheduler no event. r still receives unaddressed frames,
-// frames for any address it listens on, and frames for an address more
-// than one radio listens on. Address 0 marks unaddressed frames, so
-// listening on it changes nothing. A radio that never calls Listen
-// receives every frame in range.
+// another address is a passage at r: it still occupies r's air — it
+// corrupts the receptions it overlaps and asserts carrier — but never
+// reaches r's handler, and costs the scheduler no event, the medium no
+// draw and Stats no count. r still receives unaddressed frames, frames
+// for any address it listens on, and frames for an address more than one
+// radio listens on. Address 0 marks unaddressed frames, so listening on
+// it changes nothing. A radio that never calls Listen receives every
+// frame in range.
 func (r *Radio) Listen(addrs ...uint32) {
 	m := r.medium
 	if m.owners == nil {
 		m.owners = make(map[uint32]int32)
 	}
-	r.listening = true
+	m.air[r.index].listening = true
 	for _, a := range addrs {
 		if a == 0 {
 			continue
@@ -199,75 +197,6 @@ func (r *Radio) Listen(addrs ...uint32) {
 	}
 }
 
-// Filtered returns how many uncorrupted frames r filtered out because
-// they were addressed to an address it does not listen on (see Listen). Each is counted
-// when it goes on air, and withdrawn if a collision or half-duplex
-// corrupts it later.
-func (r *Radio) Filtered() uint64 { return r.filtered }
-
-// livePassages drops r's passages that ended at or before now and
-// returns the rest. When it drops them cannot be observed: a frame that
-// has ended can neither overlap a later frame or transmission nor
-// assert carrier.
-func (r *Radio) livePassages(now sim.Time) []passage {
-	if now >= r.passEnd {
-		// All have ended, the common case: no need to read them.
-		if len(r.passages) > 0 {
-			r.passages = r.passages[:0]
-		}
-		return nil
-	}
-	for i, p := range r.passages {
-		if p.span.end <= now {
-			keep := r.passages[:i]
-			for _, p := range r.passages[i+1:] {
-				if p.span.end > now {
-					keep = append(keep, p)
-				}
-			}
-			r.passages = keep
-			break
-		}
-	}
-	return r.passages
-}
-
-// spoil corrupts a passage at r, withdrawing the delivery it was
-// counted as, if any.
-func (m *Medium) spoil(r *Radio, p *passage) {
-	p.corrupted = true
-	if p.counted {
-		p.counted = false
-		m.stats.Deliveries--
-		r.filtered--
-	}
-}
-
-// pruneTx drops r's transmissions that ended at or before now.
-func (r *Radio) pruneTx(now sim.Time) {
-	for i, iv := range r.tx {
-		if iv.end <= now {
-			keep := r.tx[:i]
-			for _, iv := range r.tx[i+1:] {
-				if iv.end > now {
-					keep = append(keep, iv)
-				}
-			}
-			r.tx = keep
-			return
-		}
-	}
-}
-
-func (r *Radio) transmittingDuring(span interval) bool {
-	for _, iv := range r.tx {
-		if overlaps(iv, span) {
-			return true
-		}
-	}
-	return false
-}
-
 // Port is a fixed point that injects frames with no radio: a wormhole
 // tunnel's exit or a replay attacker's antenna. Like a radio, it keeps
 // a neighbour table — every radio within range, in ascending
@@ -275,21 +204,27 @@ func (r *Radio) transmittingDuring(span interval) bool {
 // injection never searches for its receivers. A port is never a
 // receiver, and it lives as long as its medium.
 type Port struct {
-	pos        geo.Point
+	pos geo.Point
+	// origin keys the port's draws, disjoint from every radio's index;
+	// launches counts its injections.
+	origin     uint64
+	launches   uint64
 	neighbours []neighbour
 }
 
 // Stats counts medium-level events, for tests and experiment reporting.
+// The reception counters count receptions only: a passage (see
+// Radio.Listen) is in none of them. A lost reception counts once, under
+// its first cause.
 type Stats struct {
 	Transmissions uint64
-	// Deliveries counts uncorrupted frames at radios with a handler: the
-	// receptions handed to a handler, plus the frames a listening radio
-	// filtered out (Radio.Filtered). A filtered frame is counted when it
-	// goes on air and withdrawn if it is corrupted later, so once every
-	// frame has ended the count equals what it would be if no radio
-	// listened.
+	// Deliveries counts uncorrupted receptions handed to a handler.
 	Deliveries uint64
+	// Collisions counts receptions lost to an overlapping frame, received
+	// or passing.
 	Collisions uint64
+	// HalfDuplex counts receptions lost because the receiver was
+	// transmitting.
 	HalfDuplex uint64
 	// Injections counts radio-less launches (wormhole tunnel exits and
 	// replay attackers): attack traffic, a subset of Transmissions.
@@ -332,13 +267,26 @@ type neighbour struct {
 	delay uint32  // propagation(dist), in cycles
 }
 
+// air is what the frames launched toward one radio leave at it. The
+// medium keeps one per radio in a dense, pointer-free array, so a
+// passage never reads its radio.
+type air struct {
+	// end is when the last frame at the radio, received or passing, ends
+	// there; arrivalEnd is the same over receptions only.
+	end, arrivalEnd sim.Time
+	// listening is set by Radio.Listen.
+	listening bool
+}
+
 // Medium is the shared radio channel. It is bound to one sim.Scheduler and
 // is not safe for concurrent use (the simulation is single-threaded).
 type Medium struct {
-	sched   *sim.Scheduler
-	src     *rng.Source
+	sched *sim.Scheduler
+	// key keys every draw (see launchKey).
+	key     uint64
 	cfg     Config
 	radios  []*Radio
+	air     []air // indexed like radios
 	ports   []*Port
 	grid    *geo.Grid   // spatial index over radio positions; cell = Range
 	cands   []int32     // reusable candidate buffer for grid queries
@@ -362,22 +310,34 @@ const (
 	nobody int32 = -2
 )
 
+// Key spaces of the draws: a radio's origin is its index, a port's is
+// portOrigin plus its index, and the sender's own draw takes the
+// receiver slot no radio index reaches.
+const (
+	portOrigin = 1 << 32
+	sender     = math.MaxUint32
+)
+
 // NewMedium creates a medium over the given scheduler. src must be a
-// dedicated stream (the medium consumes it for jitter and ranging error).
-// It panics unless 0 < cfg.Range < about 5.7e11 ft and cfg.RangeError is
-// finite and not negative.
+// dedicated stream: the medium takes one word from it, the key of every
+// draw it makes. It panics unless cfg.Range is positive with a
+// propagation delay shorter than one byte time (below about 409,000 ft)
+// and cfg.RangeError is finite and not negative.
 func NewMedium(sched *sim.Scheduler, src *rng.Source, cfg Config) *Medium {
-	if cfg.Range <= 0 {
+	if !(cfg.Range > 0) {
 		panic(fmt.Sprintf("phy: non-positive range %v", cfg.Range))
 	}
-	// The neighbour tables hold propagation delays in 32 bits.
-	if cfg.Range/speedOfLightFtPerSec*sim.CPUHz >= math.MaxUint32 {
-		panic(fmt.Sprintf("phy: range %v ft overflows a 32-bit propagation delay", cfg.Range))
+	// Every frame lasts at least a byte time, so while every delay is
+	// shorter, a frame launched later overlaps an earlier one at a radio
+	// exactly when it arrives before the earlier one ends there: the
+	// medium compares ends alone.
+	if !(cfg.Range/speedOfLightFtPerSec*sim.CPUHz < CyclesPerByte-0.5) {
+		panic(fmt.Sprintf("phy: range %v ft has a propagation delay of a byte time or more", cfg.Range))
 	}
 	if !(cfg.RangeError >= 0) || math.IsInf(cfg.RangeError, 1) {
 		panic(fmt.Sprintf("phy: ranging error bound %v is not finite and non-negative", cfg.RangeError))
 	}
-	return &Medium{sched: sched, src: src, cfg: cfg, grid: geo.NewGrid(cfg.Range)}
+	return &Medium{sched: sched, key: src.Uint64(), cfg: cfg, grid: geo.NewGrid(cfg.Range)}
 }
 
 // Range returns the configured communication range.
@@ -410,6 +370,7 @@ func (m *Medium) NewRadio(pos geo.Point) *Radio {
 		}
 	}
 	m.radios = append(m.radios, r)
+	m.air = append(m.air, air{})
 	m.grid.Add(pos) // grid index == position in m.radios
 	return r
 }
@@ -417,7 +378,11 @@ func (m *Medium) NewRadio(pos geo.Point) *Radio {
 // NewPort makes an injection port at pos and builds its neighbour table:
 // the radios a launch from pos reaches, as for a radio at pos.
 func (m *Medium) NewPort(pos geo.Point) *Port {
-	p := &Port{pos: pos, neighbours: slices.Clone(m.resolve(pos))}
+	p := &Port{
+		pos:        pos,
+		origin:     portOrigin + uint64(len(m.ports)),
+		neighbours: slices.Clone(m.resolve(pos)),
+	}
 	m.ports = append(m.ports, p)
 	return p
 }
@@ -448,47 +413,30 @@ func propagation(dist float64) sim.Time {
 	return sim.Time(math.Round(dist / speedOfLightFtPerSec * sim.CPUHz))
 }
 
-// Busy reports whether r senses carrier: some transmission is on air
-// within range of r right now. Used by the MAC for CSMA.
+// Busy reports whether r senses carrier, for the MAC's CSMA: r is
+// transmitting, or a frame launched within range of r has not yet ended
+// at r. Carrier sense cannot tell where a frame came from without
+// demodulating it, so every frame asserts carrier, addressed to r or
+// not, from its launch until its end at r (its arrival is at most a
+// cycle after the launch at the paper's range). A radio that listens
+// therefore senses exactly what it would if it did not.
 func (m *Medium) Busy(r *Radio) bool {
 	now := m.sched.Now()
-	// Carrier sense cannot tell where a transmission came from without
-	// demodulating; conservatively, any active transmission in range
-	// asserts carrier, addressed to r or not. Sense via the radio's own
-	// arrivals and passages plus its own tx state.
-	for _, a := range r.inflight {
-		if a.span.start <= now && now < a.span.end {
-			return true
-		}
-	}
-	for _, p := range r.livePassages(now) {
-		if p.span.start <= now {
-			return true
-		}
-	}
-	r.pruneTx(now)
-	return len(r.tx) > 0
+	return now < m.air[r.index].end || now < r.txEnd
 }
 
 // Transmit puts f on air from radio r, returning its timing. The sender
 // becomes half-duplex busy for the duration.
 func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 	now := m.sched.Now()
-	r.pruneTx(now)
-	info := m.launch(r.pos, &f, r.neighbours)
-	span := interval{info.AirStart, info.AirEnd}
-	r.tx = append(r.tx, span)
-	// Transmitting corrupts anything the sender was receiving.
+	key := m.launchKey(uint64(r.index), r.launches)
+	r.launches++
+	info := m.launch(r.pos, key, &f, r.neighbours)
+	r.txEnd = max(r.txEnd, info.AirEnd)
+	// Transmitting loses every reception still arriving at the sender.
 	for _, a := range r.inflight {
-		if overlaps(a.span, span) && !a.corrupted {
-			a.corrupted = true
-			m.stats.HalfDuplex++
-		}
-	}
-	for i := range r.livePassages(now) {
-		if p := &r.passages[i]; overlaps(p.span, span) && !p.corrupted {
-			m.spoil(r, p)
-			m.stats.HalfDuplex++
+		if now < a.end {
+			a.lose(&m.stats.HalfDuplex)
 		}
 	}
 	return info
@@ -499,15 +447,29 @@ func (m *Medium) Transmit(r *Radio, f Frame) TxInfo {
 // attackers use this.
 func (m *Medium) Inject(p *Port, f Frame) TxInfo {
 	m.stats.Injections++
-	return m.launch(p.pos, &f, p.neighbours)
+	key := m.launchKey(p.origin, p.launches)
+	p.launches++
+	return m.launch(p.pos, key, &f, p.neighbours)
 }
 
-// launch puts f on air from origin to receivers, which must be in
-// ascending registration order — the order the medium's rng draws for
-// them are taken in. A receiver gets a reception event if it does not
-// listen, if it owns f.Dst, or if no radio filters f; every other
-// receiver gets a passage. launch may rewrite *f (see Frame.Finalize).
-func (m *Medium) launch(origin geo.Point, f *Frame, receivers []neighbour) TxInfo {
+// launchKey keys the draws of the count-th launch from origin, mixing
+// each coordinate in turn as rng.SplitIndex mixes an index.
+func (m *Medium) launchKey(origin, count uint64) uint64 {
+	return rng.Mix(rng.Mix(m.key^origin) ^ count)
+}
+
+// draws returns the stream of the launch keyed key at receiver rx, or at
+// its sender for rx == sender. It is a value: it lives on the caller's
+// stack.
+func draws(key uint64, rx uint32) rng.Source {
+	return rng.Make(key ^ rng.Mix(uint64(rx)))
+}
+
+// launch puts f on air from origin to receivers, with the draws of the
+// launch keyed key. A receiver gets a reception if it does not listen,
+// if it owns f.Dst, or if no radio filters f; at every other receiver f
+// is a passage. launch may rewrite *f (see Frame.Finalize).
+func (m *Medium) launch(origin geo.Point, key uint64, f *Frame, receivers []neighbour) TxInfo {
 	if len(f.Data) == 0 {
 		panic("phy: transmitting empty frame")
 	}
@@ -518,7 +480,8 @@ func (m *Medium) launch(origin geo.Point, f *Frame, receivers []neighbour) TxInf
 	// this may precede AirStart). Clamped at time zero, which can only
 	// matter for transmissions in the first few thousand cycles of a run.
 	firstOut := start + CyclesPerByte
-	if d := jitter(m.src); d < firstOut {
+	src := draws(key, sender)
+	if d := jitter(&src); d < firstOut {
 		firstOut -= d
 	} else {
 		firstOut = 0
@@ -546,13 +509,33 @@ func (m *Medium) launch(origin geo.Point, f *Frame, receivers []neighbour) TxInf
 		}
 	}
 	for _, n := range receivers {
-		rx := m.radios[n.rx]
-		m.deliver(rx, n, f, start, end, owner == everyone || n.rx == owner || !rx.listening)
+		a := &m.air[n.rx]
+		if owner == everyone || n.rx == owner || !a.listening {
+			m.deliver(n, f, key, start, end)
+			continue
+		}
+		// A passage: it corrupts the receptions it overlaps at the radio
+		// and asserts carrier there until it ends.
+		prop := sim.Time(n.delay)
+		if start+prop < a.arrivalEnd {
+			m.collide(m.radios[n.rx], start+prop)
+		}
+		a.end = max(a.end, end+prop)
 	}
 	for _, t := range m.taps {
 		t(origin, *f, info)
 	}
 	return info
+}
+
+// collide loses every reception at rx that a frame arriving at arrive
+// overlaps: each that ends after arrive.
+func (m *Medium) collide(rx *Radio, arrive sim.Time) {
+	for _, a := range rx.inflight {
+		if arrive < a.end {
+			a.lose(&m.stats.Collisions)
+		}
+	}
 }
 
 // pending is one in-flight delivery: the arrival record plus everything
@@ -566,7 +549,6 @@ type pending struct {
 	frame     Frame
 	measured  float64
 	firstByte sim.Time
-	end       sim.Time
 	fire      func()
 }
 
@@ -582,77 +564,51 @@ func (m *Medium) getPending() *pending {
 	return p
 }
 
-// deliver puts f, launched at now and on air until end, on air at rx:
-// as a reception event if event is set, as a passage otherwise. Both
-// take the same collision and half-duplex marks and the same rng words,
-// so which radios listen changes neither the medium's stream nor any
-// reception.
-func (m *Medium) deliver(rx *Radio, n neighbour, f *Frame, now, end sim.Time, event bool) {
+// deliver puts f, launched at now and on air until end, on air at n.rx
+// as a reception: an arrival record, the receiver's draws and a
+// reception event.
+func (m *Medium) deliver(n neighbour, f *Frame, key uint64, now, end sim.Time) {
+	rx := m.radios[n.rx]
+	a := &m.air[n.rx]
 	prop := sim.Time(n.delay)
-	span := interval{now + prop, end + prop}
-	corrupted := false
-	// Collision: overlapping arrivals corrupt each other ("node B either
-	// receives the original signal or receives nothing in case of
-	// collision").
-	for _, other := range rx.inflight {
-		if overlaps(other.span, span) {
-			other.corrupted = true
-			corrupted = true
-			m.stats.Collisions++
-		}
-	}
-	for i := range rx.livePassages(now) {
-		if other := &rx.passages[i]; overlaps(other.span, span) {
-			m.spoil(rx, other)
-			corrupted = true
-			m.stats.Collisions++
-		}
-	}
-	// Half-duplex: a receiver that is transmitting misses the frame.
-	rx.pruneTx(now)
-	if rx.transmittingDuring(span) {
-		corrupted = true
-		m.stats.HalfDuplex++
-	}
-	if !event {
-		// Nothing reads a passage's timestamp or measurement: take the
-		// words their draws would — one for the jitter, one for the
-		// ranging error if it is bounded — without the arithmetic.
-		m.src.Uint64()
-		if m.cfg.RangeError != 0 {
-			m.src.Uint64()
-		}
-		counted := !corrupted && rx.handler != nil
-		rx.passages = append(rx.passages, passage{span: span, corrupted: corrupted, counted: counted})
-		rx.passEnd = max(rx.passEnd, span.end)
-		if counted {
-			m.stats.Deliveries++
-			rx.filtered++
-		}
-		return
-	}
+	arrive := now + prop
 	p := m.getPending()
 	p.rx = rx
-	p.arr = arrival{span: span, corrupted: corrupted}
+	p.arr = arrival{end: end + prop}
+	// Collision: overlapping frames corrupt each other ("node B either
+	// receives the original signal or receives nothing in case of
+	// collision").
+	if arrive < a.arrivalEnd {
+		m.collide(rx, arrive)
+	}
+	switch {
+	case arrive < a.end:
+		p.arr.lose(&m.stats.Collisions)
+	case arrive < rx.txEnd:
+		// Half-duplex: a receiver that is transmitting misses the frame.
+		p.arr.lose(&m.stats.HalfDuplex)
+	}
+	a.end = max(a.end, p.arr.end)
+	a.arrivalEnd = max(a.arrivalEnd, p.arr.end)
 	rx.inflight = append(rx.inflight, &p.arr)
 	p.frame = *f
 	// t2/t4: first byte available in the receiving register one
 	// byte-time plus propagation plus hardware delay after air start.
-	p.firstByte = now + CyclesPerByte + prop + jitter(m.src)
-	p.measured = m.measure(n.dist + f.RangeBias)
-	p.end = span.end
-	m.sched.At(span.end, p.fire)
+	src := draws(key, uint32(n.rx))
+	p.firstByte = arrive + CyclesPerByte + jitter(&src)
+	p.measured = m.measure(&src, n.dist+f.RangeBias)
+	m.sched.At(p.arr.end, p.fire)
 }
 
 // measure returns the distance a reception measures for a frame whose
 // origin is dist feet away, attacker bias included: dist plus an error
-// uniform in ±RangeError, clamped at zero. A zero bound returns dist
-// exactly and takes no word.
-func (m *Medium) measure(dist float64) float64 {
+// uniform in ±RangeError drawn from src, clamped at zero. A zero bound
+// returns dist exactly.
+func (m *Medium) measure(src *rng.Source, dist float64) float64 {
 	if m.cfg.RangeError == 0 {
 		return dist
 	}
-	d := dist + m.src.Uniform(-m.cfg.RangeError, m.cfg.RangeError)
+	d := dist + src.Uniform(-m.cfg.RangeError, m.cfg.RangeError)
 	if d < 0 {
 		d = 0
 	}
@@ -669,14 +625,14 @@ func (p *pending) deliverNow() {
 		Frame:         p.frame,
 		MeasuredDist:  p.measured,
 		FirstByteSPDR: p.firstByte,
-		End:           p.end,
+		End:           p.arr.end,
 	}
-	corrupted := p.arr.corrupted
+	lost := p.arr.lost
 	rx.removeInflight(&p.arr)
 	p.rx = nil
 	p.frame = Frame{} // drop the Data reference while pooled
 	m.pendFree = append(m.pendFree, p)
-	if corrupted || rx.handler == nil {
+	if lost || rx.handler == nil {
 		return
 	}
 	m.stats.Deliveries++

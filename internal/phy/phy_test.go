@@ -183,8 +183,11 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 	if got != 0 {
 		t.Errorf("receiver decoded %d frames during collision, want 0", got)
 	}
-	if m.Stats().Collisions == 0 {
-		t.Error("collision not counted")
+	// rx loses both frames to the collision; each sender loses the
+	// other's frame to its own transmission.
+	want := Stats{Transmissions: 2, Collisions: 2, HalfDuplex: 2, BytesOnAir: 40}
+	if s := m.Stats(); s != want {
+		t.Errorf("Stats = %+v, want %+v", s, want)
 	}
 }
 
@@ -219,6 +222,84 @@ func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 	}
 	if got != 0 {
 		t.Errorf("transmitting radio received %d frames, want 0", got)
+	}
+	// Each radio loses the other's frame to its own transmission, once.
+	if s := m.Stats(); s.HalfDuplex != 2 || s.Collisions != 0 || s.Deliveries != 0 {
+		t.Errorf("Stats = %+v, want 2 half-duplex losses and nothing else", s)
+	}
+}
+
+// TestPassageCorruptsReception pins a passage's air occupancy: a frame
+// addressed elsewhere, overlapping a reception at a listening radio,
+// corrupts it whichever of the two arrives first, and counts as neither
+// a delivery nor a loss itself. Frames that do not overlap pass.
+func TestPassageCorruptsReception(t *testing.T) {
+	air := FrameAirTime(20)
+	for _, c := range []struct {
+		name                string
+		forRx, forOther     sim.Time // launch times
+		delivered, collided uint64
+	}{
+		{"reception first", 0, 100, 0, 1},
+		{"passage first", 100, 0, 0, 1},
+		{"apart", 0, air + 10, 1, 0},
+		{"passage ends as reception starts", air, 0, 1, 0},
+	} {
+		sched, m := newTestMedium(Config{Range: 1000})
+		a := m.NewRadio(geo.Point{X: 0, Y: 0})
+		b := m.NewRadio(geo.Point{X: 0, Y: 0})
+		rx := m.NewRadio(geo.Point{X: 100, Y: 0})
+		got := 0
+		rx.SetHandler(func(Reception) { got++ })
+		rx.Listen(1)
+		// a and b are colocated, so each loses the other's frame to
+		// half-duplex at most: every collision counted below is rx's.
+		sched.At(c.forRx, func() { m.Transmit(a, Frame{Data: make([]byte, 20), Dst: 1}) })
+		sched.At(c.forOther, func() { m.Transmit(b, Frame{Data: make([]byte, 20), Dst: 2}) })
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
+		s := m.Stats()
+		if uint64(got) != c.delivered || s.Deliveries != c.delivered || s.Collisions != c.collided {
+			t.Errorf("%s: handler got %d, Stats %+v; want %d delivered, %d collided",
+				c.name, got, s, c.delivered, c.collided)
+		}
+	}
+}
+
+// TestDrawsKeyedByLaunchAndReceiver pins what the draws are keyed by:
+// the receivers of one launch draw distinct measurements, and so do two
+// launches from one radio to one receiver.
+func TestDrawsKeyedByLaunchAndReceiver(t *testing.T) {
+	sched, m := newTestMedium(Config{Range: 150, RangeError: 10})
+	tx := m.NewRadio(geo.Point{})
+	var got [2][]Reception
+	for i := 0; i < 8; i++ {
+		// Colocated receivers, at one distance and delay.
+		m.NewRadio(geo.Point{X: 100}).SetHandler(func(r Reception) {
+			launch := 0
+			if r.End > FrameAirTime(16)+2 {
+				launch = 1
+			}
+			got[launch] = append(got[launch], r)
+		})
+	}
+	sched.At(0, func() { m.Transmit(tx, frame(16)) })
+	sched.At(sim.Millis(10), func() { m.Transmit(tx, frame(16)) })
+	if err := sched.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got[0]) != 8 || len(got[1]) != 8 {
+		t.Fatalf("%d and %d receptions, want 8 per launch", len(got[0]), len(got[1]))
+	}
+	seen := make(map[float64]bool)
+	for _, launch := range got {
+		for _, r := range launch {
+			seen[r.MeasuredDist] = true
+		}
+	}
+	if len(seen) != 16 {
+		t.Errorf("16 receptions measured %d distinct distances, want 16", len(seen))
 	}
 }
 
@@ -293,44 +374,6 @@ func TestRangeErrorBounds(t *testing.T) {
 	}
 }
 
-// TestPassageWordsMatchDraws pins the passage shortcut: a frame a radio
-// filters out takes exactly the rng words a reception of it would — one
-// for the jitter, and one for the ranging error unless its bound is 0 —
-// so which radios listen moves no later draw.
-func TestPassageWordsMatchDraws(t *testing.T) {
-	for _, bound := range []float64{0, 10} {
-		want := 2 // the launch's jitter and the receiver's
-		if bound != 0 {
-			want++ // the ranging error
-		}
-		for _, passage := range []bool{false, true} {
-			src := rng.New(9)
-			start := *src
-			m := NewMedium(sim.New(), src, Config{Range: 150, RangeError: bound})
-			tx := m.NewRadio(geo.Point{})
-			rx := m.NewRadio(geo.Point{X: 100})
-			rx.SetHandler(func(Reception) {})
-			var filtered uint64
-			if passage {
-				rx.Listen(2) // the frame is for address 1
-				filtered = 1
-			}
-			m.Transmit(tx, Frame{Data: make([]byte, 16), Dst: 1})
-			if got := rx.Filtered(); got != filtered {
-				t.Fatalf("bound %v, passage %v: Filtered = %d, want %d", bound, passage, got, filtered)
-			}
-			words := 0
-			for s := start; s != *src; s.Uint64() {
-				words++
-			}
-			if words != want {
-				t.Errorf("bound %v, passage %v: a launch to one receiver took %d words, want %d",
-					bound, passage, words, want)
-			}
-		}
-	}
-}
-
 func TestBusyCarrierSense(t *testing.T) {
 	sched, m := newTestMedium(Config{Range: 1000})
 	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
@@ -356,6 +399,30 @@ func TestBusyCarrierSense(t *testing.T) {
 	})
 	if err := sched.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBusySensesPassages pins carrier sense at a listening radio: a
+// frame addressed elsewhere asserts carrier from its launch until it
+// ends at the radio, as one it receives does.
+func TestBusySensesPassages(t *testing.T) {
+	for _, dst := range []uint32{1, 2} {
+		sched, m := newTestMedium(Config{Range: 150})
+		tx := m.NewRadio(geo.Point{})
+		rx := m.NewRadio(geo.Point{X: 150}) // one cycle away
+		rx.Listen(1)
+		var end sim.Time
+		sched.At(0, func() { end = m.Transmit(tx, Frame{Data: make([]byte, 16), Dst: dst}).AirEnd + 1 })
+		for _, at := range []sim.Time{0, 1, FrameAirTime(16), FrameAirTime(16) + 1} {
+			sched.At(at, func() {
+				if got, want := m.Busy(rx), at < end; got != want {
+					t.Errorf("dst %d: Busy at %d = %v, want %v (frame ends at %d)", dst, at, got, want, end)
+				}
+			})
+		}
+		if err := sched.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -421,7 +488,11 @@ func TestEmptyFramePanics(t *testing.T) {
 func TestBadConfigPanics(t *testing.T) {
 	for _, cfg := range []Config{
 		{Range: 0},
+		{Range: math.NaN()},
+		{Range: math.Inf(1)},
 		{Range: 1e12},
+		{Range: 410_000}, // a 3,072-cycle delay: a byte time
+		{Range: 409_755},
 		{Range: 150, RangeError: -1},
 		{Range: 150, RangeError: math.NaN()},
 		{Range: 150, RangeError: math.Inf(1)},
@@ -435,6 +506,9 @@ func TestBadConfigPanics(t *testing.T) {
 			NewMedium(sim.New(), rng.New(1), cfg)
 		}()
 	}
+	// A delay that rounds to 3,071 cycles, just under a byte time, is
+	// accepted.
+	NewMedium(sim.New(), rng.New(1), Config{Range: 409_750})
 }
 
 func TestTapSeesAllTransmissions(t *testing.T) {

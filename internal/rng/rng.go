@@ -22,22 +22,38 @@ type Source struct {
 	s [4]uint64
 }
 
+// golden is SplitMix64's increment, the odd integer nearest 2^64/φ.
+const golden = 0x9e3779b97f4a7c15
+
+// Mix returns SplitMix64's output for the state x + golden: a bijection
+// of the 64-bit integers that spreads nearby inputs over the whole range.
+// New seeds from it, and SplitIndex mixes its index through it, so
+// consecutive indices do not produce correlated seeds.
+func Mix(x uint64) uint64 {
+	z := x + golden
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Make returns, by value, the Source New returns for seed. A stream that
+// serves one call can then live on the caller's stack.
+//
+// xoshiro must not start from the all-zero state, and cannot: Mix is a
+// bijection and its four inputs here are distinct, so at most one state
+// word is zero.
+func Make(seed uint64) Source {
+	var src Source
+	for i := range src.s {
+		src.s[i] = Mix(seed + uint64(i)*golden)
+	}
+	return src
+}
+
 // New returns a Source seeded from seed via SplitMix64, which guarantees
 // the internal xoshiro state is well distributed even for small seeds.
 func New(seed uint64) *Source {
-	var src Source
-	sm := seed
-	for i := range src.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		src.s[i] = z ^ (z >> 31)
-	}
-	// xoshiro must not start from the all-zero state.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
-	}
+	src := Make(seed)
 	return &src
 }
 
@@ -54,12 +70,7 @@ func (s *Source) Split(label string) *Source {
 // SplitIndex derives an independent stream identified by an integer index,
 // for per-node streams.
 func (s *Source) SplitIndex(index uint64) *Source {
-	// Mix the index through SplitMix64 so consecutive indices do not
-	// produce correlated seeds.
-	z := index + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return New(s.s[1] ^ (z ^ (z >> 31)))
+	return New(s.s[1] ^ Mix(index))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

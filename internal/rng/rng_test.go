@@ -16,6 +16,41 @@ func TestNewDeterministic(t *testing.T) {
 	}
 }
 
+// TestStreamsPinned pins the first word of New, SplitIndex and Split, so
+// a change to the seeding (such as Make) cannot move any stream.
+func TestStreamsPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  *Source
+		want uint64
+	}{
+		{"New(0)", New(0), 0x99ec5f36cb75f2b4},
+		{"New(1).SplitIndex(7)", New(1).SplitIndex(7), 0xc5f0eb97bf791fb9},
+		{`New(1).Split("medium")`, New(1).Split("medium"), 0xc782ba647421a976},
+	} {
+		if got := c.src.Uint64(); got != c.want {
+			t.Errorf("%s: first word %#x, want %#x", c.name, got, c.want)
+		}
+	}
+}
+
+// TestMakeMatchesNew checks that the by-value constructor seeds exactly
+// as New does, and that a Source made on the stack allocates nothing.
+func TestMakeMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63, math.MaxUint64} {
+		if got, want := Make(seed), *New(seed); got != want {
+			t.Errorf("Make(%d) = %v, New gives %v", seed, got, want)
+		}
+	}
+	var sink uint64
+	if avg := testing.AllocsPerRun(100, func() {
+		src := Make(sink)
+		sink += src.Uint64()
+	}); avg != 0 {
+		t.Errorf("a made Source allocates %.1f times", avg)
+	}
+}
+
 func TestDifferentSeedsDiverge(t *testing.T) {
 	a := New(1)
 	b := New(2)

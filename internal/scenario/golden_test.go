@@ -10,10 +10,10 @@ import (
 	"beaconsec/internal/geo"
 )
 
-// scenarioGoldenPath is json.Marshal of Run on goldenConfig, generated
-// while the radio medium still resolved every transmission's receivers
-// with a spatial-grid query (and, equivalently, the O(N) scan), and
-// still gave every receiver in range a reception event.
+// scenarioGoldenPath is json.Marshal of Run on goldenConfig, regenerated
+// once when the medium began to draw from streams keyed by (origin,
+// launch, receiver) and to count receptions only (DESIGN.md §9). Its
+// scheduler accounting is compared with schedGoldenPath instead.
 var scenarioGoldenPath = filepath.Join("..", "..", "results", "golden", "scenario_small_seed21.json")
 
 // schedGoldenPath pins the scheduler's own accounting of the same run
@@ -37,10 +37,9 @@ func goldenConfig() Config {
 }
 
 // TestRunGolden pins a full run to the committed goldens byte for byte,
-// so a change in receiver set, visit order or rng draw order anywhere
-// in the medium surfaces as a diff. The scheduler's own accounting is
-// compared with its own golden, and everything else with the golden
-// written before address filtering.
+// so a change in receiver set, in what a draw is keyed by or in what the
+// medium counts surfaces as a diff. The scheduler's own accounting is
+// compared with its own golden, and everything else with the run's.
 func TestRunGolden(t *testing.T) {
 	res, err := Run(goldenConfig())
 	if err != nil {
