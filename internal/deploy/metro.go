@@ -48,9 +48,10 @@ type MetroConfig struct {
 	ClusterWeight float64
 	// ClusterSigma is the cluster standard deviation in feet.
 	ClusterSigma float64
-	// ChunkSize is the number of nodes per generated chunk; 0 selects
-	// metroChunkSize. Chunking never changes the generated nodes — the
-	// stream is one rng sequence consumed in index order.
+	// ChunkSize is the number of nodes per generated chunk, at most
+	// maxChunkSize; 0 selects metroChunkSize. Chunking never changes the
+	// generated nodes — the stream is one rng sequence consumed in index
+	// order.
 	ChunkSize int
 	// Seed drives placement, clustering, and the kind assignment.
 	Seed uint64
@@ -60,6 +61,13 @@ type MetroConfig struct {
 // per-chunk overhead, small enough that a chunk is cache- and
 // allocation-trivial next to the count grid.
 const metroChunkSize = 8192
+
+// maxChunkSize bounds ChunkSize. Stream allocates one chunk buffer up
+// front (32 MiB at this size, less when the population is smaller);
+// without a bound, a huge ChunkSize is an allocation panic or an
+// out-of-memory crash instead of a config error. Any size streams the
+// same nodes.
+const maxChunkSize = 1 << 20
 
 // maxMetroNodes bounds NumNodes: beyond a billion nodes the int64 cell
 // counters and float64 index arithmetic here are no longer the
@@ -92,29 +100,31 @@ func (c MetroConfig) Validate() error {
 	if c.NumNodes <= 0 || c.NumNodes > maxMetroNodes {
 		return fmt.Errorf("deploy: metro NumNodes = %d outside [1, %d]", c.NumNodes, int64(maxMetroNodes))
 	}
-	if c.Field.Width() <= 0 || c.Field.Height() <= 0 {
+	// Each check is written so that NaN, which fails every comparison,
+	// fails it too.
+	if !(c.Field.Width() > 0 && c.Field.Height() > 0) {
 		return fmt.Errorf("deploy: empty metro field %+v", c.Field)
 	}
-	if c.Range <= 0 {
-		return fmt.Errorf("deploy: metro range %v must be positive", c.Range)
+	if !(c.Range > 0) || math.IsInf(c.Range, 1) {
+		return fmt.Errorf("deploy: metro range %v must be positive and finite", c.Range)
 	}
-	if c.BeaconFrac < 0 || c.BeaconFrac > 1 {
+	if !(c.BeaconFrac >= 0 && c.BeaconFrac <= 1) {
 		return fmt.Errorf("deploy: BeaconFrac %v outside [0,1]", c.BeaconFrac)
 	}
-	if c.MaliciousFrac < 0 || c.MaliciousFrac > 1 {
+	if !(c.MaliciousFrac >= 0 && c.MaliciousFrac <= 1) {
 		return fmt.Errorf("deploy: MaliciousFrac %v outside [0,1]", c.MaliciousFrac)
 	}
 	if c.Clusters < 0 {
 		return fmt.Errorf("deploy: Clusters = %d must be >= 0", c.Clusters)
 	}
-	if c.ClusterWeight < 0 || c.ClusterWeight > 1 {
+	if !(c.ClusterWeight >= 0 && c.ClusterWeight <= 1) {
 		return fmt.Errorf("deploy: ClusterWeight %v outside [0,1]", c.ClusterWeight)
 	}
-	if c.Clusters > 0 && c.ClusterWeight > 0 && c.ClusterSigma <= 0 {
-		return fmt.Errorf("deploy: ClusterSigma %v must be positive with clusters enabled", c.ClusterSigma)
+	if c.Clusters > 0 && c.ClusterWeight > 0 && (!(c.ClusterSigma > 0) || math.IsInf(c.ClusterSigma, 1)) {
+		return fmt.Errorf("deploy: ClusterSigma %v must be positive and finite with clusters enabled", c.ClusterSigma)
 	}
-	if c.ChunkSize < 0 {
-		return fmt.Errorf("deploy: ChunkSize = %d must be >= 0", c.ChunkSize)
+	if c.ChunkSize < 0 || c.ChunkSize > maxChunkSize {
+		return fmt.Errorf("deploy: ChunkSize = %d outside [0, %d]", c.ChunkSize, maxChunkSize)
 	}
 	return checkGridSize(c.NumNodes, c.Field, c.Range)
 }
@@ -144,7 +154,7 @@ func (c MetroConfig) Stream(visit func(chunk []MetroNode) error) error {
 		}
 	}
 	place := src.Split("metro-placement")
-	chunk := make([]MetroNode, 0, c.chunkSize())
+	chunk := make([]MetroNode, 0, min(int64(c.chunkSize()), c.NumNodes))
 	for i := int64(0); i < c.NumNodes; i++ {
 		var loc geo.Point
 		if c.Clusters > 0 && place.Bool(c.ClusterWeight) {

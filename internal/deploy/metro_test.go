@@ -166,7 +166,20 @@ func TestMetroValidate(t *testing.T) {
 		{"negative clusters", func(c *MetroConfig) { c.Clusters = -1 }, false},
 		{"cluster weight > 1", func(c *MetroConfig) { c.ClusterWeight = 2 }, false},
 		{"zero sigma with clusters", func(c *MetroConfig) { c.ClusterSigma = 0 }, false},
+		// NaN fails every comparison, so each of these passed a check
+		// written as x < lo || x > hi and built a grid.
+		{"NaN field", func(c *MetroConfig) { c.Field.Max.X = math.NaN() }, false},
+		{"NaN range", func(c *MetroConfig) { c.Range = math.NaN() }, false},
+		{"infinite range", func(c *MetroConfig) { c.Range = math.Inf(1) }, false},
+		{"NaN beacon frac", func(c *MetroConfig) { c.BeaconFrac = math.NaN() }, false},
+		{"NaN malicious frac", func(c *MetroConfig) { c.MaliciousFrac = math.NaN() }, false},
+		{"NaN cluster weight", func(c *MetroConfig) { c.ClusterWeight = math.NaN() }, false},
+		{"NaN sigma with clusters", func(c *MetroConfig) { c.ClusterSigma = math.NaN() }, false},
+		{"infinite sigma with clusters", func(c *MetroConfig) { c.ClusterSigma = math.Inf(1) }, false},
 		{"negative chunk", func(c *MetroConfig) { c.ChunkSize = -1 }, false},
+		{"chunk above cap", func(c *MetroConfig) { c.ChunkSize = maxChunkSize + 1 }, false},
+		{"huge chunk", func(c *MetroConfig) { c.ChunkSize = 1 << 40 }, false},
+		{"max chunk", func(c *MetroConfig) { c.ChunkSize = math.MaxInt64 }, false},
 		{"grid dwarfs population", func(c *MetroConfig) {
 			c.NumNodes = 100
 			c.Field = geo.Square(1e7)
@@ -198,6 +211,11 @@ func TestMetroValidate(t *testing.T) {
 	}
 	if err := Metro(100_000, 1).Validate(); err != nil {
 		t.Errorf("Metro(100k) invalid: %v", err)
+	}
+	atCap := Metro(10_000, 1)
+	atCap.ChunkSize = maxChunkSize
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("ChunkSize at the cap rejected: %v", err)
 	}
 }
 

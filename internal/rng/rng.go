@@ -70,7 +70,15 @@ func (s *Source) Split(label string) *Source {
 // SplitIndex derives an independent stream identified by an integer index,
 // for per-node streams.
 func (s *Source) SplitIndex(index uint64) *Source {
-	return New(s.s[1] ^ Mix(index))
+	src := s.MakeIndex(index)
+	return &src
+}
+
+// MakeIndex returns, by value, the Source SplitIndex returns for index,
+// so a per-node stream can live inline in the node's own state instead
+// of behind a pointer to a heap object of its own.
+func (s *Source) MakeIndex(index uint64) Source {
+	return Make(s.s[1] ^ Mix(index))
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -51,6 +51,29 @@ func TestMakeMatchesNew(t *testing.T) {
 	}
 }
 
+// TestMakeIndexMatchesSplitIndex checks that the by-value index stream
+// is exactly the stream SplitIndex returns, and that deriving one into a
+// local allocates nothing.
+func TestMakeIndexMatchesSplitIndex(t *testing.T) {
+	root := New(7).Split("metro-probes")
+	for _, i := range []uint64{0, 1, 1 << 32, math.MaxUint64} {
+		got, want := root.MakeIndex(i), *root.SplitIndex(i)
+		if got != want {
+			t.Errorf("MakeIndex(%d) = %v, SplitIndex gives %v", i, got, want)
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Errorf("MakeIndex(%d) first word %#x, SplitIndex %#x", i, a, b)
+		}
+	}
+	var sink uint64
+	if avg := testing.AllocsPerRun(100, func() {
+		src := root.MakeIndex(sink)
+		sink += src.Uint64()
+	}); avg != 0 {
+		t.Errorf("a by-value index stream allocates %.1f times", avg)
+	}
+}
+
 func TestDifferentSeedsDiverge(t *testing.T) {
 	a := New(1)
 	b := New(2)

@@ -24,8 +24,9 @@ import (
 //   - Per-node outcomes are never retained: every probe exchange folds
 //     into constant-size accumulators (counters + fixed-bucket
 //     histograms) the moment it resolves.
-//   - Per-node randomness is index-split (rng.SplitIndex), so results are
-//     independent of chunk size and of everything but the seed.
+//   - Per-node randomness is index-split (rng.(*Source).MakeIndex, the
+//     by-value SplitIndex), so results are independent of chunk size and
+//     of everything but the seed.
 //
 // The probe model is the timer skeleton of the paper's §2 detection
 // round: each node runs Rounds probe exchanges against its local beacon
@@ -125,9 +126,11 @@ func (c MetroConfig) Validate() error {
 	if c.Spacing <= 0 {
 		return fmt.Errorf("scenario: metro Spacing = %d must be positive", c.Spacing)
 	}
-	// Spacing·(2·Rounds+2) over-covers the stagger + jittered-gap total,
-	// division keeps the check itself overflow-free.
-	if uint64(c.Spacing) > maxMetroVirtual/(2*uint64(c.Rounds)+2) {
+	// Spacing·2·(Rounds+1) over-covers the stagger + jittered-gap total.
+	// Dividing twice keeps the check itself overflow-free: Rounds+1 fits
+	// a uint64 even at MaxInt64, where 2·Rounds+2 would wrap to a zero
+	// divisor.
+	if uint64(c.Spacing) > maxMetroVirtual/2/(uint64(c.Rounds)+1) {
 		return fmt.Errorf("scenario: metro Spacing = %d cycles overflows the virtual clock over %d rounds", c.Spacing, c.Rounds)
 	}
 	if c.Timeout < 4 {
@@ -136,14 +139,16 @@ func (c MetroConfig) Validate() error {
 	if uint64(c.Timeout) > maxMetroVirtual {
 		return fmt.Errorf("scenario: metro Timeout = %d cycles overflows the virtual clock", c.Timeout)
 	}
-	if c.LossRate < 0 || c.LossRate >= 1 {
+	// As in Config.Validate, each range check is written so that NaN,
+	// which fails every comparison, fails it too.
+	if !(c.LossRate >= 0 && c.LossRate < 1) {
 		return fmt.Errorf("scenario: metro LossRate %v outside [0,1)", c.LossRate)
 	}
-	if c.AttackBias < 0 {
+	if !(c.AttackBias >= 0) {
 		return fmt.Errorf("scenario: metro AttackBias %v must be non-negative", c.AttackBias)
 	}
-	if c.MaxDistError <= 0 {
-		return fmt.Errorf("scenario: metro MaxDistError %v must be positive", c.MaxDistError)
+	if !(c.MaxDistError > 0) || math.IsInf(c.MaxDistError, 1) {
+		return fmt.Errorf("scenario: metro MaxDistError %v must be positive and finite", c.MaxDistError)
 	}
 	return nil
 }
@@ -265,76 +270,132 @@ func newMetroAccum() *metroAccum {
 	return &metroAccum{rtt: metrics.NewHistogram(metrics.ExpBounds(64, 2, 16)...)}
 }
 
-// metroChain is one node's probe-round state machine; everything else a
-// probe needs is drawn from src when the event fires.
+// metroChain is one node's whole probe protocol: its rng stream (held
+// by value, index-split from the shard root), the in-flight probe's
+// outcome, the round counter, and its shard, whose config, scheduler and
+// accumulator it uses. Its one callback, fire, is bound once in
+// addMetroNode and every event the chain schedules runs it, so a probe
+// exchange allocates nothing: events come from the scheduler's free list
+// and no closure is made per probe.
+//
+// One callback suffices because at most one of a chain's queued events
+// is ever live. A probe queues its timeout and, unless lost, a reply at
+// most Timeout/2 later; the reply fires first and cancels the timeout.
+// So next always names the step the chain's live event runs.
 type metroChain struct {
-	src   *rng.Source
-	pMal  float64 // local malicious fraction of beacons, from the grid
+	src  rng.Source
+	pMal float64 // local malicious fraction of beacons, from the grid
+
+	// The in-flight probe, drawn when it fires.
+	declaredErr float64
+	rtt         sim.Time
+	timeout     sim.Handle
+
+	shard *metroShard
+	fire  func() // ch.step, bound once
+
 	round int
+	next  metroStep
+	isMal bool
 }
 
-// addMetroNode wires one node's probe chain onto sched, folding outcomes
-// into acc. This is the whole per-node protocol: the chain touches
-// nothing but its own rng stream (index-split from root), the read-only
-// grid, its scheduler, and its accumulator — which is exactly why a node
-// lands in a shard without changing any outcome.
-func addMetroNode(cfg *MetroConfig, grid *deploy.MetroGrid, sched *sim.Scheduler, root *rng.Source, acc *metroAccum, n deploy.MetroNode) {
-	rttSpan := int(cfg.Timeout) / 2 // replies always beat the timeout
-	ch := &metroChain{src: root.SplitIndex(uint64(n.Index))}
-	if _, b, m := grid.CountsNear(n.Loc, cfg.Deploy.Range); b > 0 {
+// metroStep is what a chain's live event does when it fires.
+type metroStep uint8
+
+const (
+	stepProbe   metroStep = iota // send the next probe
+	stepReply                    // the probe's reply arrives
+	stepTimeout                  // the probe was lost; its timeout fires
+)
+
+// addMetroNode wires one node's probe chain onto its shard's scheduler,
+// folding outcomes into the shard's accumulator. This is the whole
+// per-node protocol: the chain touches nothing but its own rng stream
+// (index-split from the shard root), the read-only grid, and its shard's
+// scheduler and accumulator — which is exactly why a node lands in a
+// shard without changing any outcome.
+func addMetroNode(s *metroShard, grid *deploy.MetroGrid, n deploy.MetroNode) {
+	ch := &metroChain{src: s.root.MakeIndex(uint64(n.Index)), shard: s}
+	if _, b, m := grid.CountsNear(n.Loc, s.cfg.Deploy.Range); b > 0 {
 		ch.pMal = m / b
 	}
-	var probe func()
-	done := func() {
-		ch.round++
-		if ch.round < cfg.Rounds {
-			gap := cfg.Spacing + sim.Time(ch.src.Uint64()%uint64(cfg.Spacing/4+1))
-			sched.After(gap, probe)
-		}
-	}
-	probe = func() {
-		acc.probes++
-		isMal := ch.src.Bool(ch.pMal)
-		lost := ch.src.Bool(cfg.LossRate)
-		declaredErr := ch.src.Uniform(-cfg.MaxDistError, cfg.MaxDistError)
-		if isMal {
-			acc.maliciousProbes++
-			declaredErr += cfg.AttackBias
-		}
-		rtt := sim.Time(1 + ch.src.Intn(rttSpan))
-		timeout := sched.After(cfg.Timeout, func() {
-			acc.timeouts++
-			done()
-		})
-		if lost {
-			return
-		}
-		sched.After(rtt, func() {
-			acc.replies++
-			acc.rtt.Observe(float64(rtt))
-			if math.Abs(declaredErr) > cfg.MaxDistError {
-				if isMal {
-					acc.flaggedMalicious++
-				} else {
-					acc.flaggedBenign++
-				}
-			}
-			timeout.Cancel()
-			done()
-		})
-	}
+	ch.fire = ch.step
 	// Stagger the first round across one spacing window so the
 	// field does not probe in lockstep.
-	start := sim.Time(1 + ch.src.Uint64()%uint64(cfg.Spacing))
-	sched.At(start, probe)
+	start := sim.Time(1 + ch.src.Uint64()%uint64(s.cfg.Spacing))
+	s.sched.At(start, ch.fire)
+}
+
+// step runs the chain's live event.
+func (ch *metroChain) step() {
+	switch ch.next {
+	case stepProbe:
+		ch.probe()
+	case stepReply:
+		ch.reply()
+	case stepTimeout:
+		ch.shard.acc.timeouts++
+		ch.done()
+	}
+}
+
+// probe draws one probe's outcome and queues its timeout and, unless the
+// probe is lost, its reply.
+func (ch *metroChain) probe() {
+	cfg, acc := ch.shard.cfg, ch.shard.acc
+	acc.probes++
+	ch.isMal = ch.src.Bool(ch.pMal)
+	lost := ch.src.Bool(cfg.LossRate)
+	ch.declaredErr = ch.src.Uniform(-cfg.MaxDistError, cfg.MaxDistError)
+	if ch.isMal {
+		acc.maliciousProbes++
+		ch.declaredErr += cfg.AttackBias
+	}
+	ch.rtt = sim.Time(1 + ch.src.Intn(int(cfg.Timeout)/2)) // replies always beat the timeout
+	ch.timeout = ch.shard.sched.After(cfg.Timeout, ch.fire)
+	if lost {
+		ch.next = stepTimeout
+		return
+	}
+	ch.next = stepReply
+	ch.shard.sched.After(ch.rtt, ch.fire)
+}
+
+// reply folds an answered probe into the accumulator, applying the ε_max
+// consistency check, and cancels the probe's timeout.
+func (ch *metroChain) reply() {
+	acc := ch.shard.acc
+	acc.replies++
+	acc.rtt.Observe(float64(ch.rtt))
+	if math.Abs(ch.declaredErr) > ch.shard.cfg.MaxDistError {
+		if ch.isMal {
+			acc.flaggedMalicious++
+		} else {
+			acc.flaggedBenign++
+		}
+	}
+	ch.timeout.Cancel()
+	ch.done()
+}
+
+// done ends a round and, if rounds remain, queues the next probe one
+// jittered spacing later.
+func (ch *metroChain) done() {
+	ch.round++
+	if cfg := ch.shard.cfg; ch.round < cfg.Rounds {
+		gap := cfg.Spacing + sim.Time(ch.src.Uint64()%uint64(cfg.Spacing/4+1))
+		ch.next = stepProbe
+		ch.shard.sched.After(gap, ch.fire)
+	}
 }
 
 // metroShard is one worker of the kernel: a contiguous index-range
-// slice of the population on a private scheduler. Nothing in it is
+// slice of the population on a private scheduler. Nothing it writes is
 // shared — queue, depth histogram, accumulator, and the rng root
-// (re-derived per shard from the seed) are all shard-local; the count
-// grid is shared read-only.
+// (re-derived per shard from the seed) are all shard-local; the config
+// and the count grid are shared read-only.
 type metroShard struct {
+	cfg   *MetroConfig
 	sched *sim.Scheduler
 	depth *metrics.Histogram
 	acc   *metroAccum
@@ -401,11 +462,13 @@ func (b *epochBarrier) arrive(pending int64, quit bool) (cont, aborted bool) {
 
 // RunMetro executes one metro-scale run on
 // K = len(cfg.Deploy.ShardRanges(cfg.Workers)) shards. Peak memory is
-// O(nodes) only in the pending-event population and the per-node chain
-// state (a rng state plus two words), never in retained results:
-// accumulators are constant-size and the deployment exists only as its
-// count grid. Cancelling ctx aborts the run — mid-stream or at the
-// next epoch barrier — and returns the context's error.
+// O(nodes) only in the pending-event population (~1.1 pooled events per
+// node at peak) and the per-node state (one 112-byte metroChain, its rng
+// stream inline, plus its one bound callback), never in retained
+// results: accumulators are constant-size and the deployment exists
+// only as its count grid. After a node is added, its probe exchanges
+// allocate nothing. Cancelling ctx aborts the run — mid-stream or at
+// the next epoch barrier — and returns the context's error.
 func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -420,6 +483,7 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	for i, r := range ranges {
 		depth := sim.DepthHistogram()
 		shards[i] = &metroShard{
+			cfg: &cfg,
 			sched: sim.NewWithConfig(sim.Config{
 				PendingHint: r.Len(),
 				Depth:       depth,
@@ -473,7 +537,7 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 			defer wg.Done()
 			for chunk := range s.in {
 				for i := range chunk {
-					addMetroNode(&cfg, grid, s.sched, s.root, s.acc, chunk[i])
+					addMetroNode(s, grid, chunk[i])
 				}
 			}
 			for epoch := uint64(1); ; epoch++ {

@@ -99,7 +99,19 @@ func TestRunMetroValidates(t *testing.T) {
 		// arithmetic into a scheduling-in-the-past panic; Validate must
 		// reject it as a config error instead.
 		{"spacing overflows clock", func(c *MetroConfig) { c.Spacing = sim.Time(math.MaxUint64 / 4) }, true},
+		// 2·Rounds+2 wrapped to zero here and the Spacing check divided
+		// by it.
+		{"max rounds", func(c *MetroConfig) { c.Rounds = math.MaxInt64 }, true},
+		{"max rounds - 1", func(c *MetroConfig) { c.Rounds = math.MaxInt64 - 1 }, true},
+		// A chunk buffer of MaxInt64 nodes was a makeslice panic in
+		// RunMetro, and 1<<40 ran out of memory.
+		{"max chunk size", func(c *MetroConfig) { c.Deploy.ChunkSize = math.MaxInt64 }, true},
+		{"huge chunk size", func(c *MetroConfig) { c.Deploy.ChunkSize = 1 << 40 }, true},
 		{"certain loss", func(c *MetroConfig) { c.LossRate = 1 }, true},
+		{"NaN loss", func(c *MetroConfig) { c.LossRate = math.NaN() }, true},
+		{"NaN attack bias", func(c *MetroConfig) { c.AttackBias = math.NaN() }, true},
+		{"NaN max error", func(c *MetroConfig) { c.MaxDistError = math.NaN() }, true},
+		{"infinite max error", func(c *MetroConfig) { c.MaxDistError = math.Inf(1) }, true},
 		{"negative workers", func(c *MetroConfig) { c.Workers = -1 }, true},
 	}
 	for _, tc := range cases {
@@ -119,6 +131,97 @@ func TestRunMetroValidates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// FuzzMetroConfig feeds arbitrary values of the metro knobs, the
+// deployment's among them, to Validate, which must never panic. An
+// accepted config that fits a small run budget must also run: RunMetro
+// may neither panic nor fail, and every node must run every round.
+func FuzzMetroConfig(f *testing.F) {
+	base := MetroPaper(1000, 1)
+	seed := func(mutate func(*MetroConfig)) {
+		c := base
+		mutate(&c)
+		d := c.Deploy
+		f.Add(c.Rounds, uint64(c.Spacing), uint64(c.Timeout), c.LossRate, c.AttackBias,
+			c.MaxDistError, c.Workers, d.NumNodes, d.ChunkSize,
+			d.Range, d.BeaconFrac, d.MaliciousFrac, d.ClusterWeight, d.ClusterSigma)
+	}
+	seed(func(c *MetroConfig) {})
+	seed(func(c *MetroConfig) { c.Rounds = math.MaxInt64 })
+	seed(func(c *MetroConfig) { c.Deploy.ChunkSize = math.MaxInt64 })
+	seed(func(c *MetroConfig) { c.Deploy.ChunkSize = 1 << 40 })
+	seed(func(c *MetroConfig) { c.Spacing, c.Timeout, c.Rounds = 1, 4, 4 })
+	seed(func(c *MetroConfig) { c.Workers, c.Deploy.ChunkSize, c.Deploy.NumNodes = 4, 97, 2000 })
+	seed(func(c *MetroConfig) { c.LossRate, c.MaxDistError = math.NaN(), math.Inf(1) })
+	seed(func(c *MetroConfig) { c.Deploy.Range, c.Deploy.BeaconFrac = math.NaN(), math.NaN() })
+	seed(func(c *MetroConfig) { c.Deploy.ClusterWeight, c.Deploy.ClusterSigma = math.NaN(), math.Inf(1) })
+	f.Fuzz(func(t *testing.T, rounds int, spacing, timeout uint64, loss, bias, maxErr float64,
+		workers int, nodes int64, chunk int, radio, beacons, malicious, weight, sigma float64) {
+		cfg := base
+		cfg.Rounds, cfg.Spacing, cfg.Timeout = rounds, sim.Time(spacing), sim.Time(timeout)
+		cfg.LossRate, cfg.AttackBias, cfg.MaxDistError = loss, bias, maxErr
+		cfg.Workers, cfg.Deploy.NumNodes, cfg.Deploy.ChunkSize = workers, nodes, chunk
+		d := &cfg.Deploy
+		d.Range, d.BeaconFrac, d.MaliciousFrac, d.ClusterWeight, d.ClusterSigma = radio, beacons, malicious, weight, sigma
+		if cfg.Validate() != nil || !fitsFuzzBudget(cfg) {
+			return
+		}
+		res, err := RunMetro(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("accepted config failed: %v (%+v)", err, cfg)
+		}
+		if res.Probes != nodes*int64(rounds) || res.Replies+res.Timeouts != res.Probes {
+			t.Fatalf("%d probes (%d replies, %d timeouts), want %d nodes × %d rounds",
+				res.Probes, res.Replies, res.Timeouts, nodes, rounds)
+		}
+	})
+}
+
+// fitsFuzzBudget reports whether an accepted config is small enough to
+// run inside one fuzz input: at most 2,000 nodes, 4 rounds, 8 shards and
+// 10^4 lockstep epochs. The last event lands by Spacing·2·(Rounds+1) +
+// Timeout (Validate's bound keeps that under 2^63), and the kernel runs
+// one epoch per Timeout up to it.
+func fitsFuzzBudget(c MetroConfig) bool {
+	if c.Deploy.NumNodes > 2000 || c.Rounds > 4 || len(c.Deploy.ShardRanges(c.Workers)) > 8 {
+		return false
+	}
+	last := uint64(c.Spacing)*2*uint64(c.Rounds+1) + uint64(c.Timeout)
+	return last/uint64(c.Timeout) <= 10_000
+}
+
+// raceEnabled is set by race_test.go under -race builds.
+var raceEnabled bool
+
+// TestRunMetroAllocs pins the kernel's allocations per node. A node
+// costs its chain and the chain's one bound callback; events come from
+// the scheduler's free list, so the only other mallocs are the ~1.1
+// events per node the wheel holds at peak pending and a per-run constant.
+// Probe exchanges allocate nothing, so doubling the rounds barely moves
+// the count.
+func TestRunMetroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
+	}
+	const n = 20_000
+	perNode := func(rounds int) float64 {
+		cfg := MetroPaper(n, 1)
+		cfg.Rounds = rounds
+		return testing.AllocsPerRun(1, func() {
+			if _, err := RunMetro(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}) / n
+	}
+	three, six := perNode(3), perNode(6)
+	t.Logf("mallocs per node: %.3f at 3 rounds, %.3f at 6", three, six)
+	if three > 4 {
+		t.Errorf("%.2f mallocs per node at 3 rounds, want at most 4", three)
+	}
+	if six-three >= 0.1 {
+		t.Errorf("3 more rounds add %.2f mallocs per node, want under 0.1", six-three)
 	}
 }
 
