@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,6 +62,44 @@ func TestRunRejectsBadProbabilities(t *testing.T) {
 			}
 		}()
 	}
+}
+
+// FuzzRun feeds run arbitrary -n, -p, -pd and -seed values on the
+// paper path (with -nb 33 -na 3) and arbitrary -nodes, -metro-workers and
+// -seed values on the metro path, writing no files: every value must run
+// or return an error, never panic. A population that Validate would
+// accept but that would run for seconds is skipped: -n above fuzzMaxN
+// that the 16-bit identity space can still hold, or -nodes above
+// fuzzMaxNodes up to deploy's 2^30 cap. Every larger value is rejected
+// before any work and is fuzzed.
+func FuzzRun(f *testing.F) {
+	const fuzzMaxN, fuzzMaxNodes = 400, 2000
+	f.Add(false, 300, 0.2, 0.9, int64(0), 0, uint64(1))
+	f.Add(false, 33, 0.0, 1.0, int64(0), 0, uint64(0))
+	f.Add(false, math.MaxInt, math.NaN(), math.Inf(1), int64(0), 0, uint64(math.MaxUint64))
+	f.Add(false, -1, -0.5, -0.5, int64(0), 0, uint64(2))
+	f.Add(true, 0, 0.0, 0.0, int64(1000), 1, uint64(1))
+	f.Add(true, 0, 0.0, 0.0, int64(fuzzMaxNodes), math.MaxInt, uint64(math.MaxUint64))
+	f.Add(true, 0, 0.0, 0.0, int64(math.MaxInt64), -1, uint64(3))
+	f.Add(true, 0, 0.0, 0.0, int64(math.MinInt64), math.MinInt, uint64(4))
+	f.Fuzz(func(t *testing.T, metro bool, n int, p, pd float64, nodes int64, workers int, seed uint64) {
+		s := strconv.FormatUint(seed, 10)
+		var args []string
+		if metro {
+			if nodes > fuzzMaxNodes && nodes <= 1<<30 {
+				return
+			}
+			args = []string{"-metro", "-nodes", strconv.FormatInt(nodes, 10),
+				"-metro-workers", strconv.Itoa(workers), "-seed", s}
+		} else {
+			if n > fuzzMaxN && n < 1<<16 {
+				return
+			}
+			args = []string{"-n", strconv.Itoa(n), "-nb", "33", "-na", "3", "-seed", s,
+				"-p", strconv.FormatFloat(p, 'g', -1, 64), "-pd", strconv.FormatFloat(pd, 'g', -1, 64)}
+		}
+		_ = run(args, io.Discard)
+	})
 }
 
 // TestRunCachedReplayMatches runs the same configuration cold and warm

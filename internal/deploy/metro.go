@@ -13,7 +13,7 @@ import (
 // index with per-cell candidate slices, and the ident space caps out at
 // ~65k IDs anyway. The metro family instead generates nodes as a stream
 // of fixed-size chunks in index order (construction memory is
-// O(ChunkSize), independent of NumNodes) and summarizes the field as a
+// O(chunk size), independent of NumNodes) and summarizes the field as a
 // per-cell count grid (O(cells) memory, no per-node retention).
 
 // MetroNode is one generated node in a metro-scale deployment stream.
@@ -48,26 +48,20 @@ type MetroConfig struct {
 	ClusterWeight float64
 	// ClusterSigma is the cluster standard deviation in feet.
 	ClusterSigma float64
-	// ChunkSize is the number of nodes per generated chunk, at most
-	// maxChunkSize; 0 selects metroChunkSize. Chunking never changes the
-	// generated nodes — the stream is one rng sequence consumed in index
-	// order.
-	ChunkSize int
 	// Seed drives placement, clustering, and the kind assignment.
 	Seed uint64
+
+	// chunk overrides metroChunkSize when positive, so this package's
+	// tests can stream many chunks from a small population. Chunking
+	// never changes the generated nodes — the stream is one rng sequence
+	// consumed in index order — but it sets the shard boundaries.
+	chunk int
 }
 
-// metroChunkSize is the default streaming chunk: big enough to amortize
+// metroChunkSize is the streaming chunk: big enough to amortize
 // per-chunk overhead, small enough that a chunk is cache- and
 // allocation-trivial next to the count grid.
 const metroChunkSize = 8192
-
-// maxChunkSize bounds ChunkSize. Stream allocates one chunk buffer up
-// front (32 MiB at this size, less when the population is smaller);
-// without a bound, a huge ChunkSize is an allocation panic or an
-// out-of-memory crash instead of a config error. Any size streams the
-// same nodes.
-const maxChunkSize = 1 << 20
 
 // maxMetroNodes bounds NumNodes: beyond a billion nodes the int64 cell
 // counters and float64 index arithmetic here are no longer the
@@ -123,15 +117,12 @@ func (c MetroConfig) Validate() error {
 	if c.Clusters > 0 && c.ClusterWeight > 0 && (!(c.ClusterSigma > 0) || math.IsInf(c.ClusterSigma, 1)) {
 		return fmt.Errorf("deploy: ClusterSigma %v must be positive and finite with clusters enabled", c.ClusterSigma)
 	}
-	if c.ChunkSize < 0 || c.ChunkSize > maxChunkSize {
-		return fmt.Errorf("deploy: ChunkSize = %d outside [0, %d]", c.ChunkSize, maxChunkSize)
-	}
 	return checkGridSize(c.NumNodes, c.Field, c.Range)
 }
 
 func (c MetroConfig) chunkSize() int {
-	if c.ChunkSize > 0 {
-		return c.ChunkSize
+	if c.chunk > 0 {
+		return c.chunk
 	}
 	return metroChunkSize
 }
@@ -269,7 +260,7 @@ type MetroGrid struct {
 
 // BuildGrid streams the deployment once and folds it into a fresh count
 // grid, chunk by chunk in index order (so the result is deterministic
-// and independent of ChunkSize).
+// and independent of the chunk size).
 func (c MetroConfig) BuildGrid() (*MetroGrid, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

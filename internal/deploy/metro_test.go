@@ -29,7 +29,7 @@ func TestMetroStreamChunkSizeInvariant(t *testing.T) {
 	}
 	for _, size := range []int{1, 97, 1000, 1 << 15} {
 		cfg := base
-		cfg.ChunkSize = size
+		cfg.chunk = size
 		got := collectMetro(t, cfg)
 		if len(got) != len(want) {
 			t.Fatalf("chunk %d: %d nodes, want %d", size, len(got), len(want))
@@ -176,10 +176,6 @@ func TestMetroValidate(t *testing.T) {
 		{"NaN cluster weight", func(c *MetroConfig) { c.ClusterWeight = math.NaN() }, false},
 		{"NaN sigma with clusters", func(c *MetroConfig) { c.ClusterSigma = math.NaN() }, false},
 		{"infinite sigma with clusters", func(c *MetroConfig) { c.ClusterSigma = math.Inf(1) }, false},
-		{"negative chunk", func(c *MetroConfig) { c.ChunkSize = -1 }, false},
-		{"chunk above cap", func(c *MetroConfig) { c.ChunkSize = maxChunkSize + 1 }, false},
-		{"huge chunk", func(c *MetroConfig) { c.ChunkSize = 1 << 40 }, false},
-		{"max chunk", func(c *MetroConfig) { c.ChunkSize = math.MaxInt64 }, false},
 		{"grid dwarfs population", func(c *MetroConfig) {
 			c.NumNodes = 100
 			c.Field = geo.Square(1e7)
@@ -212,11 +208,6 @@ func TestMetroValidate(t *testing.T) {
 	if err := Metro(100_000, 1).Validate(); err != nil {
 		t.Errorf("Metro(100k) invalid: %v", err)
 	}
-	atCap := Metro(10_000, 1)
-	atCap.ChunkSize = maxChunkSize
-	if err := atCap.Validate(); err != nil {
-		t.Errorf("ChunkSize at the cap rejected: %v", err)
-	}
 }
 
 func TestConfigValidateGridBounds(t *testing.T) {
@@ -241,7 +232,7 @@ func TestConfigValidateGridBounds(t *testing.T) {
 
 func TestMetroStreamAbortsOnVisitError(t *testing.T) {
 	cfg := Metro(10_000, 1)
-	cfg.ChunkSize = 100
+	cfg.chunk = 100
 	sentinel := errors.New("stop")
 	calls := 0
 	err := cfg.Stream(func([]MetroNode) error {
@@ -296,7 +287,7 @@ func TestMetroShardRanges(t *testing.T) {
 
 func TestMetroShardRangesMoreShardsThanChunks(t *testing.T) {
 	cfg := Metro(10_000, 1)
-	cfg.ChunkSize = 4_000 // 3 chunks
+	cfg.chunk = 4_000 // 3 chunks
 	ranges := cfg.ShardRanges(8)
 	if len(ranges) != 3 {
 		t.Fatalf("%d ranges for 3 chunks, want 3: %+v", len(ranges), ranges)
@@ -312,7 +303,7 @@ func TestMetroShardRangesMoreShardsThanChunks(t *testing.T) {
 // range, and shard indices never decrease.
 func TestMetroStreamShardsPartition(t *testing.T) {
 	cfg := Metro(30_000, 5)
-	cfg.ChunkSize = 1_000
+	cfg.chunk = 1_000
 	want := collectMetro(t, cfg)
 	const k = 4
 	ranges := cfg.ShardRanges(k)

@@ -103,10 +103,6 @@ func TestRunMetroValidates(t *testing.T) {
 		// by it.
 		{"max rounds", func(c *MetroConfig) { c.Rounds = math.MaxInt64 }, true},
 		{"max rounds - 1", func(c *MetroConfig) { c.Rounds = math.MaxInt64 - 1 }, true},
-		// A chunk buffer of MaxInt64 nodes was a makeslice panic in
-		// RunMetro, and 1<<40 ran out of memory.
-		{"max chunk size", func(c *MetroConfig) { c.Deploy.ChunkSize = math.MaxInt64 }, true},
-		{"huge chunk size", func(c *MetroConfig) { c.Deploy.ChunkSize = 1 << 40 }, true},
 		{"certain loss", func(c *MetroConfig) { c.LossRate = 1 }, true},
 		{"NaN loss", func(c *MetroConfig) { c.LossRate = math.NaN() }, true},
 		{"NaN attack bias", func(c *MetroConfig) { c.AttackBias = math.NaN() }, true},
@@ -145,24 +141,24 @@ func FuzzMetroConfig(f *testing.F) {
 		mutate(&c)
 		d := c.Deploy
 		f.Add(c.Rounds, uint64(c.Spacing), uint64(c.Timeout), c.LossRate, c.AttackBias,
-			c.MaxDistError, c.Workers, d.NumNodes, d.ChunkSize,
+			c.MaxDistError, c.Workers, d.NumNodes,
 			d.Range, d.BeaconFrac, d.MaliciousFrac, d.ClusterWeight, d.ClusterSigma)
 	}
 	seed(func(c *MetroConfig) {})
 	seed(func(c *MetroConfig) { c.Rounds = math.MaxInt64 })
-	seed(func(c *MetroConfig) { c.Deploy.ChunkSize = math.MaxInt64 })
-	seed(func(c *MetroConfig) { c.Deploy.ChunkSize = 1 << 40 })
+	seed(func(c *MetroConfig) { c.Workers = math.MaxInt })
+	seed(func(c *MetroConfig) { c.Deploy.NumNodes = math.MaxInt64 })
 	seed(func(c *MetroConfig) { c.Spacing, c.Timeout, c.Rounds = 1, 4, 4 })
-	seed(func(c *MetroConfig) { c.Workers, c.Deploy.ChunkSize, c.Deploy.NumNodes = 4, 97, 2000 })
+	seed(func(c *MetroConfig) { c.Workers, c.Deploy.NumNodes = 4, 2000 })
 	seed(func(c *MetroConfig) { c.LossRate, c.MaxDistError = math.NaN(), math.Inf(1) })
 	seed(func(c *MetroConfig) { c.Deploy.Range, c.Deploy.BeaconFrac = math.NaN(), math.NaN() })
 	seed(func(c *MetroConfig) { c.Deploy.ClusterWeight, c.Deploy.ClusterSigma = math.NaN(), math.Inf(1) })
 	f.Fuzz(func(t *testing.T, rounds int, spacing, timeout uint64, loss, bias, maxErr float64,
-		workers int, nodes int64, chunk int, radio, beacons, malicious, weight, sigma float64) {
+		workers int, nodes int64, radio, beacons, malicious, weight, sigma float64) {
 		cfg := base
 		cfg.Rounds, cfg.Spacing, cfg.Timeout = rounds, sim.Time(spacing), sim.Time(timeout)
 		cfg.LossRate, cfg.AttackBias, cfg.MaxDistError = loss, bias, maxErr
-		cfg.Workers, cfg.Deploy.NumNodes, cfg.Deploy.ChunkSize = workers, nodes, chunk
+		cfg.Workers, cfg.Deploy.NumNodes = workers, nodes
 		d := &cfg.Deploy
 		d.Range, d.BeaconFrac, d.MaliciousFrac, d.ClusterWeight, d.ClusterSigma = radio, beacons, malicious, weight, sigma
 		if cfg.Validate() != nil || !fitsFuzzBudget(cfg) {
@@ -180,12 +176,13 @@ func FuzzMetroConfig(f *testing.F) {
 }
 
 // fitsFuzzBudget reports whether an accepted config is small enough to
-// run inside one fuzz input: at most 2,000 nodes, 4 rounds, 8 shards and
-// 10^4 lockstep epochs. The last event lands by Spacing·2·(Rounds+1) +
-// Timeout (Validate's bound keeps that under 2^63), and the kernel runs
-// one epoch per Timeout up to it.
+// run inside one fuzz input: at most 2,000 nodes (one streaming chunk,
+// so one shard at any Workers), 4 rounds and 10^4 lockstep epochs. The
+// last event lands by Spacing·2·(Rounds+1) + Timeout (Validate's bound
+// keeps that under 2^63), and the kernel runs one epoch per Timeout up
+// to it.
 func fitsFuzzBudget(c MetroConfig) bool {
-	if c.Deploy.NumNodes > 2000 || c.Rounds > 4 || len(c.Deploy.ShardRanges(c.Workers)) > 8 {
+	if c.Deploy.NumNodes > 2000 || c.Rounds > 4 {
 		return false
 	}
 	last := uint64(c.Spacing)*2*uint64(c.Rounds+1) + uint64(c.Timeout)

@@ -22,7 +22,15 @@ import (
 // timer distributions (an event cascades once per nonzero base-4096 digit
 // of its remaining delay, at most 5 times). Slot membership is an
 // intrusive singly-linked list through event.next, so a pending event
-// costs zero additional allocations.
+// costs zero additional allocations. Once the queue has held
+// lanedPending events, a slot above level 0 is wheelLanes lists
+// ("lanes"), filed round-robin, and a cascade takes one event from each
+// lane in turn: each step along one list is a dependent load of a cold
+// event, and interleaving wheelLanes independent chains lets the CPU
+// overlap those misses instead of waiting on each. A smaller queue keeps
+// one list per slot, and a level-0 slot always does: it holds one time,
+// and serving it copies the list into the ready buffer, which is sorted
+// by seq anyway.
 //
 // Determinism contract (DESIGN.md §13): pops are in ascending (at, seq)
 // order, byte-identical to the min-heap oracle in heap_test.go. Two
@@ -32,11 +40,12 @@ import (
 //     differs from cur only in the low 12 bits, and its slot index IS
 //     those bits, so every event in one level-0 slot shares one exact
 //     `at`. Serving a slot therefore only needs to order by seq.
-//   - Cascading prepends to slot lists in arbitrary order, so the served
-//     slot is sorted by seq into the ready buffer before popping
-//     (the "sorted bottom rung" of a ladder queue). Events pushed at the
-//     currently-serving time while the buffer drains have seqs larger
-//     than everything in flight and are served in a later sorted batch.
+//   - Cascading prepends to slot lists in arbitrary order (lanes only
+//     change which arbitrary order), so the served slot is sorted by seq
+//     into the ready buffer before popping (the "sorted bottom rung" of a
+//     ladder queue). Events pushed at the currently-serving time while the
+//     buffer drains have seqs larger than everything in flight and are
+//     served in a later sorted batch.
 type wheelQueue struct {
 	// cur is the serving cursor: every queued event has at ≥ cur, except
 	// transiently inside rewind. Slot placement is relative to cur.
@@ -47,17 +56,25 @@ type wheelQueue struct {
 	ready []*event
 	head  int
 	n     int64 // queued events, including cancelled-but-unpopped
-	// occupied[l] has bit s (word s/64, bit s%64) set iff slot[l][s] is
-	// non-empty, and words[l] has bit w set iff occupied[l][w] is nonzero
-	// (wheelWords is 64, one bit per word), so finding the next occupied
-	// slot is two TrailingZeros64 per level even when a sparse queue
-	// leaves most words empty.
+	// occupied[l] has bit s (word s/64, bit s%64) set iff slot s of
+	// level l is non-empty, and words[l] has bit w set iff
+	// occupied[l][w] is nonzero (wheelWords is 64, one bit per word), so
+	// finding the next occupied slot is two TrailingZeros64 per level
+	// even when a sparse queue leaves most words empty.
 	occupied [wheelLevels][wheelWords]uint64
 	words    [wheelLevels]uint64
-	// slot[l] is allocated when level l first files an event: a small
-	// queue (an RTT calibration pair) touches one or two levels, so it
-	// never pays to zero, or the GC to scan, the other 32 KB arrays.
-	slot [wheelLevels]*[wheelSlots]*event
+	// bottom is level 0 and upper[l-1] is level l ≥ 1, each allocated
+	// when its level first files an event: a small queue (an RTT
+	// calibration pair) touches one or two levels, so it never pays to
+	// zero, or the GC to scan, the other arrays. Slot s of an upper level
+	// is upper[l-1][s<<laneBits:][:1<<laneBits], one list per lane.
+	bottom *[wheelSlots]*event
+	upper  [wheelLevels - 1][]*event
+	// laneBits is 0 until the queue first holds lanedPending events (see
+	// widen), then wheelLaneBits. lane counts laned placements; its low
+	// bits pick the next lane round-robin.
+	laneBits uint
+	lane     uint64
 }
 
 const (
@@ -66,6 +83,16 @@ const (
 	wheelMask   = wheelSlots - 1
 	wheelWords  = wheelSlots / 64                  // occupancy words per level
 	wheelLevels = (64 + wheelBits - 1) / wheelBits // 6, covers all 64 bits
+	// A laned wheel has wheelLanes lists in each upper-level slot.
+	wheelLaneBits = 2
+	wheelLanes    = 1 << wheelLaneBits
+	// lanedPending is the queue size at which a wheel takes lanes. A
+	// queue that never holds this many events (a paper-scale run holds
+	// under 10k, a calibration pair two) keeps 32 KB levels: its events
+	// mostly stay cached between filing and cascading, so lanes would
+	// cost it memory and save little. A metro shard holds hundreds of
+	// thousands.
+	lanedPending = 1 << 16
 )
 
 func newWheelQueue() *wheelQueue {
@@ -81,6 +108,9 @@ func levelOf(x uint64) int {
 func (w *wheelQueue) push(ev *event) {
 	ev.index = 0 // queued marker for Handle.Cancel
 	w.n++
+	if w.n >= lanedPending && w.laneBits == 0 {
+		w.widen()
+	}
 	if uint64(ev.at) < w.cur {
 		// The cursor overshot this time: nextAt advances cur to the
 		// minimum pending event, which can exceed the clock after
@@ -95,18 +125,29 @@ func (w *wheelQueue) push(ev *event) {
 // only be called with at ≥ cur.
 func (w *wheelQueue) place(ev *event) {
 	at := uint64(ev.at)
-	l, s := 0, w.cur&wheelMask
-	if x := at ^ w.cur; x != 0 {
+	l, s := 0, at&wheelMask
+	if x := at ^ w.cur; x > wheelMask {
 		l = levelOf(x)
 		s = (at >> (uint(l) * wheelBits)) & wheelMask
+		up := w.upper[l-1]
+		if up == nil {
+			up = make([]*event, wheelSlots<<w.laneBits)
+			w.upper[l-1] = up
+		}
+		i := s
+		if w.laneBits != 0 {
+			i = s<<wheelLaneBits | w.lane&(wheelLanes-1)
+			w.lane++
+		}
+		ev.next = up[i]
+		up[i] = ev
+	} else {
+		if w.bottom == nil {
+			w.bottom = new([wheelSlots]*event)
+		}
+		ev.next = w.bottom[s]
+		w.bottom[s] = ev
 	}
-	sl := w.slot[l]
-	if sl == nil {
-		sl = new([wheelSlots]*event)
-		w.slot[l] = sl
-	}
-	ev.next = sl[s]
-	sl[s] = ev
 	w.occupied[l][s>>6] |= 1 << (s & 63)
 	w.words[l] |= 1 << (s >> 6)
 }
@@ -153,8 +194,6 @@ func (w *wheelQueue) advance() {
 			continue
 		}
 		s := uint64(sl)
-		head := w.slot[l][s]
-		w.slot[l][s] = nil
 		if w.occupied[l][s>>6] &^= 1 << (s & 63); w.occupied[l][s>>6] == 0 {
 			w.words[l] &^= 1 << (s >> 6)
 		}
@@ -162,14 +201,8 @@ func (w *wheelQueue) advance() {
 			// Bottom rung: a single-time slot. cur keeps its high bits;
 			// the slot index is exactly the served time's low bits.
 			w.cur = w.cur&^wheelMask | s
-			w.ready = w.ready[:0]
+			w.ready = unlink(w.ready[:0], &w.bottom[s])
 			w.head = 0
-			for ev := head; ev != nil; {
-				next := ev.next
-				ev.next = nil
-				w.ready = append(w.ready, ev)
-				ev = next
-			}
 			if len(w.ready) > 1 {
 				slices.SortFunc(w.ready, func(a, b *event) int {
 					switch {
@@ -193,11 +226,32 @@ func (w *wheelQueue) advance() {
 		}
 		// Cascade: re-filing relative to the new cursor strictly lowers
 		// each event's level (its bits at this level now match cur's).
-		for ev := head; ev != nil; {
-			next := ev.next
-			ev.next = nil
-			w.place(ev)
-			ev = next
+		up := w.upper[l-1]
+		if w.laneBits == 0 {
+			ev := up[s]
+			up[s] = nil
+			for ev != nil {
+				next := ev.next
+				ev.next = nil
+				w.place(ev)
+				ev = next
+			}
+			return
+		}
+		// One event per lane in turn, so the lanes' cold loads overlap.
+		lanes := (*[wheelLanes]*event)(up[s<<wheelLaneBits:])
+		heads := *lanes
+		*lanes = [wheelLanes]*event{}
+		for more := true; more; {
+			more = false
+			for k, ev := range heads {
+				if ev != nil {
+					heads[k] = ev.next
+					ev.next = nil
+					w.place(ev)
+					more = true
+				}
+			}
 		}
 		return
 	}
@@ -218,13 +272,14 @@ func (w *wheelQueue) rewind(at uint64) {
 			word := bits.TrailingZeros64(ws)
 			for m := w.occupied[l][word]; m != 0; m &= m - 1 {
 				s := word<<6 + bits.TrailingZeros64(m)
-				for ev := w.slot[l][s]; ev != nil; {
-					next := ev.next
-					ev.next = nil
-					batch = append(batch, ev)
-					ev = next
+				if l == 0 {
+					batch = unlink(batch, &w.bottom[s])
+					continue
 				}
-				w.slot[l][s] = nil
+				lanes := w.upper[l-1][s<<w.laneBits:][:1<<w.laneBits]
+				for k := range lanes {
+					batch = unlink(batch, &lanes[k])
+				}
 			}
 			w.occupied[l][word] = 0
 		}
@@ -238,6 +293,35 @@ func (w *wheelQueue) rewind(at uint64) {
 	for _, ev := range batch {
 		w.place(ev)
 	}
+}
+
+// widen gives every upper-level slot wheelLanes lists. Each slot's list
+// moves whole into its first lane, so no queued event is touched.
+func (w *wheelQueue) widen() {
+	w.laneBits = wheelLaneBits
+	for l, old := range w.upper {
+		if old == nil {
+			continue
+		}
+		up := make([]*event, wheelSlots<<wheelLaneBits)
+		for s, head := range old {
+			up[s<<wheelLaneBits] = head
+		}
+		w.upper[l] = up
+	}
+}
+
+// unlink appends the list at *head to batch, clearing every link, and
+// empties the list.
+func unlink(batch []*event, head **event) []*event {
+	for ev := *head; ev != nil; {
+		next := ev.next
+		ev.next = nil
+		batch = append(batch, ev)
+		ev = next
+	}
+	*head = nil
+	return batch
 }
 
 func (w *wheelQueue) pop() *event {

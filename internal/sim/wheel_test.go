@@ -35,12 +35,18 @@ func decodeDelta(class, a, b byte) Time {
 // divergence in fire order, clock, pending count, cancel outcome, or
 // final stats. This is the wheel's oracle harness (the geo.Grid
 // brute-force pattern): the heap's (at, seq) order is the contract.
-func diffQueues(t *testing.T, script []byte) {
+// A laned run widens the wheel before the script starts, as a queue of
+// lanedPending events would.
+func diffQueues(t *testing.T, script []byte, laned bool) {
 	t.Helper()
 	heap := newHeapScheduler(Config{})
 	wheel := New()
-	if _, ok := wheel.q.(*wheelQueue); !ok {
+	w, ok := wheel.q.(*wheelQueue)
+	if !ok {
 		t.Fatal("New did not select the wheel queue")
+	}
+	if laned {
+		w.widen()
 	}
 
 	var hLog, wLog []fire
@@ -137,7 +143,8 @@ func TestWheelVsHeapProperty(t *testing.T) {
 		rnd := rand.New(rand.NewSource(int64(seed)))
 		script := make([]byte, 100+rnd.Intn(500))
 		rnd.Read(script)
-		diffQueues(t, script)
+		diffQueues(t, script, false)
+		diffQueues(t, script, true)
 	}
 }
 
@@ -153,7 +160,8 @@ func FuzzQueueOrder(f *testing.F) {
 		if len(script) > 4096 {
 			script = script[:4096]
 		}
-		diffQueues(t, script)
+		diffQueues(t, script, false)
+		diffQueues(t, script, true)
 	})
 }
 
@@ -176,6 +184,82 @@ func TestWheelRewindAfterRunUntil(t *testing.T) {
 	}
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("fire order = %v, want [0 1 2]", order)
+	}
+}
+
+// TestWheelLanedSlotMatchesHeap files more than lanedPending events
+// into one slot, so the wheel widens while they are filed, and a
+// cascade spreads them over the lanes of one level-1 slot. It cancels
+// some and rewinds the cursor while that slot is still filed: the
+// cascade and rewind both walk every lane of a crowded slot. The fire
+// order must equal the heap oracle's.
+func TestWheelLanedSlotMatchesHeap(t *testing.T) {
+	heap, wheel := newHeapScheduler(Config{}), New()
+	var hLog, wLog []fire
+	var handles [][2]Handle
+	at := func(when Time) {
+		id := len(handles)
+		handles = append(handles, [2]Handle{
+			heap.At(when, func() { hLog = append(hLog, fire{id, heap.Now()}) }),
+			wheel.At(when, func() { wLog = append(wLog, fire{id, wheel.Now()}) }),
+		})
+	}
+	cancelEvery := func(k int) {
+		for i := 0; i < len(handles); i += k {
+			if ch, cw := handles[i][0].Cancel(), handles[i][1].Cancel(); ch != cw {
+				t.Fatalf("cancel %d diverged: heap %v wheel %v", i, ch, cw)
+			}
+		}
+	}
+	// From a zero cursor everything here is filed at level 2. Reaching
+	// base cascades the first event to level 0 and the bulk to level-1
+	// slot 5, with ties: lanedPending+3000 events in 512 distinct times.
+	const base = Time(1) << 24
+	rnd := rand.New(rand.NewSource(1))
+	at(base + 3)
+	for i := 0; i < lanedPending+3000; i++ {
+		at(base + 5<<wheelBits + Time(rnd.Intn(512)))
+	}
+	cancelEvery(7)
+	// The first event stops RunUntil with the cursor at base+3, past the
+	// clock, and leaves the bulk filed in the laned level-1 slot.
+	heap.RunUntil(10)
+	wheel.RunUntil(10)
+	w := wheel.q.(*wheelQueue)
+	if w.laneBits != wheelLaneBits {
+		t.Fatalf("wheel holding %d events has laneBits %d, want %d", w.n, w.laneBits, wheelLaneBits)
+	}
+	for k, head := range w.upper[0][5<<wheelLaneBits:][:wheelLanes] {
+		n := 0
+		for ev := head; ev != nil; ev = ev.next {
+			n++
+		}
+		if n <= wheelLanes {
+			t.Fatalf("lane %d of the crowded slot holds %d events, want more than %d", k, n, wheelLanes)
+		}
+	}
+	// Each of these lands between the clock and the cursor: the first
+	// rewinds across level 2, re-filing every lane of the crowded slot.
+	for i := 0; i < 1000; i++ {
+		at(11 + Time(rnd.Intn(1<<13)))
+	}
+	cancelEvery(5)
+	if err := heap.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wheel.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(hLog) != len(wLog) {
+		t.Fatalf("fired %d events on heap, %d on wheel", len(hLog), len(wLog))
+	}
+	for k := range hLog {
+		if hLog[k] != wLog[k] {
+			t.Fatalf("fire %d diverged: heap %+v wheel %+v", k, hLog[k], wLog[k])
+		}
+	}
+	if hs, ws := heap.Stats(), wheel.Stats(); hs != ws {
+		t.Fatalf("stats diverged:\nheap  %+v\nwheel %+v", hs, ws)
 	}
 }
 
