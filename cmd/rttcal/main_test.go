@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -35,4 +37,38 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	if err := run([]string{"-nonsense"}, &b); err == nil {
 		t.Error("unknown flag accepted")
 	}
+}
+
+// FuzzRun drives run with arbitrary -trials and -seed. No input may
+// panic, a trial count outside [1, core.MaxCalibrationTrials] must be an
+// error, and a valid one must measure exactly that many exchanges. Every
+// frame of a calibration pair is a reception, so each run drives the
+// radio medium's reception path. Valid counts above fuzzMaxTrials are
+// skipped to keep each input fast.
+func FuzzRun(f *testing.F) {
+	const fuzzMaxTrials = 2000
+	f.Add(500, uint64(3))
+	f.Add(1, uint64(0))
+	f.Add(fuzzMaxTrials, uint64(math.MaxUint64))
+	f.Add(0, uint64(1))
+	f.Add(-1, uint64(2))
+	f.Add(math.MaxInt, uint64(4))
+	f.Add(math.MinInt, uint64(5))
+	f.Add(core.MaxCalibrationTrials+1, uint64(6))
+	f.Fuzz(func(t *testing.T, trials int, seed uint64) {
+		valid := trials >= 1 && trials <= core.MaxCalibrationTrials
+		if valid && trials > fuzzMaxTrials {
+			return
+		}
+		var b strings.Builder
+		err := run([]string{"-trials", strconv.Itoa(trials), "-seed", strconv.FormatUint(seed, 10)}, &b)
+		switch {
+		case !valid && err == nil:
+			t.Fatalf("trials=%d accepted", trials)
+		case valid && err != nil:
+			t.Fatalf("trials=%d seed=%d: %v", trials, seed, err)
+		case valid && !strings.Contains(b.String(), fmt.Sprintf("over %d exchanges", trials)):
+			t.Fatalf("trials=%d seed=%d: output does not report %d exchanges:\n%s", trials, seed, trials, b.String())
+		}
+	})
 }

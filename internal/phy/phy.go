@@ -296,8 +296,8 @@ type Medium struct {
 	// owners maps each link address a radio listens on to that radio's
 	// index, or to everyone when several radios listen on it.
 	owners map[uint32]int32
-	// pendFree recycles pending-delivery records (and their pre-bound
-	// fire closures) so steady-state delivery allocates nothing.
+	// pendFree recycles pending-delivery records, events included, so
+	// steady-state delivery allocates nothing.
 	pendFree []*pending
 }
 
@@ -538,18 +538,19 @@ func (m *Medium) collide(rx *Radio, arrive sim.Time) {
 	}
 }
 
-// pending is one in-flight delivery: the arrival record plus everything
-// the reception callback needs. Records are pooled on the medium, and
-// fire is bound to deliverNow exactly once (at pool-entry creation), so
-// a steady-state delivery schedules with zero heap allocations.
+// pending is one in-flight delivery: its reception event, the arrival
+// record and everything the reception needs. Records are pooled on the
+// medium and each fires itself through its own event, so a steady-state
+// delivery schedules with zero heap allocations and never touches the
+// scheduler's free list.
 type pending struct {
+	ev        sim.Event
 	m         *Medium
 	rx        *Radio
 	arr       arrival
 	frame     Frame
 	measured  float64
 	firstByte sim.Time
-	fire      func()
 }
 
 func (m *Medium) getPending() *pending {
@@ -559,9 +560,7 @@ func (m *Medium) getPending() *pending {
 		m.pendFree = m.pendFree[:n-1]
 		return p
 	}
-	p := &pending{m: m}
-	p.fire = p.deliverNow
-	return p
+	return &pending{m: m}
 }
 
 // deliver puts f, launched at now and on air until end, on air at n.rx
@@ -597,7 +596,7 @@ func (m *Medium) deliver(n neighbour, f *Frame, key uint64, now, end sim.Time) {
 	src := draws(key, uint32(n.rx))
 	p.firstByte = arrive + CyclesPerByte + jitter(&src)
 	p.measured = m.measure(&src, n.dist+f.RangeBias)
-	m.sched.At(p.arr.end, p.fire)
+	m.sched.AtEvent(&p.ev, p.arr.end, p)
 }
 
 // measure returns the distance a reception measures for a frame whose
@@ -615,11 +614,11 @@ func (m *Medium) measure(src *rng.Source, dist float64) float64 {
 	return d
 }
 
-// deliverNow completes one arrival: it unhooks the arrival record,
-// returns the pending record to the pool (the Reception is copied out
-// first, so the handler may transmit and reuse it immediately), and
-// hands uncorrupted frames to the receiver.
-func (p *pending) deliverNow() {
+// Fire completes one arrival: it unhooks the arrival record, returns
+// the pending record to the pool (the Reception is copied out first, so
+// the handler may transmit and reuse it immediately), and hands
+// uncorrupted frames to the receiver.
+func (p *pending) Fire() {
 	m, rx := p.m, p.rx
 	rec := Reception{
 		Frame:         p.frame,

@@ -270,19 +270,24 @@ func newMetroAccum() *metroAccum {
 	return &metroAccum{rtt: metrics.NewHistogram(metrics.ExpBounds(64, 2, 16)...)}
 }
 
-// metroChain is one node's whole probe protocol: its rng stream (held
-// by value, index-split from the shard root), the in-flight probe's
-// outcome, the round counter, and its shard, whose config, scheduler and
-// accumulator it uses. Its one callback, fire, is bound once in
-// addMetroNode and every event the chain schedules runs it, so a probe
-// exchange allocates nothing: events come from the scheduler's free list
-// and no closure is made per probe.
+// metroChain is one node's whole probe protocol: its own event, its rng
+// stream (held by value, index-split from the shard root), the in-flight
+// probe's outcome, the round counter, and its shard, whose config,
+// scheduler and accumulator it uses. Every event the chain schedules
+// fires the chain itself through Fire, so a probe exchange allocates
+// nothing and makes no closure.
 //
-// One callback suffices because at most one of a chain's queued events
-// is ever live. A probe queues its timeout and, unless lost, a reply at
-// most Timeout/2 later; the reply fires first and cancels the timeout.
-// So next always names the step the chain's live event runs.
+// The chain files its probes, replies and next probes on ev, its first
+// field, so firing one touches the chain and nothing else. Only the
+// probe timeout is pooled: it is the one event a chain cancels (on 98%
+// of probes), its reply rides on ev meanwhile, and a second embedded
+// event would cost every chain 48 bytes for a timeout that is queued
+// about a tenth of the time. One step tag suffices because at most one
+// of a chain's queued events is ever live: the reply fires at most
+// Timeout/2 after its probe and cancels the timeout. So next always
+// names the step the chain's live event runs.
 type metroChain struct {
+	ev   sim.Event
 	src  rng.Source
 	pMal float64 // local malicious fraction of beacons, from the grid
 
@@ -292,7 +297,6 @@ type metroChain struct {
 	timeout     sim.Handle
 
 	shard *metroShard
-	fire  func() // ch.step, bound once
 
 	round int
 	next  metroStep
@@ -319,15 +323,14 @@ func addMetroNode(s *metroShard, grid *deploy.MetroGrid, n deploy.MetroNode) {
 	if _, b, m := grid.CountsNear(n.Loc, s.cfg.Deploy.Range); b > 0 {
 		ch.pMal = m / b
 	}
-	ch.fire = ch.step
 	// Stagger the first round across one spacing window so the
 	// field does not probe in lockstep.
 	start := sim.Time(1 + ch.src.Uint64()%uint64(s.cfg.Spacing))
-	s.sched.At(start, ch.fire)
+	s.sched.AtEvent(&ch.ev, start, ch)
 }
 
-// step runs the chain's live event.
-func (ch *metroChain) step() {
+// Fire runs the chain's live event.
+func (ch *metroChain) Fire() {
 	switch ch.next {
 	case stepProbe:
 		ch.probe()
@@ -342,7 +345,7 @@ func (ch *metroChain) step() {
 // probe draws one probe's outcome and queues its timeout and, unless the
 // probe is lost, its reply.
 func (ch *metroChain) probe() {
-	cfg, acc := ch.shard.cfg, ch.shard.acc
+	cfg, acc, sched := ch.shard.cfg, ch.shard.acc, ch.shard.sched
 	acc.probes++
 	ch.isMal = ch.src.Bool(ch.pMal)
 	lost := ch.src.Bool(cfg.LossRate)
@@ -352,13 +355,13 @@ func (ch *metroChain) probe() {
 		ch.declaredErr += cfg.AttackBias
 	}
 	ch.rtt = sim.Time(1 + ch.src.Intn(int(cfg.Timeout)/2)) // replies always beat the timeout
-	ch.timeout = ch.shard.sched.After(cfg.Timeout, ch.fire)
+	ch.timeout = sched.AtHandler(sched.Now()+cfg.Timeout, ch)
 	if lost {
 		ch.next = stepTimeout
 		return
 	}
 	ch.next = stepReply
-	ch.shard.sched.After(ch.rtt, ch.fire)
+	sched.AtEvent(&ch.ev, sched.Now()+ch.rtt, ch)
 }
 
 // reply folds an answered probe into the accumulator, applying the ε_max
@@ -382,10 +385,10 @@ func (ch *metroChain) reply() {
 // jittered spacing later.
 func (ch *metroChain) done() {
 	ch.round++
-	if cfg := ch.shard.cfg; ch.round < cfg.Rounds {
+	if cfg, sched := ch.shard.cfg, ch.shard.sched; ch.round < cfg.Rounds {
 		gap := cfg.Spacing + sim.Time(ch.src.Uint64()%uint64(cfg.Spacing/4+1))
 		ch.next = stepProbe
-		ch.shard.sched.After(gap, ch.fire)
+		sched.AtEvent(&ch.ev, sched.Now()+gap, ch)
 	}
 }
 
@@ -462,32 +465,28 @@ func (b *epochBarrier) arrive(pending int64, quit bool) (cont, aborted bool) {
 
 // RunMetro executes one metro-scale run on
 // K = len(cfg.Deploy.ShardRanges(cfg.Workers)) shards. Peak memory is
-// O(nodes) only in the pending-event population (~1.1 pooled events per
-// node at peak) and the per-node state (one 112-byte metroChain, its rng
-// stream inline, plus its one bound callback), never in retained
-// results: accumulators are constant-size and the deployment exists
-// only as its count grid. After a node is added, its probe exchanges
-// allocate nothing. Cancelling ctx aborts the run — mid-stream or at
-// the next epoch barrier — and returns the context's error.
+// O(nodes) only in the per-node state (one 152-byte metroChain, its event
+// and rng stream inline) and the pooled probe timeouts (~0.11 per node
+// at peak), never in retained results: accumulators are constant-size
+// and the deployment exists only as its count grid. After a node is
+// added, its probe exchanges allocate nothing. Cancelling ctx aborts
+// the run — mid-stream or at the next epoch barrier — and returns the
+// context's error.
 func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ranges := cfg.Deploy.ShardRanges(cfg.Workers)
 	grid, err := cfg.Deploy.BuildGrid()
 	if err != nil {
 		return nil, err
 	}
-	k := len(ranges)
+	k := len(cfg.Deploy.ShardRanges(cfg.Workers))
 	shards := make([]*metroShard, k)
-	for i, r := range ranges {
+	for i := range shards {
 		depth := sim.DepthHistogram()
 		shards[i] = &metroShard{
-			cfg: &cfg,
-			sched: sim.NewWithConfig(sim.Config{
-				PendingHint: r.Len(),
-				Depth:       depth,
-			}),
+			cfg:   &cfg,
+			sched: sim.NewWithConfig(sim.Config{Depth: depth}),
 			depth: depth,
 			acc:   newMetroAccum(),
 			root:  rng.New(cfg.Seed).Split("metro-probes"),

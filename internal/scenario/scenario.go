@@ -279,10 +279,7 @@ func Run(cfg Config) (*Result, error) {
 	// Queue depth is always observed: the histogram is pure accounting,
 	// a function of the deterministic event sequence.
 	depth := sim.DepthHistogram()
-	sched := sim.NewWithConfig(sim.Config{
-		PendingHint: int64(cfg.Deploy.N),
-		Depth:       depth,
-	})
+	sched := sim.NewWithConfig(sim.Config{Depth: depth})
 	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
 		Range:      cfg.Deploy.Range,
 		RangeError: cfg.MaxDistError,

@@ -3,7 +3,7 @@ package sim
 // eventQueue is a binary min-heap ordered by (at, seq): the oracle the
 // timing wheel is pinned against. It implements the same queue contract,
 // so the order tests drive one Scheduler over each and compare.
-type eventQueue []*event
+type eventQueue []*Event
 
 // newHeapScheduler returns a Scheduler that runs on the min-heap oracle
 // instead of the timing wheel.
@@ -22,16 +22,14 @@ func (q eventQueue) less(i, j int) bool {
 
 func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
 }
 
-func (q *eventQueue) push(ev *event) {
-	ev.index = len(*q)
+func (q *eventQueue) push(ev *Event) {
+	ev.queued = true
+	i := len(*q)
 	*q = append(*q, ev)
 	// Sift up.
 	h := *q
-	i := ev.index
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -42,13 +40,13 @@ func (q *eventQueue) push(ev *event) {
 	}
 }
 
-func (q *eventQueue) pop() *event {
+func (q *eventQueue) pop() *Event {
 	h := *q
 	n := len(h) - 1
 	h.swap(0, n)
 	ev := h[n]
 	h[n] = nil
-	ev.index = -1
+	ev.queued = false
 	h = h[:n]
 	*q = h
 	// Sift down from the root.

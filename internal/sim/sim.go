@@ -55,39 +55,64 @@ func (t Time) String() string {
 // before the event queue drained.
 var ErrStopped = errors.New("sim: scheduler stopped")
 
-// event is a scheduled callback. Events are pooled: after firing (or
-// after a cancelled event is popped) the struct returns to the
-// scheduler's free list with its generation bumped, so a Handle held
-// across the recycle can never cancel the event's next occupant.
-type event struct {
-	at  Time
-	seq uint64 // tie-break: FIFO among equal times
-	gen uint64 // recycle generation, checked by Handle.Cancel
-	fn  func()
-	// index is ≥ 0 while queued and -1 once popped. The wheel only
-	// distinguishes queued from popped; the test heap stores its slot here.
-	index int
-	// next chains events in a timing-wheel slot (intrusive list, so the
-	// wheel never allocates per pending event).
-	next *event
+// Handler is what an event runs when it fires. Every event fires
+// through one, pooled or owned (see Event).
+type Handler interface {
+	Fire()
 }
 
-// Handle identifies a scheduled event so it can be cancelled. A Handle
-// is pinned to the event's generation: once the event fires and its
-// struct is recycled for a later At, the stale Handle becomes inert.
+// funcHandler adapts a func to Handler for At and After. A func value
+// is pointer-shaped, so storing one in a Handler does not allocate.
+type funcHandler func()
+
+// Fire calls f.
+func (f funcHandler) Fire() { f() }
+
+// Event is the storage of one scheduled firing. Its storage is either
+// pooled or owned:
+//
+//   - At, After and AtHandler take an Event from the scheduler's free
+//     list and return a Handle to it. After it fires (or after a
+//     cancelled one is popped) it goes back to the free list.
+//   - AtEvent files an Event the caller owns, usually embedded in the
+//     state its Handler fires. The scheduler never recycles it, it has
+//     no Handle, and the caller may file it again once it has fired,
+//     from inside its own Fire too. The zero Event is ready to use.
+//
+// Its fields belong to the scheduler.
+type Event struct {
+	at Time
+	// seq is the event's unique schedule number: the tie-break among
+	// equal times (FIFO) and the filing a Handle names.
+	seq uint64
+	// h is nil once cancelled, recycled or fired.
+	h Handler
+	// next chains events in a timing-wheel slot (intrusive list, so the
+	// wheel never allocates per pending event).
+	next *Event
+	// queued is set from push to pop.
+	queued bool
+	// pooled marks free-list storage.
+	pooled bool
+}
+
+// Handle identifies a pooled event so it can be cancelled. A Handle is
+// pinned to the event's seq: once the event fires and its struct is
+// recycled for a later At, which gives it a new seq, the stale Handle
+// becomes inert.
 type Handle struct {
-	ev  *event
+	ev  *Event
 	s   *Scheduler
-	gen uint64
+	seq uint64
 }
 
 // Cancel removes the event from the queue if it has not fired yet and
 // reports whether it was cancelled.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.gen != h.gen || h.ev.index < 0 || h.ev.fn == nil {
+	if h.ev == nil || h.ev.seq != h.seq || !h.ev.queued || h.ev.h == nil {
 		return false
 	}
-	h.ev.fn = nil
+	h.ev.h = nil
 	if h.s != nil {
 		h.s.cancelled++
 	}
@@ -101,14 +126,14 @@ func (h Handle) Cancel() bool {
 // cancellation), so size() and pop sequences are identical across
 // implementations.
 type queue interface {
-	// push enqueues ev (setting ev.index ≥ 0). ev.at may lie before a
+	// push enqueues ev (setting ev.queued). ev.at may lie before a
 	// previously popped event's time only if the scheduler allows it
 	// (RunUntil advances the clock past pending events' times, never the
 	// reverse), but implementations must accept any at ≥ the last pop.
-	push(ev *event)
-	// pop removes and returns the minimum event by (at, seq), setting its
-	// index to -1. Call only when size() > 0.
-	pop() *event
+	push(ev *Event)
+	// pop removes and returns the minimum event by (at, seq), clearing
+	// its queued flag. Call only when size() > 0.
+	pop() *Event
 	// size returns the number of queued events, including cancelled ones
 	// not yet popped.
 	size() int64
@@ -119,9 +144,6 @@ type queue interface {
 
 // Config parameterizes a Scheduler. The zero value reproduces New().
 type Config struct {
-	// PendingHint is the expected steady-state number of pending events;
-	// it presizes the event free list. Zero means unknown.
-	PendingHint int64
 	// Depth, when non-nil, observes the queue depth after every schedule
 	// — the standing event population histogram. Nil disables (no cost
 	// beyond one predictable branch).
@@ -143,7 +165,7 @@ type Scheduler struct {
 	now        Time
 	seq        uint64
 	q          queue
-	free       []*event // recycled event structs, see event.gen
+	free       []*Event // recycled pooled events, see Event
 	stopped    bool
 	fired      uint64
 	cancelled  uint64
@@ -162,17 +184,11 @@ func New() *Scheduler {
 }
 
 // NewWithConfig returns a Scheduler starting at time zero with the given
-// sizing hint and instrumentation.
+// instrumentation.
 func NewWithConfig(cfg Config) *Scheduler {
-	// PendingHint presizes the free list so a metro-scale run reaches
-	// steady state without reallocation churn.
-	capHint := int64(initialQueueCap)
-	if cfg.PendingHint > capHint {
-		capHint = min(cfg.PendingHint, 1<<22)
-	}
 	return &Scheduler{
 		q:     newWheelQueue(),
-		free:  make([]*event, 0, capHint),
+		free:  make([]*Event, 0, initialQueueCap),
 		depth: cfg.Depth,
 	}
 }
@@ -186,11 +202,9 @@ func (s *Scheduler) lazyQueue() queue {
 	return s.q
 }
 
-// recycle returns a popped event to the free list. Bumping the
-// generation first invalidates every outstanding Handle to it.
-func (s *Scheduler) recycle(ev *event) {
-	ev.gen++
-	ev.fn = nil
+// recycle returns a popped pooled event to the free list.
+func (s *Scheduler) recycle(ev *Event) {
+	ev.h = nil
 	s.free = append(s.free, ev)
 }
 
@@ -253,22 +267,49 @@ func (st *Stats) Merge(o Stats) {
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
-// (at < Now) panics: it is always a protocol bug.
+// (at < Now) panics: it is always a protocol bug. fn must not be nil.
 func (s *Scheduler) At(at Time, fn func()) Handle {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
-	}
-	var ev *event
+	return s.AtHandler(at, funcHandler(fn))
+}
+
+// After schedules fn to run delay cycles from now.
+func (s *Scheduler) After(delay Time, fn func()) Handle {
+	return s.AtHandler(s.now+delay, funcHandler(fn))
+}
+
+// AtHandler schedules h to fire at absolute time at on a pooled event,
+// as At does for a func.
+func (s *Scheduler) AtHandler(at Time, h Handler) Handle {
+	var ev *Event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		ev.at = at
-		ev.seq = s.seq
-		ev.fn = fn
 	} else {
-		ev = &event{at: at, seq: s.seq, fn: fn}
+		ev = &Event{pooled: true}
 	}
+	s.push(ev, at, h)
+	return Handle{ev: ev, s: s, seq: ev.seq}
+}
+
+// AtEvent files ev, storage the caller owns, to fire h at absolute time
+// at. Filing an event that is still queued panics, as scheduling in the
+// past does: the queue holds each event once.
+func (s *Scheduler) AtEvent(ev *Event, at Time, h Handler) {
+	if ev.queued {
+		panic(fmt.Sprintf("sim: event at %v filed again while queued", ev.at))
+	}
+	s.push(ev, at, h)
+}
+
+// push files ev to fire h at time at, taking the next seq.
+func (s *Scheduler) push(ev *Event, at Time, h Handler) {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
+	}
+	ev.at = at
+	ev.seq = s.seq
+	ev.h = h
 	s.seq++
 	q := s.lazyQueue()
 	q.push(ev)
@@ -277,12 +318,6 @@ func (s *Scheduler) At(at Time, fn func()) Handle {
 		s.maxPending = n
 	}
 	s.depth.Observe(float64(n))
-	return Handle{ev: ev, s: s, gen: ev.gen}
-}
-
-// After schedules fn to run delay cycles from now.
-func (s *Scheduler) After(delay Time, fn func()) Handle {
-	return s.At(s.now+delay, fn)
 }
 
 // Step fires the next event, advancing the clock to its time. It reports
@@ -293,17 +328,20 @@ func (s *Scheduler) Step() bool {
 	}
 	for s.q.size() > 0 {
 		ev := s.q.pop()
-		if ev.fn == nil { // cancelled
+		h := ev.h
+		// Release ev before firing h: h may file new events, an owned
+		// ev among them, and a pooled ev can be the next one At takes.
+		if ev.pooled {
 			s.recycle(ev)
+		} else {
+			ev.h = nil
+		}
+		if h == nil { // cancelled
 			continue
 		}
 		s.now = ev.at
-		fn := ev.fn
-		// Recycle before running fn: all fields are copied out, and fn
-		// itself may schedule new events that reuse this struct.
-		s.recycle(ev)
 		s.fired++
-		fn()
+		h.Fire()
 		return true
 	}
 	return false

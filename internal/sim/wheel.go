@@ -21,7 +21,7 @@ import (
 // Schedule and cancel are O(1); pop is amortized O(1) for short-horizon
 // timer distributions (an event cascades once per nonzero base-4096 digit
 // of its remaining delay, at most 5 times). Slot membership is an
-// intrusive singly-linked list through event.next, so a pending event
+// intrusive singly-linked list through Event.next, so a pending event
 // costs zero additional allocations. Once the queue has held
 // lanedPending events, a slot above level 0 is wheelLanes lists
 // ("lanes"), filed round-robin, and a cascade takes one event from each
@@ -53,7 +53,7 @@ type wheelQueue struct {
 	// ready holds the current level-0 slot's events in ascending seq;
 	// ready[head:] are unserved. The backing array is reused across slots
 	// so steady-state serving does not allocate.
-	ready []*event
+	ready []*Event
 	head  int
 	n     int64 // queued events, including cancelled-but-unpopped
 	// occupied[l] has bit s (word s/64, bit s%64) set iff slot s of
@@ -68,8 +68,8 @@ type wheelQueue struct {
 	// calibration pair) touches one or two levels, so it never pays to
 	// zero, or the GC to scan, the other arrays. Slot s of an upper level
 	// is upper[l-1][s<<laneBits:][:1<<laneBits], one list per lane.
-	bottom *[wheelSlots]*event
-	upper  [wheelLevels - 1][]*event
+	bottom *[wheelSlots]*Event
+	upper  [wheelLevels - 1][]*Event
 	// laneBits is 0 until the queue first holds lanedPending events (see
 	// widen), then wheelLaneBits. lane counts laned placements; its low
 	// bits pick the next lane round-robin.
@@ -96,7 +96,7 @@ const (
 )
 
 func newWheelQueue() *wheelQueue {
-	return &wheelQueue{ready: make([]*event, 0, initialQueueCap)}
+	return &wheelQueue{ready: make([]*Event, 0, initialQueueCap)}
 }
 
 // levelOf returns the wheel level for a nonzero at⊕cur difference: the
@@ -105,8 +105,8 @@ func levelOf(x uint64) int {
 	return (bits.Len64(x) - 1) / wheelBits
 }
 
-func (w *wheelQueue) push(ev *event) {
-	ev.index = 0 // queued marker for Handle.Cancel
+func (w *wheelQueue) push(ev *Event) {
+	ev.queued = true
 	w.n++
 	if w.n >= lanedPending && w.laneBits == 0 {
 		w.widen()
@@ -123,7 +123,7 @@ func (w *wheelQueue) push(ev *event) {
 
 // place files ev into the slot its time selects relative to cur. It must
 // only be called with at ≥ cur.
-func (w *wheelQueue) place(ev *event) {
+func (w *wheelQueue) place(ev *Event) {
 	at := uint64(ev.at)
 	l, s := 0, at&wheelMask
 	if x := at ^ w.cur; x > wheelMask {
@@ -131,7 +131,7 @@ func (w *wheelQueue) place(ev *event) {
 		s = (at >> (uint(l) * wheelBits)) & wheelMask
 		up := w.upper[l-1]
 		if up == nil {
-			up = make([]*event, wheelSlots<<w.laneBits)
+			up = make([]*Event, wheelSlots<<w.laneBits)
 			w.upper[l-1] = up
 		}
 		i := s
@@ -143,7 +143,7 @@ func (w *wheelQueue) place(ev *event) {
 		up[i] = ev
 	} else {
 		if w.bottom == nil {
-			w.bottom = new([wheelSlots]*event)
+			w.bottom = new([wheelSlots]*Event)
 		}
 		ev.next = w.bottom[s]
 		w.bottom[s] = ev
@@ -204,7 +204,7 @@ func (w *wheelQueue) advance() {
 			w.ready = unlink(w.ready[:0], &w.bottom[s])
 			w.head = 0
 			if len(w.ready) > 1 {
-				slices.SortFunc(w.ready, func(a, b *event) int {
+				slices.SortFunc(w.ready, func(a, b *Event) int {
 					switch {
 					case a.seq < b.seq:
 						return -1
@@ -239,9 +239,9 @@ func (w *wheelQueue) advance() {
 			return
 		}
 		// One event per lane in turn, so the lanes' cold loads overlap.
-		lanes := (*[wheelLanes]*event)(up[s<<wheelLaneBits:])
+		lanes := (*[wheelLanes]*Event)(up[s<<wheelLaneBits:])
 		heads := *lanes
-		*lanes = [wheelLanes]*event{}
+		*lanes = [wheelLanes]*Event{}
 		for more := true; more; {
 			more = false
 			for k, ev := range heads {
@@ -266,7 +266,7 @@ func (w *wheelQueue) advance() {
 // the clock and an overshot cursor, never in steady-state serving.
 func (w *wheelQueue) rewind(at uint64) {
 	div := levelOf(at ^ w.cur)
-	var batch []*event
+	var batch []*Event
 	for l := 0; l < div; l++ {
 		for ws := w.words[l]; ws != 0; ws &= ws - 1 {
 			word := bits.TrailingZeros64(ws)
@@ -303,7 +303,7 @@ func (w *wheelQueue) widen() {
 		if old == nil {
 			continue
 		}
-		up := make([]*event, wheelSlots<<wheelLaneBits)
+		up := make([]*Event, wheelSlots<<wheelLaneBits)
 		for s, head := range old {
 			up[s<<wheelLaneBits] = head
 		}
@@ -313,7 +313,7 @@ func (w *wheelQueue) widen() {
 
 // unlink appends the list at *head to batch, clearing every link, and
 // empties the list.
-func unlink(batch []*event, head **event) []*event {
+func unlink(batch []*Event, head **Event) []*Event {
 	for ev := *head; ev != nil; {
 		next := ev.next
 		ev.next = nil
@@ -324,7 +324,7 @@ func unlink(batch []*event, head **event) []*event {
 	return batch
 }
 
-func (w *wheelQueue) pop() *event {
+func (w *wheelQueue) pop() *Event {
 	if !w.ensureReady() {
 		panic("sim: pop from empty wheel queue")
 	}
@@ -332,7 +332,7 @@ func (w *wheelQueue) pop() *event {
 	w.ready[w.head] = nil
 	w.head++
 	w.n--
-	ev.index = -1
+	ev.queued = false
 	return ev
 }
 

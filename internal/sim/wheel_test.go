@@ -30,13 +30,44 @@ func decodeDelta(class, a, b byte) Time {
 	}
 }
 
+// owned is caller-owned event storage for the oracle scripts. It logs
+// its firing as the scripts' closures do, then returns to its side's
+// spare list, so a script files it again only after it fired.
+type owned struct {
+	ev    Event
+	id    int
+	s     *Scheduler
+	log   *[]fire
+	spare *[]*owned
+}
+
+func (o *owned) Fire() {
+	*o.log = append(*o.log, fire{o.id, o.s.Now()})
+	*o.spare = append(*o.spare, o)
+}
+
+// fileOwned files a spare owned event (a new one if none is spare) to
+// log id at time at on s.
+func fileOwned(s *Scheduler, log *[]fire, spare *[]*owned, id int, at Time) {
+	var o *owned
+	if n := len(*spare); n > 0 {
+		o = (*spare)[n-1]
+		*spare = (*spare)[:n-1]
+	} else {
+		o = &owned{s: s, log: log, spare: spare}
+	}
+	o.id = id
+	s.AtEvent(&o.ev, at, o)
+}
+
 // diffQueues drives a heap scheduler and a wheel scheduler through the
 // same schedule/cancel/step/run-until script and fails on the first
 // divergence in fire order, clock, pending count, cancel outcome, or
 // final stats. This is the wheel's oracle harness (the geo.Grid
 // brute-force pattern): the heap's (at, seq) order is the contract.
-// A laned run widens the wheel before the script starts, as a queue of
-// lanedPending events would.
+// Half the schedules file pooled closures, the other half owned events
+// (which have no Handle to cancel). A laned run widens the wheel before
+// the script starts, as a queue of lanedPending events would.
 func diffQueues(t *testing.T, script []byte, laned bool) {
 	t.Helper()
 	heap := newHeapScheduler(Config{})
@@ -50,6 +81,7 @@ func diffQueues(t *testing.T, script []byte, laned bool) {
 	}
 
 	var hLog, wLog []fire
+	var hSpare, wSpare []*owned
 	type handlePair struct{ h, w Handle }
 	var handles []handlePair
 	tag := 0
@@ -75,7 +107,7 @@ func diffQueues(t *testing.T, script []byte, laned bool) {
 
 	for i < len(script) {
 		switch op := next(); op % 6 {
-		case 0, 1: // schedule
+		case 0: // schedule a pooled closure
 			d := decodeDelta(next(), next(), next())
 			id := tag
 			tag++
@@ -83,6 +115,13 @@ func diffQueues(t *testing.T, script []byte, laned bool) {
 			hh := heap.At(at, func() { hLog = append(hLog, fire{id, heap.Now()}) })
 			wh := wheel.At(at, func() { wLog = append(wLog, fire{id, wheel.Now()}) })
 			handles = append(handles, handlePair{hh, wh})
+		case 1: // file an owned event
+			d := decodeDelta(next(), next(), next())
+			id := tag
+			tag++
+			at := heap.Now() + d
+			fileOwned(heap, &hLog, &hSpare, id, at)
+			fileOwned(wheel, &wLog, &wSpare, id, at)
 		case 2: // cancel a (possibly stale) handle
 			if len(handles) > 0 {
 				k := int(next()) % len(handles)
@@ -365,7 +404,7 @@ func TestQueueDepthHistogram(t *testing.T) {
 // identical for both queues. newSched is NewWithConfig (the wheel) or
 // newHeapScheduler (the oracle).
 func benchScheduleFire(b *testing.B, newSched func(Config) *Scheduler, standing int) {
-	s := newSched(Config{PendingHint: int64(standing)})
+	s := newSched(Config{})
 	fn := func() {}
 	rnd := uint64(0x9E3779B97F4A7C15)
 	horizon := func() Time {
@@ -434,7 +473,7 @@ func benchMillion(b *testing.B, newSched func(Config) *Scheduler) {
 	skipInShort(b)
 	const backlog = 1_000_000
 	fn := func() {}
-	s := newSched(Config{PendingHint: backlog})
+	s := newSched(Config{})
 	cycle := func() {
 		base := s.Now()
 		for j := 0; j < backlog; j++ {
