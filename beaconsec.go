@@ -32,7 +32,6 @@ import (
 
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/core"
-	"beaconsec/internal/crypto"
 	"beaconsec/internal/deploy"
 	"beaconsec/internal/experiment"
 	"beaconsec/internal/geo"
@@ -42,7 +41,6 @@ import (
 	"beaconsec/internal/revoke"
 	"beaconsec/internal/rng"
 	"beaconsec/internal/scenario"
-	"beaconsec/internal/sim"
 	"beaconsec/internal/textplot"
 )
 
@@ -196,55 +194,6 @@ func IterativeLocalize(truth []Point, isBeacon, liars []bool, lieOffset Point,
 	return localization.IterativeLocalize(truth, isBeacon, liars, lieOffset, cfg, rng.New(seed))
 }
 
-// Angle-of-arrival support — the §2.3 "other measurements" variant.
-type (
-	// BearingReference is one AoA reference (beacon location, measured
-	// bearing).
-	BearingReference = localization.BearingReference
-	// AoAConfig parameterizes the AoA consistency check.
-	AoAConfig = core.AoAConfig
-	// AoAObservation is an exchange observed via bearing measurement.
-	AoAObservation = core.AoAObservation
-)
-
-// Triangulate estimates a position from bearing references (least-squares
-// line intersection).
-func Triangulate(refs []BearingReference) (Point, error) {
-	return localization.Triangulate(refs)
-}
-
-// DV-hop range-free baseline (Niculescu & Nath, cited).
-type (
-	// DVHopConfig parameterizes the range-free scheme.
-	DVHopConfig = localization.DVHopConfig
-	// DVHopResult reports one DV-hop pass.
-	DVHopResult = localization.DVHopResult
-)
-
-// DVHop runs range-free hop-count localization over true positions.
-func DVHop(truth []Point, isBeacon []bool, cfg DVHopConfig) DVHopResult {
-	return localization.DVHop(truth, isBeacon, cfg)
-}
-
-// Broadcast authentication (µTESLA, the cited mechanism behind
-// authenticated base-station revocation broadcasts).
-type (
-	// TeslaChain is the broadcaster's hash chain and schedule.
-	TeslaChain = crypto.TeslaChain
-	// TeslaReceiver verifies broadcasts under delayed key disclosure.
-	TeslaReceiver = crypto.TeslaReceiver
-)
-
-// NewTeslaChain generates a broadcaster chain of n keys.
-func NewTeslaChain(n int, interval sim.Time, delay int, start sim.Time, seed uint64) *TeslaChain {
-	return crypto.NewTeslaChain(n, interval, delay, start, rng.New(seed))
-}
-
-// NewTeslaReceiver builds a verifier from the predistributed chain anchor.
-func NewTeslaReceiver(anchor crypto.Key, interval sim.Time, delay int, start sim.Time) *TeslaReceiver {
-	return crypto.NewTeslaReceiver(anchor, interval, delay, start)
-}
-
 // Geographic routing (GPSR-style greedy forwarding), the paper's
 // motivating application.
 type (
@@ -260,20 +209,6 @@ type (
 func NewRoutingNetwork(truth, believed []Point, rangeFt float64) *RoutingNetwork {
 	return georoute.New(truth, believed, rangeFt)
 }
-
-// SimTime is the simulator's cycle-resolution clock type, exposed for the
-// µTESLA schedule parameters.
-type SimTime = sim.Time
-
-// Seconds converts wall-clock seconds to simulator cycles.
-func Seconds(s float64) SimTime { return sim.Seconds(s) }
-
-// MinMaxLocalize estimates a position with the bounding-box baseline.
-func MinMaxLocalize(refs []Reference) (Point, error) { return localization.MinMax(refs) }
-
-// CentroidLocalize estimates a position with the range-free centroid
-// baseline.
-func CentroidLocalize(refs []Reference) (Point, error) { return localization.Centroid(refs) }
 
 // Experiments (the paper's figures).
 type (

@@ -101,12 +101,6 @@ func TestFacadeLocalization(t *testing.T) {
 	if got.Dist(truth) > 1e-6 {
 		t.Errorf("Multilaterate = %v, want %v", got, truth)
 	}
-	if _, err := beaconsec.MinMaxLocalize(refs); err != nil {
-		t.Errorf("MinMax: %v", err)
-	}
-	if _, err := beaconsec.CentroidLocalize(refs); err != nil {
-		t.Errorf("Centroid: %v", err)
-	}
 }
 
 func TestFacadeFigures(t *testing.T) {
@@ -123,67 +117,5 @@ func TestFacadeFigures(t *testing.T) {
 	}
 	if _, err := beaconsec.RunFigure("bogus", beaconsec.ExperimentOptions{}); !errors.Is(err, beaconsec.ErrUnknownFigure) {
 		t.Errorf("bogus figure: err = %v, want ErrUnknownFigure", err)
-	}
-}
-
-func TestFacadeAoA(t *testing.T) {
-	truth := beaconsec.Point{X: 40, Y: 30}
-	beacons := []beaconsec.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 50, Y: 90}}
-	refs := make([]beaconsec.BearingReference, len(beacons))
-	for i, b := range beacons {
-		refs[i] = beaconsec.BearingReference{Loc: b, Bearing: bearing(truth, b)}
-	}
-	got, err := beaconsec.Triangulate(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dist(truth) > 1e-6 {
-		t.Errorf("Triangulate = %v, want %v", got, truth)
-	}
-	a := beaconsec.AoAConfig{MaxAngleError: 0.05}
-	bad := beaconsec.AoAObservation{
-		OwnLoc: truth, OwnKnown: true,
-		Claimed:         beaconsec.Point{X: 0, Y: 0},
-		MeasuredBearing: bearing(truth, beaconsec.Point{X: 100, Y: 0}),
-	}
-	if !a.SignalMaliciousAoA(bad) {
-		t.Error("AoA mismatch not flagged")
-	}
-}
-
-func bearing(p, q beaconsec.Point) float64 {
-	return math.Atan2(q.Y-p.Y, q.X-p.X)
-}
-
-func TestFacadeDVHop(t *testing.T) {
-	var truth []beaconsec.Point
-	var isBeacon []bool
-	for x := 0.0; x < 500; x += 55 {
-		for y := 0.0; y < 500; y += 55 {
-			truth = append(truth, beaconsec.Point{X: x, Y: y})
-			isBeacon = append(isBeacon, int(x+y)%165 == 0)
-		}
-	}
-	res := beaconsec.DVHop(truth, isBeacon, beaconsec.DVHopConfig{Range: 120})
-	if res.HopDist <= 0 {
-		t.Fatalf("HopDist = %v", res.HopDist)
-	}
-}
-
-func TestFacadeTesla(t *testing.T) {
-	chain := beaconsec.NewTeslaChain(10, beaconsec.Seconds(1), 2, 0, 1)
-	recv := beaconsec.NewTeslaReceiver(chain.Anchor(), beaconsec.Seconds(1), 2, 0)
-	msg := []byte("revoke n9")
-	tag, interval := chain.Sign(msg, beaconsec.Seconds(3.5))
-	recv.Receive(msg, tag, interval, beaconsec.Seconds(3.6))
-	ix, key, ok := chain.Disclosable(beaconsec.Seconds(5.5))
-	if !ok {
-		t.Fatal("key not disclosable")
-	}
-	if err := recv.Disclose(key, ix); err != nil {
-		t.Fatal(err)
-	}
-	if len(recv.Accepted) != 1 {
-		t.Errorf("Accepted = %d", len(recv.Accepted))
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -185,4 +187,62 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("-shards %s accepted", n)
 		}
 	}
+}
+
+// FuzzRun drives run with arbitrary -tau, -tauprime, -shards and -idle
+// values and a context that is already cancelled, so run starts, shuts
+// down and writes its snapshot without waiting. No input may panic. A
+// negative τ or τ′, or a shard count above revoke.MaxShards, must be an
+// error; any other input must print the serving line and write a
+// snapshot that decodes and carries the thresholds given.
+func FuzzRun(f *testing.F) {
+	// The flag defaults.
+	const defTau, defTauPrime, defShards, defIdle = 5, 3, 16, int64(2 * time.Minute)
+	f.Add(defTau, defTauPrime, defShards, defIdle)
+	for _, v := range []int{0, -1, math.MaxInt} {
+		f.Add(v, defTauPrime, defShards, defIdle)
+		f.Add(defTau, v, defShards, defIdle)
+		f.Add(defTau, defTauPrime, v, defIdle)
+		f.Add(defTau, defTauPrime, defShards, int64(v))
+	}
+	f.Add(defTau, defTauPrime, revoke.MaxShards, defIdle)
+	f.Add(defTau, defTauPrime, revoke.MaxShards+1, defIdle)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, tau, tauPrime, shards int, idle int64) {
+		var out bytes.Buffer
+		err := run(ctx, []string{
+			"-master", "fuzz",
+			"-addr", "127.0.0.1:0",
+			"-json", "-",
+			"-tau", strconv.Itoa(tau),
+			"-tauprime", strconv.Itoa(tauPrime),
+			"-shards", strconv.Itoa(shards),
+			"-idle", time.Duration(idle).String(),
+		}, &out)
+		if tau < 0 || tauPrime < 0 || shards > revoke.MaxShards {
+			if err == nil {
+				t.Fatalf("τ=%d τ′=%d shards=%d accepted", tau, tauPrime, shards)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("τ=%d τ′=%d shards=%d idle=%v: %v", tau, tauPrime, shards, time.Duration(idle), err)
+		}
+		text := out.String()
+		if !strings.Contains(text, "revoked: serving on ") {
+			t.Fatalf("no serving line in output:\n%s", text)
+		}
+		i := strings.Index(text, "{")
+		if i < 0 {
+			t.Fatalf("no snapshot in output:\n%s", text)
+		}
+		var snap revnet.StatusSnapshot
+		if err := json.Unmarshal([]byte(text[i:]), &snap); err != nil {
+			t.Fatalf("snapshot is not JSON: %v", err)
+		}
+		if want := (revoke.Config{ReportCap: tau, AlertThreshold: tauPrime}); snap.Revoke != want {
+			t.Fatalf("snapshot thresholds = %+v, want %+v", snap.Revoke, want)
+		}
+	})
 }

@@ -23,8 +23,6 @@ import (
 	"fmt"
 
 	"beaconsec/internal/geo"
-	"beaconsec/internal/localization"
-	"beaconsec/internal/wormhole"
 )
 
 // Verdict classifies one observed beacon exchange. Values start at one so
@@ -136,39 +134,6 @@ func (c Config) SignalMalicious(o Observation) bool {
 	return diff > c.MaxDistError
 }
 
-// AoAObservation is the angle-of-arrival variant of an exchange: the
-// requester measured the bearing toward the signal's apparent origin
-// instead of (or in addition to) a distance.
-type AoAObservation struct {
-	// OwnLoc / OwnKnown as in Observation.
-	OwnLoc   geo.Point
-	OwnKnown bool
-	// Claimed is the location declared in the beacon packet.
-	Claimed geo.Point
-	// MeasuredBearing is the AoA measurement (radians in (-π, π]).
-	MeasuredBearing float64
-}
-
-// AoAConfig parameterizes the AoA consistency check.
-type AoAConfig struct {
-	// MaxAngleError is the bearing measurement error bound, radians.
-	MaxAngleError float64
-}
-
-// SignalMaliciousAoA is the §2.3 "other measurements" variant of the
-// consistency check: the measured bearing toward the signal must agree
-// with the bearing calculated from the requester's own location to the
-// claimed location, within the measurement error bound. A compromised
-// beacon that lies about its position (or whose signal arrives from a
-// tunnel exit) fails the check.
-func (a AoAConfig) SignalMaliciousAoA(o AoAObservation) bool {
-	if !o.OwnKnown {
-		return false
-	}
-	calc := localization.BearingTo(o.OwnLoc, o.Claimed)
-	return localization.AngleDiff(o.MeasuredBearing, calc) > a.MaxAngleError
-}
-
 // LocallyReplayed is the §2.2.2 RTT filter.
 func (c Config) LocallyReplayed(o Observation) bool {
 	return o.RTT > c.MaxRTT
@@ -213,20 +178,4 @@ func (c Config) EvaluateSensor(o Observation) Verdict {
 		return VerdictLocalReplay
 	}
 	return VerdictBenign
-}
-
-// WormholeContext assembles the wormhole-detector context for an
-// exchange; claimedDist is negative when the receiver does not know its
-// own location.
-func (c Config) WormholeContext(o Observation, replayed, marked bool) wormhole.Context {
-	claimed := -1.0
-	if o.OwnKnown {
-		claimed = o.OwnLoc.Dist(o.Claimed)
-	}
-	return wormhole.Context{
-		Replayed:     replayed,
-		WormholeMark: marked,
-		ClaimedDist:  claimed,
-		Range:        c.Range,
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"beaconsec/internal/geo"
-	"beaconsec/internal/localization"
 	"beaconsec/internal/rng"
 )
 
@@ -179,28 +178,6 @@ func TestVerdictHelpers(t *testing.T) {
 	}
 }
 
-func TestWormholeContext(t *testing.T) {
-	c := testConfig()
-	o := obs(true, geo.Point{X: 0, Y: 0}, geo.Point{X: 300, Y: 400}, 90, 14000, false)
-	ctx := c.WormholeContext(o, true, false)
-	if ctx.ClaimedDist != 500 {
-		t.Errorf("ClaimedDist = %v, want 500", ctx.ClaimedDist)
-	}
-	if !ctx.Replayed || ctx.WormholeMark {
-		t.Errorf("flags = %+v", ctx)
-	}
-	if ctx.Range != 150 {
-		t.Errorf("Range = %v", ctx.Range)
-	}
-	unknown := c.WormholeContext(obs(false, geo.Point{}, geo.Point{X: 1, Y: 1}, 0, 0, false), false, true)
-	if unknown.ClaimedDist >= 0 {
-		t.Errorf("unknown own location ClaimedDist = %v, want negative", unknown.ClaimedDist)
-	}
-	if !unknown.WormholeMark {
-		t.Error("WormholeMark lost")
-	}
-}
-
 // TestDetectorNeverAccusesConsistentAttacker encodes the paper's §2.1
 // argument: a compromised beacon whose signals stay consistent is
 // "equivalent to a benign beacon node located at the declared position" —
@@ -217,56 +194,5 @@ func TestDetectorNeverAccusesConsistentAttacker(t *testing.T) {
 			t.Fatalf("consistent signal flagged %v (own %v claimed %v measured %v)",
 				v, own, claimed, measured)
 		}
-	}
-}
-
-func TestSignalMaliciousAoA(t *testing.T) {
-	a := AoAConfig{MaxAngleError: 0.05}
-	own := geo.Point{X: 0, Y: 0}
-	tests := []struct {
-		name     string
-		claimed  geo.Point
-		measured float64 // bearing
-		want     bool
-	}{
-		{"honest bearing", geo.Point{X: 100, Y: 0}, 0.0, false},
-		{"within error", geo.Point{X: 100, Y: 0}, 0.04, false},
-		{"beyond error", geo.Point{X: 100, Y: 0}, 0.06, true},
-		{"claims north, signal from east", geo.Point{X: 0, Y: 100}, 0.0, true},
-		{"wrap-around consistent", geo.Point{X: -100, Y: 0.001}, -3.14159, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			o := AoAObservation{OwnLoc: own, OwnKnown: true, Claimed: tt.claimed, MeasuredBearing: tt.measured}
-			if got := a.SignalMaliciousAoA(o); got != tt.want {
-				t.Errorf("SignalMaliciousAoA = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestSignalMaliciousAoANeedsOwnLocation(t *testing.T) {
-	a := AoAConfig{MaxAngleError: 0.05}
-	o := AoAObservation{OwnKnown: false, Claimed: geo.Point{X: 100, Y: 0}, MeasuredBearing: 3}
-	if a.SignalMaliciousAoA(o) {
-		t.Error("AoA check ran without own location")
-	}
-}
-
-func TestAoACatchesWormholeExitGeometry(t *testing.T) {
-	// A tunneled signal arrives from the tunnel exit's direction while
-	// claiming a far location in a different direction: the AoA check
-	// catches it exactly as the distance check does.
-	a := AoAConfig{MaxAngleError: 0.05}
-	own := geo.Point{X: 0, Y: 0}
-	exit := geo.Point{X: 50, Y: -50}     // apparent origin
-	claimed := geo.Point{X: 700, Y: 600} // the real (far) beacon's honest claim
-	o := AoAObservation{
-		OwnLoc: own, OwnKnown: true,
-		Claimed:         claimed,
-		MeasuredBearing: localization.BearingTo(own, exit),
-	}
-	if !a.SignalMaliciousAoA(o) {
-		t.Error("wormhole-exit geometry not flagged by AoA check")
 	}
 }

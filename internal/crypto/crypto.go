@@ -2,7 +2,7 @@
 // "two communicating nodes share a unique pairwise key". A KDF-based
 // master-key scheme gives every node pair its own key, exactly the paper's
 // assumption; packets are authenticated with truncated HMAC-SHA256 tags
-// (TinySec-style), and µTESLA (mutesla.go) authenticates broadcasts.
+// (TinySec-style).
 //
 // Keys sign and verify through their MAC, the key's HMAC pad states
 // hashed once. A simulated run holds one Keyring: it derives each pair's

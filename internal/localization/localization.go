@@ -1,8 +1,7 @@
 // Package localization implements the location-discovery substrate the
 // paper protects: distance-based multilateration (linear least squares
-// with Gauss–Newton refinement), plus the min-max and centroid baselines
-// from the literature the paper cites (Savvides et al.; Bulusu, Heidemann
-// & Estrin).
+// with Gauss–Newton refinement), its LMS-robust variant, and iterative
+// multi-tier localization with beacon promotion.
 //
 // A non-beacon node collects location references — (beacon location,
 // measured distance) pairs — and estimates its own position as the point
@@ -205,51 +204,4 @@ func medianResidual(p geo.Point, refs []Reference) float64 {
 		}
 	}
 	return res[len(res)/2]
-}
-
-// MinMax estimates a position with the bounding-box method (Savvides et
-// al. n-hop multilateration primitive): intersect the axis-aligned boxes
-// [loc_i - d_i, loc_i + d_i] and return the intersection's center. Cheap
-// and robust, less accurate than Multilaterate.
-func MinMax(refs []Reference) (geo.Point, error) {
-	if len(refs) < 3 {
-		return geo.Point{}, fmt.Errorf("%w: have %d", ErrTooFew, len(refs))
-	}
-	xmin, ymin := math.Inf(-1), math.Inf(-1)
-	xmax, ymax := math.Inf(1), math.Inf(1)
-	for _, r := range refs {
-		xmin = math.Max(xmin, r.Loc.X-r.Dist)
-		ymin = math.Max(ymin, r.Loc.Y-r.Dist)
-		xmax = math.Min(xmax, r.Loc.X+r.Dist)
-		ymax = math.Min(ymax, r.Loc.Y+r.Dist)
-	}
-	return geo.Point{X: (xmin + xmax) / 2, Y: (ymin + ymax) / 2}, nil
-}
-
-// Centroid estimates a position as the mean of the beacon locations,
-// ignoring distances (Bulusu, Heidemann & Estrin's GPS-less coarse
-// localization). The range-free baseline.
-func Centroid(refs []Reference) (geo.Point, error) {
-	if len(refs) == 0 {
-		return geo.Point{}, fmt.Errorf("%w: have 0", ErrTooFew)
-	}
-	var sum geo.Point
-	for _, r := range refs {
-		sum = sum.Add(r.Loc)
-	}
-	return sum.Scale(1 / float64(len(refs))), nil
-}
-
-// Residual returns the mean absolute distance residual of position p
-// against the references: a consistency measure a node can compute
-// without knowing its true location.
-func Residual(p geo.Point, refs []Reference) float64 {
-	if len(refs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, r := range refs {
-		sum += math.Abs(p.Dist(r.Loc) - r.Dist)
-	}
-	return sum / float64(len(refs))
 }

@@ -127,103 +127,6 @@ func TestMultilaterateCollinear(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	truth := geo.Point{X: 60, Y: 55}
-	beacons := []geo.Point{{X: 0, Y: 0}, {X: 120, Y: 0}, {X: 0, Y: 120}, {X: 120, Y: 120}}
-	got, err := MinMax(refsFor(truth, beacons, noNoise))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.Dist(truth); d > 25 {
-		t.Errorf("MinMax estimate %v off truth %v by %v", got, truth, d)
-	}
-	if _, err := MinMax(nil); !errors.Is(err, ErrTooFew) {
-		t.Errorf("MinMax(nil) err = %v", err)
-	}
-}
-
-func TestCentroid(t *testing.T) {
-	refs := []Reference{
-		{Loc: geo.Point{X: 0, Y: 0}},
-		{Loc: geo.Point{X: 90, Y: 0}},
-		{Loc: geo.Point{X: 0, Y: 90}},
-	}
-	got, err := Centroid(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (geo.Point{X: 30, Y: 30}); got.Dist(want) > 1e-9 {
-		t.Errorf("Centroid = %v, want %v", got, want)
-	}
-	if _, err := Centroid(nil); !errors.Is(err, ErrTooFew) {
-		t.Errorf("Centroid(nil) err = %v", err)
-	}
-}
-
-func TestCentroidIgnoresDistances(t *testing.T) {
-	refs := []Reference{
-		{Loc: geo.Point{X: 0, Y: 0}, Dist: 1},
-		{Loc: geo.Point{X: 90, Y: 0}, Dist: 1e9},
-		{Loc: geo.Point{X: 0, Y: 90}, Dist: -5},
-	}
-	got, err := Centroid(refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (geo.Point{X: 30, Y: 30}); got.Dist(want) > 1e-9 {
-		t.Errorf("Centroid = %v, want %v (range-free)", got, want)
-	}
-}
-
-func TestResidual(t *testing.T) {
-	truth := geo.Point{X: 40, Y: 40}
-	refs := refsFor(truth, triangle(), noNoise)
-	if r := Residual(truth, refs); r > 1e-9 {
-		t.Errorf("Residual at truth = %v, want 0", r)
-	}
-	if r := Residual(geo.Point{X: 400, Y: 400}, refs); r < 100 {
-		t.Errorf("Residual far from truth = %v, want large", r)
-	}
-	if r := Residual(truth, nil); r != 0 {
-		t.Errorf("Residual with no refs = %v", r)
-	}
-}
-
-func TestSolverComparison(t *testing.T) {
-	// Multilateration should beat the min-max and centroid baselines on
-	// average under bounded noise — the reason the paper's schemes use
-	// distance-based estimation at all.
-	src := rng.New(31)
-	beacons := []geo.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 0, Y: 150}, {X: 150, Y: 150}, {X: 75, Y: 0}}
-	var errML, errMM, errC float64
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		truth := geo.Point{X: src.Uniform(30, 120), Y: src.Uniform(30, 120)}
-		refs := refsFor(truth, beacons, func(int) float64 { return src.Uniform(-10, 10) })
-		ml, err := Multilaterate(refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mm, err := MinMax(refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := Centroid(refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		errML += ml.Dist(truth)
-		errMM += mm.Dist(truth)
-		errC += c.Dist(truth)
-	}
-	if errML >= errMM {
-		t.Errorf("multilateration (%v) not better than min-max (%v)", errML/trials, errMM/trials)
-	}
-	if errML >= errC {
-		t.Errorf("multilateration (%v) not better than centroid (%v)", errML/trials, errC/trials)
-	}
-}
-
 func BenchmarkMultilaterate(b *testing.B) {
 	truth := geo.Point{X: 60, Y: 45}
 	beacons := []geo.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 0, Y: 150}, {X: 150, Y: 150}, {X: 75, Y: 75}, {X: 30, Y: 120}}

@@ -23,7 +23,7 @@ type Beacon struct {
 	env  *Env
 	self deploy.Node
 	ep   *mac.Endpoint
-	det  wormhole.Detector
+	det  *wormhole.Probabilistic
 	req  *requester
 
 	detectingIDs []ident.NodeID
@@ -163,7 +163,7 @@ func (b *Beacon) serveReply(d mac.Delivery) {
 
 // observe runs the detector pipeline on a completed probe.
 func (b *Beacon) observe(p *probe, d mac.Delivery, reply replyInfo) {
-	o := observationFrom(b.env, b.det, b.self.Loc, true, p, d, reply)
+	o := observationFrom(b.det, b.self.Loc, true, p, d, reply)
 	v := b.env.Detector.EvaluateDetector(o)
 	b.Verdicts[v]++
 	// One determination per target: further malicious verdicts from the

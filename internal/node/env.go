@@ -31,8 +31,7 @@ type Env struct {
 	Keys *crypto.Keyring
 	Dep  *deploy.Deployment
 	// Core is the detection configuration (ε_max, RTT threshold, range)
-	// the wormhole context, the malicious beacons' attack sizing and
-	// robust localization read.
+	// the malicious beacons' attack sizing reads.
 	Core core.Config
 	// Detector evaluates every completed exchange: the paper pipeline or
 	// any other implementation from core's detector registry.
@@ -45,22 +44,10 @@ type Env struct {
 	// WormholeRate is p_d for the per-node probabilistic wormhole
 	// detectors.
 	WormholeRate float64
-	// RobustLocalization makes sensors solve with the LMS-robust
-	// multilaterator, trimming references inconsistent with the honest
-	// majority.
-	RobustLocalization bool
-	// UseGeoLeash replaces the probabilistic wormhole detector with the
-	// concrete geographic-leash implementation on nodes that know their
-	// location (beacons); sensors keep the probabilistic detector (a
-	// leash needs an own location).
-	UseGeoLeash bool
 }
 
 // detectorFor builds node i's wormhole detector.
-func (e *Env) detectorFor(i int) wormhole.Detector {
-	if e.UseGeoLeash && e.Dep.Nodes[i].Kind.IsBeacon() {
-		return wormhole.GeoLeash{Slack: 2 * e.Core.MaxDistError}
-	}
+func (e *Env) detectorFor(i int) *wormhole.Probabilistic {
 	return wormhole.NewProbabilistic(e.WormholeRate, e.Src.Split(fmt.Sprintf("whdet/%d", i)))
 }
 
@@ -201,16 +188,14 @@ func rtt(p *probe, d mac.Delivery, turnaround uint32) float64 {
 
 // observationFrom assembles the core.Observation for one exchange,
 // running the node's wormhole detector.
-func observationFrom(env *Env, det wormhole.Detector, ownLoc geo.Point, ownKnown bool,
+func observationFrom(det *wormhole.Probabilistic, ownLoc geo.Point, ownKnown bool,
 	p *probe, d mac.Delivery, reply replyInfo) core.Observation {
-	o := core.Observation{
-		OwnLoc:       ownLoc,
-		OwnKnown:     ownKnown,
-		Claimed:      reply.claimed,
-		MeasuredDist: d.MeasuredDist,
-		RTT:          rtt(p, d, reply.turnaround),
+	return core.Observation{
+		OwnLoc:           ownLoc,
+		OwnKnown:         ownKnown,
+		Claimed:          reply.claimed,
+		MeasuredDist:     d.MeasuredDist,
+		RTT:              rtt(p, d, reply.turnaround),
+		WormholeDetected: det.Detect(d.Truth.Replayed, d.Truth.WormholeMark),
 	}
-	ctx := env.Core.WormholeContext(o, d.Truth.Replayed, d.Truth.WormholeMark)
-	o.WormholeDetected = det.Detect(ctx)
-	return o
 }

@@ -81,14 +81,9 @@ type Malicious struct {
 	farClaim  geo.Point
 	neighbors map[ident.NodeID]bool // beacon IDs heard in hellos
 
-	// ActionsTaken counts responses by action.
-	ActionsTaken map[Action]int
 	// AttackedIDs lists requester identities that were sent an attack
 	// signal (ground truth for experiment metrics).
 	AttackedIDs map[ident.NodeID]bool
-	// RequestersSeen lists every identity that requested a beacon
-	// signal from this node.
-	RequestersSeen map[ident.NodeID]bool
 }
 
 // NewMalicious builds the compromised beacon at deployment index i.
@@ -104,16 +99,14 @@ func NewMalicious(env *Env, i int, cfg MaliciousConfig) *Malicious {
 		cfg.RangeBias = 5 * env.Core.MaxDistError
 	}
 	m := &Malicious{
-		env:            env,
-		self:           n,
-		ep:             env.endpointFor(i, n.ID),
-		cfg:            cfg,
-		skew:           fakeReplaySkew(env.Core.MaxRTT),
-		farClaim:       farClaimFor(n.Loc, env.Dep.Cfg),
-		neighbors:      make(map[ident.NodeID]bool),
-		ActionsTaken:   make(map[Action]int),
-		AttackedIDs:    make(map[ident.NodeID]bool),
-		RequestersSeen: make(map[ident.NodeID]bool),
+		env:         env,
+		self:        n,
+		ep:          env.endpointFor(i, n.ID),
+		cfg:         cfg,
+		skew:        fakeReplaySkew(env.Core.MaxRTT),
+		farClaim:    farClaimFor(n.Loc, env.Dep.Cfg),
+		neighbors:   make(map[ident.NodeID]bool),
+		AttackedIDs: make(map[ident.NodeID]bool),
 	}
 	m.ep.SetHandler(m.handle)
 	return m
@@ -189,9 +182,7 @@ func (m *Malicious) handle(d mac.Delivery) {
 		return
 	}
 	req := d.Pkt.Header.Src
-	m.RequestersSeen[req] = true
 	action := m.ActionFor(req)
-	m.ActionsTaken[action]++
 
 	t2 := d.FirstByteSPDR
 	loc := m.self.Loc

@@ -29,7 +29,7 @@ type Sensor struct {
 	env  *Env
 	self deploy.Node
 	ep   *mac.Endpoint
-	det  wormhole.Detector
+	det  *wormhole.Probabilistic
 	req  *requester
 
 	neighbors map[ident.NodeID]bool
@@ -142,7 +142,7 @@ func (s *Sensor) observe(p *probe, d mac.Delivery, reply replyInfo) {
 	if s.revoked[p.target] {
 		return
 	}
-	o := observationFrom(s.env, s.det, geo.Point{}, false, p, d, reply)
+	o := observationFrom(s.det, geo.Point{}, false, p, d, reply)
 	v := s.env.Detector.EvaluateSensor(o)
 	s.Verdicts[v]++
 	if !v.Accepted() {
@@ -156,24 +156,15 @@ func (s *Sensor) observe(p *probe, d mac.Delivery, reply replyInfo) {
 }
 
 // Localize estimates the sensor's position from its accepted,
-// non-revoked references. With Env.RobustLocalization the LMS-robust
-// solver additionally trims references inconsistent with the honest
-// majority (defense in depth against the wormhole references that slip
-// past the detector with probability 1-p_d). The estimate is clamped to
-// the sensing field: a node knows it was deployed inside the field, so
-// any solution outside it is truncated to the boundary.
+// non-revoked references. The estimate is clamped to the sensing field:
+// a node knows it was deployed inside the field, so any solution outside
+// it is truncated to the boundary.
 func (s *Sensor) Localize() (geo.Point, error) {
 	refs := make([]localization.Reference, 0, len(s.References))
 	for _, r := range s.References {
 		refs = append(refs, r.Ref)
 	}
-	var est geo.Point
-	var err error
-	if s.env.RobustLocalization {
-		est, _, err = localization.RobustMultilaterate(refs, 3*s.env.Core.MaxDistError)
-	} else {
-		est, err = localization.Multilaterate(refs)
-	}
+	est, err := localization.Multilaterate(refs)
 	if err != nil {
 		return geo.Point{}, err
 	}

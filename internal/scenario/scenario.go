@@ -95,13 +95,6 @@ type Config struct {
 	// DisableRTTFilter / DisableWormholeFilter are ablation switches.
 	DisableRTTFilter      bool
 	DisableWormholeFilter bool
-	// RobustLocalization makes sensors trim majority-inconsistent
-	// references (LMS) before solving — defense in depth against
-	// wormhole references that slip past the detector.
-	RobustLocalization bool
-	// UseGeoLeash swaps beacons' probabilistic wormhole detector for
-	// the concrete geographic-leash implementation.
-	UseGeoLeash bool
 	// Distributed switches to the base-station-free revocation variant
 	// the paper lists as future work: beacons gossip alerts to their
 	// beacon neighbors and each runs the §3 counting algorithm on a
@@ -189,8 +182,8 @@ type Result struct {
 	// attack signal from a malicious beacon that survived revocation,
 	// averaged over malicious beacons.
 	AffectedPerMalicious float64
-	// AvgNc is the measured mean number of distinct physical requesters
-	// per malicious beacon.
+	// AvgNc is the mean number of nodes within radio range of each
+	// malicious beacon: its potential requesters, the paper's N_c.
 	AvgNc float64
 
 	// BenignAlerts counts alerts sent by benign beacons against benign
@@ -332,17 +325,15 @@ func Run(cfg Config) (*Result, error) {
 	uplink.LossRate = cfg.UplinkLoss
 
 	env := &node.Env{
-		Sched:              sched,
-		Medium:             medium,
-		Keys:               keys,
-		Dep:                dep,
-		Core:               coreCfg,
-		Detector:           det,
-		Uplink:             uplink,
-		Src:                src.Split("nodes"),
-		WormholeRate:       cfg.WormholeRate,
-		RobustLocalization: cfg.RobustLocalization,
-		UseGeoLeash:        cfg.UseGeoLeash,
+		Sched:        sched,
+		Medium:       medium,
+		Keys:         keys,
+		Dep:          dep,
+		Core:         coreCfg,
+		Detector:     det,
+		Uplink:       uplink,
+		Src:          src.Split("nodes"),
+		WormholeRate: cfg.WormholeRate,
 	}
 	if cfg.DisableWormholeFilter {
 		env.WormholeRate = 0
@@ -645,30 +636,4 @@ func (r *Result) collectMetrics(cfg Config, dep *deploy.Deployment, malicious ma
 		r.LocErrMean = errSum / float64(r.Localized)
 	}
 	r.LocErrMax = errMax
-}
-
-// physicalRequesters maps the requester identities a malicious node saw
-// back to distinct physical nodes (each beacon's m detecting IDs collapse
-// onto the beacon).
-func physicalRequesters(dep *deploy.Deployment, m *node.Malicious) int {
-	space := dep.Space
-	seen := make(map[int]bool)
-	for id := range m.RequestersSeen {
-		seen[physicalIndex(space, id)] = true
-	}
-	return len(seen)
-}
-
-func physicalIndex(space ident.Space, id ident.NodeID) int {
-	n := int(id) - 1
-	switch {
-	case n < space.NumBeacons:
-		return n
-	case n < space.NumBeacons+space.NumSensors:
-		return n
-	default:
-		// Detecting pseudonym: recover the owning beacon index.
-		det := n - space.NumBeacons - space.NumSensors
-		return det / space.DetectingIDs
-	}
 }

@@ -380,37 +380,3 @@ func TestDistributedBenignNoFalseLocalRevocations(t *testing.T) {
 		t.Errorf("benign network produced %v local false revocations", res.LocalFalseRevocations)
 	}
 }
-
-func TestRobustLocalizationReducesWormholeDamage(t *testing.T) {
-	// Wormhole references that slip past the detector (1-p_d) corrupt
-	// plain multilateration; LMS trimming at the sensor recovers.
-	base := smallConfig(0, 30)
-	base.Wormholes = []WormholeSpec{{A: geo.Point{X: 100, Y: 100}, B: geo.Point{X: 450, Y: 400}, Latency: 2}}
-	base.WormholeRate = 0                // detector blind: tunneled references get through
-	base.Revoke.AlertThreshold = 1 << 20 // and nobody revokes the framed far beacons first
-	plain := run(t, base)
-
-	robust := base
-	robust.RobustLocalization = true
-	robustRes := run(t, robust)
-
-	if robustRes.LocErrMean >= plain.LocErrMean {
-		t.Errorf("robust localization did not help: %v vs %v ft",
-			robustRes.LocErrMean, plain.LocErrMean)
-	}
-}
-
-func TestGeoLeashEndToEnd(t *testing.T) {
-	// The concrete leash detector realizes p_d = 1 against benign-beacon
-	// wormhole replays (honest far claims): no false alerts at all.
-	cfg := smallConfig(0, 31)
-	cfg.Wormholes = []WormholeSpec{{A: geo.Point{X: 100, Y: 100}, B: geo.Point{X: 450, Y: 400}, Latency: 2}}
-	cfg.UseGeoLeash = true
-	res := run(t, cfg)
-	if res.BenignAlerts != 0 {
-		t.Errorf("geo leash allowed %d false alerts", res.BenignAlerts)
-	}
-	if res.RevokedBenign != 0 {
-		t.Errorf("geo leash allowed %d benign revocations", res.RevokedBenign)
-	}
-}

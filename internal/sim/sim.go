@@ -157,8 +157,8 @@ func DepthHistogram() *metrics.Histogram {
 	return metrics.NewHistogram(metrics.ExpBounds(1, 2, 24)...)
 }
 
-// Scheduler owns the virtual clock and the event queue. The zero value is
-// ready to use. Scheduler is not safe for concurrent use: the
+// Scheduler owns the virtual clock and the event queue. Build one with
+// New or NewWithConfig. Scheduler is not safe for concurrent use: the
 // simulation is single-threaded by design (determinism), and experiments
 // parallelize across independent Scheduler instances instead.
 type Scheduler struct {
@@ -193,15 +193,6 @@ func NewWithConfig(cfg Config) *Scheduler {
 	}
 }
 
-// lazyQueue returns the scheduler's queue, initializing the wheel for a
-// zero-value Scheduler.
-func (s *Scheduler) lazyQueue() queue {
-	if s.q == nil {
-		s.q = newWheelQueue()
-	}
-	return s.q
-}
-
 // recycle returns a popped pooled event to the free list.
 func (s *Scheduler) recycle(ev *Event) {
 	ev.h = nil
@@ -217,12 +208,7 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still queued. It is an int64 so
 // million-event schedules cannot truncate on 32-bit builds.
-func (s *Scheduler) Pending() int64 {
-	if s.q == nil {
-		return 0
-	}
-	return s.q.size()
-}
+func (s *Scheduler) Pending() int64 { return s.q.size() }
 
 // Stats is the scheduler's counter snapshot, for run telemetry.
 type Stats struct {
@@ -311,9 +297,8 @@ func (s *Scheduler) push(ev *Event, at Time, h Handler) {
 	ev.seq = s.seq
 	ev.h = h
 	s.seq++
-	q := s.lazyQueue()
-	q.push(ev)
-	n := q.size()
+	s.q.push(ev)
+	n := s.q.size()
 	if n > s.maxPending {
 		s.maxPending = n
 	}
@@ -323,9 +308,6 @@ func (s *Scheduler) push(ev *Event, at Time, h Handler) {
 // Step fires the next event, advancing the clock to its time. It reports
 // whether an event was executed.
 func (s *Scheduler) Step() bool {
-	if s.q == nil {
-		return false
-	}
 	for s.q.size() > 0 {
 		ev := s.q.pop()
 		h := ev.h
@@ -363,7 +345,7 @@ func (s *Scheduler) Run() error {
 // to deadline. Events scheduled beyond deadline remain queued.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped && s.q != nil {
+	for !s.stopped {
 		at, ok := s.q.nextAt()
 		if !ok || at > deadline {
 			break

@@ -1,15 +1,13 @@
 // Package wormhole implements the wormhole attack (a low-latency tunnel
 // that records radio traffic at one point of the field and replays it at
-// another, per Hu–Perrig–Johnson) and the wormhole detectors the paper
-// assumes are "installed on every beacon and non-beacon node".
+// another, per Hu–Perrig–Johnson) and the wormhole detector the paper
+// assumes is "installed on every beacon and non-beacon node".
 //
 // The paper's analysis treats the detector abstractly: it catches a real
 // wormhole replay with probability p_d and never accuses clean traffic;
 // additionally a malicious sender "can always manipulate its beacon
 // signals to convince the detecting node that there is a wormhole attack".
-// Probabilistic implements exactly that contract. GeoLeash is a concrete
-// instantiation (geographic packet leashes) provided to show the contract
-// is realizable.
+// Probabilistic implements exactly that contract.
 package wormhole
 
 import (
@@ -95,28 +93,6 @@ func (t *Tunnel) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	})
 }
 
-// Context is what a node's wormhole detector can examine about one
-// received beacon exchange.
-type Context struct {
-	// Truth flags from the physical layer: Replayed is ground truth the
-	// concrete detector machinery keys its error rate on; WormholeMark
-	// is the attacker's signal manipulation.
-	Replayed     bool
-	WormholeMark bool
-	// ClaimedDist is the distance between the receiver's location and
-	// the location claimed in the packet, when the receiver knows its
-	// own location (beacon nodes); negative when unknown (non-beacon
-	// nodes before localization).
-	ClaimedDist float64
-	// Range is the radio communication range.
-	Range float64
-}
-
-// Detector decides whether an exchange traversed a wormhole.
-type Detector interface {
-	Detect(ctx Context) bool
-}
-
 // Probabilistic is the paper's abstract detector: detection rate p_d on
 // real wormhole replays, zero false positives on clean traffic, and
 // guaranteed detection when the sender manipulates its signal to look
@@ -135,42 +111,17 @@ func NewProbabilistic(pd float64, src *rng.Source) *Probabilistic {
 	return &Probabilistic{Rate: pd, src: src}
 }
 
-// Detect implements Detector.
-func (p *Probabilistic) Detect(ctx Context) bool {
-	if ctx.WormholeMark {
+// Detect reports whether the detector flags an exchange as wormholed.
+// replayed is the physical layer's ground truth that the frame came
+// through a tunnel, which the detector catches at rate p_d; marked is the
+// sender's manipulation of its signal to look wormholed, which always
+// convinces it.
+func (p *Probabilistic) Detect(replayed, marked bool) bool {
+	if marked {
 		return true
 	}
-	if ctx.Replayed {
+	if replayed {
 		return p.src.Bool(p.Rate)
 	}
 	return false
 }
-
-// GeoLeash is a geographic-leash detector: the receiver compares the
-// claimed sender location against its own and flags a wormhole when the
-// packet claims to have crossed more than a radio range plus slack. It is
-// only usable by nodes that know their own location. In this simulator's
-// geometry it detects benign-beacon wormhole replays deterministically
-// (the claimed location is honest and far), i.e. it realizes p_d = 1; the
-// Probabilistic detector exists to study p_d < 1.
-type GeoLeash struct {
-	// Slack absorbs location error in the leash comparison.
-	Slack float64
-}
-
-// Detect implements Detector.
-func (g GeoLeash) Detect(ctx Context) bool {
-	if ctx.WormholeMark {
-		return true
-	}
-	if ctx.ClaimedDist < 0 {
-		return false // receiver location unknown; leash unusable
-	}
-	return ctx.ClaimedDist > ctx.Range+g.Slack
-}
-
-// Interface compliance.
-var (
-	_ Detector = (*Probabilistic)(nil)
-	_ Detector = GeoLeash{}
-)
