@@ -6,17 +6,18 @@
 // paper's contribution — detectors for malicious beacon signals, replay
 // filters, and base-station revocation.
 //
-// The package is a facade over the internal implementation; it exposes
-// the four things a user needs:
+// The package is a facade over the internal implementation. It exposes
+// what this repository's examples use:
 //
 //   - the detector primitives (DetectorConfig, Observation, Verdict,
 //     CalibrateRTT) to embed the paper's checks in another system;
-//   - the closed-form analysis (DetectionRate, RevocationRate,
-//     AffectedNodes, ...) to size deployments;
+//   - the closed-form analysis (RevocationRate, MaxAffected,
+//     FalsePositiveBound) to size deployments;
 //   - the end-to-end scenario engine (PaperScenario, RunScenario) to
 //     simulate full networks under attack;
-//   - the experiment harness (Figures, RunFigure) to regenerate every
-//     figure of the paper's evaluation.
+//   - multilateration (Multilaterate) to localize from beacon references.
+//
+// cmd/figures regenerates every figure of the paper's evaluation.
 //
 // Quickstart:
 //
@@ -27,21 +28,14 @@
 package beaconsec
 
 import (
-	"errors"
-	"fmt"
-
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/core"
 	"beaconsec/internal/deploy"
-	"beaconsec/internal/experiment"
 	"beaconsec/internal/geo"
-	"beaconsec/internal/georoute"
 	"beaconsec/internal/ident"
 	"beaconsec/internal/localization"
 	"beaconsec/internal/revoke"
-	"beaconsec/internal/rng"
 	"beaconsec/internal/scenario"
-	"beaconsec/internal/textplot"
 )
 
 // Geometry and identity.
@@ -104,19 +98,10 @@ func StrategyForP(p float64) Strategy { return analysis.StrategyForP(p) }
 // (N=1000, N_b=110, N_a=10).
 func PaperPopulation() Population { return analysis.PaperPopulation() }
 
-// DetectionRate returns P_r = 1 - (1-P)^m (Figure 5).
-func DetectionRate(p float64, m int) float64 { return analysis.DetectionRate(p, m) }
-
 // RevocationRate returns P_d, the probability a malicious beacon with nc
 // requesters is revoked at alert threshold τ′ (Figures 6–7).
 func RevocationRate(p float64, m, tauPrime, nc int, pop Population) float64 {
 	return analysis.RevocationRate(p, m, tauPrime, nc, pop)
-}
-
-// AffectedNodes returns N′, the expected non-beacon nodes misled by one
-// malicious beacon after revocation (Figure 8).
-func AffectedNodes(p float64, m, tauPrime, nc int, pop Population) float64 {
-	return analysis.AffectedNodes(p, m, tauPrime, nc, pop)
 }
 
 // MaxAffected returns the attacker-optimal N′ and the P achieving it
@@ -151,12 +136,6 @@ type (
 // (100,100) and (800,700), colluding malicious reporters.
 func PaperScenario() ScenarioConfig { return scenario.Paper() }
 
-// PaperDeployment returns just the deployment part of the paper setup.
-func PaperDeployment() DeployConfig { return deploy.Paper() }
-
-// PaperWormhole returns the paper's wormhole placement.
-func PaperWormhole() WormholeSpec { return scenario.PaperWormhole() }
-
 // RunScenario executes one full simulation.
 func RunScenario(cfg ScenarioConfig) (*ScenarioResult, error) { return scenario.Run(cfg) }
 
@@ -170,81 +149,3 @@ type (
 // Multilaterate estimates a position from distance references (linear
 // least squares + Gauss–Newton).
 func Multilaterate(refs []Reference) (Point, error) { return localization.Multilaterate(refs) }
-
-// RobustMultilaterate estimates a position while excluding references
-// inconsistent with the honest majority (least-median-of-squares subset
-// search + residual trimming); it returns the kept reference indices.
-func RobustMultilaterate(refs []Reference, maxResidual float64) (Point, []int, error) {
-	return localization.RobustMultilaterate(refs, maxResidual)
-}
-
-// Iterative (multi-tier) localization with beacon promotion — the §2.3
-// extension.
-type (
-	// IterativeConfig parameterizes multi-tier localization.
-	IterativeConfig = localization.IterativeConfig
-	// IterativeResult reports a multi-tier pass.
-	IterativeResult = localization.IterativeResult
-)
-
-// IterativeLocalize runs multi-tier localization with beacon promotion
-// over true positions; see localization.IterativeLocalize.
-func IterativeLocalize(truth []Point, isBeacon, liars []bool, lieOffset Point,
-	cfg IterativeConfig, seed uint64) IterativeResult {
-	return localization.IterativeLocalize(truth, isBeacon, liars, lieOffset, cfg, rng.New(seed))
-}
-
-// Geographic routing (GPSR-style greedy forwarding), the paper's
-// motivating application.
-type (
-	// RoutingNetwork forwards packets greedily on believed positions
-	// over true radio connectivity.
-	RoutingNetwork = georoute.Network
-	// Route is one forwarding attempt's outcome.
-	Route = georoute.Route
-)
-
-// NewRoutingNetwork builds a forwarding substrate from true positions
-// (connectivity) and believed positions (forwarding decisions).
-func NewRoutingNetwork(truth, believed []Point, rangeFt float64) *RoutingNetwork {
-	return georoute.New(truth, believed, rangeFt)
-}
-
-// Experiments (the paper's figures).
-type (
-	// ExperimentOptions tune figure regeneration cost.
-	ExperimentOptions = experiment.Options
-	// ExperimentResult is one regenerated figure.
-	ExperimentResult = experiment.Result
-	// Plot renders series as ASCII or CSV.
-	Plot = textplot.Plot
-	// PlotSeries is one labelled curve.
-	PlotSeries = textplot.Series
-)
-
-// Figures lists the IDs of every reproducible figure, in paper order.
-func Figures() []string {
-	runners := experiment.All()
-	ids := make([]string, len(runners))
-	for i, r := range runners {
-		ids[i] = r.ID
-	}
-	return ids
-}
-
-// ErrUnknownFigure reports a RunFigure ID that matches no runner.
-var ErrUnknownFigure = errors.New("beaconsec: unknown figure ID")
-
-// RunFigure regenerates one figure by ID ("fig04" ... "fig14",
-// "extra-localization", "extra-ablation"). Unknown IDs return an error
-// wrapping ErrUnknownFigure; simulation failures are returned as-is.
-// Simulation-backed figures run their trials on a worker pool sized by
-// ExperimentOptions.Workers (0 = all CPUs) with results identical for
-// any worker count.
-func RunFigure(id string, o ExperimentOptions) (ExperimentResult, error) {
-	r, ok := experiment.ByID(id)
-	if !ok {
-		return ExperimentResult{}, fmt.Errorf("%w: %q", ErrUnknownFigure, id)
-	}
-	return r.Run(o)
-}

@@ -1,7 +1,6 @@
 package beaconsec_test
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -31,18 +30,12 @@ func TestFacadeQuickScenario(t *testing.T) {
 }
 
 func TestFacadeAnalysis(t *testing.T) {
-	if got := beaconsec.DetectionRate(0.5, 2); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("DetectionRate = %v", got)
-	}
 	pop := beaconsec.PaperPopulation()
 	if pop.N != 1000 || pop.Nb != 110 || pop.Na != 10 {
 		t.Errorf("PaperPopulation = %+v", pop)
 	}
 	if pd := beaconsec.RevocationRate(0.3, 8, 2, 100, pop); pd <= 0 || pd > 1 {
 		t.Errorf("RevocationRate = %v", pd)
-	}
-	if n := beaconsec.AffectedNodes(0.3, 8, 2, 100, pop); n < 0 {
-		t.Errorf("AffectedNodes = %v", n)
 	}
 	maxN, argP := beaconsec.MaxAffected(8, 2, 100, pop)
 	if maxN <= 0 || argP <= 0 || argP > 1 {
@@ -100,22 +93,5 @@ func TestFacadeLocalization(t *testing.T) {
 	}
 	if got.Dist(truth) > 1e-6 {
 		t.Errorf("Multilaterate = %v, want %v", got, truth)
-	}
-}
-
-func TestFacadeFigures(t *testing.T) {
-	ids := beaconsec.Figures()
-	if len(ids) != 19 {
-		t.Fatalf("Figures() = %v", ids)
-	}
-	r, err := beaconsec.RunFigure("fig05", beaconsec.ExperimentOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series) == 0 {
-		t.Error("fig05 empty")
-	}
-	if _, err := beaconsec.RunFigure("bogus", beaconsec.ExperimentOptions{}); !errors.Is(err, beaconsec.ErrUnknownFigure) {
-		t.Errorf("bogus figure: err = %v, want ErrUnknownFigure", err)
 	}
 }

@@ -10,15 +10,28 @@ import (
 	"testing"
 
 	"beaconsec"
+	"beaconsec/internal/experiment"
 )
+
+// runFigure runs the registered figure id with o, failing b on an
+// unknown ID or a run error.
+func runFigure(b *testing.B, id string, o experiment.Options) experiment.Result {
+	b.Helper()
+	r, ok := experiment.ByID(id)
+	if !ok {
+		b.Fatalf("unknown figure %q", id)
+	}
+	res, err := r.Run(o)
+	if err != nil {
+		b.Fatalf("%s: %v", id, err)
+	}
+	return res
+}
 
 func benchFigure(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := beaconsec.RunFigure(id, beaconsec.ExperimentOptions{Quick: true, Seed: uint64(i + 1)})
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
+		res := runFigure(b, id, experiment.Options{Quick: true, Seed: uint64(i + 1)})
 		if len(res.Series) == 0 {
 			b.Fatalf("%s produced no series", id)
 		}
@@ -31,11 +44,7 @@ func benchFigure(b *testing.B, id string) {
 func benchSweepWorkers(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := beaconsec.RunFigure("fig12",
-			beaconsec.ExperimentOptions{Quick: true, Seed: uint64(i + 1), Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigure(b, "fig12", experiment.Options{Quick: true, Seed: uint64(i + 1), Workers: workers})
 		if len(res.Series) == 0 {
 			b.Fatal("fig12 produced no series")
 		}

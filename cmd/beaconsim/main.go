@@ -163,7 +163,7 @@ func runMetro(out io.Writer, nodes int64, workers int, seed uint64) error {
 	env := metrics.CaptureEnv()
 	fmt.Fprintf(out, "population           %d nodes, %d beacons (%d malicious), field %.0fx%.0f ft\n",
 		res.Nodes, res.Beacons, res.Malicious,
-		cfg.Deploy.Field.Width(), cfg.Deploy.Field.Height())
+		cfg.Deploy.Field().Width(), cfg.Deploy.Field().Height())
 	fmt.Fprintf(out, "queue                timing wheel x %d shard(s) (max pending %d, p99 depth %.0f)\n",
 		len(cfg.Deploy.ShardRanges(workers)), res.Sim.MaxPending, res.QueueDepth.Quantile(0.99))
 	fmt.Fprintf(out, "probes               %d sent: %d replied, %d timed out\n",

@@ -36,17 +36,6 @@ func ExampleDetectorConfig_EvaluateDetector() {
 	// local-replay
 }
 
-// ExampleDetectionRate reproduces the paper's Figure 5 relationship: more
-// detecting IDs force the attacker into a corner.
-func ExampleDetectionRate() {
-	for _, m := range []int{1, 8} {
-		fmt.Printf("m=%d: P_r(0.2) = %.2f\n", m, beaconsec.DetectionRate(0.2, m))
-	}
-	// Output:
-	// m=1: P_r(0.2) = 0.20
-	// m=8: P_r(0.2) = 0.83
-}
-
 // ExampleMultilaterate localizes a node from three beacon references.
 func ExampleMultilaterate() {
 	truth := beaconsec.Point{X: 40, Y: 35}
@@ -59,21 +48,6 @@ func ExampleMultilaterate() {
 	fmt.Printf("(%.0f, %.0f)\n", est.X, est.Y)
 	// Output:
 	// (40, 35)
-}
-
-// ExampleRobustMultilaterate excludes a lying beacon from the fix.
-func ExampleRobustMultilaterate() {
-	truth := beaconsec.Point{X: 75, Y: 75}
-	beacons := []beaconsec.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 0, Y: 150}, {X: 150, Y: 150}, {X: 75, Y: 0}}
-	refs := make([]beaconsec.Reference, len(beacons))
-	for i, b := range beacons {
-		refs[i] = beaconsec.Reference{Loc: b, Dist: truth.Dist(b)}
-	}
-	refs[1].Dist += 90 // compromised beacon enlarges its distance
-	est, kept, _ := beaconsec.RobustMultilaterate(refs, 10)
-	fmt.Printf("(%.0f, %.0f) using %d of %d references\n", est.X, est.Y, len(kept), len(refs))
-	// Output:
-	// (75, 75) using 4 of 5 references
 }
 
 // ExampleFalsePositiveBound evaluates the §3.2 collusion damage bound at

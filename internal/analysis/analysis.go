@@ -47,11 +47,6 @@ func (s Strategy) Validate() error {
 	return nil
 }
 
-// P returns the undetected-attack probability P = (1-p_n)(1-p_w)(1-p_l).
-func (s Strategy) P() float64 {
-	return (1 - s.PN) * (1 - s.PW) * (1 - s.PL)
-}
-
 // StrategyForP returns the canonical strategy realizing a given P by
 // adjusting only p_n (no replay camouflage): the attacker sends malicious
 // signals to a fraction P of requesters and normal signals to the rest.
@@ -77,20 +72,6 @@ type Population struct {
 	N  int // total sensor nodes
 	Nb int // beacon nodes
 	Na int // malicious beacon nodes
-}
-
-// Validate returns an error for inconsistent populations.
-func (pop Population) Validate() error {
-	if pop.N <= 0 || pop.Nb < 0 || pop.Na < 0 {
-		return fmt.Errorf("analysis: negative or empty population %+v", pop)
-	}
-	if pop.Nb > pop.N {
-		return fmt.Errorf("analysis: more beacons (%d) than nodes (%d)", pop.Nb, pop.N)
-	}
-	if pop.Na > pop.Nb {
-		return fmt.Errorf("analysis: more malicious beacons (%d) than beacons (%d)", pop.Na, pop.Nb)
-	}
-	return nil
 }
 
 // BenignBeacons returns N_b - N_a.
@@ -259,18 +240,4 @@ func ReportCounterExceedProb(tau int, prm ReportCounterParams) float64 {
 		total = 1
 	}
 	return 1 - total
-}
-
-// ROCPoint returns the analytical (false-positive rate, detection rate)
-// pair for thresholds (τ, τ′): detection from RevocationRate at the
-// attacker-optimal P, false positives from the N_f bound normalized by
-// the benign beacon count.
-func ROCPoint(tau, tauPrime, nc, m, nw int, pd float64, pop Population) (fpr, det float64) {
-	_, pStar := MaxAffected(m, tauPrime, nc, pop)
-	det = RevocationRate(pStar, m, tauPrime, nc, pop)
-	fpr = FalsePositiveBound(nw, pop.Na, tau, tauPrime, pd) / float64(pop.BenignBeacons())
-	if fpr > 1 {
-		fpr = 1
-	}
-	return fpr, det
 }

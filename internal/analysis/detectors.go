@@ -66,12 +66,6 @@ func MLCatchProb(bias, eps, cut float64) float64 {
 	return math.Min(math.Max(p, 0), 1)
 }
 
-// MLFalseFlagProb is the ML detector's per-exchange false-alert
-// probability on benign signals: P(U > cut).
-func MLFalseFlagProb(eps, cut float64) float64 {
-	return MLCatchProb(0, eps, cut)
-}
-
 // MahalanobisFlagProb is the probability the Mahalanobis detector
 // returns a malicious verdict for one direct (non-replayed) signal with
 // distance enlargement bias: P(x² + q² > T² and q ≤ T) with

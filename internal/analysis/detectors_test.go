@@ -69,12 +69,6 @@ func TestMLClosedForms(t *testing.T) {
 	if got := MLCatchProb(100, 10, 10); got != 1 {
 		t.Errorf("catch probability must clamp at 1, got %v", got)
 	}
-	if got := MLFalseFlagProb(10, 10); got != 0 {
-		t.Errorf("default cut ε admits no benign false flags, got %v", got)
-	}
-	if got := MLFalseFlagProb(10, 5); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("MLFalseFlagProb(10,5) = %v, want 0.25", got)
-	}
 }
 
 // TestDetectorRatesMatchClosedForms Monte-Carlo-validates the closed

@@ -214,22 +214,6 @@ func (c *Cache) Stats() StatsSnapshot {
 	}
 }
 
-// Get returns the stored bytes for key, consulting memory then disk.
-// Callers must treat the returned slice as immutable.
-func (c *Cache) Get(key Key) ([]byte, bool) {
-	if data, ok := c.memGet(key); ok {
-		c.stats.Hits.Inc()
-		return data, true
-	}
-	if data, ok := c.diskGet(key); ok {
-		c.memPut(key, data)
-		c.stats.Hits.Inc()
-		c.stats.DiskHits.Inc()
-		return data, true
-	}
-	return nil, false
-}
-
 // Put stores data under key in memory and (when configured) on disk.
 // Disk failures are counted, not returned: the entry still serves from
 // memory, and the next cold process recomputes.

@@ -20,6 +20,22 @@ func mustNew(t *testing.T, cfg Config) *Cache {
 	return c
 }
 
+// get returns the stored bytes for key, consulting memory then disk, so
+// tests can read an entry without a compute function.
+func (c *Cache) get(key Key) ([]byte, bool) {
+	if data, ok := c.memGet(key); ok {
+		c.stats.Hits.Inc()
+		return data, true
+	}
+	if data, ok := c.diskGet(key); ok {
+		c.memPut(key, data)
+		c.stats.Hits.Inc()
+		c.stats.DiskHits.Inc()
+		return data, true
+	}
+	return nil, false
+}
+
 func TestFingerprintDistinguishesInputs(t *testing.T) {
 	base := Fingerprint("salt", []byte("config"), []byte("seed"))
 	for name, other := range map[string]Key{
@@ -354,7 +370,7 @@ func TestLRUEvictsToDiskNotOblivion(t *testing.T) {
 	}
 	// The evicted entry (keys[0], oldest) is gone from memory but must
 	// still be served — from disk.
-	data, ok := c.Get(keys[0])
+	data, ok := c.get(keys[0])
 	if !ok || !bytes.Equal(data, []byte{0}) {
 		t.Fatalf("evicted entry lost: ok=%v data=%v", ok, data)
 	}
@@ -367,7 +383,7 @@ func TestMemoryOnlyCacheSkipsDisk(t *testing.T) {
 	c := mustNew(t, Config{})
 	key := Fingerprint(CodeSalt, []byte("mem"))
 	c.Put(key, []byte("data"))
-	if data, ok := c.Get(key); !ok || string(data) != "data" {
+	if data, ok := c.get(key); !ok || string(data) != "data" {
 		t.Fatalf("memory-only lookup failed: ok=%v data=%q", ok, data)
 	}
 	if s := c.Stats(); s.BytesWritten != 0 || s.WriteErrors != 0 {

@@ -344,7 +344,7 @@ func TestMLVerdicts(t *testing.T) {
 // TestCalibrationStats checks the moment summary against hand-computed
 // values on a tiny known sample set.
 func TestCalibrationStats(t *testing.T) {
-	cal := CalibrationFromSamples([]float64{1, 2, 3, 4})
+	cal := calibrationFromSamples([]float64{1, 2, 3, 4})
 	st := cal.Stats()
 	if st.Mean != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", st.Mean)

@@ -76,7 +76,7 @@ func CalibrateRTTWorkers(trials int, seed uint64, workers int) (Calibration, err
 			if job.Point == batches-1 {
 				count = trials - calBatchSize*(batches-1)
 			}
-			return measureRTTBatch(count, calPairDist, job.Seed)
+			return measureRTTBatch(count, calPairDist, job.Seed), nil
 		},
 	})
 	if err != nil {
@@ -95,7 +95,7 @@ const calPairDist = 100
 
 // measureRTTBatch runs one batch of request/reply exchanges on a
 // dedicated two-node network and returns the raw RTT samples.
-func measureRTTBatch(trials int, pairDist float64, seed uint64) ([]float64, error) {
+func measureRTTBatch(trials int, pairDist float64, seed uint64) []float64 {
 	src := rng.New(seed)
 	sched := sim.New()
 	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{Range: 150})
@@ -135,18 +135,8 @@ func measureRTTBatch(trials int, pairDist float64, seed uint64) ([]float64, erro
 	// Skip the first few thousand cycles so register-preload clamping at
 	// time zero cannot bias the first sample.
 	sched.At(sim.Millis(5), kick)
-	if err := sched.Run(); err != nil {
-		return nil, fmt.Errorf("core: calibration scheduler stopped: %w", err)
-	}
-	return samples, nil
-}
-
-// CalibrationFromSamples builds a Calibration from externally measured
-// RTTs (e.g. hardware traces).
-func CalibrationFromSamples(samples []float64) Calibration {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return Calibration{samples: s}
+	sched.Run()
+	return samples
 }
 
 // Len returns the number of samples.

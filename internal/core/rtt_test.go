@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -126,8 +127,16 @@ func TestThresholdDetectsDelayOver4Point5Bits(t *testing.T) {
 	_ = thr
 }
 
+// calibrationFromSamples builds a Calibration from given RTTs, the
+// fixture for tests that need a known sample set.
+func calibrationFromSamples(samples []float64) Calibration {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	return Calibration{samples: s}
+}
+
 func TestCalibrationFromSamples(t *testing.T) {
-	c := CalibrationFromSamples([]float64{5, 1, 3})
+	c := calibrationFromSamples([]float64{5, 1, 3})
 	if c.XMin() != 1 || c.XMax() != 5 || c.Len() != 3 {
 		t.Errorf("from samples: min %v max %v len %d", c.XMin(), c.XMax(), c.Len())
 	}

@@ -124,7 +124,6 @@ type Deployment struct {
 	// Nodes lists all nodes: beacons at indices [0, Nb), sensors after.
 	Nodes []Node
 	grid  *geo.Grid // over Nodes' locations, cell = Range
-	byID  map[ident.NodeID]int
 }
 
 // New builds a deployment from cfg with uniform random placement. It
@@ -191,7 +190,6 @@ func build(cfg Config, points []geo.Point, malicious map[int]bool) *Deployment {
 		Space: space,
 		Nodes: make([]Node, cfg.N),
 		grid:  geo.NewGrid(cfg.Range),
-		byID:  make(map[ident.NodeID]int, cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
 		n := Node{Index: i, Loc: points[i]}
@@ -207,19 +205,9 @@ func build(cfg Config, points []geo.Point, malicious map[int]bool) *Deployment {
 			n.Kind = KindSensor
 		}
 		d.Nodes[i] = n
-		d.byID[n.ID] = i
 		d.grid.Add(n.Loc) // grid index == node index
 	}
 	return d
-}
-
-// ByID returns the node with primary identity id.
-func (d *Deployment) ByID(id ident.NodeID) (Node, bool) {
-	i, ok := d.byID[id]
-	if !ok {
-		return Node{}, false
-	}
-	return d.Nodes[i], true
 }
 
 // Neighbors appends to dst the indices of all nodes within radio range of

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"beaconsec/internal/geo"
+	"beaconsec/internal/ident"
 )
 
 func TestPaperConfig(t *testing.T) {
@@ -64,10 +65,15 @@ func TestNewCounts(t *testing.T) {
 	}
 }
 
+// inRect reports whether p lies in the half-open rectangle r.
+func inRect(r geo.Rect, p geo.Point) bool {
+	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
+}
+
 func TestNodesInsideField(t *testing.T) {
 	d := New(Paper())
 	for _, n := range d.Nodes {
-		if !d.Cfg.Field.Contains(n.Loc) {
+		if !inRect(d.Cfg.Field, n.Loc) {
 			t.Fatalf("node %v at %v outside field", n.ID, n.Loc)
 		}
 	}
@@ -75,6 +81,7 @@ func TestNodesInsideField(t *testing.T) {
 
 func TestKindsAndIDsConsistent(t *testing.T) {
 	d := New(Paper())
+	seen := make(map[ident.NodeID]int, len(d.Nodes))
 	for i, n := range d.Nodes {
 		if n.Index != i {
 			t.Fatalf("node %d has Index %d", i, n.Index)
@@ -94,13 +101,10 @@ func TestKindsAndIDsConsistent(t *testing.T) {
 				t.Fatalf("sensor node %d has beacon ID %v", i, n.ID)
 			}
 		}
-		got, ok := d.ByID(n.ID)
-		if !ok || got.Index != i {
-			t.Fatalf("ByID(%v) = %+v, %v", n.ID, got, ok)
+		if j, dup := seen[n.ID]; dup {
+			t.Fatalf("nodes %d and %d share ID %v", j, i, n.ID)
 		}
-	}
-	if _, ok := d.ByID(0xF000); ok {
-		t.Error("ByID(unknown) returned ok")
+		seen[n.ID] = i
 	}
 }
 

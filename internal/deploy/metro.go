@@ -25,29 +25,15 @@ type MetroNode struct {
 	Loc   geo.Point
 }
 
-// MetroConfig parameterizes a metro-scale heterogeneous deployment:
-// a uniform background population plus Gaussian density clusters (the
-// "downtown cores" of a metro field).
+// MetroConfig parameterizes a metro-scale heterogeneous deployment at
+// the paper's §4 density and population mix: a uniform background
+// population plus Gaussian density clusters (the "downtown cores" of a
+// metro field). Only the population and the seed vary; the field, the
+// radio range, the mix and the clustering follow from them and the
+// constants below.
 type MetroConfig struct {
 	// NumNodes is the total population.
 	NumNodes int64
-	// Field is the sensing field.
-	Field geo.Rect
-	// Range is the radio communication range in feet (also the count
-	// grid's cell size).
-	Range float64
-	// BeaconFrac is the fraction of nodes that are beacon nodes.
-	BeaconFrac float64
-	// MaliciousFrac is the fraction of beacon nodes that are compromised.
-	MaliciousFrac float64
-	// Clusters is the number of Gaussian density clusters; 0 means a
-	// purely uniform field.
-	Clusters int
-	// ClusterWeight is the probability a node is drawn from a cluster
-	// rather than the uniform background.
-	ClusterWeight float64
-	// ClusterSigma is the cluster standard deviation in feet.
-	ClusterSigma float64
 	// Seed drives placement, clustering, and the kind assignment.
 	Seed uint64
 
@@ -57,6 +43,25 @@ type MetroConfig struct {
 	// consumed in index order — but it sets the shard boundaries.
 	chunk int
 }
+
+// The fixed shape of every metro deployment: the paper's 150 ft range,
+// its 110/1000 beacons of which 10/110 are compromised, and four density
+// clusters holding half the population.
+const (
+	// MetroRange is the radio communication range in feet, also the
+	// count grid's cell size.
+	MetroRange = 150
+	// metroBeaconFrac is the fraction of nodes that are beacon nodes.
+	metroBeaconFrac = 0.11
+	// metroMaliciousFrac is the fraction of beacon nodes that are
+	// compromised.
+	metroMaliciousFrac = 1.0 / 11
+	// metroClusters is the number of Gaussian density clusters.
+	metroClusters = 4
+	// metroClusterWeight is the probability a node is drawn from a
+	// cluster rather than the uniform background.
+	metroClusterWeight = 0.5
+)
 
 // metroChunkSize is the streaming chunk: big enough to amortize
 // per-chunk overhead, small enough that a chunk is cache- and
@@ -68,56 +73,25 @@ const metroChunkSize = 8192
 // bottleneck worth reasoning about.
 const maxMetroNodes = 1 << 30
 
-// Metro returns a metro-scale configuration at the paper's §4 deployment
-// density (10⁻³ nodes/ft²) and population mix (11% beacons, of which
-// ~9% compromised — the paper's 110/1000 and 10/110), with four density
-// clusters holding half the population.
+// Metro returns the metro-scale configuration of n nodes placed from
+// seed.
 func Metro(n int64, seed uint64) MetroConfig {
-	side := math.Sqrt(float64(n) * 1e3) // n / (1000 nodes per 1000×1000 ft)
-	return MetroConfig{
-		NumNodes:      n,
-		Field:         geo.Square(side),
-		Range:         150,
-		BeaconFrac:    0.11,
-		MaliciousFrac: 1.0 / 11,
-		Clusters:      4,
-		ClusterWeight: 0.5,
-		ClusterSigma:  side / 20,
-		Seed:          seed,
-	}
+	return MetroConfig{NumNodes: n, Seed: seed}
 }
 
-// Validate returns an error for inconsistent configurations, including a
-// *SizeError when the field/range geometry implies a count grid far
-// larger than the population it summarizes.
+// side is the field's side in feet: n nodes at the paper's density of
+// 1000 nodes per 1000×1000 ft.
+func (c MetroConfig) side() float64 { return math.Sqrt(float64(c.NumNodes) * 1e3) }
+
+// Field returns the sensing field, a square of the density's side.
+func (c MetroConfig) Field() geo.Rect { return geo.Square(c.side()) }
+
+// Validate returns an error for a population outside [1, 2^30].
 func (c MetroConfig) Validate() error {
 	if c.NumNodes <= 0 || c.NumNodes > maxMetroNodes {
 		return fmt.Errorf("deploy: metro NumNodes = %d outside [1, %d]", c.NumNodes, int64(maxMetroNodes))
 	}
-	// Each check is written so that NaN, which fails every comparison,
-	// fails it too.
-	if !(c.Field.Width() > 0 && c.Field.Height() > 0) {
-		return fmt.Errorf("deploy: empty metro field %+v", c.Field)
-	}
-	if !(c.Range > 0) || math.IsInf(c.Range, 1) {
-		return fmt.Errorf("deploy: metro range %v must be positive and finite", c.Range)
-	}
-	if !(c.BeaconFrac >= 0 && c.BeaconFrac <= 1) {
-		return fmt.Errorf("deploy: BeaconFrac %v outside [0,1]", c.BeaconFrac)
-	}
-	if !(c.MaliciousFrac >= 0 && c.MaliciousFrac <= 1) {
-		return fmt.Errorf("deploy: MaliciousFrac %v outside [0,1]", c.MaliciousFrac)
-	}
-	if c.Clusters < 0 {
-		return fmt.Errorf("deploy: Clusters = %d must be >= 0", c.Clusters)
-	}
-	if !(c.ClusterWeight >= 0 && c.ClusterWeight <= 1) {
-		return fmt.Errorf("deploy: ClusterWeight %v outside [0,1]", c.ClusterWeight)
-	}
-	if c.Clusters > 0 && c.ClusterWeight > 0 && (!(c.ClusterSigma > 0) || math.IsInf(c.ClusterSigma, 1)) {
-		return fmt.Errorf("deploy: ClusterSigma %v must be positive and finite with clusters enabled", c.ClusterSigma)
-	}
-	return checkGridSize(c.NumNodes, c.Field, c.Range)
+	return nil
 }
 
 func (c MetroConfig) chunkSize() int {
@@ -135,34 +109,36 @@ func (c MetroConfig) Stream(visit func(chunk []MetroNode) error) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
+	field := c.Field()
+	sigma := c.side() / 20 // cluster standard deviation in feet
 	src := rng.New(c.Seed)
-	centers := make([]geo.Point, c.Clusters)
+	var centers [metroClusters]geo.Point
 	clusterSrc := src.Split("metro-clusters")
 	for i := range centers {
 		centers[i] = geo.Point{
-			X: clusterSrc.Uniform(c.Field.Min.X, c.Field.Max.X),
-			Y: clusterSrc.Uniform(c.Field.Min.Y, c.Field.Max.Y),
+			X: clusterSrc.Uniform(field.Min.X, field.Max.X),
+			Y: clusterSrc.Uniform(field.Min.Y, field.Max.Y),
 		}
 	}
 	place := src.Split("metro-placement")
 	chunk := make([]MetroNode, 0, min(int64(c.chunkSize()), c.NumNodes))
 	for i := int64(0); i < c.NumNodes; i++ {
 		var loc geo.Point
-		if c.Clusters > 0 && place.Bool(c.ClusterWeight) {
-			ctr := centers[place.Intn(c.Clusters)]
-			loc = c.Field.Clamp(geo.Point{
-				X: ctr.X + place.NormFloat64()*c.ClusterSigma,
-				Y: ctr.Y + place.NormFloat64()*c.ClusterSigma,
+		if place.Bool(metroClusterWeight) {
+			ctr := centers[place.Intn(metroClusters)]
+			loc = field.Clamp(geo.Point{
+				X: ctr.X + place.NormFloat64()*sigma,
+				Y: ctr.Y + place.NormFloat64()*sigma,
 			})
 		} else {
 			loc = geo.Point{
-				X: place.Uniform(c.Field.Min.X, c.Field.Max.X),
-				Y: place.Uniform(c.Field.Min.Y, c.Field.Max.Y),
+				X: place.Uniform(field.Min.X, field.Max.X),
+				Y: place.Uniform(field.Min.Y, field.Max.Y),
 			}
 		}
 		kind := KindSensor
-		if place.Bool(c.BeaconFrac) {
-			if place.Bool(c.MaliciousFrac) {
+		if place.Bool(metroBeaconFrac) {
+			if place.Bool(metroMaliciousFrac) {
 				kind = KindMalicious
 			} else {
 				kind = KindBeacon
@@ -187,9 +163,6 @@ func (c MetroConfig) Stream(visit func(chunk []MetroNode) error) error {
 type IndexRange struct {
 	Lo, Hi int64
 }
-
-// Len returns the number of indices in the range.
-func (r IndexRange) Len() int64 { return r.Hi - r.Lo }
 
 // ShardRanges partitions [0, NumNodes) into at most k contiguous,
 // ascending index ranges whose union is the whole population. Boundaries
@@ -265,11 +238,12 @@ func (c MetroConfig) BuildGrid() (*MetroGrid, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	field := c.Field()
 	g := &MetroGrid{
-		Field: c.Field,
-		Cell:  c.Range,
-		Cols:  max(1, int(math.Ceil(c.Field.Width()/c.Range))),
-		Rows:  max(1, int(math.Ceil(c.Field.Height()/c.Range))),
+		Field: field,
+		Cell:  MetroRange,
+		Cols:  max(1, int(math.Ceil(field.Width()/MetroRange))),
+		Rows:  max(1, int(math.Ceil(field.Height()/MetroRange))),
 	}
 	g.nodes = make([]int32, g.Cols*g.Rows)
 	g.beacons = make([]int32, g.Cols*g.Rows)

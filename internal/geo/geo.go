@@ -37,14 +37,8 @@ func (p Point) Dist2(q Point) float64 {
 // Add returns p translated by q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by k.
-func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
-
-// Rect is an axis-aligned rectangle. Min is inclusive, Max exclusive for
-// containment purposes, matching half-open interval convention.
+// Rect is an axis-aligned rectangle, half-open: Min inclusive, Max
+// exclusive (Clamp keeps points strictly below Max).
 type Rect struct {
 	Min, Max Point
 }
@@ -59,11 +53,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
-
-// Contains reports whether p lies inside r.
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X < r.Max.X && p.Y >= r.Min.Y && p.Y < r.Max.Y
-}
 
 // Clamp returns p moved to the nearest point inside r (on the boundary if
 // p is outside).

@@ -60,9 +60,6 @@ func New(truth, believed []geo.Point, rangeFt float64) *Network {
 	return n
 }
 
-// Neighbors returns node i's true radio neighbors.
-func (n *Network) Neighbors(i int) []int32 { return n.adj[i] }
-
 // Route is the outcome of one greedy forwarding attempt.
 type Route struct {
 	// Delivered reports whether the packet reached dst.

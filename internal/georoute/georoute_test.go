@@ -48,8 +48,8 @@ func TestAdjacencyMatchesScan(t *testing.T) {
 					want = append(want, int32(j))
 				}
 			}
-			if got := net.Neighbors(i); !slices.Equal(got, want) {
-				t.Fatalf("seed %d: Neighbors(%d) = %v, want %v", seed, i, got, want)
+			if got := net.adj[i]; !slices.Equal(got, want) {
+				t.Fatalf("seed %d: adjacency of %d = %v, want %v", seed, i, got, want)
 			}
 		}
 	}

@@ -253,7 +253,7 @@ func TestSweepCacheUndecodableEntryRecomputes(t *testing.T) {
 		for tr := 0; tr < spec.Trials; tr++ {
 			job := Job{
 				Point: p, Trial: tr,
-				Seed:      JobSeed(spec.Seed, spec.Label, label, tr),
+				Seed:      jobSeed(spec.Seed, spec.Label, label, tr),
 				TrialSeed: TrialSeed(spec.Seed, spec.Label, tr),
 			}
 			store.Put(JobFingerprint([]byte("k"), label, job), []byte(`{"not":"a float"}`))

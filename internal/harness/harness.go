@@ -5,7 +5,7 @@
 // grid order, so callers aggregate however they like (or use SweepReduce
 // for the common per-point fold).
 //
-// Three properties make the harness the single place where trial
+// Four properties make the harness the single place where trial
 // execution policy lives:
 //
 //   - Determinism. Each job's seeds derive from the root seed through
@@ -298,16 +298,6 @@ func runJob[R any](ctx context.Context, spec *Spec[R], job Job) (R, bool, error)
 		return r, false, nil
 	}
 	return r, hit, nil
-}
-
-// JobSeed returns the seed Sweep assigns to the given grid cell. It is
-// exported so tests can pin the derivation independently of Sweep.
-func JobSeed(rootSeed uint64, sweepLabel, pointLabel string, trial int) uint64 {
-	return rng.New(rootSeed).
-		Split("sweep:" + sweepLabel).
-		Split("point:" + pointLabel).
-		SplitIndex(uint64(trial)).
-		Uint64()
 }
 
 // TrialSeed returns the point-independent seed Sweep assigns to a trial

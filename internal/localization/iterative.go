@@ -86,17 +86,6 @@ func (r IterativeResult) MeanErrorByTier(truth []geo.Point) []float64 {
 	return out
 }
 
-// LocalizedCount returns how many non-seed nodes localized.
-func (r IterativeResult) LocalizedCount() int {
-	n := 0
-	for i, ok := range r.Localized {
-		if ok && r.Tier[i] > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // IterativeLocalize runs multi-tier localization over true node positions
 // truth, where isBeacon marks tier-0 seed beacons (which know their exact
 // locations) and liars marks nodes that, once promoted, declare positions

@@ -151,14 +151,8 @@ func linkAddr(id ident.NodeID) uint32 {
 // SetHandler installs the upper-layer packet handler.
 func (e *Endpoint) SetHandler(h Handler) { e.handler = h }
 
-// Primary returns the node's primary identity.
-func (e *Endpoint) Primary() ident.NodeID { return e.primary }
-
 // Stats returns a copy of the endpoint counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
-
-// Radio returns the underlying radio.
-func (e *Endpoint) Radio() *phy.Radio { return e.radio }
 
 // NextSeq allocates a fresh sequence number.
 func (e *Endpoint) NextSeq() uint16 {

@@ -39,9 +39,6 @@ func (c *Counter) Add(n uint64) { atomic.AddUint64((*uint64)(c), n) }
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return atomic.LoadUint64((*uint64)(c)) }
 
-// Merge adds another counter's value.
-func (c *Counter) Merge(o Counter) { c.Add(uint64(o)) }
-
 // Histogram is a fixed-bucket histogram with summary statistics. Bounds
 // are ascending bucket upper limits; an implicit final bucket catches
 // everything above the last bound, so Counts has len(Bounds)+1 entries.
@@ -115,14 +112,6 @@ func (h *Histogram) bucket(v float64) int {
 		}
 	}
 	return lo
-}
-
-// Mean returns the mean of all observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
 }
 
 // Quantile returns an upper bound for the q-quantile (q in [0, 1]) from
@@ -205,9 +194,6 @@ type Span struct {
 	// the phase.
 	Transmissions uint64 `json:"transmissions"`
 }
-
-// Cycles returns the span's virtual-time width.
-func (s Span) Cycles() uint64 { return s.EndCycles - s.StartCycles }
 
 // MergeSpans folds another run's spans into dst, matching by position and
 // name: counters add, boundaries must agree (phase boundaries are

@@ -14,11 +14,6 @@ func TestCounterBasics(t *testing.T) {
 	if got := c.Load(); got != 42 {
 		t.Errorf("Load() = %d, want 42", got)
 	}
-	var d Counter = 8
-	c.Merge(d)
-	if got := c.Load(); got != 50 {
-		t.Errorf("after Merge: %d, want 50", got)
-	}
 }
 
 func TestCounterConcurrentIncrements(t *testing.T) {
@@ -62,8 +57,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count != 6 || h.Min != 0.5 || h.Max != 100.5 {
 		t.Errorf("summary wrong: %+v", h)
 	}
-	if got := h.Mean(); got != (0.5+1+5+10+99+100.5)/6 {
-		t.Errorf("Mean() = %v", got)
+	if h.Sum != 0.5+1+5+10+99+100.5 {
+		t.Errorf("Sum = %v", h.Sum)
 	}
 }
 
@@ -71,7 +66,7 @@ func TestHistogramNilNoOps(t *testing.T) {
 	var h *Histogram
 	h.Observe(3)             // must not panic
 	h.Merge(NewHistogram(1)) // must not panic
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Quantile(0.5) != 0 {
 		t.Error("nil histogram reports nonzero stats")
 	}
 	if h.Clone() != nil {
@@ -199,9 +194,6 @@ func TestSpanMerge(t *testing.T) {
 	}
 	if out[0].EndCycles != 12 {
 		t.Errorf("merged span kept narrow window: %+v", out[0])
-	}
-	if got := out[0].Cycles(); got != 12 {
-		t.Errorf("Cycles() = %d", got)
 	}
 	// Merging must not alias the source.
 	b[0].Events = 999

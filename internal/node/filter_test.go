@@ -53,7 +53,7 @@ func TestRadiosFilterUnicast(t *testing.T) {
 	for i, ep := range eps {
 		s := ep.Stats()
 		if s.NotForUs != 0 {
-			t.Errorf("endpoint %d (%v): NotForUs = %d, want 0", i, ep.Primary(), s.NotForUs)
+			t.Errorf("endpoint %d: NotForUs = %d, want 0", i, s.NotForUs)
 		}
 		handled += s.DecodeError + s.NotForUs + s.AuthFail + s.Delivered
 	}

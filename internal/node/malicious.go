@@ -36,22 +36,6 @@ const (
 	ActAttack
 )
 
-// String implements fmt.Stringer.
-func (a Action) String() string {
-	switch a {
-	case ActNormal:
-		return "normal"
-	case ActFakeWormhole:
-		return "fake-wormhole"
-	case ActFakeReplay:
-		return "fake-replay"
-	case ActAttack:
-		return "attack"
-	default:
-		return fmt.Sprintf("action(%d)", int(a))
-	}
-}
-
 // MaliciousConfig tunes the attacker.
 type MaliciousConfig struct {
 	// Strategy is the paper's (p_n, p_w, p_l) triple.

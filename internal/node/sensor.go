@@ -120,9 +120,6 @@ func (s *Sensor) MarkRevoked(id ident.NodeID) {
 	delete(s.AcceptedFrom, id)
 }
 
-// Revoked reports whether the sensor has seen a revocation for id.
-func (s *Sensor) Revoked(id ident.NodeID) bool { return s.revoked[id] }
-
 func (s *Sensor) handle(d mac.Delivery) {
 	switch p := d.Pkt.Payload.(type) {
 	case packet.Hello:

@@ -160,9 +160,6 @@ type Radio struct {
 	txEnd sim.Time
 }
 
-// Pos returns the radio's true position.
-func (r *Radio) Pos() geo.Point { return r.pos }
-
 // Medium returns the medium the radio is attached to.
 func (r *Radio) Medium() *Medium { return r.medium }
 

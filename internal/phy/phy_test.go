@@ -39,9 +39,7 @@ func TestDeliveryInRangeOnly(t *testing.T) {
 	near.SetHandler(func(Reception) { nearGot++ })
 	far.SetHandler(func(Reception) { farGot++ })
 	m.Transmit(tx, frame(16))
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if nearGot != 1 {
 		t.Errorf("near radio got %d frames, want 1", nearGot)
 	}
@@ -59,9 +57,7 @@ func TestSenderDoesNotHearItself(t *testing.T) {
 	got := 0
 	tx.SetHandler(func(Reception) { got++ })
 	m.Transmit(tx, frame(16))
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if got != 0 {
 		t.Errorf("sender received its own frame %d times", got)
 	}
@@ -89,9 +85,7 @@ func TestTransmitTiming(t *testing.T) {
 			t.Errorf("FirstByteSPDR = %v, want in [%v, %v]", info.FirstByteSPDR, lo, hi)
 		}
 	})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if rec.End < 1000+FrameAirTime(20) {
 		t.Errorf("reception End = %v before air end", rec.End)
 	}
@@ -144,9 +138,7 @@ func TestRTTStructure(t *testing.T) {
 		sched.After(sim.Millis(50), kick)
 	}
 	sched.At(0, kick)
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(rtts) != trials {
 		t.Fatalf("completed %d exchanges, want %d", len(rtts), trials)
 	}
@@ -177,9 +169,7 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 	// Overlapping transmissions.
 	sched.At(0, func() { m.Transmit(tx1, frame(20)) })
 	sched.At(100, func() { m.Transmit(tx2, frame(20)) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if got != 0 {
 		t.Errorf("receiver decoded %d frames during collision, want 0", got)
 	}
@@ -200,9 +190,7 @@ func TestNonOverlappingFramesBothDelivered(t *testing.T) {
 	rx.SetHandler(func(Reception) { got++ })
 	sched.At(0, func() { m.Transmit(tx1, frame(20)) })
 	sched.At(FrameAirTime(20)+1000, func() { m.Transmit(tx2, frame(20)) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if got != 2 {
 		t.Errorf("delivered %d, want 2", got)
 	}
@@ -217,9 +205,7 @@ func TestHalfDuplexReceiverTransmitting(t *testing.T) {
 	// busy starts a long transmission, then tx transmits into it.
 	sched.At(0, func() { m.Transmit(busy, frame(30)) })
 	sched.At(100, func() { m.Transmit(tx, frame(16)) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if got != 0 {
 		t.Errorf("transmitting radio received %d frames, want 0", got)
 	}
@@ -256,9 +242,7 @@ func TestPassageCorruptsReception(t *testing.T) {
 		// half-duplex at most: every collision counted below is rx's.
 		sched.At(c.forRx, func() { m.Transmit(a, Frame{Data: make([]byte, 20), Dst: 1}) })
 		sched.At(c.forOther, func() { m.Transmit(b, Frame{Data: make([]byte, 20), Dst: 2}) })
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run()
 		s := m.Stats()
 		if uint64(got) != c.delivered || s.Deliveries != c.delivered || s.Collisions != c.collided {
 			t.Errorf("%s: handler got %d, Stats %+v; want %d delivered, %d collided",
@@ -286,9 +270,7 @@ func TestDrawsKeyedByLaunchAndReceiver(t *testing.T) {
 	}
 	sched.At(0, func() { m.Transmit(tx, frame(16)) })
 	sched.At(sim.Millis(10), func() { m.Transmit(tx, frame(16)) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(got[0]) != 8 || len(got[1]) != 8 {
 		t.Fatalf("%d and %d receptions, want 8 per launch", len(got[0]), len(got[1]))
 	}
@@ -310,9 +292,7 @@ func TestInjectDeliversFromOrigin(t *testing.T) {
 	n := 0
 	rx.SetHandler(func(r Reception) { rec = r; n++ })
 	m.Inject(m.NewPort(geo.Point{X: 30, Y: 40}), Frame{Data: make([]byte, 16), Replayed: true})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if n != 1 {
 		t.Fatalf("injected frame delivered %d times", n)
 	}
@@ -331,9 +311,7 @@ func TestRangeBiasShiftsMeasurement(t *testing.T) {
 	var got float64
 	rx.SetHandler(func(r Reception) { got = r.MeasuredDist })
 	m.Transmit(tx, Frame{Data: make([]byte, 16), RangeBias: 40})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if got != 90 {
 		t.Errorf("MeasuredDist = %v, want 90 with +40 bias", got)
 	}
@@ -354,9 +332,7 @@ func TestRangeErrorBounds(t *testing.T) {
 		for i := 0; i < trials; i++ {
 			sched.At(sim.Time(i)*sim.Millis(10), func() { m.Transmit(tx, frame(16)) })
 		}
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run()
 		if len(got) != trials {
 			t.Fatalf("dist %v: %d receptions, want %d", dist, len(got), trials)
 		}
@@ -397,9 +373,7 @@ func TestBusyCarrierSense(t *testing.T) {
 			t.Error("channel still busy after air end")
 		}
 	})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 }
 
 // TestBusySensesPassages pins carrier sense at a listening radio: a
@@ -420,9 +394,7 @@ func TestBusySensesPassages(t *testing.T) {
 				}
 			})
 		}
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run()
 	}
 }
 
@@ -444,9 +416,7 @@ func TestFinalizeRewritesData(t *testing.T) {
 			},
 		})
 	})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if sawT3 == 0 {
 		t.Error("Finalize not called with t3")
 	}
@@ -469,9 +439,7 @@ func TestFinalizeSizeChangePanics(t *testing.T) {
 			Finalize: func(sim.Time) []byte { return make([]byte, 17) },
 		})
 	})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 }
 
 func TestEmptyFramePanics(t *testing.T) {
@@ -520,9 +488,7 @@ func TestTapSeesAllTransmissions(t *testing.T) {
 	})
 	m.Transmit(tx, frame(16))
 	m.Inject(m.NewPort(geo.Point{X: 70, Y: 80}), frame(16))
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(origins) != 2 {
 		t.Fatalf("tap saw %d transmissions, want 2", len(origins))
 	}

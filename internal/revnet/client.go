@@ -129,9 +129,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}, nil
 }
 
-// Metrics returns the client's counters.
-func (c *Client) Metrics() *Metrics { return c.m }
-
 // Close closes the client's connection, if any. In-flight requests fail.
 func (c *Client) Close() error {
 	c.sendMu.Lock()

@@ -80,7 +80,7 @@ func assertExhausted(t *testing.T, err error, wantAttempts int) *ExhaustedError 
 // one fully failed request.
 func assertRetryMetrics(t *testing.T, c *Client, attempts int) {
 	t.Helper()
-	snap := c.Metrics().Snapshot()
+	snap := c.m.Snapshot()
 	if snap.Attempts != uint64(attempts) {
 		t.Errorf("metrics attempts = %d, want %d", snap.Attempts, attempts)
 	}
@@ -235,7 +235,7 @@ func TestClientRecoversAfterTransientDialFailures(t *testing.T) {
 	if out != revoke.OutcomeRevoked {
 		t.Errorf("outcome = %v, want revoked (τ′=0)", out)
 	}
-	snap := c.Metrics().Snapshot()
+	snap := c.m.Snapshot()
 	if snap.Attempts != 3 || snap.Retries != 2 || snap.Exhausted != 0 {
 		t.Errorf("metrics = %d attempts / %d retries / %d exhausted, want 3/2/0",
 			snap.Attempts, snap.Retries, snap.Exhausted)

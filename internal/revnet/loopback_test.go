@@ -9,6 +9,7 @@ package revnet
 // stays under it, so any interleaving accepts the same pairs).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -189,7 +190,7 @@ func TestLoopbackConcurrentClientsMatchSerialBaseline(t *testing.T) {
 	if len(base.RevokedSet()) == 0 {
 		t.Fatal("degenerate test: baseline revoked nothing")
 	}
-	if got, want := srv.Station().Handled(), uint64(clients*perClient); got != want {
+	if got, want := srv.Station().Stats().Handled, uint64(clients*perClient); got != want {
 		t.Errorf("server handled %d alerts, want %d", got, want)
 	}
 	for id := ident.NodeID(500); id < 500+targetSpread; id++ {
@@ -300,7 +301,7 @@ func TestLoopbackForgedClientKeyRejected(t *testing.T) {
 	if _, err := forger.SendAlert(context.Background(), 50); err == nil {
 		t.Fatal("forged alert succeeded")
 	}
-	if srv.Station().Handled() != 0 {
+	if srv.Station().Stats().Handled != 0 {
 		t.Error("forged alert reached the station")
 	}
 	if m.AuthFailures.Load() == 0 {
@@ -324,8 +325,10 @@ func TestStatusSnapshotAndHTTPEndpoint(t *testing.T) {
 	if snap.Addr != addr {
 		t.Errorf("snapshot addr %q, want %q", snap.Addr, addr)
 	}
-	if snap.Shards != 4 || len(snap.ByShard) != 4 {
-		t.Errorf("shards = %d (%d stats), want 4", snap.Shards, len(snap.ByShard))
+	// Only target 50's shard has handled an alert.
+	want := []revoke.ShardLoad{{Shard: 50 % 4, Stats: snap.Station}}
+	if snap.Shards != 4 || !reflect.DeepEqual(snap.ByShard, want) {
+		t.Errorf("shards = %d, by shard %+v, want 4 and %+v", snap.Shards, snap.ByShard, want)
 	}
 	if !reflect.DeepEqual(snap.Revoked, []ident.NodeID{50}) {
 		t.Errorf("revoked = %v, want [50]", snap.Revoked)
@@ -348,6 +351,56 @@ func TestStatusSnapshotAndHTTPEndpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(decoded.Revoked, snap.Revoked) || decoded.Station != snap.Station {
 		t.Errorf("HTTP snapshot %+v differs from direct %+v", decoded, snap)
+	}
+}
+
+// TestStatusSnapshotCarriesLoadedShardsOnly pins the snapshot's per-shard
+// view: an idle station writes no larger a snapshot at revoke.MaxShards
+// than at 16 shards, and a loaded one lists exactly the shards its
+// targets hash to, by index, summing to the station's counters.
+func TestStatusSnapshotCarriesLoadedShardsOnly(t *testing.T) {
+	cfg := revoke.Config{ReportCap: 10, AlertThreshold: 2}
+	size := func(shards int) int {
+		srv, err := NewServer(ServerConfig{Revoke: cfg, Master: testMaster(), Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := srv.WriteStatus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Len()
+	}
+	// "65536" is three bytes longer than "16" in the shards field.
+	if idle, base := size(revoke.MaxShards), size(16); idle > base+3 {
+		t.Errorf("idle snapshot at %d shards is %d bytes, %d at 16 shards", revoke.MaxShards, idle, base)
+	}
+
+	const shards = 64
+	srv, err := NewServer(ServerConfig{Revoke: cfg, Master: testMaster(), Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := map[int]bool{}
+	for _, tgt := range []ident.NodeID{5, 69, 200, 1000, 1001} { // 5 and 69 share shard 5
+		for r := ident.NodeID(1); r <= 3; r++ {
+			srv.Station().HandleAlert(r, tgt)
+		}
+		loaded[int(tgt)%shards] = true
+	}
+	snap := srv.StatusSnapshot()
+	if snap.Shards != shards || len(snap.ByShard) != len(loaded) {
+		t.Fatalf("shards = %d, %d loaded entries %+v, want %d and %d", snap.Shards, len(snap.ByShard), snap.ByShard, shards, len(loaded))
+	}
+	var sum revoke.Stats
+	for i, l := range snap.ByShard {
+		if !loaded[l.Shard] || (i > 0 && l.Shard <= snap.ByShard[i-1].Shard) {
+			t.Errorf("entry %d names shard %d: not loaded or out of order", i, l.Shard)
+		}
+		sum.Merge(l.Stats)
+	}
+	if sum != snap.Station || sum.Handled != 15 {
+		t.Errorf("loaded shards sum to %+v, station %+v, want 15 handled", sum, snap.Station)
 	}
 }
 

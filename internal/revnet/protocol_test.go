@@ -186,7 +186,7 @@ func TestServerDropsHostileFrames(t *testing.T) {
 			}
 		})
 	}
-	if got := srv.Station().Handled(); got != 0 {
+	if got := srv.Station().Stats().Handled; got != 0 {
 		t.Errorf("station handled %d alerts from hostile frames, want 0", got)
 	}
 }

@@ -309,16 +309,18 @@ func (s *Server) serveFrame(frame []byte, keys *reporterMAC) (frameReply, bool) 
 }
 
 // StatusSnapshot is the server's exportable operational state: the
-// configured thresholds, the revocation result, per-shard load, and the
-// wire counters — the revnet analogue of 'figures -json' run metrics.
+// configured thresholds, the revocation result, the load of every shard
+// that has handled an alert (tagged with its index; Shards keeps the
+// count), and the wire counters — the revnet analogue of 'figures -json'
+// run metrics.
 type StatusSnapshot struct {
-	Addr    string         `json:"addr,omitempty"`
-	Revoke  revoke.Config  `json:"revoke"`
-	Shards  int            `json:"shards"`
-	Revoked []ident.NodeID `json:"revoked"`
-	Station revoke.Stats   `json:"station"`
-	ByShard []revoke.Stats `json:"by_shard"`
-	Net     Snapshot       `json:"net"`
+	Addr    string             `json:"addr,omitempty"`
+	Revoke  revoke.Config      `json:"revoke"`
+	Shards  int                `json:"shards"`
+	Revoked []ident.NodeID     `json:"revoked"`
+	Station revoke.Stats       `json:"station"`
+	ByShard []revoke.ShardLoad `json:"by_shard"`
+	Net     Snapshot           `json:"net"`
 }
 
 // StatusSnapshot captures the server's current state. Safe during
@@ -329,11 +331,14 @@ func (s *Server) StatusSnapshot() StatusSnapshot {
 		Shards:  s.station.NumShards(),
 		Revoked: s.station.RevokedSet(),
 		Station: s.station.Stats(),
-		ByShard: s.station.ShardStats(),
+		ByShard: s.station.LoadedShards(),
 		Net:     s.m.Snapshot(),
 	}
 	if snap.Revoked == nil {
 		snap.Revoked = []ident.NodeID{}
+	}
+	if snap.ByShard == nil {
+		snap.ByShard = []revoke.ShardLoad{}
 	}
 	if addr := s.Addr(); addr != nil {
 		snap.Addr = addr.String()

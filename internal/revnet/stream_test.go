@@ -123,7 +123,7 @@ func TestServerKeysFollowReporter(t *testing.T) {
 	if got := srv.m.ConnsDropped.Load(); got != 1 {
 		t.Errorf("ConnsDropped = %d, want 1", got)
 	}
-	if got := srv.Station().Handled(); got != 3 {
+	if got := srv.Station().Stats().Handled; got != 3 {
 		t.Errorf("station handled %d alerts, want the 3 authentic ones", got)
 	}
 }

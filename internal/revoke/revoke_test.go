@@ -182,7 +182,7 @@ func TestHandledCounter(t *testing.T) {
 		bs.HandleAlert(1, 2)
 		bs.HandleAlert(1, 2)
 		bs.HandleAlert(3, 3)
-		if got := bs.Handled(); got != 3 {
+		if got := bs.Stats().Handled; got != 3 {
 			t.Errorf("Handled = %d", got)
 		}
 	})
@@ -213,14 +213,12 @@ func TestUplinkDeliversWithoutLoss(t *testing.T) {
 		u := NewUplink(sched, bs, rng.New(1))
 		var got Outcome
 		u.SendAlert(1, 50, func(o Outcome) { got = o })
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run()
 		if got != OutcomeRevoked {
 			t.Errorf("outcome = %v", got)
 		}
-		if u.Delivered() != 1 || u.Lost() != 0 {
-			t.Errorf("delivered %d lost %d", u.Delivered(), u.Lost())
+		if u.Stats().Delivered != 1 || u.Stats().Lost != 0 {
+			t.Errorf("delivered %d lost %d", u.Stats().Delivered, u.Stats().Lost)
 		}
 	})
 }
@@ -235,12 +233,10 @@ func TestUplinkRetransmitsThroughLoss(t *testing.T) {
 		for i := 0; i < n; i++ {
 			u.SendAlert(ident.NodeID(1+i%5), ident.NodeID(100+i%7), nil)
 		}
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run()
 		// With 21 attempts at 50% loss, losing all attempts is ~5e-7.
-		if u.Delivered() != n {
-			t.Errorf("delivered %d/%d through 50%% loss", u.Delivered(), n)
+		if u.Stats().Delivered != n {
+			t.Errorf("delivered %d/%d through 50%% loss", u.Stats().Delivered, n)
 		}
 	})
 }
@@ -254,14 +250,12 @@ func TestUplinkExhaustsRetries(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			u.SendAlert(1, 50, nil)
 		}
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if u.Lost() == 0 {
+		sched.Run()
+		if u.Stats().Lost == 0 {
 			t.Error("no alerts lost at 99% loss with 1 retry")
 		}
-		if u.Delivered()+u.Lost() != 100 {
-			t.Errorf("delivered %d + lost %d != 100", u.Delivered(), u.Lost())
+		if u.Stats().Delivered+u.Stats().Lost != 100 {
+			t.Errorf("delivered %d + lost %d != 100", u.Stats().Delivered, u.Stats().Lost)
 		}
 	})
 }
@@ -374,16 +368,14 @@ func TestUplinkAllAttemptsLostDropsAlert(t *testing.T) {
 		u.Retries = retries
 		fired := false
 		u.SendAlert(1, 50, func(Outcome) { fired = true })
-		if err := sched.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sched.Run()
 		if fired {
 			t.Error("result callback fired for a dropped alert")
 		}
 		if got := u.Stats(); got.Delivered != 0 || got.Lost != 1 || got.Attempts != retries+1 {
 			t.Errorf("uplink stats = %+v, want 0 delivered, 1 lost, %d attempts", got, retries+1)
 		}
-		if got := bs.Handled(); got != 0 {
+		if got := bs.Stats().Handled; got != 0 {
 			t.Errorf("base station handled %d alerts, want 0", got)
 		}
 		if got := bs.AlertCount(50); got != 0 {

@@ -202,36 +202,39 @@ func (s *Sharded) AlertCount(id ident.NodeID) int {
 	return ts.alerts[id]
 }
 
-// ReportCount returns the current report counter of id.
-func (s *Sharded) ReportCount(id ident.NodeID) int {
-	rs := &s.reporters[uint16(id)&s.mask]
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.reports[id]
-}
-
 // Stats returns the outcome counters summed across shards (same sampling
 // caveat as RevokedSet under concurrent ingest).
 func (s *Sharded) Stats() Stats {
 	var sum Stats
-	for _, st := range s.ShardStats() {
-		sum.Merge(st)
+	for i := range s.targets {
+		ts := &s.targets[i]
+		ts.mu.Lock()
+		sum.Merge(ts.stats)
+		ts.mu.Unlock()
 	}
 	return sum
 }
 
-// Handled returns the total number of alerts processed (any outcome).
-func (s *Sharded) Handled() uint64 { return s.Stats().Handled }
+// ShardLoad is one target shard's outcome counters, tagged with the
+// shard's index.
+type ShardLoad struct {
+	Shard int `json:"shard"`
+	Stats
+}
 
-// ShardStats returns a copy of each target shard's outcome counters, in
-// shard order — the per-shard load view the revnet status endpoint
-// exposes so a skewed alert distribution is visible operationally.
-func (s *Sharded) ShardStats() []Stats {
-	out := make([]Stats, len(s.targets))
+// LoadedShards returns the outcome counters of every target shard that
+// has handled an alert, in shard order — the per-shard load view the
+// revnet status endpoint exposes so a skewed alert distribution is
+// visible operationally. Idle shards are left out, so an idle station
+// reports nothing at any shard count.
+func (s *Sharded) LoadedShards() []ShardLoad {
+	var out []ShardLoad
 	for i := range s.targets {
 		ts := &s.targets[i]
 		ts.mu.Lock()
-		out[i] = ts.stats
+		if ts.stats != (Stats{}) {
+			out = append(out, ShardLoad{Shard: i, Stats: ts.stats})
+		}
 		ts.mu.Unlock()
 	}
 	return out

@@ -10,6 +10,15 @@ import (
 	"beaconsec/internal/rng"
 )
 
+// ReportCount returns the current report counter of id, the oracle view
+// these tests compare against the serial BaseStation's.
+func (s *Sharded) ReportCount(id ident.NodeID) int {
+	rs := &s.reporters[uint16(id)&s.mask]
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.reports[id]
+}
+
 // TestShardedMatchesBaseStationSerial pins that for any serial alert
 // stream the sharded station and the serial reference BaseStation are
 // indistinguishable: same per-alert outcomes, same counters, same revoked
@@ -96,7 +105,7 @@ func TestShardedConcurrentMatchesSerialBaseline(t *testing.T) {
 	if got, want := sh.RevokedSet(), base.RevokedSet(); !reflect.DeepEqual(got, want) {
 		t.Errorf("concurrent revoked set %v != serial %v", got, want)
 	}
-	if got, want := sh.Handled(), base.stats.Handled; got != want {
+	if got, want := sh.Stats().Handled, base.stats.Handled; got != want {
 		t.Errorf("handled %d != %d", got, want)
 	}
 	for id := ident.NodeID(100); id < 100+targetSpread; id++ {
@@ -140,8 +149,13 @@ func TestShardedShardStatsSumToStats(t *testing.T) {
 		sh.HandleAlert(ident.NodeID(1+src.Intn(10)), ident.NodeID(50+src.Intn(30)))
 	}
 	var sum Stats
-	for _, st := range sh.ShardStats() {
-		sum.Merge(st)
+	prev := -1
+	for _, l := range sh.LoadedShards() {
+		if l.Shard <= prev || l.Shard >= sh.NumShards() || l.Stats == (Stats{}) {
+			t.Errorf("loaded shard %+v out of order, out of range or idle", l)
+		}
+		prev = l.Shard
+		sum.Merge(l.Stats)
 	}
 	if sum != sh.Stats() {
 		t.Errorf("shard stats sum %+v != Stats %+v", sum, sh.Stats())

@@ -87,11 +87,5 @@ func (u *Uplink) attempt(reporter, target ident.NodeID, result func(Outcome), tr
 	})
 }
 
-// Delivered returns the number of alerts that reached the base station.
-func (u *Uplink) Delivered() uint64 { return u.stats.Delivered }
-
-// Lost returns the number of alerts dropped after exhausting retries.
-func (u *Uplink) Lost() uint64 { return u.stats.Lost }
-
 // Stats returns a copy of the uplink counters.
 func (u *Uplink) Stats() UplinkStats { return u.stats }

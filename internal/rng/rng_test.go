@@ -273,23 +273,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	s := New(43)
-	a := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range a {
-		sum += v
-	}
-	s.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-	got := 0
-	for _, v := range a {
-		got += v
-	}
-	if got != sum {
-		t.Errorf("shuffle changed element sum: %d != %d", got, sum)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	var sink uint64

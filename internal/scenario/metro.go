@@ -29,26 +29,29 @@ import (
 //     of everything but the seed.
 //
 // The probe model is the timer skeleton of the paper's §2 detection
-// round: each node runs Rounds probe exchanges against its local beacon
-// neighborhood; a probe schedules a reply (which cancels the timeout) or
-// is lost (the timeout fires); replies carry a declared-distance error
-// that the ε_max consistency check flags. That is exactly the
-// schedule/cancel/fire mix the event queue serves in a full run, at a
-// pending-event population proportional to the node count.
+// round: each node runs metroRounds probe exchanges against its local
+// beacon neighborhood; a probe schedules a reply (which cancels the
+// timeout) or is lost (the timeout fires); replies carry a
+// declared-distance error that the ε_max consistency check flags. That
+// is exactly the schedule/cancel/fire mix the event queue serves in a
+// full run, at a pending-event population proportional to the node
+// count.
 //
 // The kernel is space-partitioned (DESIGN.md §14): the streamed
 // deployment is split into K contiguous index-range shards
 // (deploy.ShardRanges), each shard owns a private sim.Scheduler with its
 // own queue, depth histogram, and accumulators, and the shards advance in
-// conservative lockstep windows of one probe Timeout (the lookahead)
-// separated by barriers. K=1 is one shard behind a one-party barrier.
-// Because probe chains are node-local and per-node rng is index-split,
-// the partition cannot change any probe outcome: every identity-pinned
-// field of MetroResult is byte-identical at any worker count (see
-// MetroResult.Identity and TestRunMetroWorkerInvariance).
+// conservative lockstep windows of one probe timeout (the lookahead,
+// metroTimeout) separated by barriers. K=1 is one shard behind a
+// one-party barrier. Because probe chains are node-local and per-node
+// rng is index-split, the partition cannot change any probe outcome:
+// every identity-pinned field of MetroResult is byte-identical at any
+// worker count (see MetroResult.Identity and
+// TestRunMetroWorkerInvariance).
 
-// MetroConfig parameterizes one metro-scale run. Start from MetroPaper()
-// and adjust.
+// MetroConfig parameterizes one metro-scale run. Start from MetroPaper:
+// the probe protocol's shape is fixed by the constants below, so only the
+// population, the seeds and the shard count vary.
 type MetroConfig struct {
 	// Deploy is the streamed deployment.
 	Deploy deploy.MetroConfig
@@ -63,92 +66,48 @@ type MetroConfig struct {
 	// distribution) is per-shard, with the merge semantics documented on
 	// MetroResult.
 	Workers int `json:"-"`
-	// Rounds is the number of probe exchanges each node runs.
-	Rounds int
-	// Spacing is the base virtual-time gap between a node's rounds (each
-	// node jitters around it).
-	Spacing sim.Time
-	// Timeout is the reply deadline of one probe. It doubles as the
-	// kernel's conservative lookahead: no probe chain can affect
-	// virtual times more than one Timeout past its current event.
-	Timeout sim.Time
-	// LossRate is the probability a probe gets no reply.
-	LossRate float64
-	// AttackBias is the distance enlargement of malicious replies in
-	// feet.
-	AttackBias float64
-	// MaxDistError is ε_max in feet (the consistency-check bound and the
-	// benign ranging-error envelope).
-	MaxDistError float64
 	// Seed drives the probe randomness (placement comes from
 	// Deploy.Seed).
 	Seed uint64
 }
 
-// MetroPaper returns the metro-scale configuration at the paper's
-// densities: n nodes at §4's deployment mix, three detection rounds, 2%
-// probe loss, ε = 10 ft, and a 1.5·ε attack bias (a subtle attacker, not
-// the unmistakable 5·ε default of the full scenario).
+// The metro probe protocol: three detection rounds, 2% probe loss,
+// ε = 10 ft, and a 1.5·ε attack bias (a subtle attacker, not the
+// unmistakable 5·ε default of the full scenario).
+const (
+	// metroRounds is the number of probe exchanges each node runs.
+	metroRounds = 3
+	// metroSpacing is the base virtual-time gap between a node's rounds
+	// (each node jitters around it): 200 ms.
+	metroSpacing sim.Time = 200 * sim.CPUHz / 1000
+	// metroTimeout is the reply deadline of one probe, 20 ms. It doubles
+	// as the kernel's conservative lookahead: no probe chain can affect
+	// virtual times more than one metroTimeout past its current event.
+	metroTimeout sim.Time = 20 * sim.CPUHz / 1000
+	// metroLossRate is the probability a probe gets no reply.
+	metroLossRate = 0.02
+	// metroAttackBias is the distance enlargement of malicious replies
+	// in feet.
+	metroAttackBias = 15
+	// metroMaxDistError is ε_max in feet (the consistency-check bound and
+	// the benign ranging-error envelope).
+	metroMaxDistError = 10
+)
+
+// MetroPaper returns the metro-scale configuration of n nodes at the
+// paper's densities and §4 deployment mix, placed and probed from seed.
 func MetroPaper(n int64, seed uint64) MetroConfig {
-	return MetroConfig{
-		Deploy:       deploy.Metro(n, seed),
-		Rounds:       3,
-		Spacing:      sim.Millis(200),
-		Timeout:      sim.Millis(20),
-		LossRate:     0.02,
-		AttackBias:   15,
-		MaxDistError: 10,
-		Seed:         seed,
-	}
+	return MetroConfig{Deploy: deploy.Metro(n, seed), Seed: seed}
 }
 
-// maxMetroVirtual bounds the virtual-time arithmetic a metro run can
-// reach: the last event of any chain lands no later than the first-round
-// stagger (≤ Spacing) plus Rounds inter-round gaps (each ≤ Spacing +
-// Spacing/4 jitter) plus one Timeout. Validate keeps that total under
-// 2^62 cycles so sim.Time additions (and the kernel's epoch·lookahead
-// products) can never wrap the uint64 clock — an absurd Spacing used to
-// overflow the Spacing/4+1 jitter path into a scheduling-in-the-past
-// panic instead of a config error.
-const maxMetroVirtual = uint64(1) << 62
-
-// Validate returns an error for inconsistent configurations.
+// Validate returns an error for an invalid population or a negative
+// worker count.
 func (c MetroConfig) Validate() error {
 	if err := c.Deploy.Validate(); err != nil {
 		return err
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("scenario: metro Workers = %d must be non-negative", c.Workers)
-	}
-	if c.Rounds <= 0 {
-		return fmt.Errorf("scenario: metro Rounds = %d must be positive", c.Rounds)
-	}
-	if c.Spacing <= 0 {
-		return fmt.Errorf("scenario: metro Spacing = %d must be positive", c.Spacing)
-	}
-	// Spacing·2·(Rounds+1) over-covers the stagger + jittered-gap total.
-	// Dividing twice keeps the check itself overflow-free: Rounds+1 fits
-	// a uint64 even at MaxInt64, where 2·Rounds+2 would wrap to a zero
-	// divisor.
-	if uint64(c.Spacing) > maxMetroVirtual/2/(uint64(c.Rounds)+1) {
-		return fmt.Errorf("scenario: metro Spacing = %d cycles overflows the virtual clock over %d rounds", c.Spacing, c.Rounds)
-	}
-	if c.Timeout < 4 {
-		return fmt.Errorf("scenario: metro Timeout = %d must be >= 4 cycles", c.Timeout)
-	}
-	if uint64(c.Timeout) > maxMetroVirtual {
-		return fmt.Errorf("scenario: metro Timeout = %d cycles overflows the virtual clock", c.Timeout)
-	}
-	// As in Config.Validate, each range check is written so that NaN,
-	// which fails every comparison, fails it too.
-	if !(c.LossRate >= 0 && c.LossRate < 1) {
-		return fmt.Errorf("scenario: metro LossRate %v outside [0,1)", c.LossRate)
-	}
-	if !(c.AttackBias >= 0) {
-		return fmt.Errorf("scenario: metro AttackBias %v must be non-negative", c.AttackBias)
-	}
-	if !(c.MaxDistError > 0) || math.IsInf(c.MaxDistError, 1) {
-		return fmt.Errorf("scenario: metro MaxDistError %v must be positive and finite", c.MaxDistError)
 	}
 	return nil
 }
@@ -272,8 +231,8 @@ func newMetroAccum() *metroAccum {
 
 // metroChain is one node's whole probe protocol: its own event, its rng
 // stream (held by value, index-split from the shard root), the in-flight
-// probe's outcome, the round counter, and its shard, whose config,
-// scheduler and accumulator it uses. Every event the chain schedules
+// probe's outcome, the round counter, and its shard, whose scheduler and
+// accumulator it uses. Every event the chain schedules
 // fires the chain itself through Fire, so a probe exchange allocates
 // nothing and makes no closure.
 //
@@ -284,7 +243,7 @@ func newMetroAccum() *metroAccum {
 // event would cost every chain 48 bytes for a timeout that is queued
 // about a tenth of the time. One step tag suffices because at most one
 // of a chain's queued events is ever live: the reply fires at most
-// Timeout/2 after its probe and cancels the timeout. So next always
+// metroTimeout/2 after its probe and cancels the timeout. So next always
 // names the step the chain's live event runs.
 type metroChain struct {
 	ev   sim.Event
@@ -320,12 +279,12 @@ const (
 // shard without changing any outcome.
 func addMetroNode(s *metroShard, grid *deploy.MetroGrid, n deploy.MetroNode) {
 	ch := &metroChain{src: s.root.MakeIndex(uint64(n.Index)), shard: s}
-	if _, b, m := grid.CountsNear(n.Loc, s.cfg.Deploy.Range); b > 0 {
+	if _, b, m := grid.CountsNear(n.Loc, deploy.MetroRange); b > 0 {
 		ch.pMal = m / b
 	}
 	// Stagger the first round across one spacing window so the
 	// field does not probe in lockstep.
-	start := sim.Time(1 + ch.src.Uint64()%uint64(s.cfg.Spacing))
+	start := sim.Time(1 + ch.src.Uint64()%uint64(metroSpacing))
 	s.sched.AtEvent(&ch.ev, start, ch)
 }
 
@@ -345,17 +304,17 @@ func (ch *metroChain) Fire() {
 // probe draws one probe's outcome and queues its timeout and, unless the
 // probe is lost, its reply.
 func (ch *metroChain) probe() {
-	cfg, acc, sched := ch.shard.cfg, ch.shard.acc, ch.shard.sched
+	acc, sched := ch.shard.acc, ch.shard.sched
 	acc.probes++
 	ch.isMal = ch.src.Bool(ch.pMal)
-	lost := ch.src.Bool(cfg.LossRate)
-	ch.declaredErr = ch.src.Uniform(-cfg.MaxDistError, cfg.MaxDistError)
+	lost := ch.src.Bool(metroLossRate)
+	ch.declaredErr = ch.src.Uniform(-metroMaxDistError, metroMaxDistError)
 	if ch.isMal {
 		acc.maliciousProbes++
-		ch.declaredErr += cfg.AttackBias
+		ch.declaredErr += metroAttackBias
 	}
-	ch.rtt = sim.Time(1 + ch.src.Intn(int(cfg.Timeout)/2)) // replies always beat the timeout
-	ch.timeout = sched.AtHandler(sched.Now()+cfg.Timeout, ch)
+	ch.rtt = sim.Time(1 + ch.src.Intn(int(metroTimeout)/2)) // replies always beat the timeout
+	ch.timeout = sched.AtHandler(sched.Now()+metroTimeout, ch)
 	if lost {
 		ch.next = stepTimeout
 		return
@@ -370,7 +329,7 @@ func (ch *metroChain) reply() {
 	acc := ch.shard.acc
 	acc.replies++
 	acc.rtt.Observe(float64(ch.rtt))
-	if math.Abs(ch.declaredErr) > ch.shard.cfg.MaxDistError {
+	if math.Abs(ch.declaredErr) > metroMaxDistError {
 		if ch.isMal {
 			acc.flaggedMalicious++
 		} else {
@@ -385,9 +344,10 @@ func (ch *metroChain) reply() {
 // jittered spacing later.
 func (ch *metroChain) done() {
 	ch.round++
-	if cfg, sched := ch.shard.cfg, ch.shard.sched; ch.round < cfg.Rounds {
-		gap := cfg.Spacing + sim.Time(ch.src.Uint64()%uint64(cfg.Spacing/4+1))
+	if ch.round < metroRounds {
+		gap := metroSpacing + sim.Time(ch.src.Uint64()%uint64(metroSpacing/4+1))
 		ch.next = stepProbe
+		sched := ch.shard.sched
 		sched.AtEvent(&ch.ev, sched.Now()+gap, ch)
 	}
 }
@@ -395,10 +355,9 @@ func (ch *metroChain) done() {
 // metroShard is one worker of the kernel: a contiguous index-range
 // slice of the population on a private scheduler. Nothing it writes is
 // shared — queue, depth histogram, accumulator, and the rng root
-// (re-derived per shard from the seed) are all shard-local; the config
-// and the count grid are shared read-only.
+// (re-derived per shard from the seed) are all shard-local; the count
+// grid is shared read-only.
 type metroShard struct {
-	cfg   *MetroConfig
 	sched *sim.Scheduler
 	depth *metrics.Histogram
 	acc   *metroAccum
@@ -414,7 +373,7 @@ type metroShard struct {
 // generation, so every shard takes the same exit decision and nobody is
 // left waiting — the classic conservative-parallel-DES lockstep
 // (Chandy–Misra with a global lookahead instead of per-link null
-// messages, which one probe-Timeout horizon makes sufficient).
+// messages, which one metroTimeout horizon makes sufficient).
 type epochBarrier struct {
 	mu      sync.Mutex
 	cond    sync.Cond
@@ -485,7 +444,6 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	for i := range shards {
 		depth := sim.DepthHistogram()
 		shards[i] = &metroShard{
-			cfg:   &cfg,
 			sched: sim.NewWithConfig(sim.Config{Depth: depth}),
 			depth: depth,
 			acc:   newMetroAccum(),
@@ -527,7 +485,6 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	// when a future protocol stack injects cross-shard events with
 	// horizon ≥ lookahead. At K=1 it is one lock per epoch and doubles as
 	// the cancellation check.
-	lookahead := cfg.Timeout
 	barrier := newEpochBarrier(k)
 	var wg sync.WaitGroup
 	for _, s := range shards {
@@ -549,7 +506,7 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 					}
 					break
 				}
-				s.sched.RunUntil(sim.Time(epoch) * lookahead)
+				s.sched.RunUntil(sim.Time(epoch) * metroTimeout)
 			}
 		}(s)
 	}

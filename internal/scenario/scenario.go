@@ -221,8 +221,8 @@ type Result struct {
 	// the per-phase breakdown.
 	Metrics Metrics
 
-	// The run's nodes and base station, for inspection through the
-	// accessors below. Through their radios they reach the whole
+	// The run's nodes, for inspection through the accessors below, and
+	// its base station. Through their radios they reach the whole
 	// simulation, so a Result holds every node, the medium and the
 	// scheduler for as long as it lives. They are unexported, so JSON
 	// (and with it the trial cache and harness.Sweep's codec pass)
@@ -232,9 +232,6 @@ type Result struct {
 	sensors   []*node.Sensor
 	bs        *revoke.Sharded
 }
-
-// BaseStation exposes the run's base station for inspection.
-func (r *Result) BaseStation() *revoke.Sharded { return r.bs }
 
 // Sensors exposes the run's sensor nodes.
 func (r *Result) Sensors() []*node.Sensor { return r.sensors }
@@ -440,12 +437,8 @@ func Run(cfg Config) (*Result, error) {
 		})
 		prevFired, prevTx, prevAt = fired, tx, cut.until
 	}
-	if sched.Pending() > 0 {
-		// Drain stragglers (retries, uplink deliveries) to quiescence.
-		if err := sched.Run(); err != nil {
-			return nil, fmt.Errorf("scenario: scheduler stopped: %w", err)
-		}
-	}
+	// Drain stragglers (retries, uplink deliveries) to quiescence.
+	sched.Run()
 	spans = append(spans, metrics.Span{
 		Name:          "drain",
 		StartCycles:   uint64(endAt),

@@ -26,9 +26,7 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 	if h1.Cancel() {
 		t.Fatal("stale Handle cancelled its successor's event")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if !secondFired {
 		t.Fatal("second event did not fire after stale Cancel attempt")
 	}
@@ -47,9 +45,7 @@ func TestCancelledEventRecycles(t *testing.T) {
 	if !h.Cancel() {
 		t.Fatal("Cancel failed on pending event")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	fired := false
 	h2 := s.At(6, func() { fired = true })
 	if h2.ev != h.ev {
@@ -58,9 +54,7 @@ func TestCancelledEventRecycles(t *testing.T) {
 	if h.Cancel() {
 		t.Fatal("stale Handle to a cancelled event cancelled its successor")
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if !fired {
 		t.Fatal("successor of a cancelled event did not fire")
 	}
@@ -133,18 +127,14 @@ func TestAtEventQueuedPanics(t *testing.T) {
 		}()
 		s.AtEvent(&c.ev, 20, c)
 	}()
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if c.n != 1 || s.Now() != 10 || s.Fired() != 1 {
 		t.Fatalf("after the rejected refile: fired %d times, clock %v, Fired %d; want 1, 10, 1",
 			c.n, s.Now(), s.Fired())
 	}
 	// Once fired, the event may be filed again.
 	s.AtEvent(&c.ev, 20, c)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if c.n != 2 || s.Now() != 20 {
 		t.Fatalf("refiled event: fired %d times, clock %v; want 2, 20", c.n, s.Now())
 	}
@@ -175,9 +165,7 @@ func TestOwnedEventRefiresItself(t *testing.T) {
 	s.AtEvent(&r.ev, 0, r)
 	var order []int
 	s.At(6, func() { order = append(order, r.n) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if r.n != 1000 || s.Now() != 999*3 || s.Fired() != 1001 {
 		t.Fatalf("chain fired %d links, clock %v, Fired %d; want 1000, %v, 1001",
 			r.n, s.Now(), s.Fired(), Time(999*3))

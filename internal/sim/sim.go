@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 
 	"beaconsec/internal/metrics"
@@ -34,26 +33,13 @@ const CPUHz = 7_372_800
 // Millis converts milliseconds of wall time to cycles.
 func Millis(ms float64) Time { return Time(ms * CPUHz / 1e3) }
 
-// Micros converts microseconds of wall time to cycles.
-func Micros(us float64) Time { return Time(us * CPUHz / 1e6) }
-
 // Seconds converts seconds of wall time to cycles.
 func Seconds(s float64) Time { return Time(s * CPUHz) }
-
-// Float returns t as a float64 cycle count.
-func (t Time) Float() float64 { return float64(t) }
-
-// Seconds returns t in seconds of simulated wall time.
-func (t Time) Seconds() float64 { return float64(t) / CPUHz }
 
 // String implements fmt.Stringer with both cycles and milliseconds.
 func (t Time) String() string {
 	return fmt.Sprintf("%dcy (%.3fms)", uint64(t), float64(t)/CPUHz*1e3)
 }
-
-// ErrStopped is returned by Run when the scheduler was stopped explicitly
-// before the event queue drained.
-var ErrStopped = errors.New("sim: scheduler stopped")
 
 // Handler is what an event runs when it fires. Every event fires
 // through one, pooled or owned (see Event).
@@ -166,7 +152,6 @@ type Scheduler struct {
 	seq        uint64
 	q          queue
 	free       []*Event // recycled pooled events, see Event
-	stopped    bool
 	fired      uint64
 	cancelled  uint64
 	maxPending int64
@@ -329,33 +314,23 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// ErrStopped if stopped early, nil if drained.
-func (s *Scheduler) Run() error {
-	s.stopped = false
-	for !s.stopped {
-		if !s.Step() {
-			return nil
-		}
+// Run executes events until the queue drains.
+func (s *Scheduler) Run() {
+	for s.Step() {
 	}
-	return ErrStopped
 }
 
 // RunUntil executes events with time ≤ deadline, then advances the clock
 // to deadline. Events scheduled beyond deadline remain queued.
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		at, ok := s.q.nextAt()
 		if !ok || at > deadline {
 			break
 		}
 		s.Step()
 	}
-	if !s.stopped && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }
-
-// Stop makes Run/RunUntil return after the current event completes.
-func (s *Scheduler) Stop() { s.stopped = true }

@@ -148,12 +148,8 @@ func diffQueues(t *testing.T, script []byte, laned bool) {
 		}
 		checkClocks("op")
 	}
-	if err := heap.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wheel.Run(); err != nil {
-		t.Fatal(err)
-	}
+	heap.Run()
+	wheel.Run()
 	checkClocks("drain")
 
 	if len(hLog) != len(wLog) {
@@ -218,9 +214,7 @@ func TestWheelRewindAfterRunUntil(t *testing.T) {
 	}
 	s.At(11, func() { order = append(order, 0) })   // before the cursor: rewind
 	s.At(5000, func() { order = append(order, 1) }) // bottom rung after rewind
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("fire order = %v, want [0 1 2]", order)
 	}
@@ -283,12 +277,8 @@ func TestWheelLanedSlotMatchesHeap(t *testing.T) {
 		at(11 + Time(rnd.Intn(1<<13)))
 	}
 	cancelEvery(5)
-	if err := heap.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wheel.Run(); err != nil {
-		t.Fatal(err)
-	}
+	heap.Run()
+	wheel.Run()
 	if len(hLog) != len(wLog) {
 		t.Fatalf("fired %d events on heap, %d on wheel", len(hLog), len(wLog))
 	}
@@ -318,9 +308,7 @@ func TestWheelSameTickFIFO(t *testing.T) {
 		s.At(target, func() { order = append(order, 1) })
 		s.At(target, func() { order = append(order, 2) })
 	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("fire order = %v, want [0 1 2] (seq FIFO at equal times)", order)
 	}
@@ -367,9 +355,7 @@ func TestWheelDeepScheduleFireZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("deep-queue wheel schedule+fire allocates %.1f times per op, want 0", avg)
 	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
+	s.Run()
 }
 
 // TestQueueDepthHistogram pins the Config.Depth hook: every At observes
@@ -385,9 +371,7 @@ func TestQueueDepthHistogram(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			s.At(Time(100+i), fn)
 		}
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
+		s.Run()
 		if h.Count != 10 {
 			t.Fatalf("%s: depth histogram has %d observations, want 10", q.name, h.Count)
 		}
@@ -479,9 +463,7 @@ func benchMillion(b *testing.B, newSched func(Config) *Scheduler) {
 		for j := 0; j < backlog; j++ {
 			s.At(base+Time(j%97)*8191+Time(j), fn)
 		}
-		if err := s.Run(); err != nil {
-			b.Fatal(err)
-		}
+		s.Run()
 	}
 	cycle() // warm the free list so iterations measure queue work, not allocation
 	b.ReportAllocs()

@@ -31,9 +31,7 @@ func TestTunnelForwardsBothDirections(t *testing.T) {
 	sched.At(0, func() { m.Transmit(nearA, phy.Frame{Data: make([]byte, 16)}) })
 	// And the reverse direction, later.
 	sched.At(sim.Seconds(1), func() { m.Transmit(nearB, phy.Frame{Data: make([]byte, 16)}) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(atB) != 1 {
 		t.Fatalf("near-B radio received %d frames, want 1 (tunneled)", len(atB))
 	}
@@ -58,9 +56,7 @@ func TestTunnelMeasuredDistanceIsToExit(t *testing.T) {
 	var got []float64
 	nearB.SetHandler(func(r phy.Reception) { got = append(got, r.MeasuredDist) })
 	sched.At(0, func() { m.Transmit(nearA, phy.Frame{Data: make([]byte, 16)}) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if len(got) != 1 {
 		t.Fatalf("received %d frames", len(got))
 	}
@@ -78,9 +74,7 @@ func TestTunnelDoesNotLoop(t *testing.T) {
 	Install(sched, m, geo.Point{X: 500, Y: 0}, geo.Point{X: 900, Y: 0}, 2)
 	tx := m.NewRadio(geo.Point{X: 10, Y: 0})
 	sched.At(0, func() { m.Transmit(tx, phy.Frame{Data: make([]byte, 16)}) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	// One original + at most one injection per tunnel; termination is
 	// the real assertion.
 	if got := m.Stats().Transmissions; got > 3 {
@@ -93,9 +87,7 @@ func TestTunnelIgnoresFarTraffic(t *testing.T) {
 	tun := Install(sched, m, geo.Point{X: 0, Y: 0}, geo.Point{X: 900, Y: 900}, 2)
 	tx := m.NewRadio(geo.Point{X: 450, Y: 450}) // far from both endpoints
 	sched.At(0, func() { m.Transmit(tx, phy.Frame{Data: make([]byte, 16)}) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if tun.Forwarded != 0 {
 		t.Errorf("tunnel forwarded %d far frames", tun.Forwarded)
 	}
@@ -110,9 +102,7 @@ func TestTunnelLatency(t *testing.T) {
 	var end sim.Time
 	rx.SetHandler(func(r phy.Reception) { end = r.End })
 	sched.At(0, func() { m.Transmit(tx, phy.Frame{Data: make([]byte, 16)}) })
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	air := phy.FrameAirTime(16)
 	// Bit-level relay: injection starts at latency, ends latency+air.
 	want := latency + air
@@ -181,9 +171,7 @@ func tunnelRTT(t *testing.T, latency sim.Time) float64 {
 		info := m.Transmit(u, phy.Frame{Data: make([]byte, 16)})
 		t1 = info.FirstByteSPDR
 	})
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
+	sched.Run()
 	if rtt < 0 {
 		t.Fatal("exchange did not complete through tunnel")
 	}
