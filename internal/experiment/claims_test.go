@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"encoding/csv"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"beaconsec/internal/scenario"
 )
 
 // The tests here check the claims EXPERIMENTS.md's reproduction table
@@ -53,6 +56,58 @@ func argmax(pts []point) float64 {
 		}
 	}
 	return best.x
+}
+
+// TestFig12Claims: the simulated detection rate lies within two binomial
+// standard errors of the closed form at every P ≥ 0.05, rises from
+// P = 0.02 through P = 0.05 to P = 0.5, and is 1 at every P ≥ 0.3. The
+// standard error is the theory's, over one point's malicious beacons:
+// the sweep's trials times N_a.
+func TestFig12Claims(t *testing.T) {
+	s := readSeries(t, "fig12")
+	sim, theory := s["simulation"], s["theory"]
+	if len(sim) == 0 || len(sim) != len(theory) {
+		t.Fatalf("fig12.csv: %d simulation rows against %d theory rows", len(sim), len(theory))
+	}
+	_, trials := sweepGrid(Options{})
+	samples := float64(trials * scenario.Paper().Deploy.Na)
+	at := make(map[float64]float64)
+	for i, p := range sim {
+		th := theory[i]
+		if th.x != p.x {
+			t.Fatalf("fig12.csv: row %d is at P = %v in simulation, %v in theory", i, p.x, th.x)
+		}
+		at[p.x] = p.y
+		se := math.Sqrt(th.y * (1 - th.y) / samples)
+		gap := math.Abs(p.y-th.y) / se
+		// P = 0.02 is out of the band by name: the closed form leaves out
+		// the alerts the wormhole draws against malicious beacons, which
+		// matter most at low P (ROADMAP, "Fig 12's theory leaves out the
+		// wormhole's alerts against malicious beacons"). Once the theory
+		// carries that term, this point comes inside the band and joins
+		// the check.
+		if p.x == 0.02 {
+			if gap <= 2 {
+				t.Errorf("P = 0.02 is %.2f SE from theory, inside the band: check it with the others", gap)
+			}
+			continue
+		}
+		if gap > 2 {
+			t.Errorf("P = %v: simulation %v, theory %v: %.2f SE apart, want at most 2", p.x, p.y, th.y, gap)
+		}
+		if p.x >= 0.3 && p.y != 1 {
+			t.Errorf("P = %v: simulation %v, want 1 for P ≥ 0.3", p.x, p.y)
+		}
+	}
+	for _, x := range []float64{0.02, 0.05, 0.5} {
+		if _, ok := at[x]; !ok {
+			t.Fatalf("fig12.csv has no simulated point at P = %v", x)
+		}
+	}
+	if !(at[0.02] < at[0.05] && at[0.05] < at[0.5]) {
+		t.Errorf("simulated rate %v, %v, %v at P = 0.02, 0.05, 0.5: want it rising",
+			at[0.02], at[0.05], at[0.5])
+	}
 }
 
 // TestFig13Claims: once P ≥ 0.3 every malicious beacon is revoked before

@@ -2,9 +2,18 @@
 // backoff, packet framing and authentication under pairwise keys, unicast
 // addressing across multiple local identities (a beacon node receives both
 // as itself and as each of its detecting pseudonyms), and the send-time
-// payload composition the paper's RTT protocol needs (the turnaround value
-// t3 - t2 is written into the reply while it is being transmitted, because
-// t3 is the reply's own first-byte register timestamp).
+// turnaround the paper's RTT protocol needs (t3 - t2 is written into a
+// beacon reply while it is being transmitted, because t3 is the reply's
+// own first-byte register timestamp).
+//
+// A send allocates nothing in steady state. Each one lives in a record
+// pooled on its endpoint, from Send until the frame is launched or
+// dropped: the record holds the destination, sequence number, identity
+// and options, the encoded bytes, and the event its CSMA re-attempt
+// fires from, and it finalizes the frame at launch (phy.Finalizer). The
+// medium copies the bytes into each reception, so the record goes back
+// to the pool as soon as Transmit returns. A send's outcome reaches the
+// caller through SendOptions.Done.
 package mac
 
 import (
@@ -17,8 +26,8 @@ import (
 )
 
 // CSMA parameters. Backoff is uniform in [1, backoffSlots] byte-times;
-// after maxAttempts busy attempts the frame is dropped and OnSent reports
-// failure.
+// after maxAttempts busy attempts the frame is dropped and Done learns
+// of it.
 const (
 	backoffSlots = 32
 	maxAttempts  = 16
@@ -62,18 +71,28 @@ type SendOptions struct {
 	// primary identity. The identity's pairwise key with dst
 	// authenticates the packet.
 	Identity ident.NodeID
-	// Compose, if non-nil, builds the payload at actual transmit time,
-	// receiving the transmission's own first-byte register timestamp
-	// (t3). The payload passed to Send is then only used for sizing and
-	// must have the same encoded size.
-	Compose func(t3 sim.Time) any
+	// T2 and Skew set a packet.BeaconReply's Turnaround, which the
+	// endpoint writes at launch, once t3, the reply's own first-byte
+	// register timestamp, is known: with turn = uint32(t3 - T2), the
+	// reply carries turn - min(Skew, turn). T2 is the request's
+	// first-byte register timestamp at the replier; a benign beacon
+	// leaves Skew 0, a malicious one under-reports its turnaround by it.
+	// The Turnaround of the payload passed to Send is not used.
+	T2   sim.Time
+	Skew uint32
 	// RangeBias / WormholeMark are attacker signal manipulations; benign
 	// nodes leave them zero.
 	RangeBias    float64
 	WormholeMark bool
-	// OnSent reports the transmission's timing (ok) or a CSMA drop
-	// (!ok).
-	OnSent func(info phy.TxInfo, ok bool)
+	// Done, if non-nil, learns how the send ended.
+	Done Done
+}
+
+// Done learns how a send ended.
+type Done interface {
+	// Sent reports the transmission's timing (ok) or a CSMA drop (!ok)
+	// of the frame sent with sequence number seq.
+	Sent(seq uint16, info phy.TxInfo, ok bool)
 }
 
 // Stats counts link-layer events.
@@ -108,17 +127,20 @@ type Endpoint struct {
 	sched   *sim.Scheduler
 	radio   *phy.Radio
 	store   *crypto.Store
-	src     *rng.Source
+	src     rng.Source
 	handler Handler
 	primary ident.NodeID
 	seq     uint16
 	stats   Stats
+	// free recycles send records.
+	free []*send
 }
 
 // NewEndpoint binds a link layer to a radio, which from then on listens
 // on the link address of each of the store's identities. The store's
-// first identity is the primary. src must be a dedicated stream.
-func NewEndpoint(sched *sim.Scheduler, radio *phy.Radio, store *crypto.Store, src *rng.Source) *Endpoint {
+// first identity is the primary. The endpoint draws its backoffs from
+// its own copy of src.
+func NewEndpoint(sched *sim.Scheduler, radio *phy.Radio, store *crypto.Store, src rng.Source) *Endpoint {
 	ids := store.Identities()
 	if len(ids) == 0 {
 		panic("mac: store holds no identities")
@@ -180,77 +202,99 @@ func (e *Endpoint) Send(dst ident.NodeID, payload any, opts SendOptions) uint16 
 
 // SendSeq is Send with a caller-allocated sequence number (from NextSeq),
 // for callers that must register reply-matching state before the first
-// transmission attempt.
+// transmission attempt. SendSeq encodes the payload before it returns
+// and keeps no reference to it, so a payload built at the call stays on
+// the caller's stack.
 func (e *Endpoint) SendSeq(dst ident.NodeID, seq uint16, payload any, opts SendOptions) {
-	srcID := opts.Identity
-	if srcID == ident.Nobody {
-		srcID = e.primary
+	s := e.getSend()
+	s.src = opts.Identity
+	if s.src == ident.Nobody {
+		s.src = e.primary
 	}
-	e.attempt(srcID, dst, seq, payload, opts, 1)
+	s.dst, s.seq, s.opts, s.tries = dst, seq, opts, 1
+	body, err := packet.AppendBody(s.buf[:0], s.src, dst, seq, payload)
+	if err != nil {
+		panic("mac: unencodable payload: " + err.Error())
+	}
+	s.body = len(body)
+	e.attempt(s)
 }
 
-func (e *Endpoint) attempt(srcID, dst ident.NodeID, seq uint16, payload any, opts SendOptions, try int) {
-	if e.radio == nil {
-		return
+// send is one outgoing frame, from Send until it is launched or dropped:
+// what each attempt needs, the event a CSMA re-attempt fires from, and
+// the frame's bytes, encoded at Send and finalized at launch.
+type send struct {
+	ev       sim.Event
+	e        *Endpoint
+	src, dst ident.NodeID
+	seq      uint16
+	opts     SendOptions
+	tries    int
+	key      *crypto.MAC
+	body     int // encoded length without the tag
+	buf      [packet.MaxSize]byte
+}
+
+func (e *Endpoint) getSend() *send {
+	if n := len(e.free); n > 0 {
+		s := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return s
 	}
+	return &send{e: e}
+}
+
+// Fire re-attempts the send after a CSMA backoff.
+func (s *send) Fire() { s.e.attempt(s) }
+
+// Finalize writes a beacon reply's turnaround and signs the frame, at
+// launch (see SendOptions.T2).
+func (s *send) Finalize(t3 sim.Time) []byte {
+	body := s.buf[:s.body]
+	if packet.Type(body[0]) == packet.TypeBeaconReply {
+		turn := uint32(t3 - s.opts.T2)
+		packet.PutTurnaround(body, turn-min(s.opts.Skew, turn))
+	}
+	return packet.Seal(body, s.key)
+}
+
+func (e *Endpoint) attempt(s *send) {
 	medium := e.radio.Medium()
 	if medium.Busy(e.radio) {
-		if try >= maxAttempts {
+		if s.tries >= maxAttempts {
 			e.stats.CSMADrops++
-			if opts.OnSent != nil {
-				opts.OnSent(phy.TxInfo{}, false)
-			}
+			e.finish(s, phy.TxInfo{}, false)
 			return
 		}
+		s.tries++
 		e.stats.Backoffs++
 		backoff := sim.Time(1+e.src.Intn(backoffSlots)) * phy.CyclesPerByte
-		e.sched.After(backoff, func() {
-			e.attempt(srcID, dst, seq, payload, opts, try+1)
-		})
+		e.sched.AtEvent(&s.ev, e.sched.Now()+backoff, s)
 		return
 	}
-
-	key := e.keyFor(srcID, dst)
-	frame := phy.Frame{
-		Dst:          linkAddr(dst),
-		RangeBias:    opts.RangeBias,
-		WormholeMark: opts.WormholeMark,
-	}
-	if opts.Compose == nil {
-		data, err := packet.Encode(srcID, dst, seq, payload, key)
-		if err != nil {
-			panic("mac: unencodable payload: " + err.Error())
-		}
-		frame.Data = data
-	} else {
-		// payload only sizes the frame, so it is neither encoded nor
-		// signed: Finalize encodes and signs the composed payload into
-		// the buffer before any receiver sees a byte, and nothing reads
-		// Data before then.
-		want, err := packet.Size(payload)
-		if err != nil {
-			panic("mac: unencodable payload: " + err.Error())
-		}
-		sizing := make([]byte, want)
-		frame.Data = sizing
-		frame.Finalize = func(t3 sim.Time) []byte {
-			// Encode in place over the sizing buffer: the frame owns it
-			// and the encoded size is pinned, so this costs no
-			// allocation.
-			final, err := packet.EncodeTo(sizing[:0], srcID, dst, seq, opts.Compose(t3), key)
-			if err != nil {
-				panic("mac: unencodable composed payload: " + err.Error())
-			}
-			if len(final) != want {
-				panic("mac: composed payload changed frame size")
-			}
-			return final
-		}
-	}
-	info := medium.Transmit(e.radio, frame)
+	s.key = e.keyFor(s.src, s.dst)
+	info := medium.Transmit(e.radio, phy.Frame{
+		// Sized here, written by Finalize before any receiver or tap
+		// reads a byte.
+		Data:         s.buf[:s.body+crypto.TagSize],
+		Dst:          linkAddr(s.dst),
+		RangeBias:    s.opts.RangeBias,
+		WormholeMark: s.opts.WormholeMark,
+		Finalize:     s,
+	})
 	e.stats.Sent++
-	if opts.OnSent != nil {
-		opts.OnSent(info, true)
+	e.finish(s, info, true)
+}
+
+// finish returns s to the pool, then reports the send's outcome: the
+// medium has copied the bytes it launched, and Done may send again.
+func (e *Endpoint) finish(s *send, info phy.TxInfo, ok bool) {
+	done, seq := s.opts.Done, s.seq
+	s.opts = SendOptions{}
+	e.free = append(e.free, s)
+	if done != nil {
+		done.Sent(seq, info, ok)
 	}
 }
 

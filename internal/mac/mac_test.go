@@ -36,8 +36,13 @@ func newFixture(rangeFt float64) *fixture {
 func (f *fixture) endpoint(pos geo.Point, ids ...ident.NodeID) *Endpoint {
 	store := crypto.NewStore(f.keys, ids...)
 	radio := f.medium.NewRadio(pos)
-	return NewEndpoint(f.sched, radio, store, f.src.SplitIndex(uint64(ids[0])))
+	return NewEndpoint(f.sched, radio, store, f.src.MakeIndex(uint64(ids[0])))
 }
+
+// doneFunc adapts a func to Done.
+type doneFunc func(seq uint16, info phy.TxInfo, ok bool)
+
+func (f doneFunc) Sent(seq uint16, info phy.TxInfo, ok bool) { f(seq, info, ok) }
 
 func TestUnicastDelivery(t *testing.T) {
 	f := newFixture(150)
@@ -88,7 +93,7 @@ func TestUnicastNotDeliveredToThirdParty(t *testing.T) {
 	}
 	// The same packet with no link address reaches the third party's
 	// endpoint, which counts it as NotForUs.
-	data, err := packet.Encode(1, 2, 9, packet.BeaconRequest{}, f.keys.Pair(1, 2))
+	data, err := packet.EncodeTo(nil, 1, 2, 9, packet.BeaconRequest{}, f.keys.Pair(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func TestForgedPacketRejected(t *testing.T) {
 	var wrongKey crypto.Key
 	wrongKey[5] = 0x66
 	wrong := crypto.NewMAC(wrongKey)
-	data, err := packet.Encode(1, 2, 7, packet.BeaconReply{Loc: geo.Point{X: 5}}, &wrong)
+	data, err := packet.EncodeTo(nil, 1, 2, 7, packet.BeaconReply{Loc: geo.Point{X: 5}}, &wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,40 +200,48 @@ func TestForgedPacketRejected(t *testing.T) {
 	}
 }
 
+// TestComposeReceivesT3 pins the reply turnaround the endpoint writes at
+// launch: t3 - T2 for a benign reply, less the skew for a malicious one,
+// and 0 once the skew reaches the turnaround, where t3 is the reply's own
+// first-byte register timestamp (the FirstByteSPDR its Done reports).
 func TestComposeReceivesT3(t *testing.T) {
-	f := newFixture(150)
-	a := f.endpoint(geo.Point{X: 0, Y: 0}, 1)
-	b := f.endpoint(geo.Point{X: 100, Y: 0}, 2)
-	var got packet.BeaconReply
-	n := 0
-	b.SetHandler(func(d Delivery) {
-		got = d.Pkt.Payload.(packet.BeaconReply)
-		n++
-	})
-	var sentAt sim.Time
-	f.sched.At(1000, func() {
-		a.Send(2, packet.BeaconReply{}, SendOptions{
-			Compose: func(t3 sim.Time) any {
-				sentAt = t3
-				return packet.BeaconReply{Loc: geo.Point{X: 1}, Turnaround: uint32(t3), Echo: 9}
-			},
+	for _, c := range []struct {
+		name string
+		skew uint32
+	}{{"benign", 0}, {"skewed", 1000}, {"saturated", 1 << 31}} {
+		f := newFixture(150)
+		a := f.endpoint(geo.Point{X: 0, Y: 0}, 1)
+		b := f.endpoint(geo.Point{X: 100, Y: 0}, 2)
+		var got packet.BeaconReply
+		n := 0
+		b.SetHandler(func(d Delivery) {
+			got = d.Pkt.Payload.(packet.BeaconReply)
+			n++
 		})
-	})
-	f.sched.Run()
-	if n != 1 {
-		t.Fatalf("delivered %d", n)
-	}
-	if sentAt == 0 {
-		t.Fatal("Compose not called")
-	}
-	if got.Turnaround != uint32(sentAt) || got.Echo != 9 {
-		t.Errorf("composed payload not transmitted: %+v (t3=%v)", got, sentAt)
+		const t2 = 500
+		var t3 sim.Time
+		f.sched.At(100000, func() {
+			a.Send(2, packet.BeaconReply{Loc: geo.Point{X: 1}, Turnaround: 77, Echo: 9}, SendOptions{
+				T2:   t2,
+				Skew: c.skew,
+				Done: doneFunc(func(_ uint16, info phy.TxInfo, _ bool) { t3 = info.FirstByteSPDR }),
+			})
+		})
+		f.sched.Run()
+		if n != 1 {
+			t.Fatalf("%s: delivered %d", c.name, n)
+		}
+		turn := uint32(t3 - t2)
+		want := turn - min(c.skew, turn)
+		if got.Turnaround != want || got.Echo != 9 || got.Loc != (geo.Point{X: 1}) {
+			t.Errorf("%s: reply %+v (t3=%v), want turnaround %d", c.name, got, t3, want)
+		}
 	}
 }
 
-// TestComposedFrameOnAirIsEncoding pins that sizing a composed frame
-// without signing it changes nothing on air: the bytes launched are
-// exactly packet.Encode of the composed payload.
+// TestComposedFrameOnAirIsEncoding pins that writing the turnaround at
+// launch changes nothing else on air: the bytes launched are exactly the
+// encoding of the reply carrying that turnaround.
 func TestComposedFrameOnAirIsEncoding(t *testing.T) {
 	f := newFixture(150)
 	a := f.endpoint(geo.Point{X: 0, Y: 0}, 1, 900)
@@ -237,18 +250,13 @@ func TestComposedFrameOnAirIsEncoding(t *testing.T) {
 	f.medium.AddTap(func(_ geo.Point, fr phy.Frame, _ phy.TxInfo) {
 		onAir = append(onAir, append([]byte(nil), fr.Data...))
 	})
-	composed := func(t3 sim.Time) packet.BeaconReply {
-		return packet.BeaconReply{Loc: geo.Point{X: 3, Y: -4}, Turnaround: uint32(t3) * 7, Echo: 5}
-	}
 	var seq uint16
 	var t3 sim.Time
 	f.sched.At(1000, func() {
-		seq = a.Send(2, packet.BeaconReply{}, SendOptions{
+		seq = a.Send(2, packet.BeaconReply{Loc: geo.Point{X: 3, Y: -4}, Echo: 5}, SendOptions{
 			Identity: 900,
-			Compose: func(at sim.Time) any {
-				t3 = at
-				return composed(at)
-			},
+			T2:       200,
+			Done:     doneFunc(func(_ uint16, info phy.TxInfo, _ bool) { t3 = info.FirstByteSPDR }),
 		})
 	})
 	f.sched.Run()
@@ -256,12 +264,13 @@ func TestComposedFrameOnAirIsEncoding(t *testing.T) {
 		t.Fatalf("%d frames on air, want 1", len(onAir))
 	}
 	pair := crypto.NewMAC(f.master.Pairwise(900, 2))
-	want, err := packet.Encode(900, 2, seq, composed(t3), &pair)
+	reply := packet.BeaconReply{Loc: geo.Point{X: 3, Y: -4}, Turnaround: uint32(t3 - 200), Echo: 5}
+	want, err := packet.EncodeTo(nil, 900, 2, seq, reply, &pair)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(onAir[0]) != string(want) {
-		t.Errorf("on air %x, want packet.Encode of the composed payload %x", onAir[0], want)
+		t.Errorf("on air %x, want the encoding of the finished reply %x", onAir[0], want)
 	}
 }
 
@@ -279,7 +288,7 @@ func TestCSMADefersUntilIdle(t *testing.T) {
 	})
 
 	bk := f.keys.Broadcast()
-	data, err := packet.Encode(5, ident.Broadcast, 1, packet.Hello{}, bk)
+	data, err := packet.EncodeTo(nil, 5, ident.Broadcast, 1, packet.Hello{}, bk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +299,10 @@ func TestCSMADefersUntilIdle(t *testing.T) {
 	var sentOK bool
 	var sentInfo phy.TxInfo
 	f.sched.At(100, func() {
-		a.Send(2, packet.BeaconRequest{}, SendOptions{OnSent: func(info phy.TxInfo, ok bool) {
+		a.Send(2, packet.BeaconRequest{}, SendOptions{Done: doneFunc(func(_ uint16, info phy.TxInfo, ok bool) {
 			sentOK = ok
 			sentInfo = info
-		}})
+		})})
 	})
 	f.sched.Run()
 	if !sentOK {
@@ -314,10 +323,16 @@ func TestOnSentReportsTiming(t *testing.T) {
 	_ = f.endpoint(geo.Point{X: 100, Y: 0}, 2)
 	var info phy.TxInfo
 	ok := false
-	a.Send(2, packet.BeaconRequest{}, SendOptions{OnSent: func(i phy.TxInfo, o bool) { info, ok = i, o }})
+	var doneSeq uint16
+	seq := a.Send(2, packet.BeaconRequest{}, SendOptions{Done: doneFunc(func(s uint16, i phy.TxInfo, o bool) {
+		doneSeq, info, ok = s, i, o
+	})})
 	f.sched.Run()
 	if !ok {
-		t.Fatal("OnSent not called with success")
+		t.Fatal("Done not told of a success")
+	}
+	if doneSeq != seq {
+		t.Errorf("Done told of seq %d, want %d", doneSeq, seq)
 	}
 	if info.AirEnd <= info.AirStart {
 		t.Errorf("TxInfo = %+v", info)
@@ -361,7 +376,7 @@ func TestTruthPropagation(t *testing.T) {
 	n := 0
 	b.SetHandler(func(d Delivery) { truth = d.Truth; n++ })
 	key := f.keys.Pair(1, 2)
-	data, err := packet.Encode(1, 2, 3, packet.BeaconRequest{}, key)
+	data, err := packet.EncodeTo(nil, 1, 2, 3, packet.BeaconRequest{}, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +399,7 @@ func TestCSMAExhaustionDropsFrame(t *testing.T) {
 
 	// Jam: back-to-back foreign frames for a long time.
 	bk := f.keys.Broadcast()
-	data, err := packet.Encode(5, ident.Broadcast, 1, packet.Hello{}, bk)
+	data, err := packet.EncodeTo(nil, 5, ident.Broadcast, 1, packet.Hello{}, bk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,9 +413,9 @@ func TestCSMAExhaustionDropsFrame(t *testing.T) {
 	}
 	dropped := false
 	f.sched.At(10, func() {
-		a.Send(2, packet.BeaconRequest{}, SendOptions{OnSent: func(_ phy.TxInfo, ok bool) {
+		a.Send(2, packet.BeaconRequest{}, SendOptions{Done: doneFunc(func(_ uint16, _ phy.TxInfo, ok bool) {
 			dropped = !ok
-		}})
+		})})
 	})
 	f.sched.Run()
 	if !dropped {
@@ -422,5 +437,108 @@ func TestSendSeqMatchesCallerSequence(t *testing.T) {
 	f.sched.Run()
 	if got != seq {
 		t.Errorf("delivered seq %d, want %d", got, seq)
+	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// exchange is a two-endpoint request/reply fixture: a requests, b serves
+// a reply whose turnaround the endpoint writes at launch, as a benign
+// beacon does.
+type exchange struct {
+	f       *fixture
+	a, b    *Endpoint
+	replies int
+}
+
+func newExchange() *exchange {
+	f := newFixture(150)
+	x := &exchange{f: f, a: f.endpoint(geo.Point{X: 0, Y: 0}, 1, 900), b: f.endpoint(geo.Point{X: 100, Y: 0}, 2)}
+	x.b.SetHandler(func(d Delivery) {
+		x.b.Send(d.Pkt.Header.Src, packet.BeaconReply{Loc: geo.Point{X: 100}, Echo: d.Pkt.Header.Seq},
+			SendOptions{T2: d.FirstByteSPDR})
+	})
+	x.a.SetHandler(func(d Delivery) {
+		if _, ok := d.Pkt.Payload.(packet.BeaconReply); ok {
+			x.replies++
+		}
+	})
+	return x
+}
+
+// Sent makes the fixture a Done, as a requester is.
+func (x *exchange) Sent(uint16, phy.TxInfo, bool) {}
+
+// run sends one request under the detecting identity and runs the
+// exchange to quiescence.
+func (x *exchange) run() {
+	x.a.Send(2, packet.BeaconRequest{}, SendOptions{Identity: 900, Done: x})
+	x.f.sched.Run()
+}
+
+// TestExchangeAllocs pins what a warmed request/reply exchange costs the
+// heap: one object, the box packet.Decode puts the decoded reply in.
+// Sending allocates nothing: each frame lives in a pooled send record,
+// encodes its payload into the record's buffer and writes the reply's
+// turnaround at launch, and the medium copies the bytes into its pooled
+// receptions.
+func TestExchangeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
+	}
+	x := newExchange()
+	for i := 0; i < 10; i++ {
+		x.run()
+	}
+	if avg := testing.AllocsPerRun(100, x.run); avg != 1 {
+		t.Errorf("an exchange allocates %.1f times, want 1 (the decoded reply's box)", avg)
+	}
+	if x.replies != 111 {
+		t.Errorf("%d replies, want 111", x.replies)
+	}
+}
+
+// TestCSMABackoffAllocs pins that a CSMA re-attempt allocates nothing:
+// the send record files itself on its own event.
+func TestCSMABackoffAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
+	}
+	f := newFixture(150)
+	a := f.endpoint(geo.Point{X: 0, Y: 0}, 1)
+	_ = f.endpoint(geo.Point{X: 100, Y: 0}, 2)
+	jam, err := packet.EncodeTo(nil, 5, ident.Broadcast, 1, packet.Hello{}, f.keys.Broadcast())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jammer := f.medium.NewPort(geo.Point{X: 50, Y: 0})
+	cycle := func() {
+		f.medium.Inject(jammer, phy.Frame{Data: jam})
+		a.Send(2, packet.BeaconRequest{}, SendOptions{})
+		f.sched.Run()
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	before := a.Stats().Backoffs
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a send that backs off allocates %.1f times, want 0", avg)
+	}
+	if n := a.Stats().Backoffs - before; n < 101 {
+		t.Errorf("%d backoffs in 101 sends into a busy channel, want at least one each", n)
+	}
+}
+
+// BenchmarkExchange measures one request/reply exchange between two
+// endpoints, run to quiescence: two sends, two signatures, two
+// receptions and two verifications.
+func BenchmarkExchange(b *testing.B) {
+	x := newExchange()
+	x.run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.run()
 	}
 }

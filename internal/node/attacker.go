@@ -4,7 +4,6 @@ import (
 	"beaconsec/internal/geo"
 	"beaconsec/internal/packet"
 	"beaconsec/internal/phy"
-	"beaconsec/internal/sim"
 )
 
 // ReplayAttacker is a store-and-forward local replay attacker: it records
@@ -22,14 +21,13 @@ type ReplayAttacker struct {
 	// Replayed counts re-injected frames.
 	Replayed uint64
 
-	sched  *sim.Scheduler
 	medium *phy.Medium
 	port   *phy.Port
 }
 
 // NewReplayAttacker installs a replay attacker on the medium.
-func NewReplayAttacker(sched *sim.Scheduler, medium *phy.Medium, pos geo.Point) *ReplayAttacker {
-	a := &ReplayAttacker{Pos: pos, sched: sched, medium: medium, port: medium.NewPort(pos)}
+func NewReplayAttacker(medium *phy.Medium, pos geo.Point) *ReplayAttacker {
+	a := &ReplayAttacker{Pos: pos, medium: medium, port: medium.NewPort(pos)}
 	medium.AddTap(a.tap)
 	return a
 }
@@ -47,13 +45,8 @@ func (a *ReplayAttacker) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	}
 	replay := f
 	replay.Replayed = true
-	replay.Finalize = nil
-	data := make([]byte, len(f.Data))
-	copy(data, f.Data)
-	replay.Data = data
 	a.Replayed++
 	// Store-and-forward: cannot start before hearing the whole frame.
-	a.sched.At(info.AirEnd, func() {
-		a.medium.Inject(a.port, replay)
-	})
+	// InjectAt keeps its own copy of the bytes.
+	a.medium.InjectAt(a.port, info.AirEnd, replay)
 }

@@ -105,16 +105,8 @@ func (b *Beacon) AnnounceAt(at sim.Time) {
 // (paper §2.3).
 func (b *Beacon) StartDetection(from sim.Time, window sim.Time) {
 	b.env.Sched.At(from, func() {
-		src := b.env.Src.Split(fmt.Sprintf("detsched/%d", b.self.ID))
-		for _, target := range b.NeighborBeacons() {
-			for _, detID := range b.detectingIDs {
-				target, detID := target, detID
-				offset := sim.Time(src.Uint64() % uint64(window))
-				b.env.Sched.After(offset, func() {
-					b.req.request(detID, target)
-				})
-			}
-		}
+		src := b.env.Src.MakeSplit("detsched", uint64(b.self.ID))
+		b.req.schedule(&src, window, b.NeighborBeacons(), b.detectingIDs)
 	})
 }
 
@@ -143,22 +135,14 @@ func (b *Beacon) handle(d mac.Delivery) {
 }
 
 // serveReply answers a beacon request with this node's true location and
-// the honestly measured turnaround (t3 - t2), composed at transmit time.
+// the honestly measured turnaround (t3 - t2), which the link layer
+// writes at transmit time.
 func (b *Beacon) serveReply(d mac.Delivery) {
-	t2 := d.FirstByteSPDR
 	b.RepliesServed++
 	b.ep.Send(d.Pkt.Header.Src, packet.BeaconReply{
 		Loc:  b.self.Loc,
 		Echo: d.Pkt.Header.Seq,
-	}, mac.SendOptions{
-		Compose: func(t3 sim.Time) any {
-			return packet.BeaconReply{
-				Loc:        b.self.Loc,
-				Turnaround: uint32(t3 - t2),
-				Echo:       d.Pkt.Header.Seq,
-			}
-		},
-	})
+	}, mac.SendOptions{T2: d.FirstByteSPDR})
 }
 
 // observe runs the detector pipeline on a completed probe.

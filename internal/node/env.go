@@ -7,7 +7,7 @@
 package node
 
 import (
-	"fmt"
+	"slices"
 
 	"beaconsec/internal/core"
 	"beaconsec/internal/crypto"
@@ -48,14 +48,14 @@ type Env struct {
 
 // detectorFor builds node i's wormhole detector.
 func (e *Env) detectorFor(i int) *wormhole.Probabilistic {
-	return wormhole.NewProbabilistic(e.WormholeRate, e.Src.Split(fmt.Sprintf("whdet/%d", i)))
+	return wormhole.NewProbabilistic(e.WormholeRate, e.Src.MakeSplit("whdet", uint64(i)))
 }
 
 // endpointFor builds node i's link endpoint with the given identities.
 func (e *Env) endpointFor(i int, ids ...ident.NodeID) *mac.Endpoint {
 	store := crypto.NewStore(e.Keys, ids...)
 	radio := e.Medium.NewRadio(e.Dep.Nodes[i].Loc)
-	return mac.NewEndpoint(e.Sched, radio, store, e.Src.Split(fmt.Sprintf("mac/%d", i)))
+	return mac.NewEndpoint(e.Sched, radio, store, e.Src.MakeSplit("mac", uint64(i)))
 }
 
 // A requester waits one second for a reply and re-sends an unanswered
@@ -65,13 +65,57 @@ const (
 	requestRetries          = 1
 )
 
-// probe tracks one outstanding beacon request.
-type probe struct {
+// request is one scheduled beacon request: whom to ask and under which
+// identity. A node's requests are allocated together when they are
+// scheduled (requester.schedule), and each starts from its own event.
+type request struct {
+	ev     sim.Event
+	r      *requester
 	target ident.NodeID
-	local  ident.NodeID // identity the request was sent under
-	t1     sim.Time
+	local  ident.NodeID
+}
+
+// Fire starts the request's probe, unless its target is revoked by then.
+func (q *request) Fire() {
+	r := q.r
+	if r.revoked[q.target] {
+		return
+	}
+	p := r.newProbe()
+	p.target, p.local = q.target, q.local
+	r.start(p)
+}
+
+// probe is one outstanding beacon request, from its first transmission
+// to its reply or its last timeout: whom it asks, under which identity,
+// and the state of its latest transmission. Probes are pooled on their
+// requester. Each one is the handler of its own timeouts, pooled events
+// it can cancel, and learns of its transmissions as their mac.Done.
+type probe struct {
+	r      *requester
+	target ident.NodeID
+	local  ident.NodeID // identity the request is sent under
+	seq    uint16       // sequence number of the latest transmission
 	tries  int
+	t1     sim.Time
 	timer  sim.Handle
+}
+
+// Fire handles the probe's timeout.
+func (p *probe) Fire() {
+	if p.r.outstanding(p.seq) == p {
+		p.r.retryOrFail(p)
+	}
+}
+
+// Sent records the t1 of a transmitted request, and retries or gives up
+// on one that CSMA dropped.
+func (p *probe) Sent(seq uint16, info phy.TxInfo, ok bool) {
+	if ok {
+		p.t1 = info.FirstByteSPDR
+	} else if p.r.outstanding(seq) == p {
+		p.r.retryOrFail(p)
+	}
 }
 
 // replyInfo is the decoded beacon-signal content a requester evaluates.
@@ -107,9 +151,15 @@ func (s *ProbeStats) Merge(o ProbeStats) {
 // echo sequence number and local identity, retries on loss, and captures
 // the t1 timestamp the RTT computation needs.
 type requester struct {
-	env     *Env
-	ep      *mac.Endpoint
-	pending map[uint16]*probe
+	env *Env
+	ep  *mac.Endpoint
+	// pending lists the outstanding probes, at most a few at a time.
+	pending []*probe
+	// revoked lists targets a request no longer starts a probe for: a
+	// sensor's revoked beacons, nil for a beacon.
+	revoked map[ident.NodeID]bool
+	// free recycles finished probes.
+	free []*probe
 	// onObservation is invoked once per completed exchange.
 	onObservation func(p *probe, d mac.Delivery, reply replyInfo)
 	// Timeouts counts requests that were never answered after retries.
@@ -118,12 +168,33 @@ type requester struct {
 }
 
 func newRequester(env *Env, ep *mac.Endpoint) *requester {
-	return &requester{env: env, ep: ep, pending: make(map[uint16]*probe)}
+	return &requester{env: env, ep: ep}
 }
 
-// request sends a beacon request to target under the given local identity.
-func (r *requester) request(local, target ident.NodeID) {
-	r.start(&probe{target: target, local: local})
+// schedule makes one request per (target, local) pair, targets outer,
+// and files each one's start at an offset drawn from src, uniform over
+// [now, now+window).
+func (r *requester) schedule(src *rng.Source, window sim.Time, targets, locals []ident.NodeID) {
+	reqs := make([]request, len(targets)*len(locals))
+	now := r.env.Sched.Now()
+	for i := range reqs {
+		q := &reqs[i]
+		q.r = r
+		q.target, q.local = targets[i/len(locals)], locals[i%len(locals)]
+		r.env.Sched.AtEvent(&q.ev, now+sim.Time(src.Uint64()%uint64(window)), q)
+	}
+}
+
+// newProbe returns a cleared probe from the pool, or a new one.
+func (r *requester) newProbe() *probe {
+	if n := len(r.free); n > 0 {
+		p := r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+		*p = probe{r: r}
+		return p
+	}
+	return &probe{r: r}
 }
 
 func (r *requester) start(p *probe) {
@@ -132,51 +203,57 @@ func (r *requester) start(p *probe) {
 	if p.tries > 1 {
 		r.stats.Retries++
 	}
-	seq := r.ep.NextSeq()
-	r.pending[seq] = p
-	p.timer = r.env.Sched.After(requestTimeout, func() {
-		if r.pending[seq] == p {
-			r.retryOrFail(p, seq)
-		}
-	})
-	r.ep.SendSeq(p.target, seq, packet.BeaconRequest{}, mac.SendOptions{
-		Identity: p.local,
-		OnSent: func(info phy.TxInfo, ok bool) {
-			if !ok {
-				if r.pending[seq] == p {
-					r.retryOrFail(p, seq)
-				}
-				return
-			}
-			p.t1 = info.FirstByteSPDR
-		},
-	})
+	p.seq = r.ep.NextSeq()
+	r.pending = append(r.pending, p)
+	p.timer = r.env.Sched.AtHandler(r.env.Sched.Now()+requestTimeout, p)
+	r.ep.SendSeq(p.target, p.seq, packet.BeaconRequest{}, mac.SendOptions{Identity: p.local, Done: p})
 }
 
-func (r *requester) retryOrFail(p *probe, seq uint16) {
-	delete(r.pending, seq)
+// outstanding returns the outstanding probe whose latest transmission
+// has sequence number seq, or nil.
+func (r *requester) outstanding(seq uint16) *probe {
+	for _, p := range r.pending {
+		if p.seq == seq {
+			return p
+		}
+	}
+	return nil
+}
+
+// settle takes p off the outstanding list and cancels its timeout.
+func (r *requester) settle(p *probe) {
+	i := slices.Index(r.pending, p)
+	last := len(r.pending) - 1
+	r.pending[i] = r.pending[last]
+	r.pending[last] = nil
+	r.pending = r.pending[:last]
 	p.timer.Cancel()
+}
+
+func (r *requester) retryOrFail(p *probe) {
+	r.settle(p)
 	if p.tries <= requestRetries {
 		r.start(p)
 		return
 	}
 	r.Timeouts++
 	r.stats.Timeouts++
+	r.free = append(r.free, p)
 }
 
 // handleReply matches a beacon reply to its outstanding probe; it returns
 // false for unsolicited or duplicate replies.
 func (r *requester) handleReply(d mac.Delivery, reply packet.BeaconReply) bool {
-	p, ok := r.pending[reply.Echo]
-	if !ok || p.local != d.Local || p.target != d.Pkt.Header.Src {
+	p := r.outstanding(reply.Echo)
+	if p == nil || p.local != d.Local || p.target != d.Pkt.Header.Src {
 		return false
 	}
-	delete(r.pending, reply.Echo)
-	p.timer.Cancel()
+	r.settle(p)
 	r.stats.Replies++
 	if r.onObservation != nil {
 		r.onObservation(p, d, replyInfo{claimed: reply.Loc, turnaround: reply.Turnaround})
 	}
+	r.free = append(r.free, p)
 	return true
 }
 

@@ -139,7 +139,7 @@ func (m *Malicious) AnnounceAt(at sim.Time) {
 
 // ActionFor returns the (deterministic) action for a requester identity.
 func (m *Malicious) ActionFor(req ident.NodeID) Action {
-	src := m.env.Src.Split(fmt.Sprintf("strategy/%d/%d", m.self.ID, req))
+	src := m.env.Src.MakeSplit("strategy", uint64(m.self.ID), uint64(req))
 	if src.Bool(m.cfg.Strategy.PN) {
 		return ActNormal
 	}
@@ -166,45 +166,22 @@ func (m *Malicious) handle(d mac.Delivery) {
 		return
 	}
 	req := d.Pkt.Header.Src
-	action := m.ActionFor(req)
-
-	t2 := d.FirstByteSPDR
 	loc := m.self.Loc
-	var bias float64
-	var mark bool
-	var skew uint32
-	switch action {
+	opts := mac.SendOptions{T2: d.FirstByteSPDR}
+	switch m.ActionFor(req) {
 	case ActNormal:
 	case ActFakeWormhole:
 		loc = m.farClaim
-		mark = true
+		opts.WormholeMark = true
 	case ActFakeReplay:
-		skew = m.skew
+		// The link layer under-reports the turnaround by the skew,
+		// saturating at 0.
+		opts.Skew = m.skew
 	case ActAttack:
-		bias = m.cfg.RangeBias
+		opts.RangeBias = m.cfg.RangeBias
 		m.AttackedIDs[req] = true
 	}
-
-	m.ep.Send(req, packet.BeaconReply{
-		Loc:  loc,
-		Echo: d.Pkt.Header.Seq,
-	}, mac.SendOptions{
-		RangeBias:    bias,
-		WormholeMark: mark,
-		Compose: func(t3 sim.Time) any {
-			turn := uint32(t3 - t2)
-			if skew >= turn {
-				turn = 0
-			} else {
-				turn -= skew
-			}
-			return packet.BeaconReply{
-				Loc:        loc,
-				Turnaround: turn,
-				Echo:       d.Pkt.Header.Seq,
-			}
-		},
-	})
+	m.ep.Send(req, packet.BeaconReply{Loc: loc, Echo: d.Pkt.Header.Seq}, opts)
 }
 
 // SendAlertAt schedules one fabricated alert against target.

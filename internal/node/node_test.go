@@ -348,7 +348,7 @@ func TestReplayAttackerCaughtByRTTFilter(t *testing.T) {
 	// filter and must NOT trigger an alert against the benign source
 	// (the paper's false-positive-avoidance claim).
 	f, beacons, _, sensors := newFixture(t, 11, analysis.Strategy{PN: 1})
-	attacker := NewReplayAttacker(f.sched, f.env.Medium, geo.Point{X: 60, Y: 40})
+	attacker := NewReplayAttacker(f.env.Medium, geo.Point{X: 60, Y: 40})
 	for _, b := range beacons {
 		b.StartDetection(sim.Seconds(1), sim.Seconds(10))
 	}
@@ -410,7 +410,7 @@ func TestBeaconServesOnlyPrimaryIdentity(t *testing.T) {
 	// A sensor-grade endpoint requests a beacon signal from the pseudonym.
 	probeStore := crypto.NewStore(f.env.Keys, 4999)
 	probeRadio := f.env.Medium.NewRadio(geo.Point{X: 10, Y: 10})
-	probe := mac.NewEndpoint(f.env.Sched, probeRadio, probeStore, rng.New(99))
+	probe := mac.NewEndpoint(f.env.Sched, probeRadio, probeStore, rng.Make(99))
 	replies := 0
 	probe.SetHandler(func(d mac.Delivery) {
 		if _, ok := d.Pkt.Payload.(packet.BeaconReply); ok {
@@ -436,7 +436,7 @@ func TestSensorIgnoresForgedRevocation(t *testing.T) {
 	s := sensors[0]
 	forger := crypto.NewStore(f.env.Keys, 4998)
 	forgerRadio := f.env.Medium.NewRadio(geo.Point{X: 45, Y: 25})
-	forgerEp := mac.NewEndpoint(f.env.Sched, forgerRadio, forger, rng.New(98))
+	forgerEp := mac.NewEndpoint(f.env.Sched, forgerRadio, forger, rng.Make(98))
 	f.env.Sched.At(sim.Seconds(1), func() {
 		forgerEp.Send(s.ID(), packet.Revoke{Target: mal.ID()}, mac.SendOptions{})
 	})

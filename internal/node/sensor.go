@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 
 	"beaconsec/internal/core"
 	"beaconsec/internal/deploy"
@@ -61,6 +62,8 @@ func NewSensor(env *Env, i int) *Sensor {
 		AcceptedFrom: make(map[ident.NodeID]bool),
 	}
 	s.req = newRequester(env, s.ep)
+	// A request whose target is revoked before its start never starts.
+	s.req.revoked = s.revoked
 	s.req.onObservation = s.observe
 	s.ep.SetHandler(s.handle)
 	return s
@@ -89,17 +92,12 @@ func (s *Sensor) LinkStats() mac.Stats { return s.ep.Stats() }
 // spread uniformly over [from, from+window).
 func (s *Sensor) StartRequests(from, window sim.Time) {
 	s.env.Sched.At(from, func() {
-		src := s.env.Src.Split(fmt.Sprintf("reqsched/%d", s.self.ID))
-		for _, target := range s.NeighborBeacons() {
-			target := target
-			offset := sim.Time(src.Uint64() % uint64(window))
-			s.env.Sched.After(offset, func() {
-				if s.revoked[target] {
-					return
-				}
-				s.req.request(s.self.ID, target)
-			})
-		}
+		src := s.env.Src.MakeSplit("reqsched", uint64(s.self.ID))
+		targets := s.NeighborBeacons()
+		// Room for a reference from every neighbour, so accepting them
+		// costs no reallocation.
+		s.References = slices.Grow(s.References, len(targets))
+		s.req.schedule(&src, window, targets, []ident.NodeID{s.self.ID})
 	})
 }
 

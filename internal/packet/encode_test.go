@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"beaconsec/internal/crypto"
 	"beaconsec/internal/geo"
 	"beaconsec/internal/ident"
 )
@@ -19,8 +20,19 @@ var allPayloads = []any{
 	RevocationStatus{Target: 21, Outcome: 1, Revoked: true},
 }
 
-// TestEncodeToMatchesEncode pins that the append-style path produces
-// byte-identical wire output for every payload type.
+// Encode encodes and signs one packet into a fresh buffer in two steps,
+// body then tag, as the MAC layer does at launch.
+func Encode(src, dst ident.NodeID, seq uint16, payload any, mac *crypto.MAC) ([]byte, error) {
+	body, err := AppendBody(nil, src, dst, seq, payload)
+	if err != nil {
+		return nil, err
+	}
+	return Seal(body, mac), nil
+}
+
+// TestEncodeToMatchesEncode pins that EncodeTo and the two-step path
+// (AppendBody, then Seal) produce byte-identical wire output for every
+// payload type.
 func TestEncodeToMatchesEncode(t *testing.T) {
 	k := testMAC()
 	for _, payload := range allPayloads {
@@ -114,5 +126,48 @@ func BenchmarkEncodeToReply(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPutTurnaroundMatchesEncode pins that writing the turnaround into
+// an encoded reply body before sealing it gives the packet Encode gives
+// for a reply that carried that turnaround all along.
+func TestPutTurnaroundMatchesEncode(t *testing.T) {
+	k := testMAC()
+	reply := BeaconReply{Loc: geo.Point{X: 3, Y: -4}, Turnaround: 1, Echo: 5}
+	body, err := AppendBody(nil, 900, 2, 7, reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutTurnaround(body, 0xfedcba98)
+	reply.Turnaround = 0xfedcba98
+	want, err := Encode(900, 2, 7, reply, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Seal(body, k); !bytes.Equal(got, want) {
+		t.Errorf("sealed body %x, want %x", got, want)
+	}
+}
+
+// TestAppendBodyKeepsPayloadOnStack pins that encoding a reply into a
+// buffer the caller owns allocates nothing: the payload converted to any
+// at the call does not escape, so it is not boxed on the heap.
+func TestAppendBodyKeepsPayloadOnStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
+	}
+	k := testMAC()
+	var buf [MaxSize]byte
+	var echo uint16
+	if avg := testing.AllocsPerRun(100, func() {
+		echo++
+		body, err := AppendBody(buf[:0], 1, 2, echo, BeaconReply{Loc: geo.Point{X: 1}, Echo: echo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Seal(body, k)
+	}); avg != 0 {
+		t.Errorf("encoding a reply allocates %.1f times", avg)
 	}
 }

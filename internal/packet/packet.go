@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"beaconsec/internal/crypto"
 	"beaconsec/internal/geo"
@@ -190,79 +191,49 @@ func FrameLen(prefix []byte) (int, error) {
 	return headerSize + n + crypto.TagSize, nil
 }
 
-func payloadSize(p any) (int, error) {
-	switch p.(type) {
-	case Hello, BeaconRequest:
-		return 0, nil
-	case BeaconReply:
-		return 8 + 8 + 4 + 2, nil
-	case Alert, Revoke, AlertUplink, RevocationQuery:
-		return 2, nil
-	case RevocationStatus:
-		return 2 + 1 + 1, nil
-	default:
-		return 0, fmt.Errorf("%w: %T", ErrUnencodable, p)
-	}
-}
+// replyLen is the encoded length of a BeaconReply payload: the declared
+// location, the turnaround and the echoed sequence number.
+const replyLen = 8 + 8 + 4 + 2
 
-func typeOf(p any) (Type, error) {
-	switch p.(type) {
+// turnaroundAt is the offset of a BeaconReply's Turnaround in its packet.
+const turnaroundAt = headerSize + 16
+
+// layout returns the packet type and encoded payload length of payload.
+func layout(payload any) (Type, int, error) {
+	switch payload.(type) {
 	case Hello:
-		return TypeHello, nil
+		return TypeHello, 0, nil
 	case BeaconRequest:
-		return TypeBeaconRequest, nil
+		return TypeBeaconRequest, 0, nil
 	case BeaconReply:
-		return TypeBeaconReply, nil
+		return TypeBeaconReply, replyLen, nil
 	case Alert:
-		return TypeAlert, nil
+		return TypeAlert, 2, nil
 	case Revoke:
-		return TypeRevoke, nil
+		return TypeRevoke, 2, nil
 	case AlertUplink:
-		return TypeAlertUplink, nil
+		return TypeAlertUplink, 2, nil
 	case RevocationQuery:
-		return TypeRevocationQuery, nil
+		return TypeRevocationQuery, 2, nil
 	case RevocationStatus:
-		return TypeRevocationStatus, nil
+		return TypeRevocationStatus, 2 + 1 + 1, nil
 	default:
-		return 0, fmt.Errorf("%w: %T", ErrUnencodable, p)
+		// reflect.TypeOf, unlike fmt's %T, does not let payload escape:
+		// a payload converted to any where it is sent then stays on the
+		// sender's stack.
+		return 0, 0, fmt.Errorf("%w: %v", ErrUnencodable, reflect.TypeOf(payload))
 	}
 }
 
-// Size returns the length Encode gives a packet carrying payload, without
-// encoding or signing it.
-func Size(payload any) (int, error) {
-	n, err := payloadSize(payload)
-	if err != nil {
-		return 0, err
-	}
-	return headerSize + n + crypto.TagSize, nil
-}
-
-// Encode serializes a packet and appends its authentication tag under
-// mac.
-func Encode(src, dst ident.NodeID, seq uint16, payload any, mac *crypto.MAC) ([]byte, error) {
-	n, err := Size(payload)
+// AppendBody appends the unsigned encoding of a packet, its header and
+// payload without the tag, to dst and returns the extended slice. Seal
+// signs it. A sender that writes a field at launch (PutTurnaround)
+// encodes the body first and seals it then.
+func AppendBody(dst []byte, src, dstID ident.NodeID, seq uint16, payload any) ([]byte, error) {
+	typ, n, err := layout(payload)
 	if err != nil {
 		return nil, err
 	}
-	return EncodeTo(make([]byte, 0, n), src, dst, seq, payload, mac)
-}
-
-// EncodeTo is Encode in append style: it serializes the packet into
-// dst's spare capacity (growing it only if needed) and returns the
-// extended slice. Hot paths that own a reusable buffer — the MAC
-// layer's send-time payload composition, benchmarks, batch encoders —
-// use it to keep the sign→encode path allocation-free; dst may be nil.
-func EncodeTo(dst []byte, src, dstID ident.NodeID, seq uint16, payload any, mac *crypto.MAC) ([]byte, error) {
-	typ, err := typeOf(payload)
-	if err != nil {
-		return nil, err
-	}
-	n, err := payloadSize(payload)
-	if err != nil {
-		return nil, err
-	}
-	start := len(dst)
 	buf := dst
 	buf = append(buf, byte(typ))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(src))
@@ -295,10 +266,35 @@ func EncodeTo(dst []byte, src, dstID ident.NodeID, seq uint16, payload any, mac 
 		}
 		buf = append(buf, revoked)
 	}
-
-	tag := mac.Sign(buf[start:])
-	buf = append(buf, tag[:]...)
 	return buf, nil
+}
+
+// Seal appends to body, one packet's header and payload as AppendBody
+// wrote them, its authentication tag under mac.
+func Seal(body []byte, mac *crypto.MAC) []byte {
+	tag := mac.Sign(body)
+	return append(body, tag[:]...)
+}
+
+// PutTurnaround writes v into the Turnaround field of body, an unsealed
+// BeaconReply as AppendBody wrote it.
+func PutTurnaround(body []byte, v uint32) {
+	binary.BigEndian.PutUint32(body[turnaroundAt:], v)
+}
+
+// EncodeTo serializes a packet and its authentication tag under mac into
+// dst's spare capacity (growing it only if needed) and returns the
+// extended slice. A sender that owns a buffer, such as a revnet
+// connection, keeps the encode path allocation-free with it; dst may be
+// nil.
+func EncodeTo(dst []byte, src, dstID ident.NodeID, seq uint16, payload any, mac *crypto.MAC) ([]byte, error) {
+	start := len(dst)
+	buf, err := AppendBody(dst, src, dstID, seq, payload)
+	if err != nil {
+		return nil, err
+	}
+	tag := mac.Sign(buf[start:])
+	return append(buf, tag[:]...), nil
 }
 
 // PeekHeader decodes only the header, without authenticating. Radios use
@@ -354,7 +350,7 @@ func Decode(data []byte, mac *crypto.MAC) (Packet, error) {
 		}
 		pkt.Payload = BeaconRequest{}
 	case TypeBeaconReply:
-		if n != 22 {
+		if n != replyLen {
 			return Packet{}, fmt.Errorf("%w: reply payload %d", ErrBadLength, n)
 		}
 		pkt.Payload = BeaconReply{

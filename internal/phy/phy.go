@@ -91,12 +91,21 @@ type Frame struct {
 	// attacker. It is ground truth for the probabilistic wormhole
 	// detector, not a bit a protocol participant can read.
 	Replayed bool
-	// Finalize, if non-nil, rebuilds Data at transmit time given the
-	// transmission's own first-byte register timestamp. It models a
-	// timestamp field written into a later byte of the packet while the
-	// first bytes are already on air (how the paper's reply carries
-	// t3 - t2). The rebuilt data must have the same length as Data.
-	Finalize func(firstByteSPDR sim.Time) []byte
+	// Finalize, if non-nil, writes the frame's bytes at launch (see
+	// Finalizer).
+	Finalize Finalizer
+}
+
+// Finalizer writes a frame's bytes at launch, once the transmission's own
+// first-byte register timestamp is known. It models a timestamp field
+// written into a later byte of the packet while the first bytes are
+// already on air (how the paper's reply carries t3 - t2). The MAC
+// layer's outgoing frame records implement it.
+type Finalizer interface {
+	// Finalize returns the bytes that go on air in place of Data, which
+	// until then only sizes the frame: as many bytes, written given the
+	// transmission's first-byte register timestamp.
+	Finalize(firstByteSPDR sim.Time) []byte
 }
 
 // TxInfo reports the timing of a transmission to the sender.
@@ -110,6 +119,9 @@ type TxInfo struct {
 
 // Reception is what a radio's handler receives for an uncorrupted frame.
 type Reception struct {
+	// Frame is the frame as it arrived. Its Data is the reception's own
+	// copy of the bytes, valid until the handler returns: the medium
+	// reuses it for a later reception.
 	Frame Frame
 	// MeasuredDist is the RSSI-derived distance to the actual transmit
 	// origin, including any attacker bias and the ranging error.
@@ -125,7 +137,10 @@ type Reception struct {
 type Handler func(Reception)
 
 // Tap observes every transmission on the medium (attack tooling: wormhole
-// tunnels, replay attackers). origin is the true injection point.
+// tunnels, replay attackers). origin is the true injection point. f is
+// the frame as launched, finalized (Finalize is nil), and f.Data is the
+// sender's buffer, valid until the tap returns: a tap that keeps the
+// bytes copies them, as InjectAt does.
 type Tap func(origin geo.Point, f Frame, info TxInfo)
 
 // arrival is one reception on air at its radio.
@@ -293,9 +308,11 @@ type Medium struct {
 	// owners maps each link address a radio listens on to that radio's
 	// index, or to everyone when several radios listen on it.
 	owners map[uint32]int32
-	// pendFree recycles pending-delivery records, events included, so
-	// steady-state delivery allocates nothing.
+	// pendFree and injFree recycle pending-delivery and delayed-injection
+	// records, events and byte buffers included, so steady-state
+	// delivery and replay allocate nothing.
 	pendFree []*pending
+	injFree  []*injection
 }
 
 // Sentinel owners of a frame's destination address.
@@ -449,6 +466,44 @@ func (m *Medium) Inject(p *Port, f Frame) TxInfo {
 	return m.launch(p.pos, key, &f, p.neighbours)
 }
 
+// injection is one delayed Inject: its event, the port, and the frame
+// with its own copy of the bytes. Records are pooled on the medium.
+type injection struct {
+	ev    sim.Event
+	m     *Medium
+	port  *Port
+	frame Frame
+	data  []byte
+}
+
+// InjectAt copies f, bytes included, and injects the copy from port p at
+// time at (see Inject). A tap that replays what it hears uses it: the
+// sender may reuse its buffer once its launch returns.
+func (m *Medium) InjectAt(p *Port, at sim.Time, f Frame) {
+	var in *injection
+	if n := len(m.injFree); n > 0 {
+		in = m.injFree[n-1]
+		m.injFree[n-1] = nil
+		m.injFree = m.injFree[:n-1]
+	} else {
+		in = &injection{m: m}
+	}
+	in.port = p
+	in.data = append(in.data[:0], f.Data...)
+	in.frame = f
+	in.frame.Data = in.data
+	m.sched.AtEvent(&in.ev, at, in)
+}
+
+// Fire injects the frame and returns the record to the pool: the launch
+// has copied the bytes into every reception by then.
+func (in *injection) Fire() {
+	m := in.m
+	m.Inject(in.port, in.frame)
+	in.port = nil
+	m.injFree = append(m.injFree, in)
+}
+
 // launchKey keys the draws of the count-th launch from origin, mixing
 // each coordinate in turn as rng.SplitIndex mixes an index.
 func (m *Medium) launchKey(origin, count uint64) uint64 {
@@ -489,7 +544,7 @@ func (m *Medium) launch(origin geo.Point, key uint64, f *Frame, receivers []neig
 		FirstByteSPDR: firstOut,
 	}
 	if f.Finalize != nil {
-		final := f.Finalize(info.FirstByteSPDR)
+		final := f.Finalize.Finalize(info.FirstByteSPDR)
 		if len(final) != len(f.Data) {
 			panic(fmt.Sprintf("phy: Finalize changed frame size %d -> %d", len(f.Data), len(final)))
 		}
@@ -536,16 +591,19 @@ func (m *Medium) collide(rx *Radio, arrive sim.Time) {
 }
 
 // pending is one in-flight delivery: its reception event, the arrival
-// record and everything the reception needs. Records are pooled on the
-// medium and each fires itself through its own event, so a steady-state
-// delivery schedules with zero heap allocations and never touches the
-// scheduler's free list.
+// record and everything the reception needs, the frame's bytes included.
+// A launch copies the bytes into each reception (at most a packet's 64),
+// so the sender may reuse its buffer once Transmit returns. Records are
+// pooled on the medium and each fires itself through its own event, so
+// a steady-state delivery schedules with zero heap allocations and never
+// touches the scheduler's free list.
 type pending struct {
 	ev        sim.Event
 	m         *Medium
 	rx        *Radio
 	arr       arrival
 	frame     Frame
+	data      []byte
 	measured  float64
 	firstByte sim.Time
 }
@@ -587,7 +645,9 @@ func (m *Medium) deliver(n neighbour, f *Frame, key uint64, now, end sim.Time) {
 	a.end = max(a.end, p.arr.end)
 	a.arrivalEnd = max(a.arrivalEnd, p.arr.end)
 	rx.inflight = append(rx.inflight, &p.arr)
+	p.data = append(p.data[:0], f.Data...)
 	p.frame = *f
+	p.frame.Data = p.data
 	// t2/t4: first byte available in the receiving register one
 	// byte-time plus propagation plus hardware delay after air start.
 	src := draws(key, uint32(n.rx))
@@ -611,28 +671,25 @@ func (m *Medium) measure(src *rng.Source, dist float64) float64 {
 	return d
 }
 
-// Fire completes one arrival: it unhooks the arrival record, returns
-// the pending record to the pool (the Reception is copied out first, so
-// the handler may transmit and reuse it immediately), and hands
-// uncorrupted frames to the receiver.
+// Fire completes one arrival: it unhooks the arrival record, hands
+// uncorrupted frames to the receiver, and then returns the pending
+// record to the pool. The handler reads the record's bytes, so the
+// record is recycled only after it returns; a handler that transmits
+// takes another record.
 func (p *pending) Fire() {
 	m, rx := p.m, p.rx
-	rec := Reception{
-		Frame:         p.frame,
-		MeasuredDist:  p.measured,
-		FirstByteSPDR: p.firstByte,
-		End:           p.arr.end,
-	}
-	lost := p.arr.lost
 	rx.removeInflight(&p.arr)
-	p.rx = nil
-	p.frame = Frame{} // drop the Data reference while pooled
-	m.pendFree = append(m.pendFree, p)
-	if lost || rx.handler == nil {
-		return
+	if !p.arr.lost && rx.handler != nil {
+		m.stats.Deliveries++
+		rx.handler(Reception{
+			Frame:         p.frame,
+			MeasuredDist:  p.measured,
+			FirstByteSPDR: p.firstByte,
+			End:           p.arr.end,
+		})
 	}
-	m.stats.Deliveries++
-	rx.handler(rec)
+	p.rx = nil
+	m.pendFree = append(m.pendFree, p)
 }
 
 func (r *Radio) removeInflight(target *arrival) {

@@ -398,6 +398,11 @@ func TestBusySensesPassages(t *testing.T) {
 	}
 }
 
+// finalizeFunc adapts a func to Finalizer.
+type finalizeFunc func(firstByteSPDR sim.Time) []byte
+
+func (f finalizeFunc) Finalize(t sim.Time) []byte { return f(t) }
+
 func TestFinalizeRewritesData(t *testing.T) {
 	sched, m := newTestMedium(Config{Range: 150})
 	tx := m.NewRadio(geo.Point{X: 0, Y: 0})
@@ -408,12 +413,12 @@ func TestFinalizeRewritesData(t *testing.T) {
 	sched.At(10000, func() {
 		m.Transmit(tx, Frame{
 			Data: make([]byte, 16),
-			Finalize: func(t3 sim.Time) []byte {
+			Finalize: finalizeFunc(func(t3 sim.Time) []byte {
 				sawT3 = t3
 				out := make([]byte, 16)
 				out[0] = 0xEE
 				return out
-			},
+			}),
 		})
 	})
 	sched.Run()
@@ -436,7 +441,7 @@ func TestFinalizeSizeChangePanics(t *testing.T) {
 		}()
 		m.Transmit(tx, Frame{
 			Data:     make([]byte, 16),
-			Finalize: func(sim.Time) []byte { return make([]byte, 17) },
+			Finalize: finalizeFunc(func(sim.Time) []byte { return make([]byte, 17) }),
 		})
 	})
 	sched.Run()

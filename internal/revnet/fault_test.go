@@ -186,7 +186,7 @@ func TestClientTruncatedReplyExhausts(t *testing.T) {
 		if err != nil {
 			return
 		}
-		reply, err := packet.Encode(ident.BaseStation, self, hdr.Seq,
+		reply, err := packet.EncodeTo(nil, ident.BaseStation, self, hdr.Seq,
 			packet.RevocationStatus{Target: 50, Outcome: uint8(revoke.OutcomeAccepted)}, &key)
 		if err != nil {
 			return

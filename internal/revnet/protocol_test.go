@@ -26,7 +26,7 @@ import (
 func mustEncode(t testing.TB, src, dst ident.NodeID, seq uint16, payload any, key crypto.Key) []byte {
 	t.Helper()
 	mac := crypto.NewMAC(key)
-	frame, err := packet.Encode(src, dst, seq, payload, &mac)
+	frame, err := packet.EncodeTo(nil, src, dst, seq, payload, &mac)
 	if err != nil {
 		t.Fatal(err)
 	}

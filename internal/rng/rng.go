@@ -11,8 +11,8 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // Source is a deterministic random number generator. The zero value is not
@@ -62,9 +62,38 @@ func New(seed uint64) *Source {
 // and the derivation is stable across runs: Split does not consume or
 // mutate the parent's state.
 func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	return New(s.s[0] ^ h.Sum64())
+	src := Make(s.s[0] ^ fnvAdd(fnvOffset, label))
+	return &src
+}
+
+// MakeSplit returns, by value, the Source Split returns for the label
+// made of prefix and, after a '/' each, the decimal digits of ids:
+// MakeSplit("strategy", 3, 70) is the stream of Split("strategy/3/70").
+// It builds no string, so a per-node or per-request stream costs no
+// allocation.
+func (s *Source) MakeSplit(prefix string, ids ...uint64) Source {
+	h := fnvAdd(fnvOffset, prefix)
+	var digits [20]byte
+	for _, id := range ids {
+		h = fnvAdd(h, "/")
+		h = fnvAdd(h, strconv.AppendUint(digits[:0], id, 10))
+	}
+	return Make(s.s[0] ^ h)
+}
+
+// The 64-bit FNV-1a parameters, as hash/fnv's New64a uses them.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvAdd folds the bytes of b into the FNV-1a hash h.
+func fnvAdd[B string | []byte](h uint64, b B) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // SplitIndex derives an independent stream identified by an integer index,

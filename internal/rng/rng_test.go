@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,42 @@ func TestMakeIndexMatchesSplitIndex(t *testing.T) {
 		sink += src.Uint64()
 	}); avg != 0 {
 		t.Errorf("a by-value index stream allocates %.1f times", avg)
+	}
+}
+
+// TestMakeSplitMatchesSprintfLabels checks that every per-node label the
+// simulator builds with MakeSplit names the stream Split gives for the
+// label fmt.Sprintf spells, first draws included, and that the by-value
+// stream allocates nothing.
+func TestMakeSplitMatchesSprintfLabels(t *testing.T) {
+	root := New(7).Split("nodes")
+	ids := []uint64{0, 1, 255, 65535}
+	for _, prefix := range []string{"mac", "whdet", "detsched", "reqsched"} {
+		for _, id := range ids {
+			got, want := root.MakeSplit(prefix, id), *root.Split(fmt.Sprintf("%s/%d", prefix, id))
+			for k := 0; k < 3; k++ {
+				if a, b := got.Uint64(), want.Uint64(); a != b {
+					t.Errorf("MakeSplit(%q, %d) draw %d = %#x, Split gives %#x", prefix, id, k, a, b)
+				}
+			}
+		}
+	}
+	for _, a := range ids {
+		for _, b := range ids {
+			got, want := root.MakeSplit("strategy", a, b), *root.Split(fmt.Sprintf("strategy/%d/%d", a, b))
+			for k := 0; k < 3; k++ {
+				if x, y := got.Uint64(), want.Uint64(); x != y {
+					t.Errorf("MakeSplit(strategy, %d, %d) draw %d = %#x, Split gives %#x", a, b, k, x, y)
+				}
+			}
+		}
+	}
+	var sink uint64
+	if avg := testing.AllocsPerRun(100, func() {
+		src := root.MakeSplit("strategy", sink, 65535)
+		sink += src.Uint64() & 0xffff
+	}); avg != 0 {
+		t.Errorf("a by-value split stream allocates %.1f times", avg)
 	}
 }
 

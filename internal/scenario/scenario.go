@@ -389,10 +389,10 @@ func Run(cfg Config) (*Result, error) {
 
 	// Wormhole tunnels and local replay attackers.
 	for _, w := range cfg.Wormholes {
-		wormhole.Install(sched, medium, w.A, w.B, w.Latency)
+		wormhole.Install(medium, w.A, w.B, w.Latency)
 	}
 	for _, p := range cfg.ReplayAttackers {
-		node.NewReplayAttacker(sched, medium, p)
+		node.NewReplayAttacker(medium, p)
 	}
 
 	res.Medium = medium.Stats() // placeholder; refreshed after the run

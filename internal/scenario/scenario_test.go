@@ -377,3 +377,32 @@ func TestDistributedBenignNoFalseLocalRevocations(t *testing.T) {
 		t.Errorf("benign network produced %v local false revocations", res.LocalFalseRevocations)
 	}
 }
+
+// TestRunAllocs pins the heap objects one paper-path run allocates per
+// probe, calibration and node construction included. A request/reply
+// exchange allocates one object in steady state (the box packet.Decode
+// puts a decoded reply in): requests, probes and send records are
+// preallocated or pooled and fire through their own events, and a
+// reception's bytes live in the medium's pooled record. Putting back one
+// malloc per exchange breaks the bound.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
+	}
+	cfg := smallConfig(0.3, 21)
+	var probes uint64
+	perRun := testing.AllocsPerRun(1, func() {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes = res.Metrics.Probes.Probes
+	})
+	perProbe := perRun / float64(probes)
+	t.Logf("%.0f mallocs over %d probes: %.2f per probe", perRun, probes, perProbe)
+	// 5.25 per probe (16,486 over 3,138) when the bound was set, against
+	// 15.3 before exchanges stopped allocating.
+	if perProbe > 5.75 {
+		t.Errorf("%.2f mallocs per probe, want at most 5.75", perProbe)
+	}
+}

@@ -37,7 +37,6 @@ type Tunnel struct {
 	Latency sim.Time
 
 	medium       *phy.Medium
-	sched        *sim.Scheduler
 	portA, portB *phy.Port
 	captureR     float64
 	// Forwarded counts frames relayed (both directions).
@@ -48,12 +47,11 @@ type Tunnel struct {
 // endpoint a transmission must originate to be captured; the paper's
 // tunnel "forwards every message received at one side", i.e. everything
 // within radio range of the endpoint.
-func Install(sched *sim.Scheduler, medium *phy.Medium, a, b geo.Point, latency sim.Time) *Tunnel {
+func Install(medium *phy.Medium, a, b geo.Point, latency sim.Time) *Tunnel {
 	t := &Tunnel{
 		A:        a,
 		B:        b,
 		medium:   medium,
-		sched:    sched,
 		portA:    medium.NewPort(a),
 		portB:    medium.NewPort(b),
 		captureR: medium.Range(),
@@ -80,17 +78,11 @@ func (t *Tunnel) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 	}
 	replay := f
 	replay.Replayed = true
-	replay.Finalize = nil // capture what was actually on air
-	data := make([]byte, len(f.Data))
-	copy(data, f.Data)
-	replay.Data = data
 	t.Forwarded++
 	// Bit-level relay: the replay starts Latency after the original
 	// started (the tap runs at AirStart, so this never schedules into
-	// the past).
-	t.sched.At(info.AirStart+t.Latency, func() {
-		t.medium.Inject(exit, replay)
-	})
+	// the past). InjectAt keeps its own copy of the bytes.
+	t.medium.InjectAt(exit, info.AirStart+t.Latency, replay)
 }
 
 // Probabilistic is the paper's abstract detector: detection rate p_d on
@@ -100,11 +92,12 @@ func (t *Tunnel) tap(origin geo.Point, f phy.Frame, info phy.TxInfo) {
 type Probabilistic struct {
 	// Rate is p_d in [0, 1].
 	Rate float64
-	src  *rng.Source
+	src  rng.Source
 }
 
-// NewProbabilistic builds the abstract detector with detection rate pd.
-func NewProbabilistic(pd float64, src *rng.Source) *Probabilistic {
+// NewProbabilistic builds the abstract detector with detection rate pd,
+// drawing from its own copy of src.
+func NewProbabilistic(pd float64, src rng.Source) *Probabilistic {
 	if pd < 0 || pd > 1 {
 		panic(fmt.Sprintf("wormhole: detection rate %v outside [0,1]", pd))
 	}

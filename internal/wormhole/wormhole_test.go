@@ -19,7 +19,7 @@ func TestTunnelForwardsBothDirections(t *testing.T) {
 	sched, m := setup()
 	a := geo.Point{X: 100, Y: 100}
 	b := geo.Point{X: 800, Y: 700}
-	tun := Install(sched, m, a, b, 2)
+	tun := Install(m, a, b, 2)
 
 	nearA := m.NewRadio(geo.Point{X: 120, Y: 100})
 	nearB := m.NewRadio(geo.Point{X: 780, Y: 700})
@@ -50,7 +50,7 @@ func TestTunnelMeasuredDistanceIsToExit(t *testing.T) {
 	sched, m := setup()
 	a := geo.Point{X: 100, Y: 100}
 	b := geo.Point{X: 800, Y: 700}
-	Install(sched, m, a, b, 2)
+	Install(m, a, b, 2)
 	nearA := m.NewRadio(geo.Point{X: 100, Y: 100})
 	nearB := m.NewRadio(geo.Point{X: 830, Y: 740})
 	var got []float64
@@ -70,8 +70,8 @@ func TestTunnelDoesNotLoop(t *testing.T) {
 	// Two tunnels sharing an endpoint region must not amplify traffic
 	// forever.
 	sched, m := setup()
-	Install(sched, m, geo.Point{X: 0, Y: 0}, geo.Point{X: 500, Y: 0}, 2)
-	Install(sched, m, geo.Point{X: 500, Y: 0}, geo.Point{X: 900, Y: 0}, 2)
+	Install(m, geo.Point{X: 0, Y: 0}, geo.Point{X: 500, Y: 0}, 2)
+	Install(m, geo.Point{X: 500, Y: 0}, geo.Point{X: 900, Y: 0}, 2)
 	tx := m.NewRadio(geo.Point{X: 10, Y: 0})
 	sched.At(0, func() { m.Transmit(tx, phy.Frame{Data: make([]byte, 16)}) })
 	sched.Run()
@@ -84,7 +84,7 @@ func TestTunnelDoesNotLoop(t *testing.T) {
 
 func TestTunnelIgnoresFarTraffic(t *testing.T) {
 	sched, m := setup()
-	tun := Install(sched, m, geo.Point{X: 0, Y: 0}, geo.Point{X: 900, Y: 900}, 2)
+	tun := Install(m, geo.Point{X: 0, Y: 0}, geo.Point{X: 900, Y: 900}, 2)
 	tx := m.NewRadio(geo.Point{X: 450, Y: 450}) // far from both endpoints
 	sched.At(0, func() { m.Transmit(tx, phy.Frame{Data: make([]byte, 16)}) })
 	sched.Run()
@@ -96,7 +96,7 @@ func TestTunnelIgnoresFarTraffic(t *testing.T) {
 func TestTunnelLatency(t *testing.T) {
 	sched, m := setup()
 	const latency = sim.Time(12345)
-	Install(sched, m, geo.Point{X: 0, Y: 0}, geo.Point{X: 800, Y: 0}, latency)
+	Install(m, geo.Point{X: 0, Y: 0}, geo.Point{X: 800, Y: 0}, latency)
 	tx := m.NewRadio(geo.Point{X: 10, Y: 0})
 	rx := m.NewRadio(geo.Point{X: 790, Y: 0})
 	var end sim.Time
@@ -113,7 +113,7 @@ func TestTunnelLatency(t *testing.T) {
 
 func TestProbabilisticDetector(t *testing.T) {
 	src := rng.New(9)
-	d := NewProbabilistic(0.9, src)
+	d := NewProbabilistic(0.9, *src)
 
 	if !d.Detect(false, true) {
 		t.Error("marked signal not detected (attacker must always convince)")
@@ -142,7 +142,7 @@ func TestProbabilisticRateBounds(t *testing.T) {
 					t.Errorf("rate %v did not panic", bad)
 				}
 			}()
-			NewProbabilistic(bad, rng.New(1))
+			NewProbabilistic(bad, rng.Make(1))
 		}()
 	}
 }
@@ -150,7 +150,7 @@ func TestProbabilisticRateBounds(t *testing.T) {
 func tunnelRTT(t *testing.T, latency sim.Time) float64 {
 	t.Helper()
 	sched, m := setup()
-	Install(sched, m, geo.Point{X: 0, Y: 0}, geo.Point{X: 800, Y: 0}, latency)
+	Install(m, geo.Point{X: 0, Y: 0}, geo.Point{X: 800, Y: 0}, latency)
 	u := m.NewRadio(geo.Point{X: 20, Y: 0})  // requester near A
 	v := m.NewRadio(geo.Point{X: 820, Y: 0}) // responder near B
 
@@ -199,5 +199,37 @@ func TestSlowTunnelInflatesRTT(t *testing.T) {
 	wantMin := 4*phy.JitterMin + 2*float64(latency) - 1
 	if rtt < wantMin {
 		t.Errorf("slow tunnel RTT = %v, want >= %v", rtt, wantMin)
+	}
+}
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestTunnelForwardZeroAlloc pins that relaying a captured frame costs
+// nothing once the medium is warm: the tunnel copies the bytes into a
+// pooled injection record, which fires itself, and every reception of
+// the original and of the replay comes from the medium's pool.
+func TestTunnelForwardZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs allocation behavior; pin not meaningful")
+	}
+	sched, m := setup()
+	tun := Install(m, geo.Point{X: 100, Y: 100}, geo.Point{X: 800, Y: 700}, 2)
+	tx := m.NewRadio(geo.Point{X: 120, Y: 100})
+	rx := m.NewRadio(geo.Point{X: 780, Y: 700})
+	rx.SetHandler(func(phy.Reception) {})
+	buf := make([]byte, 38)
+	cycle := func() {
+		m.Transmit(tx, phy.Frame{Data: buf})
+		sched.Run()
+	}
+	for i := 0; i < 10; i++ { // warm the pools
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a tunnelled frame allocates %.1f times, want 0", avg)
+	}
+	if tun.Forwarded != 111 {
+		t.Errorf("Forwarded = %d, want 111", tun.Forwarded)
 	}
 }
