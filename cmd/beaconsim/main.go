@@ -5,8 +5,11 @@
 //
 //	beaconsim [-n 1000] [-nb 110] [-na 10] [-p 0.2] [-tau 10] [-tauprime 2]
 //	          [-pd 0.9] [-m 8] [-wormhole] [-collude] [-seed 1]
-//	          [-detector SPEC] [-cache] [-cache-dir DIR]
+//	          [-detector mahalanobis|ml|paper] [-cache] [-cache-dir DIR]
 //	beaconsim -metro [-nodes 100000] [-metro-workers K] [-seed 1]
+//
+// -detector names the detection pipeline every node runs: the paper's
+// (the default) or one of its two rivals at their fixed parameters.
 //
 // -cache memoizes the run's result content-addressed by the full
 // configuration (including -seed): repeating an identical invocation
@@ -26,8 +29,8 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,6 +46,7 @@ import (
 	"beaconsec/internal/cache"
 	"beaconsec/internal/core"
 	"beaconsec/internal/experiment"
+	"beaconsec/internal/harness"
 	"beaconsec/internal/metrics"
 	"beaconsec/internal/revoke"
 	"beaconsec/internal/scenario"
@@ -67,7 +71,7 @@ func run(args []string, out io.Writer) error {
 	m := fs.Int("m", 8, "detecting IDs per beacon node")
 	wormhole := fs.Bool("wormhole", true, "install the paper's wormhole tunnel")
 	collude := fs.Bool("collude", true, "malicious beacons flood coordinated alerts")
-	detector := fs.String("detector", "", "detection pipeline, e.g. paper or mahalanobis{threshold=2.5} (default: the paper pipeline)")
+	detector := fs.String("detector", "", "detection pipeline, one of "+strings.Join(core.DetectorNames(), ", ")+" (default: paper)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	useCache := fs.Bool("cache", false, "memoize the run's result on disk (see -cache-dir)")
 	cacheDir := fs.String("cache-dir", filepath.Join("results", "cache"), "result cache directory")
@@ -100,21 +104,20 @@ func run(args []string, out io.Writer) error {
 		cfg.Wormholes = nil
 	}
 	if *detector != "" {
-		spec, err := core.ParseDetectorSpec(*detector)
+		names, err := core.ParseDetectorList(*detector)
 		if err != nil {
 			return err
 		}
-		if !core.DetectorRegistered(spec.Name) {
-			return fmt.Errorf("unknown detector %q (registered: %s)",
-				spec.Name, strings.Join(core.DetectorNames(), ", "))
+		if len(names) > 1 {
+			return fmt.Errorf("-detector takes one name, not %d", len(names))
 		}
-		cfg.Detector = spec
+		cfg.Detector = names[0]
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 
-	res, err := runMaybeCached(cfg, *useCache, *cacheDir, out)
+	res, err := runScenario(cfg, *useCache, *cacheDir, out)
 	if err != nil {
 		return err
 	}
@@ -136,8 +139,9 @@ func run(args []string, out io.Writer) error {
 		res.AffectedPerMalicious, res.AvgNc)
 	fmt.Fprintf(out, "localization         %d sensors localized, mean error %.1f ft (max %.1f)\n",
 		res.Localized, res.LocErrMean, res.LocErrMax)
+	radio := res.Metrics.Radio
 	fmt.Fprintf(out, "radio                %d transmissions, %d deliveries, %d collisions, %d request timeouts\n",
-		res.Medium.Transmissions, res.Medium.Deliveries, res.Medium.Collisions, res.Timeouts)
+		radio.Transmissions, radio.Deliveries, radio.Collisions, res.Metrics.Probes.Timeouts)
 	return nil
 }
 
@@ -178,55 +182,43 @@ func runMetro(out io.Writer, nodes int64, workers int, seed uint64) error {
 	return nil
 }
 
-// runMaybeCached executes the simulation, memoized on disk when asked.
-// Both the hit and miss path decode the stored JSON, so cached and fresh
-// invocations print identical numbers by construction. The cached form
-// keeps only the exported result (the report's inputs); the node-level
-// accessors are not retained, which this command never uses.
-func runMaybeCached(cfg scenario.Config, useCache bool, dir string, out io.Writer) (*scenario.Result, error) {
-	if !useCache {
-		return scenario.Run(cfg)
+// runScenario executes the simulation as a one-job sweep, memoized on
+// disk when asked. The result passes through the sweep's JSON codec
+// either way, so cached and fresh invocations print identical numbers by
+// construction. The codec keeps only the exported result (the report's
+// inputs); the node-level accessors, which this command never uses, are
+// dropped.
+func runScenario(cfg scenario.Config, useCache bool, dir string, out io.Writer) (*scenario.Result, error) {
+	spec := harness.Spec[*scenario.Result]{
+		Label:  "beaconsim",
+		Points: []string{"run"},
+		Trials: 1,
+		Codec:  harness.JSONCodec[*scenario.Result](),
+		Run: func(context.Context, harness.Job) (*scenario.Result, error) {
+			return scenario.Run(cfg)
+		},
 	}
-	c, err := cache.New(cache.Config{Dir: dir})
-	if err != nil {
-		return nil, fmt.Errorf("cache dir: %w", err)
-	}
-	// The full config — seeds included — addresses the entry: a single
-	// run's identity is every flag that shaped it.
-	key := cache.Fingerprint(cache.CodeSalt,
-		experiment.EncodeKey("beaconsim", cfg.Detector.Canonical(), cfg))
-	data, hit, err := c.GetOrCompute(key, func() ([]byte, error) {
-		res, rerr := scenario.Run(cfg)
-		if rerr != nil {
-			return nil, rerr
+	if useCache {
+		c, err := cache.New(cache.Config{Dir: dir})
+		if err != nil {
+			return nil, fmt.Errorf("cache dir: %w", err)
 		}
-		return json.Marshal(res)
-	})
+		// The full config — seeds included — addresses the entry: a
+		// single run's identity is every flag that shaped it.
+		spec.Cache = c
+		spec.Key = experiment.EncodeKey("beaconsim", cmp.Or(cfg.Detector, core.DefaultDetectorName), cfg)
+		spec.Timing = harness.NewTiming()
+	}
+	rows, err := harness.Sweep(context.Background(), spec)
 	if err != nil {
 		return nil, err
 	}
-	res := new(scenario.Result)
-	if uerr := json.Unmarshal(data, res); uerr != nil {
-		// A stale-schema entry (result shape changed without a salt
-		// bump): recompute and overwrite rather than fail.
-		fresh, rerr := scenario.Run(cfg)
-		if rerr != nil {
-			return nil, rerr
+	if useCache {
+		status := "miss, stored"
+		if spec.Timing.CacheHits > 0 {
+			status = "hit"
 		}
-		if data, rerr = json.Marshal(fresh); rerr != nil {
-			return nil, rerr
-		}
-		c.Put(key, data)
-		res = new(scenario.Result)
-		if uerr = json.Unmarshal(data, res); uerr != nil {
-			return nil, fmt.Errorf("cache: result does not round-trip: %w", uerr)
-		}
-		hit = false
+		fmt.Fprintf(out, "cache                %s (%s)\n", status, dir)
 	}
-	if hit {
-		fmt.Fprintf(out, "cache                hit (%s)\n", dir)
-	} else {
-		fmt.Fprintf(out, "cache                miss, stored (%s)\n", dir)
-	}
-	return res, nil
+	return rows[0][0], nil
 }

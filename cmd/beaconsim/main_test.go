@@ -152,25 +152,31 @@ func TestRunCachedReplayMatches(t *testing.T) {
 }
 
 // TestRunDetectorFlag: -detector threads through to the run report, and
-// an unregistered name fails fast naming the registered detectors.
+// any value but one of the three names fails fast naming all three.
 func TestRunDetectorFlag(t *testing.T) {
 	var b strings.Builder
 	if err := run(smallArgs("-p", "0.5", "-wormhole=false", "-collude=false",
-		"-detector", "ml{bias=20}"), &b); err != nil {
+		"-detector", "ml"), &b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "detector             ml{bias=20}") {
+	if !strings.Contains(b.String(), "detector             ml\n") {
 		t.Errorf("report does not name the detector:\n%s", b.String())
 	}
 
-	err := run(smallArgs("-detector", "bogus"), &strings.Builder{})
-	if err == nil {
-		t.Fatal("unknown detector accepted")
-	}
-	for _, want := range []string{`unknown detector "bogus"`, "paper"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+	for _, detector := range []string{"ml{bias=20}", "nope", "paper,", " "} {
+		err := run(smallArgs("-detector", detector), &strings.Builder{})
+		if err == nil {
+			t.Errorf("-detector %q accepted", detector)
+			continue
 		}
+		for _, want := range []string{"unknown detector", "mahalanobis, ml, paper"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-detector %q: error %q does not mention %q", detector, err, want)
+			}
+		}
+	}
+	if err := run(smallArgs("-detector", "paper,ml"), &strings.Builder{}); err == nil {
+		t.Error("-detector took two names")
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -74,8 +75,8 @@ func TestGoldenDefaultDetectorByteIdentity(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownDetector: a detector name the registry does not
-// know must fail before any simulation, naming the registered options.
+// TestRunRejectsUnknownDetector: a detector name outside the three must
+// fail before any simulation, naming the known ones.
 func TestRunRejectsUnknownDetector(t *testing.T) {
 	var b strings.Builder
 	err := run([]string{"-fig", "fig05", "-quick", "-progress=false",
@@ -90,28 +91,24 @@ func TestRunRejectsUnknownDetector(t *testing.T) {
 	}
 }
 
-// TestRunRejectsMalformedDetectorSpec: parameter-syntax errors fail fast
-// too.
+// TestRunRejectsMalformedDetectorSpec: the detectors take no parameters,
+// so the old name{k=v} form fails fast too, as do empty and repeated
+// entries.
 func TestRunRejectsMalformedDetectorSpec(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-fig", "fig05", "-quick", "-progress=false",
-		"-detectors", "ml{bias="}, &b)
-	if err == nil {
-		t.Fatal("malformed detector spec accepted")
+	for _, spec := range []string{"ml{bias=", "ml{bias=20}", "mahalanobis{threshold=2.5},paper", "paper,,ml", "paper,paper"} {
+		err := run([]string{"-fig", "fig05", "-quick", "-progress=false",
+			"-detectors", spec}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "mahalanobis, ml, paper") {
+			t.Errorf("-detectors %q: got %v, want an error listing the detectors", spec, err)
+		}
 	}
 }
 
-// TestParseDetectorsAcceptsList covers the happy path, including braced
-// parameters containing commas.
+// TestParseDetectorsAcceptsList covers the happy path: a list of names,
+// with space around them, runs.
 func TestParseDetectorsAcceptsList(t *testing.T) {
-	specs, err := parseDetectors("paper,mahalanobis{threshold=2.5},ml{bias=20,lambda=0.5}")
-	if err != nil {
+	if err := run([]string{"-fig", "fig05", "-quick", "-progress=false",
+		"-detectors", " paper, mahalanobis ,ml"}, io.Discard); err != nil {
 		t.Fatal(err)
-	}
-	if len(specs) != 3 {
-		t.Fatalf("got %d specs, want 3", len(specs))
-	}
-	if got := specs[1].Canonical(); got != "mahalanobis{threshold=2.5}" {
-		t.Errorf("specs[1] = %q", got)
 	}
 }

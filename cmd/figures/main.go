@@ -11,9 +11,13 @@
 //
 //	figures [-fig all|fig04,fig12,...] [-quick] [-seed N] [-out DIR]
 //	        [-workers N] [-progress] [-json FILE] [-metro-workers K]
-//	        [-detectors paper,mahalanobis{threshold=2.5},ml]
+//	        [-detectors mahalanobis,ml,paper]
 //	        [-cache] [-cache-dir DIR] [-cache-clear]
 //	        [-cpuprofile FILE] [-memprofile FILE]
+//
+// -detectors names the detectors the bake-off (extra-bakeoff) compares,
+// from mahalanobis, ml and paper (default: all three). An unknown or
+// repeated name fails before anything runs.
 //
 // -width and -height size each plot in characters: each at most 4096,
 // checked before anything runs; a plot smaller than 8×4 is raised to it.
@@ -63,7 +67,7 @@ func main() {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	figs := fs.String("fig", "all", "comma-separated figure IDs, or 'all'")
-	detectors := fs.String("detectors", "", "comma-separated detector specs for the bake-off runner, e.g. paper,mahalanobis{threshold=2.5} (default: all registered)")
+	detectors := fs.String("detectors", "", "comma-separated detector names for the bake-off runner, from "+strings.Join(core.DetectorNames(), ", ")+" (default: all)")
 	quick := fs.Bool("quick", false, "reduced trials and network size")
 	seed := fs.Uint64("seed", 1, "random seed")
 	outDir := fs.String("out", "", "directory for CSV and text output (optional)")
@@ -86,6 +90,14 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if *height > maxPlotSize {
 		return fmt.Errorf("-height %d exceeds %d", *height, maxPlotSize)
+	}
+	var detectorNames []string
+	if *detectors != "" {
+		names, err := core.ParseDetectorList(*detectors)
+		if err != nil {
+			return err
+		}
+		detectorNames = names
 	}
 
 	// Validate every destination directory up front: an unwritable -out
@@ -149,14 +161,8 @@ func run(args []string, out io.Writer) (err error) {
 			runners = append(runners, r)
 		}
 	}
-	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: trialCache, MetroWorkers: *metroWorkers}
-	if *detectors != "" {
-		specs, derr := parseDetectors(*detectors)
-		if derr != nil {
-			return derr
-		}
-		opts.Detectors = specs
-	}
+	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: trialCache,
+		Detectors: detectorNames, MetroWorkers: *metroWorkers}
 	results, err := runAll(runners, opts, *progress)
 	if err != nil {
 		return err
@@ -294,24 +300,6 @@ func runAll(runners []experiment.Runner, opts experiment.Options, progress bool)
 		}
 	}
 	return results, nil
-}
-
-// parseDetectors parses the -detectors flag and fails fast on a name the
-// registry does not know, listing what it does — like the destination-
-// directory validation, a bad detector must fail in milliseconds with a
-// clear message, not after minutes of simulation.
-func parseDetectors(text string) ([]core.DetectorSpec, error) {
-	specs, err := core.ParseDetectorList(text)
-	if err != nil {
-		return nil, err
-	}
-	for _, spec := range specs {
-		if !core.DetectorRegistered(spec.Name) {
-			return nil, fmt.Errorf("unknown detector %q (registered: %s)",
-				spec.Name, strings.Join(core.DetectorNames(), ", "))
-		}
-	}
-	return specs, nil
 }
 
 func knownIDs() string {

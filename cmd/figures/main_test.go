@@ -6,10 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"beaconsec/internal/core"
 	"beaconsec/internal/harness"
 )
 
@@ -198,23 +200,38 @@ func TestRunRejectsOversizePlot(t *testing.T) {
 	}
 }
 
-// FuzzRun feeds run arbitrary -width, -height, -workers and
-// -metro-workers values around the analytic fig05, writing no files:
-// every value must run or return an error, never panic.
+// FuzzRun feeds run arbitrary -width, -height, -workers, -metro-workers
+// and -detectors values around the analytic fig05, writing no files:
+// every value must run or return an error, never panic, and a run with a
+// -detectors entry outside core.DetectorNames must be an error.
 func FuzzRun(f *testing.F) {
-	for _, v := range [][4]int{
-		{72, 20, 0, 0},
-		{math.MaxInt64, 20, 1, 1},
-		{72, 1e10, -1, -1},
-		{maxPlotSize + 1, maxPlotSize, math.MaxInt64, math.MaxInt64},
-		{math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64},
+	for _, v := range []struct {
+		width, height, workers, metroWorkers int
+		detectors                            string
+	}{
+		{72, 20, 0, 0, ""},
+		{math.MaxInt64, 20, 1, 1, "paper,ml"},
+		{72, 1e10, -1, -1, "ml{bias=20,lambda=0.5}"},
+		{maxPlotSize + 1, maxPlotSize, math.MaxInt64, math.MaxInt64, " mahalanobis , paper"},
+		{math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64, "nope,,"},
+		{72, 20, 1, 1, "mahalanobis,ml,paper"},
+		{72, 20, 1, 1, "paper,"},
 	} {
-		f.Add(v[0], v[1], v[2], v[3])
+		f.Add(v.width, v.height, v.workers, v.metroWorkers, v.detectors)
 	}
-	f.Fuzz(func(t *testing.T, width, height, workers, metroWorkers int) {
-		_ = run([]string{"-fig", "fig05", "-progress=false",
+	f.Fuzz(func(t *testing.T, width, height, workers, metroWorkers int, detectors string) {
+		err := run([]string{"-fig", "fig05", "-progress=false",
 			"-width", strconv.Itoa(width), "-height", strconv.Itoa(height),
-			"-workers", strconv.Itoa(workers), "-metro-workers", strconv.Itoa(metroWorkers)}, io.Discard)
+			"-workers", strconv.Itoa(workers), "-metro-workers", strconv.Itoa(metroWorkers),
+			"-detectors", detectors}, io.Discard)
+		if err != nil || detectors == "" {
+			return
+		}
+		for _, name := range strings.Split(detectors, ",") {
+			if !slices.Contains(core.DetectorNames(), strings.TrimSpace(name)) {
+				t.Fatalf("-detectors %q ran, but %q is not a detector", detectors, name)
+			}
+		}
 	})
 }
 

@@ -72,7 +72,7 @@ func TestMLClosedForms(t *testing.T) {
 }
 
 // TestDetectorRatesMatchClosedForms Monte-Carlo-validates the closed
-// forms against the actual registered detector implementations under the
+// forms against the actual detector implementations under the
 // simulator's noise model: ranging error Uniform(-ε, ε) and RTT jitter
 // with a standardized Irwin-Hall(4) residual. The empirical
 // malicious-verdict rate of each detector must sit inside a 6σ binomial
@@ -90,15 +90,10 @@ func TestDetectorRatesMatchClosedForms(t *testing.T) {
 	st := core.RTTStats{Mean: rttMean, Std: rttStd,
 		Min: rttMean - 2*math.Sqrt(3)*rttStd, Max: rttMean + 2*math.Sqrt(3)*rttStd,
 		Threshold: rttMean + 2*math.Sqrt(3)*rttStd + 30}
-	env := core.DetectorEnv{
-		MaxDistError: eps,
-		MaxRTT:       st.Threshold,
-		Range:        150,
-		RTT:          func() core.RTTStats { return st },
-	}
+	cfg := core.Config{MaxDistError: eps, MaxRTT: st.Threshold, Range: 150}
 	dets := make(map[string]core.Detector)
-	for _, name := range []string{"paper", "ml", "mahalanobis"} {
-		d, err := core.NewDetector(core.DetectorSpec{Name: name}, env)
+	for _, name := range core.DetectorNames() {
+		d, err := core.NewDetector(name, cfg, func() core.RTTStats { return st })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,9 +105,9 @@ func TestDetectorRatesMatchClosedForms(t *testing.T) {
 		case "paper":
 			return PaperCatchProb(bias, eps)
 		case "ml":
-			return MLCatchProb(bias, eps, MLCut(2*eps, 0, eps))
+			return MLCatchProb(bias, eps, MLCut(core.MLBias*eps, 0, eps))
 		default:
-			return MahalanobisFlagProb(bias, eps, 3)
+			return MahalanobisFlagProb(bias, eps, core.MahalanobisThreshold)
 		}
 	}
 

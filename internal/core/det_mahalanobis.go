@@ -5,75 +5,49 @@ import (
 	"math"
 )
 
-func init() {
-	RegisterDetector("mahalanobis", newMahalanobisDetector)
-}
-
 // mahalanobisDetector scores each exchange by the Mahalanobis distance of
 // its (distance residual, RTT residual) pair under the no-attack noise
 // model, in the spirit of the cheating-anchor identification of
 // arXiv:1412.2857: both channels are standardized and combined into
 // D² = (Δd/σ_d)² + ((RTT-μ)/σ_rtt)², and the exchange is flagged when
-// D > threshold.
+// D > MahalanobisThreshold.
 //
 // The distance residual Δd = measured − calculated is Uniform(−ε, ε)
 // under no attack, so σ_d = ε/√3. The RTT moments come from the same
-// no-attack calibration the paper's x_max threshold does (DetectorEnv.RTT).
+// no-attack calibration the paper's x_max threshold does (NewDetector's
+// rtt).
 //
 // Attribution of a flagged exchange mirrors the paper's order: the
 // wormhole filter first (far claimed origin + wormhole detector), then a
 // standardized RTT above the threshold on its own is a local replay
 // (replays only ever lengthen the RTT), and what remains accuses the
 // target. Unlike the paper's hard ε / x_max cuts, the elliptical boundary
-// trades a small, tunable false-alert rate for sensitivity to subtle
-// attacks that stay inside the per-channel bounds.
+// trades a small false-alert rate for sensitivity to subtle attacks that
+// stay inside the per-channel bounds.
 type mahalanobisDetector struct {
-	spec    DetectorSpec
-	t, t2   float64 // threshold and its square
 	sigmaD  float64
 	rttMean float64
 	rttStd  float64
 	rng     float64 // radio range, for the wormhole filter
 }
 
-// mahalanobisDefaultThreshold is the default flag boundary in standard
-// deviations. Both residuals are bounded (uniform and Irwin-Hall), so 3σ
-// leaves only the far Irwin-Hall shoulder as a false-alert channel
-// (≈1.5e-3 per exchange; see analysis.MahalanobisFlagProb).
-const mahalanobisDefaultThreshold = 3.0
-
-func newMahalanobisDetector(spec DetectorSpec, env DetectorEnv) (Detector, error) {
-	if err := spec.checkParams("threshold"); err != nil {
-		return nil, err
-	}
-	t := spec.param("threshold", mahalanobisDefaultThreshold)
-	if t <= 0 {
-		return nil, fmt.Errorf("core: detector mahalanobis: threshold %v must be positive", t)
-	}
-	if env.MaxDistError <= 0 {
-		return nil, fmt.Errorf("core: detector mahalanobis: MaxDistError %v must be positive", env.MaxDistError)
-	}
-	if env.RTT == nil {
+func newMahalanobisDetector(cfg Config, rtt func() RTTStats) (Detector, error) {
+	if rtt == nil {
 		return nil, fmt.Errorf("core: detector mahalanobis: needs an RTT calibration")
 	}
-	stats := env.RTT()
+	stats := rtt()
 	if stats.Std <= 0 {
 		return nil, fmt.Errorf("core: detector mahalanobis: degenerate RTT calibration (std %v)", stats.Std)
 	}
-	// Pin the resolved threshold into the spec so the canonical identity
-	// distinguishes explicit parameter choices from the default.
 	return mahalanobisDetector{
-		spec:    spec,
-		t:       t,
-		t2:      t * t,
-		sigmaD:  env.MaxDistError / math.Sqrt(3),
+		sigmaD:  cfg.MaxDistError / math.Sqrt(3),
 		rttMean: stats.Mean,
 		rttStd:  stats.Std,
-		rng:     env.Range,
+		rng:     cfg.Range,
 	}, nil
 }
 
-func (d mahalanobisDetector) Spec() DetectorSpec { return d.spec }
+func (mahalanobisDetector) Name() string { return "mahalanobis" }
 
 // rttScore is the standardized RTT residual.
 func (d mahalanobisDetector) rttScore(o Observation) float64 {
@@ -87,13 +61,13 @@ func (d mahalanobisDetector) EvaluateDetector(o Observation) Verdict {
 	calc := o.OwnLoc.Dist(o.Claimed)
 	du := (o.MeasuredDist - calc) / d.sigmaD
 	q := d.rttScore(o)
-	if du*du+q*q <= d.t2 {
+	if du*du+q*q <= MahalanobisThreshold*MahalanobisThreshold {
 		return VerdictBenign
 	}
 	if calc > d.rng && o.WormholeDetected {
 		return VerdictWormholeReplay
 	}
-	if q > d.t {
+	if q > MahalanobisThreshold {
 		return VerdictLocalReplay
 	}
 	return VerdictMalicious
@@ -103,7 +77,7 @@ func (d mahalanobisDetector) EvaluateSensor(o Observation) Verdict {
 	if o.WormholeDetected {
 		return VerdictWormholeReplay
 	}
-	if d.rttScore(o) > d.t {
+	if d.rttScore(o) > MahalanobisThreshold {
 		return VerdictLocalReplay
 	}
 	return VerdictBenign

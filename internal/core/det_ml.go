@@ -1,14 +1,5 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
-
-func init() {
-	RegisterDetector("ml", newMLDetector)
-}
-
 // mlDetector is a maximum-likelihood test for distance enlargement under
 // the noisy-channel model, after the position-verification framing of
 // arXiv:1105.0668: the distance residual x = measured − calculated is
@@ -18,50 +9,27 @@ func init() {
 //
 //	x > bias/2 + λ·σ²/bias
 //
-// where λ = ln(P(H0)/P(H1)) weighs the priors (λ = 0 — equal priors —
-// by default, which puts the cut midway between the hypothesis means).
-// The test is one-sided: enlargement is the paper's attack of interest
-// (shrinkage runs into the same cut mirrored, which the paper's |·|
-// test covers but an ML test tuned for enlargement deliberately spends
-// no power on).
+// where λ = ln(P(H0)/P(H1)) weighs the priors. The detector assumes
+// bias = MLBias·ε with equal priors (λ = 0), which puts the cut midway
+// between the hypothesis means, at bias/2. The test is one-sided:
+// enlargement is the paper's attack of interest (shrinkage runs into the
+// same cut mirrored, which the paper's |·| test covers but an ML test
+// tuned for enlargement deliberately spends no power on).
 //
 // Replay attribution is the paper's: the wormhole filter, then the
 // calibrated x_max RTT threshold, both unchanged — only the consistency
-// decision is replaced.
+// decision is replaced, so the sensor path is Config's.
 type mlDetector struct {
-	spec   DetectorSpec
-	cut    float64
-	maxRTT float64
-	rng    float64
+	Config
+	cut float64
 }
 
-func newMLDetector(spec DetectorSpec, env DetectorEnv) (Detector, error) {
-	if err := spec.checkParams("bias", "lambda"); err != nil {
-		return nil, err
-	}
-	if env.MaxDistError <= 0 {
-		return nil, fmt.Errorf("core: detector ml: MaxDistError %v must be positive", env.MaxDistError)
-	}
-	if env.MaxRTT <= 0 {
-		return nil, fmt.Errorf("core: detector ml: MaxRTT %v must be positive", env.MaxRTT)
-	}
-	// The assumed enlargement: 2ε by default, the smallest bias the
-	// paper's own test catches with certainty.
-	bias := spec.param("bias", 2*env.MaxDistError)
-	if bias <= 0 {
-		return nil, fmt.Errorf("core: detector ml: bias %v must be positive", bias)
-	}
-	lambda := spec.param("lambda", 0)
-	sigma := env.MaxDistError / math.Sqrt(3)
-	return mlDetector{
-		spec:   spec,
-		cut:    bias/2 + lambda*sigma*sigma/bias,
-		maxRTT: env.MaxRTT,
-		rng:    env.Range,
-	}, nil
+func newMLDetector(cfg Config) mlDetector {
+	bias := MLBias * cfg.MaxDistError
+	return mlDetector{Config: cfg, cut: bias / 2}
 }
 
-func (d mlDetector) Spec() DetectorSpec { return d.spec }
+func (mlDetector) Name() string { return "ml" }
 
 func (d mlDetector) EvaluateDetector(o Observation) Verdict {
 	if !o.OwnKnown {
@@ -71,26 +39,16 @@ func (d mlDetector) EvaluateDetector(o Observation) Verdict {
 	if x <= d.cut {
 		// Accepted by the likelihood test — but a replayed consistent
 		// signal is still discarded, exactly as in the paper pipeline.
-		if o.RTT > d.maxRTT {
+		if d.LocallyReplayed(o) {
 			return VerdictLocalReplay
 		}
 		return VerdictBenign
 	}
-	if o.OwnLoc.Dist(o.Claimed) > d.rng && o.WormholeDetected {
+	if o.OwnLoc.Dist(o.Claimed) > d.Range && o.WormholeDetected {
 		return VerdictWormholeReplay
 	}
-	if o.RTT > d.maxRTT {
+	if d.LocallyReplayed(o) {
 		return VerdictLocalReplay
 	}
 	return VerdictMalicious
-}
-
-func (d mlDetector) EvaluateSensor(o Observation) Verdict {
-	if o.WormholeDetected {
-		return VerdictWormholeReplay
-	}
-	if o.RTT > d.maxRTT {
-		return VerdictLocalReplay
-	}
-	return VerdictBenign
 }

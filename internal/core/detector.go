@@ -17,10 +17,17 @@
 // Signals that survive the replay filters and still fail the consistency
 // check come directly from the target node, which is therefore malicious:
 // the detecting node reports an alert (package revoke).
+//
+// Config runs that pipeline. Two rivals stand behind the same Detector
+// interface for the bake-off: a maximum-likelihood test (det_ml.go) and a
+// Mahalanobis-distance test (det_mahalanobis.go). NewDetector builds any
+// of the three by name.
 package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"beaconsec/internal/geo"
 )
@@ -165,6 +172,9 @@ func (c Config) EvaluateDetector(o Observation) Verdict {
 	return VerdictMalicious
 }
 
+// Name implements Detector: Config is the paper's pipeline.
+func (Config) Name() string { return DefaultDetectorName }
+
 // EvaluateSensor runs the non-beacon-node filter: a sensor does not know
 // its own location, so it cannot run the consistency check; it discards
 // wormhole-detected and locally-replayed signals and accepts the rest as
@@ -178,4 +188,109 @@ func (c Config) EvaluateSensor(o Observation) Verdict {
 		return VerdictLocalReplay
 	}
 	return VerdictBenign
+}
+
+// Detector classifies completed beacon exchanges. Implementations must be
+// pure functions of the observation and their construction-time
+// calibration: no internal state, no randomness, no wall clock — the same
+// observation always yields the same verdict, so simulation results stay
+// byte-identical for any worker count.
+//
+// EvaluateDetector is the detecting-node pipeline (the requester knows
+// its own location); EvaluateSensor is the non-beacon-node filter (it
+// does not). Config's methods are the paper's reference semantics.
+type Detector interface {
+	// Name returns the detector's entry in DetectorNames, which is its
+	// cache identity.
+	Name() string
+	EvaluateDetector(o Observation) Verdict
+	EvaluateSensor(o Observation) Verdict
+}
+
+// DefaultDetectorName names the paper's pipeline, Config, which the empty
+// name selects too.
+const DefaultDetectorName = "paper"
+
+// The rivals run at fixed parameters, which the bake-off's closed forms
+// read too.
+const (
+	// MLBias is the distance enlargement the maximum-likelihood test
+	// assumes, in units of ε_max: 2ε, the smallest bias the paper's own
+	// test catches with certainty. Its priors are equal (λ = 0), so it
+	// cuts midway, at bias/2.
+	MLBias = 2
+	// MahalanobisThreshold is the Mahalanobis test's flag boundary in
+	// standard deviations. Both residuals are bounded (uniform and
+	// Irwin-Hall), so 3σ leaves only the far Irwin-Hall shoulder as a
+	// false-alert channel (≈1.5e-3 per exchange; see
+	// analysis.MahalanobisFlagProb).
+	MahalanobisThreshold = 3
+)
+
+// DetectorNames returns the names NewDetector builds, sorted.
+func DetectorNames() []string { return []string{"mahalanobis", "ml", DefaultDetectorName} }
+
+// CheckDetectorName returns an error listing DetectorNames unless name is
+// one of them.
+func CheckDetectorName(name string) error {
+	if slices.Contains(DetectorNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown detector %q (known: %s)", name, strings.Join(DetectorNames(), ", "))
+}
+
+// ParseDetectorList parses a comma-separated list of detector names, as
+// the commands' detector flags take them. Space around a name is ignored;
+// an empty or unknown entry is an error listing DetectorNames, and so is
+// a repeated one, which would run its sweeps twice.
+func ParseDetectorList(text string) ([]string, error) {
+	names := strings.Split(text, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		if err := CheckDetectorName(names[i]); err != nil {
+			return nil, err
+		}
+		if slices.Contains(names[:i], names[i]) {
+			return nil, fmt.Errorf("detector %q listed twice (known: %s)", names[i], strings.Join(DetectorNames(), ", "))
+		}
+	}
+	return names, nil
+}
+
+// NewDetector builds the named detector over the detection configuration
+// cfg; the empty name builds the paper's pipeline, cfg itself. rtt
+// returns the no-attack RTT calibration statistics. It is a closure
+// because the measurement is expensive: only the Mahalanobis detector
+// calls it, and callers that have the statistics pinned supply them
+// without measuring.
+func NewDetector(name string, cfg Config, rtt func() RTTStats) (Detector, error) {
+	if name == "" {
+		name = DefaultDetectorName
+	}
+	if err := CheckDetectorName(name); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	switch name {
+	case "ml":
+		return newMLDetector(cfg), nil
+	case "mahalanobis":
+		return newMahalanobisDetector(cfg, rtt)
+	}
+	return cfg, nil
+}
+
+// RTTStats summarizes a no-attack RTT calibration for detectors that
+// need distribution moments rather than just the x_max threshold.
+type RTTStats struct {
+	// Mean and Std are the sample moments in cycles.
+	Mean float64 `json:"mean"`
+	Std  float64 `json:"std"`
+	// Min and Max are the paper's x_min / x_max.
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
+	// Threshold is the local-replay threshold (x_max + guard band).
+	Threshold float64 `json:"threshold"`
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"beaconsec/internal/geo"
@@ -194,5 +197,276 @@ func TestDetectorNeverAccusesConsistentAttacker(t *testing.T) {
 			t.Fatalf("consistent signal flagged %v (own %v claimed %v measured %v)",
 				v, own, claimed, measured)
 		}
+	}
+}
+
+// TestVerdictString pins the string form of every verdict plus the
+// out-of-range fallback (metrics maps and log lines key on these).
+func TestVerdictString(t *testing.T) {
+	cases := []struct {
+		v    Verdict
+		want string
+	}{
+		{VerdictBenign, "benign"},
+		{VerdictMalicious, "malicious"},
+		{VerdictWormholeReplay, "wormhole-replay"},
+		{VerdictLocalReplay, "local-replay"},
+		{Verdict(0), "verdict(0)"},
+		{Verdict(99), "verdict(99)"},
+	}
+	for _, c := range cases {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("Verdict(%d).String() = %q, want %q", int(c.v), got, c.want)
+		}
+	}
+}
+
+// testRTTStats is a plausible calibration for detector construction in
+// unit tests: mean/std of the order the simulated radio produces.
+func testRTTStats() RTTStats {
+	return RTTStats{Mean: 50000, Std: 250, Min: 49200, Max: 50870, Threshold: 50900}
+}
+
+// testDetectorConfig is the detection configuration the rivals' unit
+// tests build on: ε = 10 ft, the testRTTStats threshold, 150 ft range.
+func testDetectorConfig() Config {
+	return Config{MaxDistError: 10, MaxRTT: testRTTStats().Threshold, Range: 150}
+}
+
+// wantDetectorNames checks that err names every detector NewDetector
+// builds.
+func wantDetectorNames(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil {
+		t.Errorf("%s: want error, got nil", what)
+		return
+	}
+	for _, name := range []string{"mahalanobis", "ml", "paper"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %q does not list %q", what, err, name)
+		}
+	}
+}
+
+// TestDetectorRegistry pins the closed detector set: DetectorNames lists
+// exactly the three detectors, NewDetector builds each under its own
+// name (and the paper's for ""), and any other name is an error listing
+// the three, the old name{k=v} parameter form included.
+func TestDetectorRegistry(t *testing.T) {
+	names := DetectorNames()
+	if want := []string{"mahalanobis", "ml", "paper"}; !slices.Equal(names, want) {
+		t.Fatalf("DetectorNames() = %v, want %v", names, want)
+	}
+	for _, name := range append(names, "") {
+		det, err := NewDetector(name, testDetectorConfig(), testRTTStats)
+		if err != nil {
+			t.Fatalf("NewDetector(%q): %v", name, err)
+		}
+		want := name
+		if name == "" {
+			want = DefaultDetectorName
+		}
+		if got := det.Name(); got != want {
+			t.Errorf("NewDetector(%q).Name() = %q, want %q", name, got, want)
+		}
+		if err := CheckDetectorName(want); err != nil {
+			t.Errorf("CheckDetectorName(%q): %v", want, err)
+		}
+	}
+	for _, name := range []string{"nope", "Paper", " ml", "ml{}", "ml{bias=20}",
+		"mahalanobis{threshold=2.5}", "paper,ml"} {
+		_, err := NewDetector(name, testDetectorConfig(), testRTTStats)
+		wantDetectorNames(t, "NewDetector("+name+")", err)
+		wantDetectorNames(t, "CheckDetectorName("+name+")", CheckDetectorName(name))
+	}
+}
+
+// TestParseDetectorList covers the detector flags' parser: names trimmed
+// of space, in order; an empty, unknown, parameterised or repeated entry
+// is an error listing the known names.
+func TestParseDetectorList(t *testing.T) {
+	names, err := ParseDetectorList(" paper,mahalanobis , ml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"paper", "mahalanobis", "ml"}; !slices.Equal(names, want) {
+		t.Errorf("ParseDetectorList = %v, want %v", names, want)
+	}
+	for _, text := range []string{"", " ", "a,,b", "paper,", "paper,,ml", "bogus", "paper,ml, paper",
+		"ml{bias=20,lambda=0.5}", "mahalanobis{threshold=2.5}", "ml{bias=1"} {
+		_, err := ParseDetectorList(text)
+		wantDetectorNames(t, "ParseDetectorList("+text+")", err)
+	}
+}
+
+func TestDetectorBuilderErrors(t *testing.T) {
+	cases := []struct {
+		name, detector string
+		cfg            Config
+		rtt            func() RTTStats
+	}{
+		{"mahalanobis missing calibration", "mahalanobis", testDetectorConfig(), nil},
+		{"mahalanobis degenerate calibration", "mahalanobis", testDetectorConfig(),
+			func() RTTStats { return RTTStats{Mean: 50000} }},
+		{"paper invalid config", "paper", Config{MaxDistError: 10, Range: 150}, testRTTStats},
+		{"ml invalid config", "ml", Config{MaxRTT: 50900, Range: 150}, testRTTStats},
+		{"mahalanobis invalid config", "mahalanobis", Config{MaxDistError: 10, MaxRTT: 50900}, testRTTStats},
+	}
+	for _, c := range cases {
+		if _, err := NewDetector(c.detector, c.cfg, c.rtt); err == nil {
+			t.Errorf("%s: want error, got nil", c.name)
+		}
+	}
+}
+
+// TestPaperDetectorMatchesConfig is the byte-identity contract at the
+// verdict level: the detector the empty name builds must agree with the
+// reference Config pipeline on every observation, detecting-node and
+// sensor path alike, and must never ask for an RTT calibration.
+func TestPaperDetectorMatchesConfig(t *testing.T) {
+	cfg := Config{MaxDistError: 10, MaxRTT: 50900, Range: 150}
+	det, err := NewDetector("", cfg, func() RTTStats {
+		t.Fatal("the paper detector asked for an RTT calibration")
+		return RTTStats{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(42)
+	for i := 0; i < 20000; i++ {
+		o := Observation{
+			OwnLoc:           geo.Point{X: src.Uniform(0, 500), Y: src.Uniform(0, 500)},
+			OwnKnown:         src.Bool(0.8),
+			Claimed:          geo.Point{X: src.Uniform(0, 500), Y: src.Uniform(0, 500)},
+			MeasuredDist:     src.Uniform(0, 400),
+			RTT:              src.Uniform(49000, 52000), // straddles MaxRTT
+			WormholeDetected: src.Bool(0.3),
+		}
+		if got, want := det.EvaluateDetector(o), cfg.EvaluateDetector(o); got != want {
+			t.Fatalf("observation %d: detector path %v, reference %v (o=%+v)", i, got, want, o)
+		}
+		if got, want := det.EvaluateSensor(o), cfg.EvaluateSensor(o); got != want {
+			t.Fatalf("observation %d: sensor path %v, reference %v (o=%+v)", i, got, want, o)
+		}
+	}
+}
+
+func TestMahalanobisVerdicts(t *testing.T) {
+	det, err := NewDetector("mahalanobis", testDetectorConfig(), testRTTStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := testRTTStats()
+	base := Observation{
+		OwnLoc:       geo.Point{},
+		OwnKnown:     true,
+		Claimed:      geo.Point{X: 100},
+		MeasuredDist: 100,
+		RTT:          st.Mean,
+	}
+	cases := []struct {
+		name   string
+		mutate func(o *Observation)
+		want   Verdict
+	}{
+		{"on-model exchange", func(o *Observation) {}, VerdictBenign},
+		{"enlarged distance", func(o *Observation) { o.MeasuredDist = 130 }, VerdictMalicious},
+		{"shrunk distance", func(o *Observation) { o.MeasuredDist = 70 }, VerdictMalicious},
+		{"far claim with wormhole evidence", func(o *Observation) {
+			o.Claimed = geo.Point{X: 200}
+			o.WormholeDetected = true
+		}, VerdictWormholeReplay},
+		{"far claim without evidence", func(o *Observation) {
+			o.Claimed = geo.Point{X: 200}
+		}, VerdictMalicious},
+		{"late RTT alone", func(o *Observation) { o.RTT = st.Mean + 3.2*st.Std }, VerdictLocalReplay},
+		{"sensor path wormhole", func(o *Observation) {
+			o.OwnKnown = false
+			o.WormholeDetected = true
+		}, VerdictWormholeReplay},
+		{"sensor path late RTT", func(o *Observation) {
+			o.OwnKnown = false
+			o.RTT = st.Mean + 3.2*st.Std
+		}, VerdictLocalReplay},
+		{"sensor path on-model", func(o *Observation) { o.OwnKnown = false }, VerdictBenign},
+	}
+	for _, c := range cases {
+		o := base
+		c.mutate(&o)
+		if got := det.EvaluateDetector(o); got != c.want {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+func TestMLVerdicts(t *testing.T) {
+	cfg := testDetectorConfig()
+	det, err := NewDetector("ml", cfg, nil) // cut = MLBias·ε/2 = ε = 10
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := Observation{
+		OwnLoc:       geo.Point{},
+		OwnKnown:     true,
+		Claimed:      geo.Point{X: 100},
+		MeasuredDist: 100,
+		RTT:          50000,
+	}
+	cases := []struct {
+		name   string
+		mutate func(o *Observation)
+		want   Verdict
+	}{
+		{"below cut", func(o *Observation) { o.MeasuredDist = 109 }, VerdictBenign},
+		{"at the cut", func(o *Observation) { o.MeasuredDist = 110 }, VerdictBenign},
+		{"just past the cut", func(o *Observation) { o.MeasuredDist = math.Nextafter(110, 111) }, VerdictMalicious},
+		{"shrinkage spends no power", func(o *Observation) { o.MeasuredDist = 60 }, VerdictBenign},
+		{"above cut", func(o *Observation) { o.MeasuredDist = 111 }, VerdictMalicious},
+		{"consistent but replayed", func(o *Observation) {
+			o.MeasuredDist = 109
+			o.RTT = cfg.MaxRTT + 1
+		}, VerdictLocalReplay},
+		{"above cut, far claim, wormhole evidence", func(o *Observation) {
+			o.Claimed = geo.Point{X: 200}
+			o.MeasuredDist = 211
+			o.WormholeDetected = true
+		}, VerdictWormholeReplay},
+		{"above cut and replayed", func(o *Observation) {
+			o.MeasuredDist = 111
+			o.RTT = cfg.MaxRTT + 1
+		}, VerdictLocalReplay},
+		{"sensor path is the paper's", func(o *Observation) {
+			o.OwnKnown = false
+			o.RTT = cfg.MaxRTT + 1
+		}, VerdictLocalReplay},
+	}
+	for _, c := range cases {
+		o := base
+		c.mutate(&o)
+		if got := det.EvaluateDetector(o); got != c.want {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestCalibrationStats checks the moment summary against hand-computed
+// values on a tiny known sample set.
+func TestCalibrationStats(t *testing.T) {
+	cal := calibrationFromSamples([]float64{1, 2, 3, 4})
+	st := cal.Stats()
+	if st.Mean != 2.5 {
+		t.Errorf("Mean = %v, want 2.5", st.Mean)
+	}
+	if want := math.Sqrt(1.25); math.Abs(st.Std-want) > 1e-12 {
+		t.Errorf("Std = %v, want %v", st.Std, want)
+	}
+	if st.Min != 1 || st.Max != 4 {
+		t.Errorf("Min/Max = %v/%v, want 1/4", st.Min, st.Max)
+	}
+	if want := 4 + GuardBand; st.Threshold != want {
+		t.Errorf("Threshold = %v, want %v", st.Threshold, want)
+	}
+	if got := (Calibration{}).Stats(); got != (RTTStats{}) {
+		t.Errorf("empty calibration: got %+v, want zero", got)
 	}
 }

@@ -195,7 +195,7 @@ func (c Calibration) SpreadBits() float64 {
 func (c Calibration) Threshold() float64 { return c.XMax() + GuardBand }
 
 // Stats summarizes the calibration for detectors that need distribution
-// moments (DetectorEnv.RTT): sample mean and standard deviation plus the
+// moments (NewDetector's rtt): sample mean and standard deviation plus the
 // x_min / x_max / threshold headline values.
 func (c Calibration) Stats() RTTStats {
 	n := len(c.samples)

@@ -29,45 +29,19 @@ func bakeoffAttacks() []bakeoffAttack {
 	}
 }
 
-// bakeoffDetectors resolves the detector grid: the caller's choice, or
-// every registered detector with default parameters.
-func bakeoffDetectors(o Options) []core.DetectorSpec {
-	if len(o.Detectors) > 0 {
-		return o.Detectors
-	}
-	names := core.DetectorNames()
-	specs := make([]core.DetectorSpec, len(names))
-	for i, name := range names {
-		specs[i] = core.DetectorSpec{Name: name}
-	}
-	return specs
-}
-
 // bakeoffCatchProb is the closed-form per-exchange catch probability of
-// a detector against an attack signal with the given enlargement, where
-// tractable (all three built-in detectors are, at any parameters); ok
-// reports whether a form exists for the spec.
-func bakeoffCatchProb(spec core.DetectorSpec, bias, eps float64) (float64, bool) {
-	name := spec.Name
-	if name == "" {
-		name = core.DefaultDetectorName
-	}
-	param := func(key string, def float64) float64 {
-		if v, ok := spec.Params[key]; ok {
-			return v
-		}
-		return def
-	}
+// the named detector, at its fixed parameters, against an attack signal
+// with the given enlargement. The name has passed scenario validation,
+// so it is one of core.DetectorNames or the paper's "".
+func bakeoffCatchProb(name string, bias, eps float64) float64 {
 	switch name {
-	case "paper":
-		return analysis.PaperCatchProb(bias, eps), true
 	case "ml":
-		cut := analysis.MLCut(param("bias", 2*eps), param("lambda", 0), eps)
-		return analysis.MLCatchProb(bias, eps, cut), true
+		// λ = 0: the detector's priors are equal.
+		return analysis.MLCatchProb(bias, eps, analysis.MLCut(core.MLBias*eps, 0, eps))
 	case "mahalanobis":
-		return analysis.MahalanobisFlagProb(bias, eps, param("threshold", 3)), true
+		return analysis.MahalanobisFlagProb(bias, eps, core.MahalanobisThreshold)
 	}
-	return 0, false
+	return analysis.PaperCatchProb(bias, eps)
 }
 
 // ExtraBakeoff is extension experiment E3: the detector bake-off. Every
@@ -79,7 +53,10 @@ func bakeoffCatchProb(spec core.DetectorSpec, bias, eps float64) (float64, bool)
 // are pure detector effects. Detector identity still enters every cache
 // key (sweepKey), so memoized trials never cross detectors.
 func ExtraBakeoff(o Options) (Result, error) {
-	dets := bakeoffDetectors(o)
+	dets := o.Detectors
+	if len(dets) == 0 {
+		dets = core.DetectorNames()
+	}
 	ps := []float64{0.05, 0.1, 0.2, 0.3, 0.5}
 	trials := 2
 	if o.Quick {
@@ -115,7 +92,7 @@ func ExtraBakeoff(o Options) (Result, error) {
 					c.RTTStats = &st
 				})
 			if err != nil {
-				return Result{}, fmt.Errorf("bakeoff %s/%s: %w", det.Canonical(), attack.label, err)
+				return Result{}, fmt.Errorf("bakeoff %s/%s: %w", det, attack.label, err)
 			}
 			rm.Scenario.Merge(sweepRM.Scenario)
 			rm.Timing.Merge(sweepRM.Timing)
@@ -130,7 +107,7 @@ func ExtraBakeoff(o Options) (Result, error) {
 			fpr /= float64(len(sims))
 			benignAlerts /= float64(len(sims))
 			res.Series = append(res.Series, textplot.Series{
-				Label: fmt.Sprintf("%s/%s", det.Canonical(), attack.label),
+				Label: fmt.Sprintf("%s/%s", det, attack.label),
 				X:     ps, Y: simY,
 			})
 
@@ -138,18 +115,13 @@ func ExtraBakeoff(o Options) (Result, error) {
 			if bias == 0 {
 				bias = 5 * eps // the node-layer default enlargement
 			}
-			if catch, ok := bakeoffCatchProb(det, bias, eps); ok {
-				last := len(ps) - 1
-				th := analysis.RevocationRate(ps[last]*catch, 8, 2,
-					int(math.Round(sims[last].AvgNc)), sims[last].Population)
-				res.Notes = append(res.Notes, fmt.Sprintf(
-					"%s/%s: catch/exchange %.3f; at P=%.2f sim %.3f vs theory %.3f; mean FPR %.4f (benign alerts %.1f/run)",
-					det.Canonical(), attack.label, catch, ps[last], simY[last], th, fpr, benignAlerts))
-			} else {
-				res.Notes = append(res.Notes, fmt.Sprintf(
-					"%s/%s: no closed form; at P=%.2f sim %.3f; mean FPR %.4f",
-					det.Canonical(), attack.label, ps[len(ps)-1], simY[len(simY)-1], fpr))
-			}
+			catch := bakeoffCatchProb(det, bias, eps)
+			last := len(ps) - 1
+			th := analysis.RevocationRate(ps[last]*catch, 8, 2,
+				int(math.Round(sims[last].AvgNc)), sims[last].Population)
+			res.Notes = append(res.Notes, fmt.Sprintf(
+				"%s/%s: catch/exchange %.3f; at P=%.2f sim %.3f vs theory %.3f; mean FPR %.4f (benign alerts %.1f/run)",
+				det, attack.label, catch, ps[last], simY[last], th, fpr, benignAlerts))
 		}
 	}
 	res.Metrics = rm

@@ -6,16 +6,15 @@ import (
 	"testing"
 
 	"beaconsec/internal/analysis"
-	"beaconsec/internal/core"
 	"beaconsec/internal/scenario"
 )
 
 // TestBakeoffQuickShape checks the quick bake-off produces one series
-// per detector × attacker profile, labeled canonically, with the
+// per detector × attacker profile, labeled by name, with the
 // per-detector verdict counters split out in the merged metrics.
 func TestBakeoffQuickShape(t *testing.T) {
 	res := mustRun(t, ExtraBakeoff, Options{Quick: true, Seed: 1,
-		Detectors: []core.DetectorSpec{{}, {Name: "ml"}}})
+		Detectors: []string{"paper", "ml"}})
 	if len(res.Series) != 4 {
 		t.Fatalf("got %d series, want 4 (2 detectors x 2 attacks)", len(res.Series))
 	}
@@ -46,12 +45,11 @@ func TestBakeoffQuickShape(t *testing.T) {
 // numbers.
 func TestBakeoffCacheIsolationAcrossDetectors(t *testing.T) {
 	c := testCache(t)
-	opts := func(spec core.DetectorSpec) Options {
-		return Options{Quick: true, Seed: 1, Cache: c,
-			Detectors: []core.DetectorSpec{spec}}
+	opts := func(name string) Options {
+		return Options{Quick: true, Seed: 1, Cache: c, Detectors: []string{name}}
 	}
 
-	cold := mustRun(t, ExtraBakeoff, opts(core.DetectorSpec{Name: "paper"}))
+	cold := mustRun(t, ExtraBakeoff, opts("paper"))
 	tm := cold.Metrics.Timing
 	if tm.CacheMisses != uint64(tm.Jobs) || tm.CacheHits != 0 {
 		t.Fatalf("cold paper run: hits %d misses %d over %d jobs",
@@ -60,14 +58,14 @@ func TestBakeoffCacheIsolationAcrossDetectors(t *testing.T) {
 
 	// Same seeds, same labels, different detector: every trial must
 	// recompute.
-	other := mustRun(t, ExtraBakeoff, opts(core.DetectorSpec{Name: "ml"}))
+	other := mustRun(t, ExtraBakeoff, opts("ml"))
 	tm = other.Metrics.Timing
 	if tm.CacheHits != 0 {
 		t.Fatalf("ml sweep replayed %d of the paper detector's trials", tm.CacheHits)
 	}
 
 	// And the paper entries are still intact: a re-run replays fully.
-	warm := mustRun(t, ExtraBakeoff, opts(core.DetectorSpec{Name: "paper"}))
+	warm := mustRun(t, ExtraBakeoff, opts("paper"))
 	tm = warm.Metrics.Timing
 	if tm.CacheMisses != 0 || tm.CacheHits != uint64(tm.Jobs) {
 		t.Fatalf("warm paper run: hits %d misses %d over %d jobs",
@@ -81,19 +79,19 @@ func TestBakeoffCacheIsolationAcrossDetectors(t *testing.T) {
 // exactly and curve differences are pure detector effects.
 func TestBakeoffCommonRandomNumbers(t *testing.T) {
 	o := Options{Quick: true, Seed: 5}
-	sweep := func(spec core.DetectorSpec) *scenario.Result {
+	sweep := func(name string) *scenario.Result {
 		sims, _, err := simSweep(o, "crn-evidence", []float64{0.3}, 2,
 			func(c *scenario.Config) {
 				c.Collude = false
-				c.Detector = spec
+				c.Detector = name
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sims[0]
 	}
-	paper := sweep(core.DetectorSpec{})
-	ml := sweep(core.DetectorSpec{Name: "ml"})
+	paper := sweep("")
+	ml := sweep("ml")
 	if paper.Population != ml.Population {
 		t.Errorf("populations diverged: %+v vs %+v", paper.Population, ml.Population)
 	}
@@ -108,7 +106,7 @@ func TestBakeoffCommonRandomNumbers(t *testing.T) {
 // misattribute trials.
 func TestBakeoffMixedDetectorSweepPanics(t *testing.T) {
 	protos := []scenario.Config{scenario.Paper(), scenario.Paper()}
-	protos[1].Detector = core.DetectorSpec{Name: "ml"}
+	protos[1].Detector = "ml"
 	defer func() {
 		if r := recover(); r == nil {
 			t.Error("mixed-detector sweep did not panic")
@@ -133,12 +131,11 @@ func TestRegressionBakeoffSubtleAttackTracksTheory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []core.DetectorSpec{{}, {Name: "ml"}, {Name: "mahalanobis"}} {
-		spec := spec
+	for _, name := range []string{"", "ml", "mahalanobis"} {
 		sims, _, err := simSweep(o, "regression-bakeoff", []float64{p}, trials,
 			func(c *scenario.Config) {
 				c.Collude = false
-				c.Detector = spec
+				c.Detector = name
 				c.AttackBias = bias
 				stc := st
 				c.RTTStats = &stc
@@ -147,17 +144,14 @@ func TestRegressionBakeoffSubtleAttackTracksTheory(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := sims[0]
-		catch, ok := bakeoffCatchProb(spec, bias, eps)
-		if !ok {
-			t.Fatalf("%s: no closed form", spec.Canonical())
-		}
+		catch := bakeoffCatchProb(name, bias, eps)
 		th := analysis.RevocationRate(p*catch, 8, 2, int(math.Round(s.AvgNc)), s.Population)
 		tol := detTolerance(th, s.Population.Na*trials)
 		t.Logf("%s: catch %.3f sim %.3f theory %.3f (tol %.3f)",
-			spec.Canonical(), catch, s.DetectionRate, th, tol)
+			s.Detector, catch, s.DetectionRate, th, tol)
 		if math.Abs(s.DetectionRate-th) > tol {
 			t.Errorf("%s: detection rate %.3f vs theory %.3f exceeds tolerance %.3f",
-				spec.Canonical(), s.DetectionRate, th, tol)
+				s.Detector, s.DetectionRate, th, tol)
 		}
 	}
 }

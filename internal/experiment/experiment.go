@@ -11,7 +11,6 @@ import (
 
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/cache"
-	"beaconsec/internal/core"
 	"beaconsec/internal/deploy"
 	"beaconsec/internal/harness"
 	"beaconsec/internal/scenario"
@@ -39,11 +38,11 @@ type Options struct {
 	// sharing a sweep, like fig12/fig13) compute once. Figure results
 	// are byte-identical with or without it.
 	Cache *cache.Cache
-	// Detectors selects the detector grid the bake-off runner
-	// (extra-bakeoff) compares; empty selects every registered
-	// detector with default parameters. The paper-figure runners ignore
-	// it: they reproduce the paper and always run its pipeline.
-	Detectors []core.DetectorSpec
+	// Detectors names the detectors the bake-off runner
+	// (extra-bakeoff) compares, from core.DetectorNames; empty selects
+	// all of them. The paper-figure runners ignore it: they reproduce
+	// the paper and always run its pipeline.
+	Detectors []string
 	// MetroWorkers is the shard count of the metro runner's parallel
 	// identity leg (extra-metro); 0 picks a default that exercises the
 	// sharded kernel even on one CPU. Identity-pinned metro fields are

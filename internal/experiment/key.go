@@ -15,7 +15,7 @@ const keyVersion = "beaconsec-key/v2"
 // EncodeKey builds the canonical cache-key material for a sweep: the key
 // layout version, a kind tag (name the sweep shape and bump a /vN suffix
 // on incompatible per-kind layout changes), the canonical identity of
-// the detector the sweep runs (core.DetectorSpec.Canonical; empty for
+// the detector the sweep runs (its name in core.DetectorNames; empty for
 // detector-independent computations like the RTT calibration), plus the
 // deterministic JSON encoding of cfg — struct fields in declaration
 // order, map keys sorted, floats in shortest exact form. cfg must be the
@@ -23,8 +23,8 @@ const keyVersion = "beaconsec-key/v2"
 // per-job configs from, with per-job seeds zeroed (the harness's job
 // fingerprint addresses those): any semantic config change then changes
 // the key and misses the cache. The detector field is deliberately
-// explicit even when cfg embeds the spec: cached trials must never cross
-// detector choices, whatever shape cfg takes.
+// explicit even when cfg names the detector: cached trials must never
+// cross detector choices, whatever shape cfg takes.
 //
 // Behavior changes that live in code rather than config values — a
 // different formula behind the same Config — are invisible to EncodeKey

@@ -1,14 +1,11 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
-	"beaconsec/internal/analysis"
 	"beaconsec/internal/geo"
 	"beaconsec/internal/georoute"
 	"beaconsec/internal/harness"
-	"beaconsec/internal/node"
 	"beaconsec/internal/rng"
 	"beaconsec/internal/scenario"
 	"beaconsec/internal/textplot"
@@ -27,78 +24,14 @@ func ExtraRouting(o Options) (Result, error) {
 		trials = 1
 	}
 
-	// One job routes the defended and undefended variants on identical
-	// seeds and source/destination pairs (paired comparison). Exported
-	// fields: the samples serialize through the cache codec.
-	type deliverySample struct{ Defended, Undefended float64 }
-	cfgAt := func(point int, defended bool) scenario.Config {
-		cfg := scenario.Paper()
-		cfg.Strategy = analysis.StrategyForP(ps[point])
-		cfg.Collude = false
-		cfg.CalibrationTrials = 500
-		if o.Quick {
-			quickDeploy(&cfg)
-		}
-		if !defended {
-			cfg.DisableRTTFilter = true
-			cfg.DisableWormholeFilter = true
-			cfg.Revoke.AlertThreshold = 1 << 20
-		}
-		return cfg
-	}
-	protos := make([]scenario.Config, 0, 2*len(ps))
-	for p := range ps {
-		protos = append(protos, cfgAt(p, true), cfgAt(p, false))
-	}
-	points, err := harness.SweepReduce(context.Background(), harness.Spec[deliverySample]{
-		Label:    "extra-routing",
-		Points:   harness.FloatLabels("P", ps),
-		Trials:   trials,
-		Seed:     o.Seed,
-		Workers:  o.Workers,
-		Progress: o.progress(),
-		Cache:    o.Cache,
-		Key:      sweepKey("extra-routing", trials, protos),
-		Codec:    harness.JSONCodec[deliverySample](),
-		Run: func(_ context.Context, job harness.Job) (deliverySample, error) {
-			runVariant := func(defended bool) (float64, error) {
-				cfg := cfgAt(job.Point, defended)
-				cfg.Seed = job.Seed
-				cfg.Deploy.Seed = job.TrialSeed
-				res, err := scenario.Run(cfg)
-				if err != nil {
-					return 0, err
-				}
-				return routeOnEstimates(res, cfg, job.TrialSeed), nil
-			}
-			var s deliverySample
-			var err error
-			if s.Defended, err = runVariant(true); err != nil {
-				return s, err
-			}
-			if s.Undefended, err = runVariant(false); err != nil {
-				return s, err
-			}
-			return s, nil
-		},
-	}, func(_ int, trials []deliverySample) deliverySample {
-		var mean deliverySample
-		for _, s := range trials {
-			mean.Defended += s.Defended
-			mean.Undefended += s.Undefended
-		}
-		mean.Defended /= float64(len(trials))
-		mean.Undefended /= float64(len(trials))
-		return mean
-	})
+	// The two variants of a job also route the same source/destination
+	// pairs.
+	defY, undefY, err := pairedSweep(o, "extra-routing", ps, trials,
+		func(res *scenario.Result, cfg scenario.Config, job harness.Job) float64 {
+			return routeOnEstimates(res, cfg, job.TrialSeed)
+		})
 	if err != nil {
 		return Result{}, err
-	}
-
-	defY := make([]float64, len(ps))
-	undefY := make([]float64, len(ps))
-	for i, s := range points {
-		defY[i], undefY[i] = s.Defended, s.Undefended
 	}
 	res := Result{
 		ID:     "extra-routing",
@@ -137,8 +70,7 @@ func routeOnEstimates(res *scenario.Result, cfg scenario.Config, seed uint64) fl
 	// Beacons participate in forwarding with their true (known)
 	// positions.
 	for _, b := range res.Beacons() {
-		loc := beaconLoc(res, b)
-		add(loc, loc)
+		add(b.TrueLoc(), b.TrueLoc())
 	}
 	net := georoute.New(truth, believed, cfg.Deploy.Range)
 	src := rng.New(seed ^ 0x9047E)
@@ -148,8 +80,4 @@ func routeOnEstimates(res *scenario.Result, cfg scenario.Config, seed uint64) fl
 	}
 	rate, _ := net.DeliveryRate(pairs)
 	return rate
-}
-
-func beaconLoc(res *scenario.Result, b *node.Beacon) geo.Point {
-	return b.TrueLoc()
 }

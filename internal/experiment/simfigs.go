@@ -1,12 +1,11 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"beaconsec/internal/analysis"
-	"beaconsec/internal/cache"
 	"beaconsec/internal/core"
 	"beaconsec/internal/geo"
 	"beaconsec/internal/harness"
@@ -64,46 +63,37 @@ func quickDeploy(c *scenario.Config) {
 // statistics: the threshold is a deployment constant, not per-run state,
 // so it is measured once per figure and pinned into every scenario, and
 // the moments ride along for detectors that calibrate on them (the
-// Mahalanobis detector's mean/σ). With a cache, the measurement is
-// memoized by (trials, seed) — and single-flighted, so the concurrently
-// regenerating figures that all calibrate with the same parameters pay
-// for one calibration between them. The calibration is
-// detector-independent, so its key carries an empty detector field.
+// Mahalanobis detector's mean/σ). It runs as a one-job sweep, so with a
+// cache the measurement is memoized by (trials, seed) — and
+// single-flighted, so the concurrently regenerating figures that all
+// calibrate with the same parameters pay for one calibration between
+// them. The calibration is detector-independent, so its key carries an
+// empty detector field.
 func calStats(o Options) (core.RTTStats, error) {
 	calTrials := 2000
 	if o.Quick {
 		calTrials = 500
 	}
 	seed := o.Seed ^ 0xC0FFEE
-	compute := func() (core.RTTStats, error) {
-		cal, err := core.CalibrateRTTWorkers(calTrials, seed, o.Workers)
-		if err != nil {
-			return core.RTTStats{}, err
-		}
-		return cal.Stats(), nil
-	}
-	if o.Cache == nil {
-		return compute()
-	}
-	key := cache.Fingerprint(cache.CodeSalt, EncodeKey("rtt-calibration", "", struct {
-		Trials int
-		Seed   uint64
-	}{calTrials, seed}))
-	data, _, err := o.Cache.GetOrCompute(key, func() ([]byte, error) {
-		st, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(st)
+	rows, err := harness.Sweep(context.Background(), harness.Spec[core.RTTStats]{
+		Label:  "rtt-calibration",
+		Points: []string{"calibration"},
+		Trials: 1,
+		Cache:  o.Cache,
+		Key: EncodeKey("rtt-calibration", "", struct {
+			Trials int
+			Seed   uint64
+		}{calTrials, seed}),
+		Codec: harness.JSONCodec[core.RTTStats](),
+		Run: func(context.Context, harness.Job) (core.RTTStats, error) {
+			cal, err := core.CalibrateRTTWorkers(calTrials, seed, o.Workers)
+			return cal.Stats(), err
+		},
 	})
 	if err != nil {
 		return core.RTTStats{}, err
 	}
-	var st core.RTTStats
-	if err := json.Unmarshal(data, &st); err != nil || st.Threshold == 0 {
-		return compute() // schema drift without a salt bump: recompute
-	}
-	return st, nil
+	return rows[0][0], nil
 }
 
 // calThreshold is the local-replay threshold from the shared calibration.
@@ -123,9 +113,9 @@ func calThreshold(o Options) (float64, error) {
 // a sweep must be detector-uniform (the bake-off runs one sweep per
 // detector), so mixed-detector protos panic.
 func sweepKey(kind string, trials int, protos []scenario.Config) []byte {
-	detector := core.DetectorSpec{}.Canonical()
+	detector := core.DefaultDetectorName
 	for i := range protos {
-		if d := protos[i].Detector.Canonical(); i == 0 {
+		if d := cmp.Or(protos[i].Detector, core.DefaultDetectorName); i == 0 {
 			detector = d
 		} else if d != detector {
 			panic(fmt.Sprintf("experiment: sweepKey(%s): mixed detectors %q and %q in one sweep",
@@ -440,22 +430,19 @@ func Fig14(o Options) (Result, error) {
 	return res, nil
 }
 
-// ExtraLocalization is extension experiment E1: the motivating claim that
-// malicious beacons corrupt localization, and that detection+revocation
-// restores it. Compares mean localization error with the full defense
-// against a defenseless baseline (no filters, no revocation).
-func ExtraLocalization(o Options) (Result, error) {
-	ps := []float64{0.1, 0.3, 0.5}
-	trials := 2
-	if o.Quick {
-		ps = []float64{0.3}
-		trials = 1
-	}
-	// One job runs the defended and undefended variants on identical
-	// seeds — a paired design, so the comparison is not smeared by
-	// topology variance between the two curves. Exported fields: the
-	// samples serialize through the cache codec.
-	type locSample struct{ Defended, Undefended float64 }
+// pairSample is one paired trial: a metric of the defended and of the
+// undefended run on identical seeds. Exported fields: the samples
+// serialize through the cache codec.
+type pairSample struct{ Defended, Undefended float64 }
+
+// pairedSweep runs the paper-scale scenario across a P grid with the full
+// defense and without it (no filters, no revocation), both variants of a
+// job on identical seeds — a paired design, so the comparison is not
+// smeared by topology variance between the two curves — and returns each
+// point's trial mean of metric for either variant. label names the sweep
+// and its cache key.
+func pairedSweep(o Options, label string, ps []float64, trials int,
+	metric func(res *scenario.Result, cfg scenario.Config, job harness.Job) float64) ([]float64, []float64, error) {
 	cfgAt := func(point int, defended bool) scenario.Config {
 		cfg := scenario.Paper()
 		cfg.Strategy = analysis.StrategyForP(ps[point])
@@ -476,39 +463,37 @@ func ExtraLocalization(o Options) (Result, error) {
 	for p := range ps {
 		protos = append(protos, cfgAt(p, true), cfgAt(p, false))
 	}
-	points, err := harness.SweepReduce(context.Background(), harness.Spec[locSample]{
-		Label:    "extra-localization",
+	points, err := harness.SweepReduce(context.Background(), harness.Spec[pairSample]{
+		Label:    label,
 		Points:   harness.FloatLabels("P", ps),
 		Trials:   trials,
 		Seed:     o.Seed,
 		Workers:  o.Workers,
 		Progress: o.progress(),
 		Cache:    o.Cache,
-		Key:      sweepKey("extra-localization", trials, protos),
-		Codec:    harness.JSONCodec[locSample](),
-		Run: func(_ context.Context, job harness.Job) (locSample, error) {
+		Key:      sweepKey(label, trials, protos),
+		Codec:    harness.JSONCodec[pairSample](),
+		Run: func(_ context.Context, job harness.Job) (pairSample, error) {
 			runVariant := func(defended bool) (float64, error) {
 				cfg := cfgAt(job.Point, defended)
 				cfg.Seed = job.Seed
 				cfg.Deploy.Seed = job.TrialSeed
-				r, err := scenario.Run(cfg)
+				res, err := scenario.Run(cfg)
 				if err != nil {
 					return 0, err
 				}
-				return r.LocErrMean, nil
+				return metric(res, cfg, job), nil
 			}
-			var s locSample
+			var s pairSample
 			var err error
 			if s.Defended, err = runVariant(true); err != nil {
 				return s, err
 			}
-			if s.Undefended, err = runVariant(false); err != nil {
-				return s, err
-			}
-			return s, nil
+			s.Undefended, err = runVariant(false)
+			return s, err
 		},
-	}, func(_ int, trials []locSample) locSample {
-		var mean locSample
+	}, func(_ int, trials []pairSample) pairSample {
+		var mean pairSample
 		for _, s := range trials {
 			mean.Defended += s.Defended
 			mean.Undefended += s.Undefended
@@ -518,13 +503,31 @@ func ExtraLocalization(o Options) (Result, error) {
 		return mean
 	})
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
-
 	defended := make([]float64, len(ps))
 	undefended := make([]float64, len(ps))
 	for i, s := range points {
 		defended[i], undefended[i] = s.Defended, s.Undefended
+	}
+	return defended, undefended, nil
+}
+
+// ExtraLocalization is extension experiment E1: the motivating claim that
+// malicious beacons corrupt localization, and that detection+revocation
+// restores it. Compares mean localization error with the full defense
+// against a defenseless baseline (no filters, no revocation).
+func ExtraLocalization(o Options) (Result, error) {
+	ps := []float64{0.1, 0.3, 0.5}
+	trials := 2
+	if o.Quick {
+		ps = []float64{0.3}
+		trials = 1
+	}
+	defended, undefended, err := pairedSweep(o, "extra-localization", ps, trials,
+		func(res *scenario.Result, _ scenario.Config, _ harness.Job) float64 { return res.LocErrMean })
+	if err != nil {
+		return Result{}, err
 	}
 	res := Result{
 		ID:     "extra-localization",

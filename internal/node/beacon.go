@@ -83,9 +83,6 @@ func (b *Beacon) TrueLoc() geo.Point { return b.self.Loc }
 // discovered so far.
 func (b *Beacon) NeighborBeacons() []ident.NodeID { return sortedIDs(b.neighbors) }
 
-// Timeouts returns the count of unanswered probes.
-func (b *Beacon) Timeouts() int { return b.req.Timeouts }
-
 // ProbeStats returns the node's request/reply exchange counters.
 func (b *Beacon) ProbeStats() ProbeStats { return b.req.stats }
 
@@ -156,7 +153,7 @@ func (b *Beacon) observe(p *probe, d mac.Delivery, reply replyInfo) {
 		b.alerted[p.target] = true
 		b.AlertsSent = append(b.AlertsSent, p.target)
 		if b.Local == nil {
-			b.env.Uplink.SendAlert(b.self.ID, p.target, nil)
+			b.env.Uplink.SendAlert(b.self.ID, p.target)
 		} else {
 			b.gossipAlert(p.target)
 		}

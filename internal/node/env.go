@@ -34,7 +34,7 @@ type Env struct {
 	// the malicious beacons' attack sizing reads.
 	Core core.Config
 	// Detector evaluates every completed exchange: the paper pipeline or
-	// any other implementation from core's detector registry.
+	// one of its rivals (core.NewDetector).
 	Detector core.Detector
 	// Uplink carries alerts to the base station.
 	Uplink *revoke.Uplink
@@ -162,9 +162,7 @@ type requester struct {
 	free []*probe
 	// onObservation is invoked once per completed exchange.
 	onObservation func(p *probe, d mac.Delivery, reply replyInfo)
-	// Timeouts counts requests that were never answered after retries.
-	Timeouts int
-	stats    ProbeStats
+	stats         ProbeStats
 }
 
 func newRequester(env *Env, ep *mac.Endpoint) *requester {
@@ -236,7 +234,6 @@ func (r *requester) retryOrFail(p *probe) {
 		r.start(p)
 		return
 	}
-	r.Timeouts++
 	r.stats.Timeouts++
 	r.free = append(r.free, p)
 }

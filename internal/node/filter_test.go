@@ -60,7 +60,7 @@ func TestRadiosFilterUnicast(t *testing.T) {
 	if got := res.Metrics.Link.NotForUs; got != 0 {
 		t.Errorf("link NotForUs = %d, want 0", got)
 	}
-	if handled != res.Medium.Deliveries || handled == 0 {
-		t.Errorf("endpoints handled %d receptions, the medium delivered %d", handled, res.Medium.Deliveries)
+	if handled != res.Metrics.Radio.Deliveries || handled == 0 {
+		t.Errorf("endpoints handled %d receptions, the medium delivered %d", handled, res.Metrics.Radio.Deliveries)
 	}
 }

@@ -187,7 +187,7 @@ func (m *Malicious) handle(d mac.Delivery) {
 // SendAlertAt schedules one fabricated alert against target.
 func (m *Malicious) SendAlertAt(at sim.Time, target ident.NodeID) {
 	m.env.Sched.At(at, func() {
-		m.env.Uplink.SendAlert(m.self.ID, target, nil)
+		m.env.Uplink.SendAlert(m.self.ID, target)
 	})
 }
 

@@ -29,11 +29,10 @@ import (
 //
 // Everyone is within the 150 ft range of everyone else.
 type fixture struct {
-	sched  *sim.Scheduler
-	env    *Env
-	bs     *revoke.Sharded
-	dep    *deploy.Deployment
-	uplink *revoke.Uplink
+	sched *sim.Scheduler
+	env   *Env
+	bs    *revoke.Sharded
+	dep   *deploy.Deployment
 }
 
 func newFixture(t *testing.T, seed uint64, strategy analysis.Strategy) (*fixture, []*Beacon, *Malicious, []*Sensor) {
@@ -78,17 +77,12 @@ func newTestEnv(t *testing.T, seed uint64, dep *deploy.Deployment) *fixture {
 		RangeError: 10,
 	})
 	bs := revoke.NewSharded(revoke.Config{ReportCap: 10, AlertThreshold: 0}, 1)
-	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
 	coreCfg := core.Config{
 		MaxDistError: 10,
 		MaxRTT:       core.CalibrateRTT(1000, seed).Threshold(),
 		Range:        dep.Cfg.Range,
 	}
-	det, err := core.NewDetector(core.DetectorSpec{}, core.DetectorEnv{
-		MaxDistError: coreCfg.MaxDistError,
-		MaxRTT:       coreCfg.MaxRTT,
-		Range:        coreCfg.Range,
-	})
+	det, err := core.NewDetector(core.DefaultDetectorName, coreCfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +93,11 @@ func newTestEnv(t *testing.T, seed uint64, dep *deploy.Deployment) *fixture {
 		Dep:          dep,
 		Core:         coreCfg,
 		Detector:     det,
-		Uplink:       uplink,
+		Uplink:       revoke.NewUplink(sched, bs),
 		Src:          src.Split("nodes"),
 		WormholeRate: 0.9,
 	}
-	return &fixture{sched: sched, env: env, bs: bs, dep: dep, uplink: uplink}
+	return &fixture{sched: sched, env: env, bs: bs, dep: dep}
 }
 
 func (f *fixture) run(t *testing.T) {

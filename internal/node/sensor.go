@@ -79,9 +79,6 @@ func (s *Sensor) TrueLoc() geo.Point { return s.self.Loc }
 // NeighborBeacons returns the discovered beacon neighbors in ID order.
 func (s *Sensor) NeighborBeacons() []ident.NodeID { return sortedIDs(s.neighbors) }
 
-// Timeouts returns the count of unanswered requests.
-func (s *Sensor) Timeouts() int { return s.req.Timeouts }
-
 // ProbeStats returns the node's request/reply exchange counters.
 func (s *Sensor) ProbeStats() ProbeStats { return s.req.stats }
 

@@ -207,70 +207,25 @@ func TestReportCounterMonotoneBound(t *testing.T) {
 	})
 }
 
+// TestUplinkDeliversWithoutLoss: every alert reaches the base station,
+// and only after the uplink's delay.
 func TestUplinkDeliversWithoutLoss(t *testing.T) {
 	forEachShardCount(t, cfg(10, 0), func(t *testing.T, bs *Sharded) {
 		sched := sim.New()
-		u := NewUplink(sched, bs, rng.New(1))
-		var got Outcome
-		u.SendAlert(1, 50, func(o Outcome) { got = o })
-		sched.Run()
-		if got != OutcomeRevoked {
-			t.Errorf("outcome = %v", got)
-		}
-		if u.Stats().Delivered != 1 || u.Stats().Lost != 0 {
-			t.Errorf("delivered %d lost %d", u.Stats().Delivered, u.Stats().Lost)
-		}
-	})
-}
-
-func TestUplinkRetransmitsThroughLoss(t *testing.T) {
-	forEachShardCount(t, cfg(10, 100), func(t *testing.T, bs *Sharded) {
-		sched := sim.New()
-		u := NewUplink(sched, bs, rng.New(2))
-		u.LossRate = 0.5
-		u.Retries = 20
-		const n = 200
-		for i := 0; i < n; i++ {
-			u.SendAlert(ident.NodeID(1+i%5), ident.NodeID(100+i%7), nil)
+		u := NewUplink(sched, bs)
+		u.SendAlert(1, 50)
+		u.SendAlert(2, 51)
+		sched.RunUntil(uplinkDelay - 1)
+		if got := bs.Stats().Handled; got != 0 {
+			t.Errorf("base station handled %d alerts before the uplink delay", got)
 		}
 		sched.Run()
-		// With 21 attempts at 50% loss, losing all attempts is ~5e-7.
-		if u.Stats().Delivered != n {
-			t.Errorf("delivered %d/%d through 50%% loss", u.Stats().Delivered, n)
+		if got := bs.Stats(); got.Handled != 2 || got.Revocations != 2 {
+			t.Errorf("base station stats %+v, want 2 handled, 2 revocations", got)
 		}
-	})
-}
-
-func TestUplinkExhaustsRetries(t *testing.T) {
-	forEachShardCount(t, cfg(10, 100), func(t *testing.T, bs *Sharded) {
-		sched := sim.New()
-		u := NewUplink(sched, bs, rng.New(3))
-		u.LossRate = 0.99
-		u.Retries = 1
-		for i := 0; i < 100; i++ {
-			u.SendAlert(1, 50, nil)
+		if !bs.Revoked(50) || !bs.Revoked(51) {
+			t.Error("a delivered alert did not revoke its target")
 		}
-		sched.Run()
-		if u.Stats().Lost == 0 {
-			t.Error("no alerts lost at 99% loss with 1 retry")
-		}
-		if u.Stats().Delivered+u.Stats().Lost != 100 {
-			t.Errorf("delivered %d + lost %d != 100", u.Stats().Delivered, u.Stats().Lost)
-		}
-	})
-}
-
-func TestUplinkInvalidLossPanics(t *testing.T) {
-	forEachShardCount(t, cfg(1, 1), func(t *testing.T, bs *Sharded) {
-		sched := sim.New()
-		u := NewUplink(sched, bs, rng.New(1))
-		u.LossRate = 1
-		defer func() {
-			if recover() == nil {
-				t.Error("loss rate 1 did not panic")
-			}
-		}()
-		u.SendAlert(1, 2, nil)
 	})
 }
 
@@ -331,66 +286,4 @@ func TestEveryOutcomeReachableAndCounted(t *testing.T) {
 			}
 		}
 	})
-}
-
-// lossySeed finds a seed whose first attempts+1 draws at rate p are all
-// "lost", so an Uplink built on rng.New(seed) deterministically loses
-// every transmission attempt of one alert.
-func lossySeed(t *testing.T, p float64, attempts int) uint64 {
-	t.Helper()
-	for seed := uint64(1); seed < 10_000; seed++ {
-		src := rng.New(seed)
-		allLost := true
-		for i := 0; i < attempts; i++ {
-			if !src.Bool(p) {
-				allLost = false
-				break
-			}
-		}
-		if allLost {
-			return seed
-		}
-	}
-	t.Fatal("no all-loss seed found")
-	return 0
-}
-
-// TestUplinkAllAttemptsLostDropsAlert pins the retry-exhaustion edge
-// case: when every attempt is lost the alert is dropped — the result
-// callback never fires and the base station's counters stay untouched.
-func TestUplinkAllAttemptsLostDropsAlert(t *testing.T) {
-	const lossRate, retries = 0.9, 2
-	seed := lossySeed(t, lossRate, retries+1)
-	forEachShardCount(t, cfg(10, 2), func(t *testing.T, bs *Sharded) {
-		sched := sim.New()
-		u := NewUplink(sched, bs, rng.New(seed))
-		u.LossRate = lossRate
-		u.Retries = retries
-		fired := false
-		u.SendAlert(1, 50, func(Outcome) { fired = true })
-		sched.Run()
-		if fired {
-			t.Error("result callback fired for a dropped alert")
-		}
-		if got := u.Stats(); got.Delivered != 0 || got.Lost != 1 || got.Attempts != retries+1 {
-			t.Errorf("uplink stats = %+v, want 0 delivered, 1 lost, %d attempts", got, retries+1)
-		}
-		if got := bs.Stats().Handled; got != 0 {
-			t.Errorf("base station handled %d alerts, want 0", got)
-		}
-		if got := bs.AlertCount(50); got != 0 {
-			t.Errorf("AlertCount(50) = %d, want 0", got)
-		}
-		if got := bs.ReportCount(1); got != 0 {
-			t.Errorf("ReportCount(1) = %d, want 0", got)
-		}
-	})
-}
-
-func TestUplinkStatsMerge(t *testing.T) {
-	a := UplinkStats{Attempts: 5, Delivered: 3, Lost: 2}
-	a.Merge(UplinkStats{Attempts: 2, Delivered: 1, Lost: 1})
-	if a != (UplinkStats{Attempts: 7, Delivered: 4, Lost: 3}) {
-		t.Errorf("merged = %+v", a)
-	}
 }

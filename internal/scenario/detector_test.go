@@ -1,43 +1,44 @@
 package scenario
 
 import (
+	"cmp"
 	"testing"
 
 	"beaconsec/internal/core"
 )
 
-// TestValidateDetector: a config naming an unregistered or malformed
-// detector must fail validation before any simulation runs.
+// TestValidateDetector: a config naming any detector but the three must
+// fail validation before any simulation runs.
 func TestValidateDetector(t *testing.T) {
 	cfg := smallConfig(0.3, 1)
-	cfg.Detector = core.DetectorSpec{Name: "nope"}
-	if err := cfg.Validate(); err == nil {
-		t.Error("unregistered detector accepted")
+	for _, name := range []string{"nope", "Paper", "ml{bias=20}"} {
+		cfg.Detector = name
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("detector %q accepted", name)
+		}
 	}
-	cfg.Detector = core.DetectorSpec{Name: "Paper"}
-	if err := cfg.Validate(); err == nil {
-		t.Error("malformed detector name accepted")
+	for _, name := range append(core.DetectorNames(), "") {
+		cfg.Detector = name
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("detector %q: %v", name, err)
+		}
 	}
-	cfg.Detector = core.DetectorSpec{}
+	cfg.Detector = ""
 	cfg.AttackBias = -1
 	if err := cfg.Validate(); err == nil {
 		t.Error("negative attack bias accepted")
 	}
 }
 
-// TestRunThreadsDetectorIdentity: the resolved canonical detector name
-// must surface in the result and key the per-detector verdict counters
-// in the metrics, for the default and a named alternative alike.
+// TestRunThreadsDetectorIdentity: the detector's name ("paper" for the
+// empty one) must surface in the result and key the per-detector verdict
+// counters in the metrics, for the default and the rivals alike.
 func TestRunThreadsDetectorIdentity(t *testing.T) {
-	for _, spec := range []core.DetectorSpec{
-		{},
-		{Name: "ml"},
-		{Name: "mahalanobis", Params: map[string]float64{"threshold": 2.5}},
-	} {
+	for _, name := range []string{"", "ml", "mahalanobis"} {
 		cfg := smallConfig(0.3, 1)
-		cfg.Detector = spec
+		cfg.Detector = name
 		res := run(t, cfg)
-		want := spec.Canonical()
+		want := cmp.Or(name, core.DefaultDetectorName)
 		if res.Detector != want {
 			t.Errorf("Result.Detector = %q, want %q", res.Detector, want)
 		}
@@ -59,7 +60,7 @@ func TestRunThreadsDetectorIdentity(t *testing.T) {
 func TestDefaultDetectorByteIdentical(t *testing.T) {
 	implicit := run(t, smallConfig(0.3, 7))
 	cfg := smallConfig(0.3, 7)
-	cfg.Detector = core.DetectorSpec{Name: core.DefaultDetectorName}
+	cfg.Detector = core.DefaultDetectorName
 	explicit := run(t, cfg)
 	if implicit.DetectionRate != explicit.DetectionRate ||
 		implicit.RevokedMalicious != explicit.RevokedMalicious ||
@@ -80,15 +81,15 @@ func TestDefaultDetectorByteIdentical(t *testing.T) {
 // malicious verdicts per exchange than the paper run on identical
 // deployments (catch 0.437 vs 0.75 per flagged exchange).
 func TestSubtleAttackSeparatesDetectors(t *testing.T) {
-	mal := func(spec core.DetectorSpec) uint64 {
+	mal := func(name string) uint64 {
 		cfg := smallConfig(0.5, 3)
 		cfg.AttackBias = 15 // 1.5 ε_max
-		cfg.Detector = spec
+		cfg.Detector = name
 		res := run(t, cfg)
 		return res.Metrics.Filters.DetectorMalicious
 	}
-	paper := mal(core.DetectorSpec{})
-	maha := mal(core.DetectorSpec{Name: "mahalanobis"})
+	paper := mal("")
+	maha := mal("mahalanobis")
 	if paper == 0 {
 		t.Fatal("paper pipeline flagged no exchanges under a 1.5-epsilon attack")
 	}
@@ -110,7 +111,7 @@ func TestRTTStatsPinSkipsCalibration(t *testing.T) {
 		return core.CalibrateRTT(trials, seed)
 	}
 	cfg := smallConfig(0.3, 1)
-	cfg.Detector = core.DetectorSpec{Name: "mahalanobis"}
+	cfg.Detector = "mahalanobis"
 	pinned := core.RTTStats{Mean: 50000, Std: 250, Min: 49200, Max: 50870, Threshold: 50900}
 	cfg.RTTStats = &pinned
 	cfg.RTTThreshold = pinned.Threshold

@@ -35,17 +35,15 @@ func (f *FilterMetrics) Merge(o FilterMetrics) {
 	f.SensorLocalReplay += o.SensorLocalReplay
 }
 
-// RevocationMetrics groups the base station's outcome counters with the
-// uplink's delivery counters.
+// RevocationMetrics holds the base station's outcome counters. The
+// uplink delivers every alert, so the station counts each one.
 type RevocationMetrics struct {
-	Base   revoke.Stats       `json:"base_station"`
-	Uplink revoke.UplinkStats `json:"uplink"`
+	Base revoke.Stats `json:"base_station"`
 }
 
 // Merge adds another run's counters field-wise.
 func (r *RevocationMetrics) Merge(o RevocationMetrics) {
 	r.Base.Merge(o.Base)
-	r.Uplink.Merge(o.Uplink)
 }
 
 // Metrics is one run's deterministic instrumentation snapshot: every
@@ -65,12 +63,12 @@ type Metrics struct {
 	Probes node.ProbeStats `json:"probes"`
 	// Filters counts detector-pipeline outcomes.
 	Filters FilterMetrics `json:"filters"`
-	// Detectors splits the filter counters by detector identity
-	// (Result.Detector's canonical string). A single run contributes one
-	// key; merged bake-off aggregates carry one entry per detector, so
-	// verdict-mix comparisons across detectors need no re-runs.
+	// Detectors splits the filter counters by detector name
+	// (Result.Detector). A single run contributes one key; merged
+	// bake-off aggregates carry one entry per detector, so verdict-mix
+	// comparisons across detectors need no re-runs.
 	Detectors map[string]FilterMetrics `json:"detectors,omitempty"`
-	// Revocation counts base-station and uplink activity.
+	// Revocation counts base-station activity.
 	Revocation RevocationMetrics `json:"revocation"`
 	// QueueDepth is the scheduler's standing event population: the queue
 	// size observed after every schedule, a function of the
@@ -136,17 +134,14 @@ func (f *FilterMetrics) addVerdicts(verdicts map[core.Verdict]int, sensorSide bo
 // collectInstrumentation assembles the run's Metrics snapshot after the
 // scheduler has drained.
 func (r *Result) collectInstrumentation(sched *sim.Scheduler, medium *phy.Medium,
-	uplink *revoke.Uplink, spans []metrics.Span, depth *metrics.Histogram) {
+	spans []metrics.Span, depth *metrics.Histogram) {
 	m := Metrics{
 		Runs:       1,
 		Sim:        sched.Stats(),
 		Radio:      medium.Stats(),
 		QueueDepth: depth,
 		Phases:     spans,
-		Revocation: RevocationMetrics{
-			Base:   r.bs.Stats(),
-			Uplink: uplink.Stats(),
-		},
+		Revocation: RevocationMetrics{Base: r.bs.Stats()},
 	}
 	for _, b := range r.beacons {
 		m.Link.Merge(b.LinkStats())

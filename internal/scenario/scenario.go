@@ -55,11 +55,10 @@ type Config struct {
 	Revoke revoke.Config
 	// Strategy is every malicious beacon's (p_n, p_w, p_l) triple.
 	Strategy analysis.Strategy
-	// Detector selects the detection pipeline every node runs, by
-	// registry name plus parameters (core.DetectorNames lists the
-	// implementations). The zero value is the paper's §2.1–2.2
+	// Detector names the detection pipeline every node runs, one of
+	// core.DetectorNames. The empty name is the paper's §2.1–2.2
 	// consistency/replay pipeline.
-	Detector core.DetectorSpec
+	Detector string
 	// AttackBias is the distance enlargement of malicious attack
 	// signals, in feet; zero selects the node-layer default (5·ε_max, an
 	// unmistakable attack). Smaller biases model subtle attackers the
@@ -83,9 +82,6 @@ type Config struct {
 	// that re-inject every beacon reply heard within range of their
 	// position (§2.2.2's threat).
 	ReplayAttackers []geo.Point
-	// UplinkLoss is the per-attempt alert loss rate (retransmission
-	// recovers; the paper assumes eventual delivery).
-	UplinkLoss float64
 	// RTTThreshold overrides the local-replay threshold (cycles,
 	// non-negative and finite); zero runs a fresh calibration of
 	// CalibrationTrials exchanges, at most core.MaxCalibrationTrials
@@ -134,12 +130,10 @@ func (c Config) Validate() error {
 	if err := c.Strategy.Validate(); err != nil {
 		return err
 	}
-	if err := c.Detector.Validate(); err != nil {
-		return err
-	}
-	if !core.DetectorRegistered(c.Detector.Name) {
-		return fmt.Errorf("scenario: unknown detector %q (registered: %v)",
-			c.Detector.Name, core.DetectorNames())
+	if c.Detector != "" {
+		if err := core.CheckDetectorName(c.Detector); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
 	}
 	// Each range check is written so that NaN, which fails every
 	// comparison, fails it too.
@@ -151,9 +145,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.WormholeRate >= 0 && c.WormholeRate <= 1) {
 		return fmt.Errorf("scenario: WormholeRate %v outside [0,1]", c.WormholeRate)
-	}
-	if !(c.UplinkLoss >= 0 && c.UplinkLoss < 1) {
-		return fmt.Errorf("scenario: UplinkLoss %v outside [0,1)", c.UplinkLoss)
 	}
 	if !(c.RTTThreshold >= 0) || math.IsInf(c.RTTThreshold, 1) {
 		return fmt.Errorf("scenario: RTTThreshold %v must be non-negative and finite (zero calibrates)", c.RTTThreshold)
@@ -200,8 +191,8 @@ type Result struct {
 
 	// RTTThreshold actually used (cycles).
 	RTTThreshold float64
-	// Detector is the canonical identity of the detection pipeline the
-	// run used (e.g. "paper", "mahalanobis{threshold=3}").
+	// Detector names the detection pipeline the run used ("paper" for
+	// the empty Config.Detector).
 	Detector string
 
 	// Distributed-variant metrics (zero unless Config.Distributed):
@@ -212,10 +203,6 @@ type Result struct {
 	LocalCoverage         float64
 	LocalFalseRevocations float64
 
-	// Timeouts counts unanswered requests across all requesters.
-	Timeouts int
-	// Medium is the radio channel's counter snapshot.
-	Medium phy.Stats
 	// Metrics is the run's full deterministic instrumentation snapshot:
 	// scheduler, radio, link, probe, filter, and revocation counters plus
 	// the per-phase breakdown.
@@ -302,24 +289,18 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.DisableRTTFilter {
 		coreCfg.MaxRTT = math.MaxFloat64
 	}
-	det, err := core.NewDetector(cfg.Detector, core.DetectorEnv{
-		MaxDistError: coreCfg.MaxDistError,
-		MaxRTT:       coreCfg.MaxRTT,
-		Range:        coreCfg.Range,
-		RTT: func() core.RTTStats {
-			if cfg.RTTStats != nil {
-				return *cfg.RTTStats
-			}
-			return calibration().Stats()
-		},
+	det, err := core.NewDetector(cfg.Detector, coreCfg, func() core.RTTStats {
+		if cfg.RTTStats != nil {
+			return *cfg.RTTStats
+		}
+		return calibration().Stats()
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
 	bs := revoke.NewSharded(cfg.Revoke, 1)
-	uplink := revoke.NewUplink(sched, bs, src.Split("uplink"))
-	uplink.LossRate = cfg.UplinkLoss
+	uplink := revoke.NewUplink(sched, bs)
 
 	env := &node.Env{
 		Sched:        sched,
@@ -341,7 +322,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Build nodes: beacons (benign and malicious) then sensors.
-	res := &Result{RTTThreshold: coreCfg.MaxRTT, Detector: det.Spec().Canonical(), bs: bs}
+	res := &Result{RTTThreshold: coreCfg.MaxRTT, Detector: det.Name(), bs: bs}
 	maliciousByID := make(map[ident.NodeID]*node.Malicious)
 	hello := src.Split("hello")
 	for _, i := range dep.Beacons() {
@@ -395,8 +376,6 @@ func Run(cfg Config) (*Result, error) {
 		node.NewReplayAttacker(medium, p)
 	}
 
-	res.Medium = medium.Stats() // placeholder; refreshed after the run
-
 	// Revocation distribution: the base station floods a revoke message;
 	// we model the flood as a direct, slightly delayed notification to
 	// every sensor (paper: "the revocation message from the base station
@@ -447,8 +426,7 @@ func Run(cfg Config) (*Result, error) {
 		Transmissions: medium.Stats().Transmissions - prevTx,
 	})
 
-	res.Medium = medium.Stats()
-	res.collectInstrumentation(sched, medium, uplink, spans, depth)
+	res.collectInstrumentation(sched, medium, spans, depth)
 	res.collectMetrics(cfg, dep, maliciousByID)
 	return res, nil
 }
@@ -613,7 +591,6 @@ func (r *Result) collectMetrics(cfg Config, dep *deploy.Deployment, malicious ma
 	// Localization outcomes.
 	var errSum, errMax float64
 	for _, s := range r.sensors {
-		r.Timeouts += s.Timeouts()
 		if e, ok := s.LocalizationError(); ok {
 			r.Localized++
 			errSum += e
@@ -621,9 +598,6 @@ func (r *Result) collectMetrics(cfg Config, dep *deploy.Deployment, malicious ma
 				errMax = e
 			}
 		}
-	}
-	for _, b := range r.beacons {
-		r.Timeouts += b.Timeouts()
 	}
 	if r.Localized > 0 {
 		r.LocErrMean = errSum / float64(r.Localized)

@@ -47,9 +47,7 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Strategy.PN = 2 },
 		func(c *Config) { c.MaxDistError = 0 },
 		func(c *Config) { c.WormholeRate = 1.5 },
-		func(c *Config) { c.UplinkLoss = 1 },
 		func(c *Config) { c.WormholeRate = math.NaN() },
-		func(c *Config) { c.UplinkLoss = math.NaN() },
 		func(c *Config) { c.MaxDistError = math.NaN() },
 		func(c *Config) { c.AttackBias = math.NaN() },
 		func(c *Config) { c.MaxDistError = math.Inf(1) },
@@ -219,16 +217,6 @@ func TestAblationRTTFilterPreventsFalsePositives(t *testing.T) {
 	}
 }
 
-func TestUplinkLossStillDelivers(t *testing.T) {
-	cfg := smallConfig(1.0, 8)
-	cfg.UplinkLoss = 0.3
-	res := run(t, cfg)
-	if res.DetectionRate != 1 {
-		t.Errorf("detection %v under 30%% uplink loss (retransmission should recover)",
-			res.DetectionRate)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	a := run(t, smallConfig(0.3, 9))
 	b := run(t, smallConfig(0.3, 9))
@@ -245,9 +233,6 @@ func TestMetricsPlausibility(t *testing.T) {
 	res := run(t, smallConfig(0.3, 10))
 	if res.AvgNc <= 0 {
 		t.Errorf("AvgNc = %v", res.AvgNc)
-	}
-	if res.Medium.Transmissions == 0 || res.Medium.Deliveries == 0 {
-		t.Errorf("medium stats empty: %+v", res.Medium)
 	}
 	if res.RTTThreshold <= 0 {
 		t.Errorf("RTTThreshold = %v", res.RTTThreshold)
@@ -274,12 +259,8 @@ func TestMetricsPlausibility(t *testing.T) {
 	if m.Sim.Events == 0 || m.Sim.Scheduled < m.Sim.Events {
 		t.Errorf("sim stats implausible: %+v", m.Sim)
 	}
-	if m.Radio.Transmissions != res.Medium.Transmissions {
-		t.Errorf("radio stats diverge from Result.Medium: %d vs %d",
-			m.Radio.Transmissions, res.Medium.Transmissions)
-	}
-	if m.Radio.BytesOnAir == 0 {
-		t.Error("no bytes on air")
+	if m.Radio.Transmissions == 0 || m.Radio.Deliveries == 0 || m.Radio.BytesOnAir == 0 {
+		t.Errorf("radio stats empty: %+v", m.Radio)
 	}
 	if m.Link.Sent == 0 || m.Link.Delivered == 0 {
 		t.Errorf("link stats empty: %+v", m.Link)
@@ -293,7 +274,7 @@ func TestMetricsPlausibility(t *testing.T) {
 	if m.Filters.DetectorBenign == 0 {
 		t.Errorf("filter verdicts empty: %+v", m.Filters)
 	}
-	if m.Revocation.Base.Handled == 0 || m.Revocation.Uplink.Attempts < m.Revocation.Uplink.Delivered {
+	if m.Revocation.Base.Handled == 0 {
 		t.Errorf("revocation stats implausible: %+v", m.Revocation)
 	}
 	names := make([]string, len(m.Phases))
