@@ -29,7 +29,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -45,7 +44,6 @@ import (
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/cache"
 	"beaconsec/internal/core"
-	"beaconsec/internal/experiment"
 	"beaconsec/internal/harness"
 	"beaconsec/internal/metrics"
 	"beaconsec/internal/revoke"
@@ -183,17 +181,16 @@ func runMetro(out io.Writer, nodes int64, workers int, seed uint64) error {
 }
 
 // runScenario executes the simulation as a one-job sweep, memoized on
-// disk when asked. The result passes through the sweep's JSON codec
+// disk when asked. The result passes through the sweep's JSON pass
 // either way, so cached and fresh invocations print identical numbers by
-// construction. The codec keeps only the exported result (the report's
-// inputs); the node-level accessors, which this command never uses, are
-// dropped.
+// construction. The encoding keeps only the exported result (the
+// report's inputs); the node-level accessors, which this command never
+// uses, are dropped.
 func runScenario(cfg scenario.Config, useCache bool, dir string, out io.Writer) (*scenario.Result, error) {
 	spec := harness.Spec[*scenario.Result]{
 		Label:  "beaconsim",
 		Points: []string{"run"},
 		Trials: 1,
-		Codec:  harness.JSONCodec[*scenario.Result](),
 		Run: func(context.Context, harness.Job) (*scenario.Result, error) {
 			return scenario.Run(cfg)
 		},
@@ -206,7 +203,7 @@ func runScenario(cfg scenario.Config, useCache bool, dir string, out io.Writer) 
 		// The full config — seeds included — addresses the entry: a
 		// single run's identity is every flag that shaped it.
 		spec.Cache = c
-		spec.Key = experiment.EncodeKey("beaconsim", cmp.Or(cfg.Detector, core.DefaultDetectorName), cfg)
+		spec.Config = cfg
 		spec.Timing = harness.NewTiming()
 	}
 	rows, err := harness.Sweep(context.Background(), spec)

@@ -10,10 +10,14 @@
 // Usage:
 //
 //	figures [-fig all|fig04,fig12,...] [-quick] [-seed N] [-out DIR]
-//	        [-workers N] [-progress] [-json FILE] [-metro-workers K]
+//	        [-workers N] [-progress] [-json FILE]
 //	        [-detectors mahalanobis,ml,paper]
 //	        [-cache] [-cache-dir DIR] [-cache-clear]
 //	        [-cpuprofile FILE] [-memprofile FILE]
+//
+// -fig names the figures to regenerate. An unknown ID fails before
+// anything runs: no directory is created or cleared and no profile is
+// started.
 //
 // -detectors names the detectors the bake-off (extra-bakeoff) compares,
 // from mahalanobis, ml and paper (default: all three). An unknown or
@@ -44,11 +48,11 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
-	"time"
 
 	"beaconsec/internal/cache"
 	"beaconsec/internal/core"
 	"beaconsec/internal/experiment"
+	"beaconsec/internal/harness"
 	"beaconsec/internal/metrics"
 )
 
@@ -76,7 +80,6 @@ func run(args []string, out io.Writer) (err error) {
 	workers := fs.Int("workers", 0, "trial and figure concurrency (0 = all CPUs)")
 	progress := fs.Bool("progress", true, "print per-figure trial progress to stderr")
 	jsonOut := fs.String("json", "", "write results as JSON to FILE ('-' for stdout)")
-	metroWorkers := fs.Int("metro-workers", 0, "shard count for extra-metro's parallel identity leg (0 = default; identity-pinned results are byte-identical at any value)")
 	useCache := fs.Bool("cache", false, "memoize simulation trials on disk (see -cache-dir)")
 	cacheDir := fs.String("cache-dir", filepath.Join("results", "cache"), "trial cache directory")
 	cacheClear := fs.Bool("cache-clear", false, "delete the trial cache before running")
@@ -98,6 +101,18 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 		detectorNames = names
+	}
+	var runners []experiment.Runner
+	if *figs == "all" {
+		runners = experiment.All()
+	} else {
+		for _, id := range strings.Split(*figs, ",") {
+			r, ok := experiment.ByID(strings.TrimSpace(id))
+			if !ok {
+				return fmt.Errorf("unknown figure %q (known: %s)", id, knownIDs())
+			}
+			runners = append(runners, r)
+		}
 	}
 
 	// Validate every destination directory up front: an unwritable -out
@@ -149,20 +164,8 @@ func run(args []string, out io.Writer) (err error) {
 		}()
 	}
 
-	var runners []experiment.Runner
-	if *figs == "all" {
-		runners = experiment.All()
-	} else {
-		for _, id := range strings.Split(*figs, ",") {
-			r, ok := experiment.ByID(strings.TrimSpace(id))
-			if !ok {
-				return fmt.Errorf("unknown figure %q (known: %s)", id, knownIDs())
-			}
-			runners = append(runners, r)
-		}
-	}
 	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Cache: trialCache,
-		Detectors: detectorNames, MetroWorkers: *metroWorkers}
+		Detectors: detectorNames}
 	results, err := runAll(runners, opts, *progress)
 	if err != nil {
 		return err
@@ -285,9 +288,9 @@ func runAll(runners []experiment.Runner, opts experiment.Options, progress bool)
 			defer func() { <-sem }()
 			o := opts
 			if progress {
-				o.Progress = func(done, total int, elapsed time.Duration) {
+				o.Progress = func(p harness.Progress) {
 					fmt.Fprintf(os.Stderr, "figures: %s %d/%d trials (%.1fs)\n",
-						r.ID, done, total, elapsed.Seconds())
+						r.ID, p.Done, p.Total, p.Elapsed.Seconds())
 				}
 			}
 			results[i], errs[i] = r.Run(o)

@@ -100,18 +100,19 @@ func TestRunWritesProfiles(t *testing.T) {
 }
 
 // TestRunFlushesProfilesOnError checks the deferred flush: when the run
-// itself fails (unknown figure), both profiles must still be written and
-// valid — a long profiled run that dies at the end should not lose its
-// profile.
+// itself fails after the figures ran (an unwritable -json file), both
+// profiles must still be written and valid — a long profiled run that
+// dies at the end should not lose its profile.
 func TestRunFlushesProfilesOnError(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var b strings.Builder
-	err := run([]string{"-fig", "fig99",
+	err := run([]string{"-fig", "fig05", "-quick", "-progress=false",
+		"-json", filepath.Join(blockedDir(t), "r.json"),
 		"-cpuprofile", cpu, "-memprofile", mem}, &b)
 	if err == nil {
-		t.Fatal("unknown figure accepted")
+		t.Fatal("unwritable -json file accepted")
 	}
 	for _, p := range []string{cpu, mem} {
 		st, serr := os.Stat(p)
@@ -200,30 +201,29 @@ func TestRunRejectsOversizePlot(t *testing.T) {
 	}
 }
 
-// FuzzRun feeds run arbitrary -width, -height, -workers, -metro-workers
-// and -detectors values around the analytic fig05, writing no files:
-// every value must run or return an error, never panic, and a run with a
-// -detectors entry outside core.DetectorNames must be an error.
+// FuzzRun feeds run arbitrary -width, -height, -workers and -detectors
+// values around the analytic fig05, writing no files: every value must
+// run or return an error, never panic, and a run with a -detectors entry
+// outside core.DetectorNames must be an error.
 func FuzzRun(f *testing.F) {
 	for _, v := range []struct {
-		width, height, workers, metroWorkers int
-		detectors                            string
+		width, height, workers int
+		detectors              string
 	}{
-		{72, 20, 0, 0, ""},
-		{math.MaxInt64, 20, 1, 1, "paper,ml"},
-		{72, 1e10, -1, -1, "ml{bias=20,lambda=0.5}"},
-		{maxPlotSize + 1, maxPlotSize, math.MaxInt64, math.MaxInt64, " mahalanobis , paper"},
-		{math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64, "nope,,"},
-		{72, 20, 1, 1, "mahalanobis,ml,paper"},
-		{72, 20, 1, 1, "paper,"},
+		{72, 20, 0, ""},
+		{math.MaxInt64, 20, 1, "paper,ml"},
+		{72, 1e10, -1, "ml{bias=20,lambda=0.5}"},
+		{maxPlotSize + 1, maxPlotSize, math.MaxInt64, " mahalanobis , paper"},
+		{math.MinInt64, math.MinInt64, math.MinInt64, "nope,,"},
+		{72, 20, 1, "mahalanobis,ml,paper"},
+		{72, 20, 1, "paper,"},
 	} {
-		f.Add(v.width, v.height, v.workers, v.metroWorkers, v.detectors)
+		f.Add(v.width, v.height, v.workers, v.detectors)
 	}
-	f.Fuzz(func(t *testing.T, width, height, workers, metroWorkers int, detectors string) {
+	f.Fuzz(func(t *testing.T, width, height, workers int, detectors string) {
 		err := run([]string{"-fig", "fig05", "-progress=false",
 			"-width", strconv.Itoa(width), "-height", strconv.Itoa(height),
-			"-workers", strconv.Itoa(workers), "-metro-workers", strconv.Itoa(metroWorkers),
-			"-detectors", detectors}, io.Discard)
+			"-workers", strconv.Itoa(workers), "-detectors", detectors}, io.Discard)
 		if err != nil || detectors == "" {
 			return
 		}
@@ -243,6 +243,38 @@ func TestRunRejectsUnknownFigure(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fig99") {
 		t.Errorf("error does not name the bad figure: %v", err)
+	}
+}
+
+// TestRunUnknownFigureTouchesNothing pins that -fig is resolved with the
+// other flag values, before run touches a file: an unknown figure leaves
+// a populated -cache-dir in place under -cache-clear and creates neither
+// -out nor the -cpuprofile file.
+func TestRunUnknownFigureTouchesNothing(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	entry := filepath.Join(cacheDir, "entry")
+	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entry, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "out")
+	cpu := filepath.Join(dir, "cpu.pprof")
+	var b strings.Builder
+	err := run([]string{"-fig", "fig05,fig99", "-cache", "-cache-clear", "-cache-dir", cacheDir,
+		"-out", out, "-cpuprofile", cpu}, &b)
+	if err == nil || !strings.Contains(err.Error(), "fig99") {
+		t.Fatalf("err = %v, want an unknown-figure error naming fig99", err)
+	}
+	if _, serr := os.Stat(entry); serr != nil {
+		t.Errorf("-cache-clear removed the cache before -fig was resolved: %v", serr)
+	}
+	for _, p := range []string{out, cpu} {
+		if _, serr := os.Stat(p); serr == nil {
+			t.Errorf("%s created before -fig was resolved", p)
+		}
 	}
 }
 

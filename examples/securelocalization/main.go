@@ -42,7 +42,7 @@ func main() {
 		cfg.CalibrationTrials = 1000
 		if !defended {
 			cfg.DisableRTTFilter = true
-			cfg.DisableWormholeFilter = true
+			cfg.WormholeRate = 0                // no wormhole filter
 			cfg.Revoke.AlertThreshold = 1 << 20 // never revoke
 		}
 		res, err := beaconsec.RunScenario(cfg)

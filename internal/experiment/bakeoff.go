@@ -50,8 +50,9 @@ func bakeoffCatchProb(name string, bias, eps float64) float64 {
 // numbers: the sweeps share one label per attacker profile, so the
 // harness derives identical job seeds — identical deployments, attacker
 // choices, and noise draws — for every detector, and curve differences
-// are pure detector effects. Detector identity still enters every cache
-// key (sweepKey), so memoized trials never cross detectors.
+// are pure detector effects. Each config names its detector, so the
+// detector is in every cache key and memoized trials never cross
+// detectors.
 func ExtraBakeoff(o Options) (Result, error) {
 	dets := o.Detectors
 	if len(dets) == 0 {
@@ -63,14 +64,6 @@ func ExtraBakeoff(o Options) (Result, error) {
 		ps = []float64{0.1, 0.3}
 		trials = 1
 	}
-	// One shared calibration pins both the RTT threshold (via simSweep)
-	// and the moments detectors calibrate on, so no per-run calibration
-	// runs inside the sweep.
-	stats, err := calStats(o)
-	if err != nil {
-		return Result{}, err
-	}
-
 	res := Result{
 		ID:     "extra-bakeoff",
 		Title:  "E3: detector bake-off — revocation detection rate vs P (common random numbers)",
@@ -78,7 +71,7 @@ func ExtraBakeoff(o Options) (Result, error) {
 		YLabel: "detection rate",
 	}
 	rm := &RunMetrics{}
-	eps := scenario.Paper().MaxDistError
+	const eps = scenario.MaxDistError
 	for _, attack := range bakeoffAttacks() {
 		attack := attack
 		for _, det := range dets {
@@ -88,8 +81,6 @@ func ExtraBakeoff(o Options) (Result, error) {
 					c.Collude = false
 					c.Detector = det
 					c.AttackBias = attack.bias
-					st := stats
-					c.RTTStats = &st
 				})
 			if err != nil {
 				return Result{}, fmt.Errorf("bakeoff %s/%s: %w", det, attack.label, err)
@@ -102,7 +93,7 @@ func ExtraBakeoff(o Options) (Result, error) {
 			for i, s := range sims {
 				simY[i] = s.DetectionRate
 				fpr += s.FalsePositiveRate
-				benignAlerts += float64(s.BenignAlerts)
+				benignAlerts += s.BenignAlerts
 			}
 			fpr /= float64(len(sims))
 			benignAlerts /= float64(len(sims))

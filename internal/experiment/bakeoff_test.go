@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"beaconsec/internal/analysis"
@@ -79,7 +78,7 @@ func TestBakeoffCacheIsolationAcrossDetectors(t *testing.T) {
 // exactly and curve differences are pure detector effects.
 func TestBakeoffCommonRandomNumbers(t *testing.T) {
 	o := Options{Quick: true, Seed: 5}
-	sweep := func(name string) *scenario.Result {
+	sweep := func(name string) pointMean {
 		sims, _, err := simSweep(o, "crn-evidence", []float64{0.3}, 2,
 			func(c *scenario.Config) {
 				c.Collude = false
@@ -101,20 +100,18 @@ func TestBakeoffCommonRandomNumbers(t *testing.T) {
 	}
 }
 
-// TestBakeoffMixedDetectorSweepPanics pins sweepKey's uniformity guard:
-// one sweep must not mix detector identities, or the cache key would
-// misattribute trials.
-func TestBakeoffMixedDetectorSweepPanics(t *testing.T) {
-	protos := []scenario.Config{scenario.Paper(), scenario.Paper()}
-	protos[1].Detector = "ml"
-	defer func() {
-		if r := recover(); r == nil {
-			t.Error("mixed-detector sweep did not panic")
-		} else if !strings.Contains(r.(string), "mixed detectors") {
-			t.Errorf("unexpected panic: %v", r)
-		}
-	}()
-	sweepKey("test", 1, protos)
+// TestMeanScenarioKeepsFractionalAlerts pins the per-point alert mean
+// to the exact trial mean: two trials with 6 and 47 benign alerts
+// average to 26.5, not the 26 an integer mean truncates to (the
+// bake-off notes report this mean).
+func TestMeanScenarioKeepsFractionalAlerts(t *testing.T) {
+	m := meanScenario([]*scenario.Result{
+		{BenignAlerts: 6, TrueAlerts: 3},
+		{BenignAlerts: 47, TrueAlerts: 4},
+	})
+	if m.BenignAlerts != 26.5 || m.TrueAlerts != 3.5 {
+		t.Errorf("alert means = %v benign, %v true; want 26.5, 3.5", m.BenignAlerts, m.TrueAlerts)
+	}
 }
 
 // TestRegressionBakeoffSubtleAttackTracksTheory pins each detector's
@@ -124,21 +121,15 @@ func TestBakeoffMixedDetectorSweepPanics(t *testing.T) {
 // the bake-off's analog of the fig12 sim-vs-theory contract.
 func TestRegressionBakeoffSubtleAttackTracksTheory(t *testing.T) {
 	const p, bias = 0.5, 15.0
-	eps := scenario.Paper().MaxDistError
+	const eps = scenario.MaxDistError
 	trials := regTrials()
 	o := Options{Quick: true, Seed: 7}
-	st, err := calStats(o)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"", "ml", "mahalanobis"} {
 		sims, _, err := simSweep(o, "regression-bakeoff", []float64{p}, trials,
 			func(c *scenario.Config) {
 				c.Collude = false
 				c.Detector = name
 				c.AttackBias = bias
-				stc := st
-				c.RTTStats = &stc
 			})
 		if err != nil {
 			t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"beaconsec/internal/cache"
+	"beaconsec/internal/scenario"
 )
 
 func testCache(t *testing.T) *cache.Cache {
@@ -116,36 +117,40 @@ func TestCacheSurvivesProcessRestart(t *testing.T) {
 	}
 }
 
-// TestEncodeKeySensitivity: the key material must separate sweeps by
-// kind, by detector, and by any config field, and be stable for equal
-// inputs.
+// TestEncodeKeySensitivity: an experiment sweep's cache key must separate
+// sweeps by kind (the sweep label), by detector, and by any config field,
+// and be stable for equal inputs. The key is the harness job fingerprint
+// over the label and the sweep's seed-zeroed scenario configs; the
+// boundaries between its parts are pinned by the harness package's
+// TestJobFingerprintSensitivity.
 func TestEncodeKeySensitivity(t *testing.T) {
-	type cfg struct{ Trials int }
-	a := EncodeKey("sweep", "paper", cfg{3})
-	if !bytes.Equal(a, EncodeKey("sweep", "paper", cfg{3})) {
-		t.Error("equal inputs produced different keys")
+	o := Options{Quick: true, Seed: 1, Cache: testCache(t)}
+	hits := func(label string, mutate func(*scenario.Config)) uint64 {
+		t.Helper()
+		_, rm, err := simSweep(o, label, []float64{0.3}, 1, mutate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rm.Timing.CacheHits
 	}
-	if bytes.Equal(a, EncodeKey("sweep", "paper", cfg{4})) {
-		t.Error("config change did not change the key")
+	if h := hits("sweep", nil); h != 0 {
+		t.Fatalf("cold sweep replayed %d jobs", h)
 	}
-	if bytes.Equal(a, EncodeKey("other", "paper", cfg{3})) {
-		t.Error("kind change did not change the key")
+	if h := hits("sweep", nil); h != 1 {
+		t.Error("equal inputs did not replay the cached job")
 	}
-	if bytes.Equal(a, EncodeKey("sweep", "ml", cfg{3})) {
-		t.Error("detector change did not change the key")
+	if h := hits("other", nil); h != 0 {
+		t.Error("kind change replayed the cached job")
 	}
-	// The version prefix is what retires every pre-detector (v1) entry:
-	// losing it would let stale v1 trials alias v2 keys.
-	if !bytes.HasPrefix(a, []byte("beaconsec-key/v2\x00")) {
-		t.Errorf("key material lost its version prefix: %q", a[:20])
+	if h := hits("sweep", func(c *scenario.Config) { c.Detector = "ml" }); h != 0 {
+		t.Error("detector change replayed the cached job")
 	}
-	// The field boundaries are unambiguous: a kind or detector that
-	// "absorbs" part of a neighboring field cannot collide.
-	if bytes.Equal(EncodeKey("ab", "c", "d"), EncodeKey("a", "bc", "d")) {
-		t.Error("kind/detector boundary ambiguous")
+	if h := hits("sweep", func(c *scenario.Config) { c.Collude = !c.Collude }); h != 0 {
+		t.Error("config change replayed the cached job")
 	}
-	if bytes.Equal(EncodeKey("a", "bc", "d"), EncodeKey("a", "b", "cd")) {
-		t.Error("detector/payload boundary ambiguous")
+	// The variants stored beside the original, not over it.
+	if h := hits("sweep", nil); h != 1 {
+		t.Error("original entry lost after the variant sweeps")
 	}
 }
 

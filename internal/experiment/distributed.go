@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"beaconsec/internal/analysis"
@@ -27,58 +26,29 @@ func ExtraDistributed(o Options) (Result, error) {
 
 	// One job runs the centralized and distributed variants on
 	// identical seeds (paired), so the curves differ in the revocation
-	// architecture, not the topology draw. Exported fields: the samples
-	// serialize through the cache codec.
-	type distSample struct {
-		Central, CentralFP, Local, LocalFrame float64
-	}
-	cfgAt := func(point int, distributed bool) scenario.Config {
-		cfg := scenario.Paper()
-		cfg.Strategy = analysis.StrategyForP(ps[point])
-		cfg.Collude = true
-		cfg.Distributed = distributed
-		cfg.Wormholes = nil
-		cfg.CalibrationTrials = 500
-		if o.Quick {
-			quickDeploy(&cfg)
-		}
-		return cfg
-	}
-	protos := make([]scenario.Config, 0, 2*len(ps))
-	for p := range ps {
-		protos = append(protos, cfgAt(p, false), cfgAt(p, true))
-	}
-	rows, err := harness.Sweep(context.Background(), harness.Spec[distSample]{
-		Label:    "extra-distributed",
-		Points:   harness.FloatLabels("P", ps),
-		Trials:   trials,
-		Seed:     o.Seed,
-		Workers:  o.Workers,
-		Progress: o.progress(),
-		Cache:    o.Cache,
-		Key:      sweepKey("extra-distributed", trials, protos),
-		Codec:    harness.JSONCodec[distSample](),
-		Run: func(_ context.Context, job harness.Job) (distSample, error) {
-			var s distSample
-			for _, distributed := range []bool{false, true} {
-				cfg := cfgAt(job.Point, distributed)
-				cfg.Seed = job.Seed
-				cfg.Deploy.Seed = job.TrialSeed
-				res, err := scenario.Run(cfg)
-				if err != nil {
-					return s, err
-				}
-				if distributed {
-					s.Local = res.LocalCoverage
-					s.LocalFrame = res.LocalFalseRevocations
-				} else {
-					s.Central = res.DetectionRate
-					s.CentralFP = res.FalsePositiveRate
-				}
+	// architecture, not the topology draw. The centralized run keeps its
+	// detection rate and FPR, the distributed one its local coverage and
+	// framing.
+	rows, _, err := scenarioSweep(o, "extra-distributed", harness.FloatLabels("P", ps), trials,
+		func(p int) []scenario.Config {
+			cfg := scenario.Paper()
+			cfg.Strategy = analysis.StrategyForP(ps[p])
+			cfg.Collude = true
+			cfg.Wormholes = nil
+			cfg.CalibrationTrials = 500
+			if o.Quick {
+				quickDeploy(&cfg)
 			}
-			return s, nil
+			distributed := cfg
+			distributed.Distributed = true
+			return []scenario.Config{cfg, distributed}
 		},
-	})
+		func(_ harness.Job, cfg scenario.Config, res *scenario.Result) [2]float64 {
+			if cfg.Distributed {
+				return [2]float64{res.LocalCoverage, res.LocalFalseRevocations}
+			}
+			return [2]float64{res.DetectionRate, res.FalsePositiveRate}
+		})
 	if err != nil {
 		return Result{}, err
 	}
@@ -87,11 +57,11 @@ func ExtraDistributed(o Options) (Result, error) {
 	local := make([]float64, len(ps))
 	var centralFP, localFrame float64
 	for i, row := range rows {
-		for _, s := range row {
-			central[i] += s.Central
-			local[i] += s.Local
-			centralFP += s.CentralFP
-			localFrame += s.LocalFrame
+		for _, job := range row {
+			central[i] += job[0][0]
+			local[i] += job[1][0]
+			centralFP += job[0][1]
+			localFrame += job[1][1]
 		}
 		central[i] /= float64(trials)
 		local[i] /= float64(trials)

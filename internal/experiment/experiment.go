@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/cache"
@@ -30,8 +29,8 @@ type Options struct {
 	Workers int
 	// Progress, when non-nil, observes trial completion within
 	// simulation-backed runners (done jobs, total jobs, elapsed time).
-	// Invocations are serialized per runner.
-	Progress func(done, total int, elapsed time.Duration)
+	// Invocations are serialized per sweep.
+	Progress func(harness.Progress)
 	// Cache, when non-nil, memoizes simulation trial results across
 	// runs and processes, content-addressed by canonical config
 	// encoding plus derived seeds; identical concurrent trials (figures
@@ -43,20 +42,6 @@ type Options struct {
 	// all of them. The paper-figure runners ignore it: they reproduce
 	// the paper and always run its pipeline.
 	Detectors []string
-	// MetroWorkers is the shard count of the metro runner's parallel
-	// identity leg (extra-metro); 0 picks a default that exercises the
-	// sharded kernel even on one CPU. Identity-pinned metro fields are
-	// byte-identical at any value, so it is a performance knob, never a
-	// result knob.
-	MetroWorkers int
-}
-
-// progress adapts the caller's callback to the harness's Progress type.
-func (o Options) progress() func(harness.Progress) {
-	if o.Progress == nil {
-		return nil
-	}
-	return func(p harness.Progress) { o.Progress(p.Done, p.Total, p.Elapsed) }
 }
 
 // RunMetrics aggregates the instrumentation of every simulation run a

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"beaconsec/internal/harness"
 )
@@ -415,13 +414,13 @@ func TestProgressReportsAllJobs(t *testing.T) {
 	var mu sync.Mutex
 	var calls, last, total int
 	o := Options{Quick: true, Seed: 1, Workers: 2}
-	o.Progress = func(done, tot int, elapsed time.Duration) {
+	o.Progress = func(p harness.Progress) {
 		mu.Lock()
 		defer mu.Unlock()
 		calls++
-		last, total = done, tot
-		if elapsed < 0 {
-			t.Errorf("negative elapsed %v", elapsed)
+		last, total = p.Done, p.Total
+		if p.Elapsed < 0 {
+			t.Errorf("negative elapsed %v", p.Elapsed)
 		}
 	}
 	mustRun(t, Fig12, o)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"beaconsec/internal/harness"
 	"beaconsec/internal/metrics"
 	"beaconsec/internal/scenario"
 	"beaconsec/internal/textplot"
@@ -25,20 +26,15 @@ func metroSizes(o Options) []int64 {
 	return []int64{5_000, 20_000, 50_000}
 }
 
-// metroWorkers is the shard count of the parallel identity leg: the
-// caller's -metro-workers if set, else 4 — deliberately more shards than
-// a small CI box has cores, so the sharded kernel is exercised (and its
-// identity contract enforced) even on one CPU.
-func metroWorkers(o Options) int {
-	if o.MetroWorkers > 0 {
-		return o.MetroWorkers
-	}
-	return 4
-}
+// metroWorkers is the shard count of the parallel identity leg:
+// deliberately more shards than a small CI box has cores, so the sharded
+// kernel is exercised (and its identity contract enforced) even on one
+// CPU. Identity-pinned fields are byte-identical at any shard count.
+const metroWorkers = 4
 
 // ExtraMetro regenerates the metro-scale extension experiment: for each
 // population it runs the streamed probe scenario on one shard and on
-// metroWorkers(o) shards, errors if the sharded run diverges in any
+// metroWorkers shards, errors if the sharded run diverges in any
 // identity-pinned field (the kernel's contract, enforced on every figure
 // regeneration, not just in tests), and reports the deterministic outcome
 // curves of the one-shard run. Wall-clock throughput and the execution
@@ -47,7 +43,6 @@ func metroWorkers(o Options) int {
 func ExtraMetro(o Options) (Result, error) {
 	ctx := context.Background()
 	sizes := metroSizes(o)
-	workers := metroWorkers(o)
 	res := Result{
 		ID:     "extra-metro",
 		Title:  "E6: metro scale — streamed scenarios at 2k-50k nodes, one shard vs many",
@@ -71,8 +66,8 @@ func ExtraMetro(o Options) (Result, error) {
 		}
 		oneWall := time.Since(oneStart)
 
-		cfg.Workers = workers
-		k := len(cfg.Deploy.ShardRanges(workers))
+		cfg.Workers = metroWorkers
+		k := len(cfg.Deploy.ShardRanges(metroWorkers))
 		parStart := time.Now()
 		par, err := scenario.RunMetro(ctx, cfg)
 		if err != nil {
@@ -100,7 +95,7 @@ func ExtraMetro(o Options) (Result, error) {
 			oneWall.Seconds()/parWall.Seconds()))
 
 		if o.Progress != nil {
-			o.Progress(i+1, len(sizes), time.Since(start))
+			o.Progress(harness.Progress{Done: i + 1, Total: len(sizes), Elapsed: time.Since(start)})
 		}
 	}
 	res.Series = []textplot.Series{
@@ -111,7 +106,7 @@ func ExtraMetro(o Options) (Result, error) {
 	}
 	env := metrics.CaptureEnv()
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("sharded kernel (-metro-workers %d) identity-pinned fields byte-identical to K=1 at every size (checked this run)", workers),
+		fmt.Sprintf("sharded kernel (-metro-workers %d) identity-pinned fields byte-identical to K=1 at every size (checked this run)", metroWorkers),
 		"memory-bounded: deployment streamed, per-node results never retained",
 		fmt.Sprintf("env: %s %s/%s, GOMAXPROCS=%d of %d CPUs (scaling numbers are meaningless without this)",
 			env.GoVersion, env.GOOS, env.GOARCH, env.GOMAXPROCS, env.NumCPU))

@@ -14,11 +14,11 @@ import (
 // promotionVariants are E3's three configurations. The two liar variants
 // consume the topology stream identically, so for a given trial they see
 // the same node placement and the same liar set — the detector's effect
-// is isolated.
+// is isolated. The fields are exported because the matrix is part of the
+// sweep's cache Config.
 var promotionVariants = []struct {
-	label  string
-	liars  bool
-	detect bool
+	Label         string
+	Liars, Detect bool
 }{
 	{"honest promotions", false, false},
 	{"15% liars, no detector", true, false},
@@ -49,28 +49,6 @@ func ExtraPromotion(o Options) (Result, error) {
 		Field:        field,
 	}
 
-	// The cache key captures the full experiment surface: the iterative
-	// localization config plus the variant matrix (which otherwise
-	// lives only in code).
-	variantKey := make([]struct {
-		Label         string
-		Liars, Detect bool
-	}, len(promotionVariants))
-	for i, v := range promotionVariants {
-		variantKey[i] = struct {
-			Label         string
-			Liars, Detect bool
-		}{v.label, v.liars, v.detect}
-	}
-	// The promotion experiment exercises the localization layer only —
-	// no scenario detector runs — so its detector field is empty.
-	key := EncodeKey("extra-promotion", "", struct {
-		Nodes, Trials int
-		Field         geo.Rect
-		Cfg           localization.IterativeConfig
-		Variants      any
-	}{nodes, trials, field, cfg, variantKey})
-
 	// One job runs all three variants of one trial from the same
 	// per-trial seed (paired comparison, as promotionVariants notes).
 	rows, err := harness.Sweep(context.Background(), harness.Spec[[3][]float64]{
@@ -79,10 +57,17 @@ func ExtraPromotion(o Options) (Result, error) {
 		Trials:   trials,
 		Seed:     o.Seed,
 		Workers:  o.Workers,
-		Progress: o.progress(),
+		Progress: o.Progress,
 		Cache:    o.Cache,
-		Key:      key,
-		Codec:    harness.JSONCodec[[3][]float64](),
+		// The cache Config captures the full experiment surface: the
+		// iterative localization config plus the variant matrix, which
+		// otherwise lives only in code.
+		Config: struct {
+			Nodes, Trials int
+			Field         geo.Rect
+			Cfg           localization.IterativeConfig
+			Variants      any
+		}{nodes, trials, field, cfg, promotionVariants},
 		Run: func(_ context.Context, job harness.Job) ([3][]float64, error) {
 			var tiers [3][]float64
 			for vi, v := range promotionVariants {
@@ -94,12 +79,12 @@ func ExtraPromotion(o Options) (Result, error) {
 					truth[i] = geo.Point{X: src.Uniform(0, field.Width()), Y: src.Uniform(0, field.Height())}
 					if src.Bool(0.08) {
 						isBeacon[i] = true
-					} else if v.liars && src.Bool(0.15) {
+					} else if v.Liars && src.Bool(0.15) {
 						liars[i] = true
 					}
 				}
 				c := cfg
-				c.DetectMalicious = v.detect
+				c.DetectMalicious = v.Detect
 				res := localization.IterativeLocalize(truth, isBeacon, liars,
 					geo.Point{X: 120, Y: -90}, c, src.Split("measure"))
 				tiers[vi] = res.MeanErrorByTier(truth)
@@ -139,7 +124,7 @@ func ExtraPromotion(o Options) (Result, error) {
 			errs[tier] = sums[tier] / float64(counts[tier])
 			xs[tier] = float64(tier)
 		}
-		res.Series = append(res.Series, textplot.Series{Label: v.label, X: xs, Y: errs})
+		res.Series = append(res.Series, textplot.Series{Label: v.Label, X: xs, Y: errs})
 		if len(errs) > 0 {
 			finals = append(finals, errs[len(errs)-1])
 		} else {

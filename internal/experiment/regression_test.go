@@ -30,7 +30,7 @@ func regTrials() int {
 }
 
 // regSweep runs a quick-scale no-collusion sweep over the given P grid.
-func regSweep(t *testing.T, label string, ps []float64, trials int) []*scenario.Result {
+func regSweep(t *testing.T, label string, ps []float64, trials int) []pointMean {
 	t.Helper()
 	o := Options{Quick: true, Seed: 7}
 	sims, _, err := simSweep(o, label, ps, trials, func(c *scenario.Config) { c.Collude = false })
@@ -84,7 +84,7 @@ func TestRegressionFalsePositiveRateBounded(t *testing.T) {
 	sims := regSweep(t, "regression-fpr", ps, trials)
 	for i, p := range ps {
 		s := sims[i]
-		t.Logf("P=%.2f: FPR %.4f (benign alerts %d, true alerts %d)",
+		t.Logf("P=%.2f: FPR %.4f (benign alerts %.1f, true alerts %.1f)",
 			p, s.FalsePositiveRate, s.BenignAlerts, s.TrueAlerts)
 		if s.FalsePositiveRate > 0.15 {
 			t.Errorf("P=%.2f: false-positive rate %.3f above bound 0.15", p, s.FalsePositiveRate)

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
@@ -67,8 +66,7 @@ func quickDeploy(c *scenario.Config) {
 // cache the measurement is memoized by (trials, seed) — and
 // single-flighted, so the concurrently regenerating figures that all
 // calibrate with the same parameters pay for one calibration between
-// them. The calibration is detector-independent, so its key carries an
-// empty detector field.
+// them.
 func calStats(o Options) (core.RTTStats, error) {
 	calTrials := 2000
 	if o.Quick {
@@ -80,11 +78,10 @@ func calStats(o Options) (core.RTTStats, error) {
 		Points: []string{"calibration"},
 		Trials: 1,
 		Cache:  o.Cache,
-		Key: EncodeKey("rtt-calibration", "", struct {
+		Config: struct {
 			Trials int
 			Seed   uint64
-		}{calTrials, seed}),
-		Codec: harness.JSONCodec[core.RTTStats](),
+		}{calTrials, seed},
 		Run: func(context.Context, harness.Job) (core.RTTStats, error) {
 			cal, err := core.CalibrateRTTWorkers(calTrials, seed, o.Workers)
 			return cal.Stats(), err
@@ -96,120 +93,81 @@ func calStats(o Options) (core.RTTStats, error) {
 	return rows[0][0], nil
 }
 
-// calThreshold is the local-replay threshold from the shared calibration.
-func calThreshold(o Options) (float64, error) {
-	st, err := calStats(o)
-	if err != nil {
-		return 0, err
-	}
-	return st.Threshold, nil
-}
-
-// sweepKey builds the canonical cache key for a scenario sweep from its
-// fully resolved per-point configs. Seeds are zeroed in the encoding —
-// the harness's job fingerprint addresses them — so the key captures
-// exactly the configuration half of a trial's identity. The sweep's
-// detector identity is lifted into the key's dedicated detector field;
-// a sweep must be detector-uniform (the bake-off runs one sweep per
-// detector), so mixed-detector protos panic.
-func sweepKey(kind string, trials int, protos []scenario.Config) []byte {
-	detector := core.DefaultDetectorName
-	for i := range protos {
-		if d := cmp.Or(protos[i].Detector, core.DefaultDetectorName); i == 0 {
-			detector = d
-		} else if d != detector {
-			panic(fmt.Sprintf("experiment: sweepKey(%s): mixed detectors %q and %q in one sweep",
-				kind, detector, d))
+// scenarioSweep runs a grid of full scenario runs on the trial harness.
+// A job runs the configs configsAt returns for its point, in order, each
+// on the job's seeds: Seed is the job's own and Deploy.Seed the trial's,
+// so every point and every variant of a trial share one deployment
+// (common random numbers) and curves differ only in what the configs
+// change. measure turns each run's live result into what the sweep keeps
+// of it, so one run's simulation is garbage before the next starts; the
+// measures come back indexed [point][trial][config]. The configs, seeds
+// zeroed, are the sweep's cache Config, so anything a builder sets is in
+// the cache key; the sweep label is a seed stream, so figures that share
+// one (fig12 and fig13 share "detect") address the same cached trials.
+func scenarioSweep[M any](o Options, label string, points []string, trials int,
+	configsAt func(point int) []scenario.Config,
+	measure func(job harness.Job, cfg scenario.Config, res *scenario.Result) M,
+) ([][][]M, harness.Timing, error) {
+	cfgs := make([][]scenario.Config, len(points))
+	for p := range points {
+		cfgs[p] = configsAt(p)
+		for i := range cfgs[p] {
+			cfgs[p][i].Seed, cfgs[p][i].Deploy.Seed = 0, 0
 		}
-		protos[i].Seed = 0
-		protos[i].Deploy.Seed = 0
-	}
-	return EncodeKey(kind, detector, struct {
-		Trials  int
-		Configs []scenario.Config
-	}{trials, protos})
-}
-
-// simSweep runs the paper-scale scenario across a P grid on the trial
-// harness and returns the per-P averaged results plus the sweep's
-// aggregate instrumentation. The sweep label keys the seed streams, so
-// two figures with the same root seed never replay each other's trials
-// — and conversely, figures that deliberately share a label (fig12 and
-// fig13 both consume the "detect" sweep) address the same cached
-// trials.
-func simSweep(o Options, label string, ps []float64, trials int, mutate func(*scenario.Config)) ([]*scenario.Result, *RunMetrics, error) {
-	threshold, err := calThreshold(o)
-	if err != nil {
-		return nil, nil, err
-	}
-	// cfgAt resolves the full per-point configuration; Run stamps only
-	// the job seeds on top. Keeping key construction and execution on
-	// one config builder means anything mutate can express is in the
-	// cache key.
-	cfgAt := func(point int) scenario.Config {
-		cfg := scenario.Paper()
-		cfg.Strategy = analysis.StrategyForP(ps[point])
-		cfg.RTTThreshold = threshold
-		if o.Quick {
-			quickDeploy(&cfg)
-		}
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		return cfg
-	}
-	protos := make([]scenario.Config, len(ps))
-	for p := range ps {
-		protos[p] = cfgAt(p)
 	}
 	timing := harness.NewTiming()
-	sims, err := harness.SweepReduce(context.Background(), harness.Spec[*scenario.Result]{
+	rows, err := harness.Sweep(context.Background(), harness.Spec[[]M]{
 		Label:    label,
-		Points:   harness.FloatLabels("P", ps),
+		Points:   points,
 		Trials:   trials,
 		Seed:     o.Seed,
 		Workers:  o.Workers,
-		Progress: o.progress(),
+		Progress: o.Progress,
 		Timing:   timing,
 		Cache:    o.Cache,
-		Key:      sweepKey("simSweep", trials, protos),
-		Codec:    harness.JSONCodec[*scenario.Result](),
-		Run: func(_ context.Context, job harness.Job) (*scenario.Result, error) {
-			cfg := cfgAt(job.Point)
-			cfg.Seed = job.Seed
-			// The deployment is shared across sweep points (common
-			// random numbers): only the trial index seeds placement, so
-			// curves differ in the swept parameter, not the topology.
-			cfg.Deploy.Seed = job.TrialSeed
-			return scenario.Run(cfg)
+		Config:   cfgs,
+		Run: func(_ context.Context, job harness.Job) ([]M, error) {
+			ms := make([]M, len(cfgs[job.Point]))
+			for i, cfg := range cfgs[job.Point] {
+				cfg.Seed = job.Seed
+				cfg.Deploy.Seed = job.TrialSeed
+				res, err := scenario.Run(cfg)
+				if err != nil {
+					return nil, err
+				}
+				ms[i] = measure(job, cfg, res)
+			}
+			return ms, nil
 		},
-	}, meanScenario)
-	if err != nil {
-		return nil, nil, err
-	}
-	rm := &RunMetrics{Timing: *timing}
-	// Point-then-trial order: the reducer already merged each point's
-	// trials in trial order, so folding points in grid order keeps the
-	// aggregate identical for any worker count.
-	for _, s := range sims {
-		rm.Scenario.Merge(s.Metrics)
-	}
-	return sims, rm, nil
+	})
+	return rows, *timing, err
 }
 
-// meanScenario averages the metric fields the figures consume; the
-// population is constant across trials of a point. Instrumentation
-// counters are summed (not averaged): Metrics.Runs records how many runs
-// fed them.
-func meanScenario(_ int, runs []*scenario.Result) *scenario.Result {
-	agg := &scenario.Result{}
+// pointMean is one point of a one-config scenario sweep: the trial means
+// of the metrics the figures read, with the alert counts as floats so a
+// mean is not truncated to a whole alert, and the summed
+// instrumentation. The population is constant across a point's trials.
+type pointMean struct {
+	DetectionRate, FalsePositiveRate float64
+	AffectedPerMalicious, AvgNc      float64
+	BenignAlerts, TrueAlerts         float64
+	Population                       analysis.Population
+	Detector                         string
+	// Metrics sums (not averages) the runs' counters: Metrics.Runs
+	// records how many runs fed them.
+	Metrics scenario.Metrics
+}
+
+// meanScenario averages one point's trials.
+func meanScenario(runs []*scenario.Result) pointMean {
+	var agg pointMean
 	for _, r := range runs {
 		agg.DetectionRate += r.DetectionRate
 		agg.AffectedPerMalicious += r.AffectedPerMalicious
 		agg.AvgNc += r.AvgNc
 		agg.FalsePositiveRate += r.FalsePositiveRate
-		agg.BenignAlerts += r.BenignAlerts
-		agg.TrueAlerts += r.TrueAlerts
+		agg.BenignAlerts += float64(r.BenignAlerts)
+		agg.TrueAlerts += float64(r.TrueAlerts)
 		agg.Population = r.Population
 		agg.Detector = r.Detector
 		agg.Metrics.Merge(r.Metrics)
@@ -219,9 +177,55 @@ func meanScenario(_ int, runs []*scenario.Result) *scenario.Result {
 	agg.AffectedPerMalicious /= f
 	agg.AvgNc /= f
 	agg.FalsePositiveRate /= f
-	agg.BenignAlerts /= len(runs)
-	agg.TrueAlerts /= len(runs)
+	agg.BenignAlerts /= f
+	agg.TrueAlerts /= f
 	return agg
+}
+
+// meanSweep runs a one-config scenario sweep and returns each point's
+// trial mean plus the sweep's aggregate instrumentation. Point-then-trial
+// order: each point merges its trials in trial order, and the points
+// merge in grid order, so the aggregate is identical for any worker
+// count.
+func meanSweep(o Options, label string, points []string, trials int, configAt func(point int) scenario.Config) ([]pointMean, *RunMetrics, error) {
+	rows, timing, err := scenarioSweep(o, label, points, trials,
+		func(p int) []scenario.Config { return []scenario.Config{configAt(p)} },
+		func(_ harness.Job, _ scenario.Config, res *scenario.Result) *scenario.Result { return res })
+	if err != nil {
+		return nil, nil, err
+	}
+	rm := &RunMetrics{Timing: timing}
+	means := make([]pointMean, len(rows))
+	for p, row := range rows {
+		runs := make([]*scenario.Result, len(row))
+		for tr, job := range row {
+			runs[tr] = job[0]
+		}
+		means[p] = meanScenario(runs)
+		rm.Scenario.Merge(means[p].Metrics)
+	}
+	return means, rm, nil
+}
+
+// simSweep runs the paper-scale scenario across a P grid, with the
+// shared calibration pinned, and returns the per-P means.
+func simSweep(o Options, label string, ps []float64, trials int, mutate func(*scenario.Config)) ([]pointMean, *RunMetrics, error) {
+	stats, err := calStats(o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return meanSweep(o, label, harness.FloatLabels("P", ps), trials, func(p int) scenario.Config {
+		cfg := scenario.Paper()
+		cfg.Strategy = analysis.StrategyForP(ps[p])
+		cfg.RTTStats = &stats
+		if o.Quick {
+			quickDeploy(&cfg)
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		return cfg
+	})
 }
 
 func sweepGrid(o Options) ([]float64, int) {
@@ -237,7 +241,7 @@ func sweepGrid(o Options) ([]float64, int) {
 // one sweep label ("detect"): their trial fingerprints coincide, and
 // with a cache the two concurrently regenerating figures single-flight
 // to one set of simulations instead of two.
-func detectionSweep(o Options) ([]float64, []*scenario.Result, *RunMetrics, error) {
+func detectionSweep(o Options) ([]float64, []pointMean, *RunMetrics, error) {
 	ps, trials := sweepGrid(o)
 	sims, rm, err := simSweep(o, "detect", ps, trials, func(c *scenario.Config) { c.Collude = false })
 	return ps, sims, rm, err
@@ -318,7 +322,7 @@ func Fig14(o Options) (Result, error) {
 		tauPs = []int{2}
 		trials = 1
 	}
-	threshold, err := calThreshold(o)
+	stats, err := calStats(o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -336,19 +340,12 @@ func Fig14(o Options) (Result, error) {
 			}
 		}
 	}
-
-	// rocSample's fields are exported so the sweep's results serialize
-	// through the cache codec.
-	type rocSample struct {
-		Det, FPR float64
-		Metrics  scenario.Metrics
-	}
-	cfgAt := func(point int) scenario.Config {
+	points, rm, err := meanSweep(o, "fig14", labels, trials, func(point int) scenario.Config {
 		c := combos[point]
 		cfg := scenario.Paper()
 		cfg.Deploy.Na = c.na
 		cfg.Revoke = revoke.Config{ReportCap: c.tau, AlertThreshold: c.tauP}
-		cfg.RTTThreshold = threshold
+		cfg.RTTStats = &stats
 		if o.Quick {
 			quickDeploy(&cfg)
 			cfg.Deploy.Na = min(c.na, 5)
@@ -359,50 +356,9 @@ func Fig14(o Options) (Result, error) {
 		_, pStar := analysis.MaxAffected(cfg.Deploy.DetectingIDs, c.tauP, 68, pop)
 		cfg.Strategy = analysis.StrategyForP(pStar)
 		return cfg
-	}
-	protos := make([]scenario.Config, len(combos))
-	for p := range combos {
-		protos[p] = cfgAt(p)
-	}
-	timing := harness.NewTiming()
-	points, err := harness.SweepReduce(context.Background(), harness.Spec[rocSample]{
-		Label:    "fig14",
-		Points:   labels,
-		Trials:   trials,
-		Seed:     o.Seed,
-		Workers:  o.Workers,
-		Progress: o.progress(),
-		Timing:   timing,
-		Cache:    o.Cache,
-		Key:      sweepKey("fig14-roc", trials, protos),
-		Codec:    harness.JSONCodec[rocSample](),
-		Run: func(_ context.Context, job harness.Job) (rocSample, error) {
-			cfg := cfgAt(job.Point)
-			cfg.Seed = job.Seed
-			cfg.Deploy.Seed = job.TrialSeed
-			r, err := scenario.Run(cfg)
-			if err != nil {
-				return rocSample{}, err
-			}
-			return rocSample{Det: r.DetectionRate, FPR: r.FalsePositiveRate, Metrics: r.Metrics}, nil
-		},
-	}, func(_ int, trials []rocSample) rocSample {
-		var mean rocSample
-		for _, s := range trials {
-			mean.Det += s.Det
-			mean.FPR += s.FPR
-			mean.Metrics.Merge(s.Metrics)
-		}
-		mean.Det /= float64(len(trials))
-		mean.FPR /= float64(len(trials))
-		return mean
 	})
 	if err != nil {
 		return Result{}, err
-	}
-	rm := &RunMetrics{Timing: *timing}
-	for _, pt := range points {
-		rm.Scenario.Merge(pt.Metrics)
 	}
 
 	res := Result{
@@ -415,8 +371,8 @@ func Fig14(o Options) (Result, error) {
 	for i := 0; i < len(combos); i += len(taus) {
 		var xs, ys []float64
 		for j := i; j < i+len(taus); j++ {
-			xs = append(xs, points[j].FPR)
-			ys = append(ys, points[j].Det)
+			xs = append(xs, points[j].FalsePositiveRate)
+			ys = append(ys, points[j].DetectionRate)
 		}
 		res.Series = append(res.Series, textplot.Series{
 			Label:   fmt.Sprintf("Na=%d,tau'=%d", combos[i].na, combos[i].tauP),
@@ -430,85 +386,44 @@ func Fig14(o Options) (Result, error) {
 	return res, nil
 }
 
-// pairSample is one paired trial: a metric of the defended and of the
-// undefended run on identical seeds. Exported fields: the samples
-// serialize through the cache codec.
-type pairSample struct{ Defended, Undefended float64 }
-
 // pairedSweep runs the paper-scale scenario across a P grid with the full
 // defense and without it (no filters, no revocation), both variants of a
 // job on identical seeds — a paired design, so the comparison is not
 // smeared by topology variance between the two curves — and returns each
-// point's trial mean of metric for either variant. label names the sweep
-// and its cache key.
+// point's trial mean of metric for either variant. label names the sweep.
 func pairedSweep(o Options, label string, ps []float64, trials int,
 	metric func(res *scenario.Result, cfg scenario.Config, job harness.Job) float64) ([]float64, []float64, error) {
-	cfgAt := func(point int, defended bool) scenario.Config {
-		cfg := scenario.Paper()
-		cfg.Strategy = analysis.StrategyForP(ps[point])
-		cfg.Collude = false
-		cfg.CalibrationTrials = 500
-		if o.Quick {
-			quickDeploy(&cfg)
-		}
-		if !defended {
-			cfg.DisableRTTFilter = true
-			cfg.DisableWormholeFilter = true
+	rows, _, err := scenarioSweep(o, label, harness.FloatLabels("P", ps), trials,
+		func(p int) []scenario.Config {
+			cfg := scenario.Paper()
+			cfg.Strategy = analysis.StrategyForP(ps[p])
+			cfg.Collude = false
+			cfg.CalibrationTrials = 500
+			if o.Quick {
+				quickDeploy(&cfg)
+			}
+			undefended := cfg
+			undefended.DisableRTTFilter = true
+			undefended.WormholeRate = 0
 			// An absurd alert threshold disables revocation.
-			cfg.Revoke.AlertThreshold = 1 << 20
-		}
-		return cfg
-	}
-	protos := make([]scenario.Config, 0, 2*len(ps))
-	for p := range ps {
-		protos = append(protos, cfgAt(p, true), cfgAt(p, false))
-	}
-	points, err := harness.SweepReduce(context.Background(), harness.Spec[pairSample]{
-		Label:    label,
-		Points:   harness.FloatLabels("P", ps),
-		Trials:   trials,
-		Seed:     o.Seed,
-		Workers:  o.Workers,
-		Progress: o.progress(),
-		Cache:    o.Cache,
-		Key:      sweepKey(label, trials, protos),
-		Codec:    harness.JSONCodec[pairSample](),
-		Run: func(_ context.Context, job harness.Job) (pairSample, error) {
-			runVariant := func(defended bool) (float64, error) {
-				cfg := cfgAt(job.Point, defended)
-				cfg.Seed = job.Seed
-				cfg.Deploy.Seed = job.TrialSeed
-				res, err := scenario.Run(cfg)
-				if err != nil {
-					return 0, err
-				}
-				return metric(res, cfg, job), nil
-			}
-			var s pairSample
-			var err error
-			if s.Defended, err = runVariant(true); err != nil {
-				return s, err
-			}
-			s.Undefended, err = runVariant(false)
-			return s, err
+			undefended.Revoke.AlertThreshold = 1 << 20
+			return []scenario.Config{cfg, undefended}
 		},
-	}, func(_ int, trials []pairSample) pairSample {
-		var mean pairSample
-		for _, s := range trials {
-			mean.Defended += s.Defended
-			mean.Undefended += s.Undefended
-		}
-		mean.Defended /= float64(len(trials))
-		mean.Undefended /= float64(len(trials))
-		return mean
-	})
+		func(job harness.Job, cfg scenario.Config, res *scenario.Result) float64 {
+			return metric(res, cfg, job)
+		})
 	if err != nil {
 		return nil, nil, err
 	}
 	defended := make([]float64, len(ps))
 	undefended := make([]float64, len(ps))
-	for i, s := range points {
-		defended[i], undefended[i] = s.Defended, s.Undefended
+	for p, row := range rows {
+		for _, job := range row {
+			defended[p] += job[0]
+			undefended[p] += job[1]
+		}
+		defended[p] /= float64(len(row))
+		undefended[p] /= float64(len(row))
 	}
 	return defended, undefended, nil
 }
@@ -561,60 +476,39 @@ func ExtraAblation(o Options) (Result, error) {
 	variants := []variant{
 		{"full defense", func(c *scenario.Config) {}},
 		{"RTT filter off", func(c *scenario.Config) { c.DisableRTTFilter = true }},
-		{"wormhole detector off", func(c *scenario.Config) { c.DisableWormholeFilter = true }},
-	}
-	cfgFor := func(vi int) scenario.Config {
-		cfg := scenario.Paper()
-		cfg.Strategy = analysis.StrategyForP(0) // benign-behaving compromised nodes
-		cfg.Collude = false
-		cfg.CalibrationTrials = 500
-		if o.Quick {
-			quickDeploy(&cfg)
-			cfg.Wormholes = []scenario.WormholeSpec{{
-				A: geo.Point{X: 100, Y: 100}, B: geo.Point{X: 450, Y: 400}, Latency: 2,
-			}}
-		}
-		// Blanket replay attackers to stress the RTT filter.
-		w := cfg.Deploy.Field.Width()
-		for x := w / 6; x < w; x += w / 3 {
-			for y := w / 6; y < w; y += w / 3 {
-				cfg.ReplayAttackers = append(cfg.ReplayAttackers, geo.Point{X: x, Y: y})
-			}
-		}
-		variants[vi].mut(&cfg)
-		return cfg
-	}
-	protos := make([]scenario.Config, len(variants))
-	for vi := range variants {
-		protos[vi] = cfgFor(vi)
+		{"wormhole detector off", func(c *scenario.Config) { c.WormholeRate = 0 }},
 	}
 	// Each job runs all three variants on identical seeds (paired), so
 	// the ablation differences come from the disabled filter alone.
-	rows, err := harness.Sweep(context.Background(), harness.Spec[[3]float64]{
-		Label:    "extra-ablation",
-		Points:   []string{"benign-alerts"},
-		Trials:   trials,
-		Seed:     o.Seed,
-		Workers:  o.Workers,
-		Progress: o.progress(),
-		Cache:    o.Cache,
-		Key:      sweepKey("extra-ablation", trials, protos),
-		Codec:    harness.JSONCodec[[3]float64](),
-		Run: func(_ context.Context, job harness.Job) ([3]float64, error) {
-			var alerts [3]float64
-			for vi := range variants {
-				cfg := cfgFor(vi)
-				cfg.Seed = job.Seed
-				cfg.Deploy.Seed = job.TrialSeed
-				r, err := scenario.Run(cfg)
-				if err != nil {
-					return alerts, err
-				}
-				alerts[vi] = float64(r.BenignAlerts)
+	rows, _, err := scenarioSweep(o, "extra-ablation", []string{"benign-alerts"}, trials,
+		func(int) []scenario.Config {
+			cfg := scenario.Paper()
+			cfg.Strategy = analysis.StrategyForP(0) // benign-behaving compromised nodes
+			cfg.Collude = false
+			cfg.CalibrationTrials = 500
+			if o.Quick {
+				quickDeploy(&cfg)
+				cfg.Wormholes = []scenario.WormholeSpec{{
+					A: geo.Point{X: 100, Y: 100}, B: geo.Point{X: 450, Y: 400}, Latency: 2,
+				}}
 			}
-			return alerts, nil
+			// Blanket replay attackers to stress the RTT filter.
+			w := cfg.Deploy.Field.Width()
+			for x := w / 6; x < w; x += w / 3 {
+				for y := w / 6; y < w; y += w / 3 {
+					cfg.ReplayAttackers = append(cfg.ReplayAttackers, geo.Point{X: x, Y: y})
+				}
+			}
+			cfgs := make([]scenario.Config, len(variants))
+			for vi, v := range variants {
+				cfgs[vi] = cfg
+				v.mut(&cfgs[vi])
+			}
+			return cfgs
 		},
-	})
+		func(_ harness.Job, _ scenario.Config, res *scenario.Result) float64 {
+			return float64(res.BenignAlerts)
+		})
 	if err != nil {
 		return Result{}, err
 	}

@@ -2,8 +2,8 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -15,11 +15,10 @@ import (
 
 // cachedNoiseSpec is noiseSpec with caching wired in, counting real
 // executions of Run.
-func cachedNoiseSpec(workers int, store *cache.Cache, key []byte, runs *atomic.Int64) Spec[float64] {
+func cachedNoiseSpec(workers int, store *cache.Cache, config any, runs *atomic.Int64) Spec[float64] {
 	spec := noiseSpec(workers)
 	spec.Cache = store
-	spec.Key = key
-	spec.Codec = JSONCodec[float64]()
+	spec.Config = config
 	inner := spec.Run
 	spec.Run = func(ctx context.Context, job Job) (float64, error) {
 		runs.Add(1)
@@ -47,7 +46,7 @@ func newDiskCache(t *testing.T) *cache.Cache {
 }
 
 // TestSweepCacheColdMatchesUncached pins that routing results through
-// the codec loses nothing: a cold cached sweep equals the plain sweep
+// the cache loses nothing: a cold cached sweep equals the plain sweep
 // exactly.
 func TestSweepCacheColdMatchesUncached(t *testing.T) {
 	plain, err := Sweep(context.Background(), noiseSpec(1))
@@ -55,7 +54,7 @@ func TestSweepCacheColdMatchesUncached(t *testing.T) {
 		t.Fatal(err)
 	}
 	var runs atomic.Int64
-	cached, err := Sweep(context.Background(), cachedNoiseSpec(1, newMemCache(t), []byte("k1"), &runs))
+	cached, err := Sweep(context.Background(), cachedNoiseSpec(1, newMemCache(t), "k1", &runs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,40 +63,38 @@ func TestSweepCacheColdMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestSweepCodecWithoutCache pins that results pass through the codec
-// even with no cache: the reducer sees what the codec carries and
-// nothing else, as it would on a cache hit, and the sweep does not hold
-// the unexported state (for a scenario result, the whole simulation)
-// until it ends.
-func TestSweepCodecWithoutCache(t *testing.T) {
+// TestSweepJSONPassWithoutCache pins that results pass through
+// encoding/json even with no cache: the caller sees what the encoding
+// carries and nothing else, as it would on a cache hit, and the sweep
+// does not hold the unexported state (for a scenario result, the whole
+// simulation) until it ends.
+func TestSweepJSONPassWithoutCache(t *testing.T) {
 	type result struct {
 		Trial int
 		graph []byte
 	}
-	spec := Spec[result]{
-		Label:   "codec",
+	rows, err := Sweep(context.Background(), Spec[result]{
+		Label:   "json-pass",
 		Points:  []string{"a", "b"},
 		Trials:  3,
 		Seed:    1,
 		Workers: 2,
-		Codec:   JSONCodec[result](),
 		Run: func(_ context.Context, job Job) (result, error) {
 			return result{Trial: job.Trial, graph: make([]byte, 1<<10)}, nil
 		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := SweepReduce(context.Background(), spec, func(point int, trials []result) int {
+	for point, trials := range rows {
 		for tr, r := range trials {
 			if r.Trial != tr {
 				t.Errorf("point %d trial %d: decoded Trial = %d", point, tr, r.Trial)
 			}
 			if r.graph != nil {
-				t.Errorf("point %d trial %d: reducer saw the unexported field Run set", point, tr)
+				t.Errorf("point %d trial %d: caller saw the unexported field Run set", point, tr)
 			}
 		}
-		return 0
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -107,7 +104,7 @@ func TestSweepCodecWithoutCache(t *testing.T) {
 func TestSweepWarmReplaysWithoutRunning(t *testing.T) {
 	for _, store := range map[string]*cache.Cache{"memory": newMemCache(t), "disk": newDiskCache(t)} {
 		var runs atomic.Int64
-		coldSpec := cachedNoiseSpec(1, store, []byte("k1"), &runs)
+		coldSpec := cachedNoiseSpec(1, store, "k1", &runs)
 		coldSpec.Timing = NewTiming()
 		cold, err := Sweep(context.Background(), coldSpec)
 		if err != nil {
@@ -123,7 +120,7 @@ func TestSweepWarmReplaysWithoutRunning(t *testing.T) {
 
 		for _, workers := range []int{1, runtime.NumCPU()} {
 			runs.Store(0)
-			warmSpec := cachedNoiseSpec(workers, store, []byte("k1"), &runs)
+			warmSpec := cachedNoiseSpec(workers, store, "k1", &runs)
 			warmSpec.Timing = NewTiming()
 			warm, err := Sweep(context.Background(), warmSpec)
 			if err != nil {
@@ -144,15 +141,15 @@ func TestSweepWarmReplaysWithoutRunning(t *testing.T) {
 }
 
 // TestSweepCacheKeyChangeMisses pins the invalidation contract: any
-// change to the canonical config key must recompute every job.
+// change to the sweep's Config must recompute every job.
 func TestSweepCacheKeyChangeMisses(t *testing.T) {
 	store := newMemCache(t)
 	var runs atomic.Int64
-	if _, err := Sweep(context.Background(), cachedNoiseSpec(1, store, []byte("config-v1"), &runs)); err != nil {
+	if _, err := Sweep(context.Background(), cachedNoiseSpec(1, store, "config-v1", &runs)); err != nil {
 		t.Fatal(err)
 	}
 	runs.Store(0)
-	if _, err := Sweep(context.Background(), cachedNoiseSpec(1, store, []byte("config-v2"), &runs)); err != nil {
+	if _, err := Sweep(context.Background(), cachedNoiseSpec(1, store, "config-v2", &runs)); err != nil {
 		t.Fatal(err)
 	}
 	if runs.Load() == 0 {
@@ -172,7 +169,7 @@ func TestSweepCacheSharedAcrossConcurrentSweeps(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			results[i], errs[i] = Sweep(context.Background(),
-				cachedNoiseSpec(2, store, []byte("shared"), &runs))
+				cachedNoiseSpec(2, store, "shared", &runs))
 			done <- i
 		}(i)
 	}
@@ -201,8 +198,7 @@ func TestSweepCacheErrorNotStored(t *testing.T) {
 	fail := true
 	spec := noiseSpec(1)
 	spec.Cache = store
-	spec.Key = []byte("flaky")
-	spec.Codec = JSONCodec[float64]()
+	spec.Config = "flaky"
 	inner := spec.Run
 	spec.Run = func(ctx context.Context, job Job) (float64, error) {
 		if fail && job.Point == 1 {
@@ -227,18 +223,20 @@ func TestSweepCacheErrorNotStored(t *testing.T) {
 	}
 }
 
-// TestSweepCacheRequiresKeyAndCodec pins the configuration contract.
-func TestSweepCacheRequiresKeyAndCodec(t *testing.T) {
+// TestSweepCacheRequiresConfig pins the configuration contract: a
+// cached sweep needs a Config, and one that encoding/json cannot encode
+// is a Sweep error, not a panic.
+func TestSweepCacheRequiresConfig(t *testing.T) {
 	spec := noiseSpec(1)
 	spec.Cache = newMemCache(t)
-	spec.Codec = JSONCodec[float64]()
 	if _, err := Sweep(context.Background(), spec); err == nil {
-		t.Error("Cache without Key accepted")
+		t.Error("Cache without Config accepted")
 	}
-	spec.Key = []byte("k")
-	spec.Codec = nil
-	if _, err := Sweep(context.Background(), spec); err == nil {
-		t.Error("Cache without Codec accepted")
+	for _, bad := range []any{math.NaN(), func() {}, make(chan int)} {
+		spec.Config = bad
+		if _, err := Sweep(context.Background(), spec); err == nil {
+			t.Errorf("unencodable Config %T accepted", bad)
+		}
 	}
 }
 
@@ -256,12 +254,11 @@ func TestSweepCacheUndecodableEntryRecomputes(t *testing.T) {
 				Seed:      jobSeed(spec.Seed, spec.Label, label, tr),
 				TrialSeed: TrialSeed(spec.Seed, spec.Label, tr),
 			}
-			store.Put(JobFingerprint([]byte("k"), label, job), []byte(`{"not":"a float"}`))
+			store.Put(JobFingerprint(spec.Label, []byte(`"k"`), label, job), []byte(`{"not":"a float"}`))
 		}
 	}
 	spec.Cache = store
-	spec.Key = []byte("k")
-	spec.Codec = JSONCodec[float64]()
+	spec.Config = "k"
 	got, err := Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -285,67 +282,70 @@ func TestSweepCacheUndecodableEntryRecomputes(t *testing.T) {
 }
 
 // TestJobFingerprintSensitivity pins what the content address covers:
-// config key, point label, trial index, and both seeds.
+// sweep label, encoded config, point label, trial index, and both seeds,
+// with unambiguous boundaries between the label, config and point
+// parts.
 func TestJobFingerprintSensitivity(t *testing.T) {
 	job := Job{Point: 1, Trial: 2, Seed: 3, TrialSeed: 4}
-	base := JobFingerprint([]byte("key"), "P=0.1", job)
+	base := JobFingerprint("sweep", []byte("key"), "P=0.1", job)
 	variants := map[string]cache.Key{
-		"config key": JobFingerprint([]byte("other"), "P=0.1", job),
-		"point":      JobFingerprint([]byte("key"), "P=0.2", job),
-		"trial":      JobFingerprint([]byte("key"), "P=0.1", Job{Point: 1, Trial: 3, Seed: 3, TrialSeed: 4}),
-		"seed":       JobFingerprint([]byte("key"), "P=0.1", Job{Point: 1, Trial: 2, Seed: 5, TrialSeed: 4}),
-		"trial seed": JobFingerprint([]byte("key"), "P=0.1", Job{Point: 1, Trial: 2, Seed: 3, TrialSeed: 5}),
+		"label":      JobFingerprint("other", []byte("key"), "P=0.1", job),
+		"config":     JobFingerprint("sweep", []byte("other"), "P=0.1", job),
+		"point":      JobFingerprint("sweep", []byte("key"), "P=0.2", job),
+		"trial":      JobFingerprint("sweep", []byte("key"), "P=0.1", Job{Point: 1, Trial: 3, Seed: 3, TrialSeed: 4}),
+		"seed":       JobFingerprint("sweep", []byte("key"), "P=0.1", Job{Point: 1, Trial: 2, Seed: 5, TrialSeed: 4}),
+		"trial seed": JobFingerprint("sweep", []byte("key"), "P=0.1", Job{Point: 1, Trial: 2, Seed: 3, TrialSeed: 5}),
 	}
 	for name, v := range variants {
 		if v == base {
 			t.Errorf("changing %s did not change the fingerprint", name)
 		}
 	}
-	if JobFingerprint([]byte("key"), "P=0.1", job) != base {
+	if JobFingerprint("sweep", []byte("key"), "P=0.1", job) != base {
 		t.Error("fingerprint not deterministic")
+	}
+	// A label or config that absorbs part of its neighbor cannot
+	// collide.
+	if JobFingerprint("ab", []byte("c"), "d", job) == JobFingerprint("a", []byte("bc"), "d", job) {
+		t.Error("label/config boundary ambiguous")
+	}
+	if JobFingerprint("a", []byte("bc"), "d", job) == JobFingerprint("a", []byte("b"), "cd", job) {
+		t.Error("config/point boundary ambiguous")
 	}
 }
 
-// TestJSONCodecRoundTripsExactly spot-checks float64 exactness through
-// the codec — the property the byte-identity contract rests on.
-func TestJSONCodecRoundTripsExactly(t *testing.T) {
-	codec := JSONCodec[float64]()
-	src := rng.New(7)
-	for i := 0; i < 1000; i++ {
-		v := src.Float64() * 1e6
-		b, err := codec.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := codec.Unmarshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != v {
-			t.Fatalf("float64 %v round-tripped to %v", v, got)
-		}
-	}
-	// And a struct-shaped payload mirrors encoding/json semantics.
+// TestSweepJSONPassRoundTripsExactly spot-checks float64 exactness
+// through the sweep's encoding/json pass — the property the
+// byte-identity contract rests on — for bare floats and for a
+// struct-shaped result.
+func TestSweepJSONPassRoundTripsExactly(t *testing.T) {
 	type sample struct {
 		A float64
 		B []float64
 		C uint64
 	}
-	sc := JSONCodec[sample]()
-	in := sample{A: 0.1 + 0.2, B: []float64{1e-308, 9007199254740993}, C: 1<<63 + 1}
-	b, err := sc.Marshal(in)
+	want := func(seed uint64) sample {
+		v := rng.New(seed).Float64() * 1e6
+		return sample{A: v, B: []float64{0.1 + 0.2, 1e-308, 9007199254740993, v}, C: 1<<63 + seed%2}
+	}
+	spec := Spec[sample]{
+		Label:  "exact",
+		Points: FloatLabels("x", []float64{1, 2, 3, 4}),
+		Trials: 250,
+		Seed:   7,
+		Run: func(_ context.Context, job Job) (sample, error) {
+			return want(job.Seed), nil
+		},
+	}
+	rows, err := Sweep(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sc.Unmarshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ref sample
-	if err := json.Unmarshal(b, &ref); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) || !reflect.DeepEqual(out, ref) {
-		t.Fatalf("struct round-trip drifted: in=%+v out=%+v", in, out)
+	for p, trials := range rows {
+		for tr, got := range trials {
+			if w := want(jobSeed(spec.Seed, spec.Label, spec.Points[p], tr)); !reflect.DeepEqual(got, w) {
+				t.Fatalf("point %d trial %d: %+v round-tripped to %+v", p, tr, w, got)
+			}
+		}
 	}
 }

@@ -2,8 +2,7 @@
 // simulation-backed experiment. A sweep is a points × trials grid of
 // independent jobs (one x-axis point, one trial index each); Sweep runs
 // the grid on a bounded worker pool and returns the per-job results in
-// grid order, so callers aggregate however they like (or use SweepReduce
-// for the common per-point fold).
+// grid order, so callers aggregate however they like.
 //
 // Four properties make the harness the single place where trial
 // execution policy lives:
@@ -22,12 +21,13 @@
 //     context, stops job dispatch, and is returned to the caller —
 //     experiments report failures instead of panicking.
 //   - Memoization. With Spec.Cache set, each job's result is
-//     content-addressed by its config key and derived seeds
-//     (JobFingerprint) and replayed from the cache instead of
-//     recomputed; identical concurrent jobs single-flight to one
-//     computation. Determinism makes this sound: a fingerprint's
-//     result never changes, so warm sweeps are byte-identical to
-//     cold ones.
+//     content-addressed by the sweep label, the JSON encoding of
+//     Spec.Config and the job's derived seeds (JobFingerprint) and
+//     replayed from the cache instead of recomputed; identical
+//     concurrent jobs single-flight to one computation. Determinism
+//     makes this sound: a fingerprint's result never changes, and every
+//     result passes through encoding/json with or without a cache, so
+//     warm sweeps are byte-identical to cold ones.
 package harness
 
 import (
@@ -191,113 +191,77 @@ type Spec[R any] struct {
 	Timing *Timing
 
 	// Cache, when non-nil, memoizes per-job results across sweeps and
-	// processes, content-addressed by (cache.CodeSalt, Key, point label,
-	// job seeds). Identical in-flight jobs — two concurrent sweeps over
-	// the same grid — are single-flighted to one computation. Requires
-	// Key and Codec.
+	// processes, content-addressed by JobFingerprint. Identical in-flight
+	// jobs — two concurrent sweeps over the same grid — are
+	// single-flighted to one computation. Requires Config.
 	Cache *cache.Cache
-	// Key is the canonical, versioned encoding of every Run input the
-	// job seeds do not already capture — i.e. the experiment
-	// configuration Run closes over. Any semantic config change must
-	// change these bytes, or the cache serves stale results.
-	Key []byte
-	// Codec serializes R for cache storage. JSONCodec[R]() fits any R
-	// whose meaningful state is exported fields of JSON-exact types.
-	// When set, every result passes through it, with or without a
-	// cache: reducers see the same decoded value in both modes, so cold
-	// and warm sweeps are byte-identical by construction, and the sweep
-	// holds only what the codec carries until it ends (not, say, a
-	// scenario result's whole simulation).
-	Codec Codec[R]
-}
-
-// Codec converts sweep results to and from cache entry bytes. Unmarshal
-// ∘ Marshal must reproduce every field downstream aggregation reads —
-// the cache serves decoded entries in place of fresh results.
-type Codec[R any] interface {
-	Marshal(r R) ([]byte, error)
-	Unmarshal(data []byte) (R, error)
-}
-
-// JSONCodec returns the encoding/json-backed Codec. encoding/json
-// round-trips exported fields of finite floats, integers, strings,
-// slices, and structs exactly, which covers every experiment result
-// type in this repository.
-func JSONCodec[R any]() Codec[R] { return jsonCodec[R]{} }
-
-type jsonCodec[R any] struct{}
-
-func (jsonCodec[R]) Marshal(r R) ([]byte, error) { return json.Marshal(r) }
-
-func (jsonCodec[R]) Unmarshal(data []byte) (R, error) {
-	var r R
-	err := json.Unmarshal(data, &r)
-	return r, err
+	// Config is the sweep's canonical configuration: every Run input the
+	// job seeds do not already capture, i.e. the experiment configuration
+	// Run closes over, with its per-job seeds zeroed. Sweep encodes it
+	// with encoding/json once per sweep — struct fields in declaration
+	// order, map keys sorted, floats in shortest exact form — and the
+	// encoding addresses every job's cache entry, so any semantic config
+	// change misses the cache. Behavior that lives in code rather than in
+	// config values is invisible to it by construction; that must bump
+	// cache.CodeSalt.
+	Config any
 }
 
 // JobFingerprint is the content address of one job's result: the
-// code-version salt, the sweep's canonical config key, and the job's
-// grid identity (point label, trial index, derived seeds). Exported so
-// tests can pin the construction independently of Sweep.
-func JobFingerprint(specKey []byte, pointLabel string, job Job) cache.Key {
+// code-version salt, the sweep label, the sweep's encoded Config, and the
+// job's grid identity (point label, derived seeds, trial index). Exported
+// so tests can pin the construction independently of Sweep.
+func JobFingerprint(label string, config []byte, pointLabel string, job Job) cache.Key {
 	var grid [24]byte
 	binary.LittleEndian.PutUint64(grid[0:8], job.Seed)
 	binary.LittleEndian.PutUint64(grid[8:16], job.TrialSeed)
 	binary.LittleEndian.PutUint64(grid[16:24], uint64(job.Trial))
-	return cache.Fingerprint(cache.CodeSalt, specKey, []byte(pointLabel), grid[:])
+	return cache.Fingerprint(cache.CodeSalt, []byte(label), config, []byte(pointLabel), grid[:])
 }
 
-// runJob executes one job, through the cache when configured and
-// through the codec whenever there is one. The returned hit reports
-// whether a stored or shared result was replayed instead of running
-// spec.Run.
-func runJob[R any](ctx context.Context, spec *Spec[R], job Job) (R, bool, error) {
-	var zero R
-	if spec.Cache == nil {
-		r, err := spec.Run(ctx, job)
-		if err != nil || spec.Codec == nil {
-			return r, false, err
-		}
-		data, err := spec.Codec.Marshal(r)
-		if err != nil {
-			return zero, false, err
-		}
-		r, err = spec.Codec.Unmarshal(data)
-		return r, false, err
-	}
-	key := JobFingerprint(spec.Key, spec.Points[job.Point], job)
-	data, hit, err := spec.Cache.GetOrCompute(key, func() ([]byte, error) {
+// runJob executes one job, through the cache when configured. Every
+// result passes through encoding/json, cached or not: the caller sees
+// the same decoded value in both modes, so cold and warm sweeps are
+// byte-identical by construction, and the sweep holds only what the
+// encoding carries until it ends (not, say, a scenario result's whole
+// simulation). The returned hit reports whether a stored or shared
+// result was replayed instead of running spec.Run.
+func runJob[R any](ctx context.Context, spec *Spec[R], config []byte, job Job) (R, bool, error) {
+	compute := func() ([]byte, error) {
 		r, err := spec.Run(ctx, job)
 		if err != nil {
 			return nil, err
 		}
-		return spec.Codec.Marshal(r)
-	})
-	if err != nil {
-		return zero, false, err
+		return json.Marshal(r)
 	}
-	r, err := spec.Codec.Unmarshal(data)
-	if err != nil {
-		// The entry's bytes are intact (checksummed) but no longer
-		// decode: the result schema changed without a CodeSalt bump.
-		// Recompute and overwrite rather than failing the sweep —
-		// still through the codec, to keep cold/warm byte-identity.
-		fresh, rerr := spec.Run(ctx, job)
-		if rerr != nil {
-			return zero, false, rerr
+	var r R
+	if spec.Cache == nil {
+		data, err := compute()
+		if err == nil {
+			err = json.Unmarshal(data, &r)
 		}
-		encoded, merr := spec.Codec.Marshal(fresh)
-		if merr != nil {
-			return zero, false, merr
-		}
-		spec.Cache.Put(key, encoded)
-		r, err = spec.Codec.Unmarshal(encoded)
-		if err != nil {
-			return zero, false, fmt.Errorf("harness: result codec does not round-trip: %w", err)
-		}
-		return r, false, nil
+		return r, false, err
 	}
-	return r, hit, nil
+	key := JobFingerprint(spec.Label, config, spec.Points[job.Point], job)
+	data, hit, err := spec.Cache.GetOrCompute(key, compute)
+	if err != nil {
+		return r, false, err
+	}
+	if json.Unmarshal(data, &r) == nil {
+		return r, hit, nil
+	}
+	// The entry's bytes are intact (checksummed) but no longer decode:
+	// the result schema changed without a CodeSalt bump. Recompute and
+	// overwrite rather than failing the sweep.
+	var fresh R
+	if data, err = compute(); err != nil {
+		return fresh, false, err
+	}
+	spec.Cache.Put(key, data)
+	if err := json.Unmarshal(data, &fresh); err != nil {
+		return fresh, false, fmt.Errorf("harness: result does not round-trip through JSON: %w", err)
+	}
+	return fresh, false, nil
 }
 
 // TrialSeed returns the point-independent seed Sweep assigns to a trial
@@ -333,13 +297,16 @@ func Sweep[R any](ctx context.Context, spec Spec[R]) ([][]R, error) {
 	if spec.Trials <= 0 {
 		return nil, fmt.Errorf("harness: non-positive trials %d", spec.Trials)
 	}
+	var config []byte
 	if spec.Cache != nil {
-		if len(spec.Key) == 0 {
-			return nil, errors.New("harness: Spec.Cache set without a canonical Spec.Key")
+		if spec.Config == nil {
+			return nil, errors.New("harness: Spec.Cache set without a Spec.Config")
 		}
-		if spec.Codec == nil {
-			return nil, errors.New("harness: Spec.Cache set without a Spec.Codec")
+		b, err := json.Marshal(spec.Config)
+		if err != nil {
+			return nil, fmt.Errorf("harness: %s: encode Spec.Config: %w", spec.Label, err)
 		}
+		config = b
 	}
 	seen := make(map[string]struct{}, len(spec.Points))
 	for _, l := range spec.Points {
@@ -388,7 +355,7 @@ func Sweep[R any](ctx context.Context, spec Spec[R]) ([][]R, error) {
 			defer wg.Done()
 			for job := range jobs {
 				jobStart := time.Now()
-				r, hit, err := runJob(ctx, &spec, job)
+				r, hit, err := runJob(ctx, &spec, config, job)
 				jobDur := time.Since(jobStart)
 				mu.Lock()
 				spec.Timing.observe(jobDur)
@@ -444,18 +411,4 @@ dispatch:
 		return nil, err
 	}
 	return out, nil
-}
-
-// SweepReduce runs Sweep and folds each point's trials through reduce,
-// preserving point order — the common "average the trials" shape.
-func SweepReduce[R, A any](ctx context.Context, spec Spec[R], reduce func(point int, trials []R) A) ([]A, error) {
-	rows, err := Sweep(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	folded := make([]A, len(rows))
-	for i, row := range rows {
-		folded[i] = reduce(i, row)
-	}
-	return folded, nil
 }

@@ -223,33 +223,6 @@ func TestSweepProgress(t *testing.T) {
 	}
 }
 
-func TestSweepReduceAverages(t *testing.T) {
-	spec := Spec[float64]{
-		Label:   "reduce",
-		Points:  []string{"x", "y"},
-		Trials:  8,
-		Seed:    7,
-		Workers: 2,
-		Run: func(_ context.Context, job Job) (float64, error) {
-			return float64(job.Trial), nil
-		},
-	}
-	means, err := SweepReduce(context.Background(), spec, func(_ int, trials []float64) float64 {
-		sum := 0.0
-		for _, v := range trials {
-			sum += v
-		}
-		return sum / float64(len(trials))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3.5, 3.5} // mean of 0..7
-	if !reflect.DeepEqual(means, want) {
-		t.Fatalf("means = %v, want %v", means, want)
-	}
-}
-
 func TestSweepRejectsBadSpecs(t *testing.T) {
 	runOne := func(_ context.Context, _ Job) (int, error) { return 0, nil }
 	if _, err := Sweep(context.Background(), Spec[int]{Label: "l", Points: []string{"a"}, Trials: 1}); err == nil {

@@ -423,23 +423,6 @@ func TestBeaconServesOnlyPrimaryIdentity(t *testing.T) {
 	}
 }
 
-func TestSensorIgnoresForgedRevocation(t *testing.T) {
-	// Only the base station may revoke: a revoke packet from a regular
-	// node must be ignored.
-	f, _, mal, sensors := newFixture(t, 16, analysis.Strategy{PN: 1})
-	s := sensors[0]
-	forger := crypto.NewStore(f.env.Keys, 4998)
-	forgerRadio := f.env.Medium.NewRadio(geo.Point{X: 45, Y: 25})
-	forgerEp := mac.NewEndpoint(f.env.Sched, forgerRadio, forger, rng.Make(98))
-	f.env.Sched.At(sim.Seconds(1), func() {
-		forgerEp.Send(s.ID(), packet.Revoke{Target: mal.ID()}, mac.SendOptions{})
-	})
-	f.run(t)
-	if s.revoked[mal.ID()] {
-		t.Error("sensor honored a revocation not from the base station")
-	}
-}
-
 // TestGossipFakeAlertsInIDOrder pins the colluders' gossip order: each
 // fabricated alert goes to the beacon neighbours in ascending ID order,
 // whatever order their hellos arrived in, so a run does not depend on

@@ -123,10 +123,6 @@ func (s *Sensor) handle(d mac.Delivery) {
 		}
 	case packet.BeaconReply:
 		s.req.handleReply(d, p)
-	case packet.Revoke:
-		if d.Pkt.Header.Src == ident.BaseStation {
-			s.MarkRevoked(p.Target)
-		}
 	}
 }
 

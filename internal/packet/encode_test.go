@@ -14,7 +14,6 @@ var allPayloads = []any{
 	BeaconRequest{},
 	BeaconReply{Loc: geo.Point{X: 123.5, Y: -6.25}, Turnaround: 13000, Echo: 42},
 	Alert{Target: 9},
-	Revoke{Target: 17},
 	AlertUplink{Target: 21},
 	RevocationQuery{Target: 33},
 	RevocationStatus{Target: 21, Outcome: 1, Revoked: true},

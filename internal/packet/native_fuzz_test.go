@@ -2,9 +2,10 @@ package packet
 
 // Native Go fuzz targets complementing the testing/quick checks in
 // fuzz_test.go. The corpus seeds every wire frame the protocol
-// exchanges — hello, detector request/reply, alert, revocation — plus
-// truncations and flips, so coverage-guided mutation starts from the
-// decoder's real input space rather than random bytes.
+// exchanges — hello, detector request/reply, alert and the revnet
+// uplink, query and status frames — plus a signed frame of the first
+// unassigned type, truncations and flips, so coverage-guided mutation
+// starts from the decoder's real input space rather than random bytes.
 //
 // Run with: go test -fuzz FuzzDecode ./internal/packet/
 
@@ -27,7 +28,9 @@ func fuzzKey() *crypto.MAC {
 	return macOf(k)
 }
 
-// seedFrames encodes one valid frame of every packet type under key.
+// seedFrames encodes one valid frame of every packet type under key,
+// plus one correctly signed frame whose type byte is the first value
+// past the last type, so only the type check rejects it.
 func seedFrames(tb testing.TB, key *crypto.MAC) [][]byte {
 	tb.Helper()
 	payloads := []any{
@@ -35,7 +38,6 @@ func seedFrames(tb testing.TB, key *crypto.MAC) [][]byte {
 		BeaconRequest{},
 		BeaconReply{Loc: geo.Point{X: 512.25, Y: 87.5}, Turnaround: 7_372, Echo: 3},
 		Alert{Target: 1009},
-		Revoke{Target: 42},
 		AlertUplink{Target: 77},
 		RevocationQuery{Target: 909},
 		RevocationStatus{Target: 77, Outcome: 2, Revoked: true},
@@ -49,7 +51,12 @@ func seedFrames(tb testing.TB, key *crypto.MAC) [][]byte {
 		}
 		frames = append(frames, b)
 	}
-	return frames
+	body, err := AppendBody(nil, 5, 1001, uint16(len(payloads)), Alert{Target: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	body[0] = byte(TypeRevocationStatus + 1)
+	return append(frames, Seal(body, key))
 }
 
 // FuzzDecode checks the decoder's core guarantees on arbitrary input:

@@ -47,8 +47,6 @@ const (
 	// TypeAlert reports a suspected malicious beacon node to the base
 	// station.
 	TypeAlert
-	// TypeRevoke announces a revoked beacon node from the base station.
-	TypeRevoke
 	// TypeAlertUplink carries an alert from a detecting node to the
 	// networked base station (the revnet service): Src is the
 	// authenticated reporter, the payload names the accused target. The
@@ -74,8 +72,6 @@ func (t Type) String() string {
 		return "reply"
 	case TypeAlert:
 		return "alert"
-	case TypeRevoke:
-		return "revoke"
 	case TypeAlertUplink:
 		return "alert-uplink"
 	case TypeRevocationQuery:
@@ -123,11 +119,6 @@ type Alert struct {
 	Target ident.NodeID
 }
 
-// Revoke is the payload of TypeRevoke.
-type Revoke struct {
-	Target ident.NodeID
-}
-
 // AlertUplink is the payload of TypeAlertUplink. The reporter is the
 // authenticated Src of the packet (signed under its base-station key), so
 // a compromised node cannot uplink alerts in another node's name.
@@ -152,7 +143,7 @@ type RevocationStatus struct {
 // Packet is a decoded packet.
 type Packet struct {
 	Header  Header
-	Payload any // one of Hello, BeaconRequest, BeaconReply, Alert, Revoke, AlertUplink, RevocationQuery, RevocationStatus
+	Payload any // one of Hello, BeaconRequest, BeaconReply, Alert, AlertUplink, RevocationQuery, RevocationStatus
 }
 
 // Codec errors.
@@ -209,8 +200,6 @@ func layout(payload any) (Type, int, error) {
 		return TypeBeaconReply, replyLen, nil
 	case Alert:
 		return TypeAlert, 2, nil
-	case Revoke:
-		return TypeRevoke, 2, nil
 	case AlertUplink:
 		return TypeAlertUplink, 2, nil
 	case RevocationQuery:
@@ -250,8 +239,6 @@ func AppendBody(dst []byte, src, dstID ident.NodeID, seq uint16, payload any) ([
 		buf = binary.BigEndian.AppendUint32(buf, p.Turnaround)
 		buf = binary.BigEndian.AppendUint16(buf, p.Echo)
 	case Alert:
-		buf = binary.BigEndian.AppendUint16(buf, uint16(p.Target))
-	case Revoke:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(p.Target))
 	case AlertUplink:
 		buf = binary.BigEndian.AppendUint16(buf, uint16(p.Target))
@@ -366,11 +353,6 @@ func Decode(data []byte, mac *crypto.MAC) (Packet, error) {
 			return Packet{}, fmt.Errorf("%w: alert payload %d", ErrBadLength, n)
 		}
 		pkt.Payload = Alert{Target: ident.NodeID(binary.BigEndian.Uint16(payload))}
-	case TypeRevoke:
-		if n != 2 {
-			return Packet{}, fmt.Errorf("%w: revoke payload %d", ErrBadLength, n)
-		}
-		pkt.Payload = Revoke{Target: ident.NodeID(binary.BigEndian.Uint16(payload))}
 	case TypeAlertUplink:
 		if n != 2 {
 			return Packet{}, fmt.Errorf("%w: alert-uplink payload %d", ErrBadLength, n)

@@ -53,7 +53,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{"request", BeaconRequest{}},
 		{"reply", BeaconReply{Loc: geo.Point{X: 123.5, Y: -7.25}, Turnaround: 9999, Echo: 17}},
 		{"alert", Alert{Target: 55}},
-		{"revoke", Revoke{Target: 56}},
 		{"alert-uplink", AlertUplink{Target: 57}},
 		{"revocation-query", RevocationQuery{Target: 58}},
 		{"revocation-status", RevocationStatus{Target: 58, Outcome: 2, Revoked: true}},
@@ -172,6 +171,15 @@ func TestPeekHeader(t *testing.T) {
 	if _, err := PeekHeader(data[:4]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short PeekHeader = %v, want ErrTruncated", err)
 	}
+	// Every type byte outside the seven types is ErrBadType.
+	for b := 0; b < 256; b++ {
+		data[0] = byte(b)
+		_, err := PeekHeader(data)
+		known := Type(b) >= TypeHello && Type(b) <= TypeRevocationStatus
+		if known != (err == nil) || (!known && !errors.Is(err, ErrBadType)) {
+			t.Errorf("type byte %d: PeekHeader err = %v, known type %v", b, err, known)
+		}
+	}
 }
 
 func TestReplayedBytesDecodeUnderSameKey(t *testing.T) {
@@ -190,7 +198,12 @@ func TestReplayedBytesDecodeUnderSameKey(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	for _, typ := range []Type{TypeHello, TypeBeaconRequest, TypeBeaconReply, TypeAlert, TypeRevoke, TypeAlertUplink, TypeRevocationQuery, TypeRevocationStatus} {
+	// The wire values are 1..7 in this order: the four radio types keep
+	// their frames, and the revnet types follow them densely.
+	for i, typ := range []Type{TypeHello, TypeBeaconRequest, TypeBeaconReply, TypeAlert, TypeAlertUplink, TypeRevocationQuery, TypeRevocationStatus} {
+		if typ != Type(i+1) {
+			t.Errorf("%v has wire value %d, want %d", typ, uint8(typ), i+1)
+		}
 		if typ.String() == "" {
 			t.Errorf("empty String for type %d", typ)
 		}

@@ -99,10 +99,10 @@ func TestSubtleAttackSeparatesDetectors(t *testing.T) {
 	}
 }
 
-// TestRTTStatsPinSkipsCalibration: with both the threshold and the
-// calibration statistics pinned (as the bake-off pins them), a run with
-// a moments-hungry detector must not calibrate at all. Unpinned, the
-// threshold and the statistics share one calibration.
+// TestRTTStatsPinSkipsCalibration: with the calibration statistics
+// pinned (as the figure sweeps pin them), a run with a moments-hungry
+// detector must not calibrate at all and takes its threshold from them.
+// Unpinned, the threshold and the statistics share one calibration.
 func TestRTTStatsPinSkipsCalibration(t *testing.T) {
 	calibrations := 0
 	defer func(f func(int, uint64) core.Calibration) { calibrateRTT = f }(calibrateRTT)
@@ -114,7 +114,6 @@ func TestRTTStatsPinSkipsCalibration(t *testing.T) {
 	cfg.Detector = "mahalanobis"
 	pinned := core.RTTStats{Mean: 50000, Std: 250, Min: 49200, Max: 50870, Threshold: 50900}
 	cfg.RTTStats = &pinned
-	cfg.RTTThreshold = pinned.Threshold
 	res := run(t, cfg)
 	if res.RTTThreshold != pinned.Threshold {
 		t.Errorf("RTT threshold %v, want pinned %v", res.RTTThreshold, pinned.Threshold)
@@ -122,7 +121,7 @@ func TestRTTStatsPinSkipsCalibration(t *testing.T) {
 	if calibrations != 0 {
 		t.Errorf("pinned run calibrated %d times, want 0", calibrations)
 	}
-	cfg.RTTStats, cfg.RTTThreshold = nil, 0
+	cfg.RTTStats = nil
 	run(t, cfg)
 	if calibrations != 1 {
 		t.Errorf("unpinned run calibrated %d times, want 1", calibrations)

@@ -89,9 +89,6 @@ const (
 	// metroAttackBias is the distance enlargement of malicious replies
 	// in feet.
 	metroAttackBias = 15
-	// metroMaxDistError is ε_max in feet (the consistency-check bound and
-	// the benign ranging-error envelope).
-	metroMaxDistError = 10
 )
 
 // MetroPaper returns the metro-scale configuration of n nodes at the
@@ -308,7 +305,7 @@ func (ch *metroChain) probe() {
 	acc.probes++
 	ch.isMal = ch.src.Bool(ch.pMal)
 	lost := ch.src.Bool(metroLossRate)
-	ch.declaredErr = ch.src.Uniform(-metroMaxDistError, metroMaxDistError)
+	ch.declaredErr = ch.src.Uniform(-MaxDistError, MaxDistError)
 	if ch.isMal {
 		acc.maliciousProbes++
 		ch.declaredErr += metroAttackBias
@@ -329,7 +326,7 @@ func (ch *metroChain) reply() {
 	acc := ch.shard.acc
 	acc.replies++
 	acc.rtt.Observe(float64(ch.rtt))
-	if math.Abs(ch.declaredErr) > metroMaxDistError {
+	if math.Abs(ch.declaredErr) > MaxDistError {
 		if ch.isMal {
 			acc.flaggedMalicious++
 		} else {

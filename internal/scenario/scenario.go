@@ -49,6 +49,11 @@ func PaperWormhole() WormholeSpec {
 	return WormholeSpec{A: geo.Point{X: 100, Y: 100}, B: geo.Point{X: 800, Y: 700}, Latency: 2}
 }
 
+// MaxDistError is ε_max in feet: the consistency check's bound on
+// distance-measurement error and the radio's ranging error bound, in
+// paper-scale and metro runs alike.
+const MaxDistError float64 = 10
+
 // Config parameterizes one run. Start from Paper() and adjust.
 type Config struct {
 	Deploy deploy.Config
@@ -64,14 +69,15 @@ type Config struct {
 	// unmistakable attack). Smaller biases model subtle attackers the
 	// detector bake-off separates on.
 	AttackBias float64
-	// RTTStats pins the no-attack RTT calibration statistics detectors
-	// calibrate against (e.g. the Mahalanobis detector's mean/σ); nil
-	// derives them from a fresh calibration if — and only if — the
-	// selected detector asks.
+	// RTTStats pins the no-attack RTT calibration: its Threshold
+	// (cycles, positive and finite) is the local-replay threshold, and
+	// detectors that calibrate on distribution moments (the Mahalanobis
+	// detector's mean/σ) read the rest. nil runs a fresh calibration of
+	// CalibrationTrials exchanges, at most core.MaxCalibrationTrials
+	// (zero selects 2000).
 	RTTStats *core.RTTStats
-	// MaxDistError is ε_max in feet (also the ranging error bound).
-	MaxDistError float64
-	// WormholeRate is the per-node wormhole detector's p_d.
+	// WormholeRate is the per-node wormhole detector's p_d; zero turns
+	// the wormhole filter off.
 	WormholeRate float64
 	// Wormholes places tunnels in the field.
 	Wormholes []WormholeSpec
@@ -82,15 +88,12 @@ type Config struct {
 	// that re-inject every beacon reply heard within range of their
 	// position (§2.2.2's threat).
 	ReplayAttackers []geo.Point
-	// RTTThreshold overrides the local-replay threshold (cycles,
-	// non-negative and finite); zero runs a fresh calibration of
-	// CalibrationTrials exchanges, at most core.MaxCalibrationTrials
-	// (zero selects 2000). DisableRTTFilter turns the filter off.
-	RTTThreshold      float64
+	// CalibrationTrials is the exchange count of the run's own RTT
+	// calibration when RTTStats is nil.
 	CalibrationTrials int
-	// DisableRTTFilter / DisableWormholeFilter are ablation switches.
-	DisableRTTFilter      bool
-	DisableWormholeFilter bool
+	// DisableRTTFilter turns the local-replay filter off (an ablation
+	// switch).
+	DisableRTTFilter bool
 	// Distributed switches to the base-station-free revocation variant
 	// the paper lists as future work: beacons gossip alerts to their
 	// beacon neighbors and each runs the §3 counting algorithm on a
@@ -110,7 +113,6 @@ func Paper() Config {
 		Deploy:            deploy.Paper(),
 		Revoke:            revoke.Config{ReportCap: 10, AlertThreshold: 2},
 		Strategy:          analysis.StrategyForP(0.2),
-		MaxDistError:      10,
 		WormholeRate:      0.9,
 		Wormholes:         []WormholeSpec{PaperWormhole()},
 		Collude:           true,
@@ -140,14 +142,11 @@ func (c Config) Validate() error {
 	if !(c.AttackBias >= 0) {
 		return fmt.Errorf("scenario: AttackBias %v must be non-negative", c.AttackBias)
 	}
-	if !(c.MaxDistError > 0) || math.IsInf(c.MaxDistError, 1) {
-		return fmt.Errorf("scenario: MaxDistError %v must be positive and finite", c.MaxDistError)
-	}
 	if !(c.WormholeRate >= 0 && c.WormholeRate <= 1) {
 		return fmt.Errorf("scenario: WormholeRate %v outside [0,1]", c.WormholeRate)
 	}
-	if !(c.RTTThreshold >= 0) || math.IsInf(c.RTTThreshold, 1) {
-		return fmt.Errorf("scenario: RTTThreshold %v must be non-negative and finite (zero calibrates)", c.RTTThreshold)
+	if c.RTTStats != nil && (!(c.RTTStats.Threshold > 0) || math.IsInf(c.RTTStats.Threshold, 1)) {
+		return fmt.Errorf("scenario: RTTStats.Threshold %v must be positive and finite", c.RTTStats.Threshold)
 	}
 	if c.CalibrationTrials < 0 || c.CalibrationTrials > core.MaxCalibrationTrials {
 		return fmt.Errorf("scenario: CalibrationTrials %d outside [0, %d]", c.CalibrationTrials, core.MaxCalibrationTrials)
@@ -259,42 +258,31 @@ func Run(cfg Config) (*Result, error) {
 	sched := sim.NewWithConfig(sim.Config{Depth: depth})
 	medium := phy.NewMedium(sched, src.Split("medium"), phy.Config{
 		Range:      cfg.Deploy.Range,
-		RangeError: cfg.MaxDistError,
+		RangeError: MaxDistError,
 	})
 	keys := crypto.NewKeyring(crypto.NewMaster([]byte(fmt.Sprintf("scenario-%d", cfg.Seed))))
 
-	// The no-attack RTT calibration is memoized so the threshold and any
-	// detector that asks for distribution moments share one measurement.
-	var calMemo *core.Calibration
-	calibration := func() core.Calibration {
-		if calMemo == nil {
-			trials := cfg.CalibrationTrials
-			if trials == 0 {
-				trials = 2000
-			}
-			c := calibrateRTT(trials, cfg.Seed^0xCA11B8)
-			calMemo = &c
+	// Without pinned statistics the run calibrates once: the threshold
+	// and any detector that asks for distribution moments share one
+	// measurement.
+	stats := cfg.RTTStats
+	if stats == nil {
+		trials := cfg.CalibrationTrials
+		if trials == 0 {
+			trials = 2000
 		}
-		return *calMemo
-	}
-	threshold := cfg.RTTThreshold
-	if threshold == 0 {
-		threshold = calibration().Threshold()
+		st := calibrateRTT(trials, cfg.Seed^0xCA11B8).Stats()
+		stats = &st
 	}
 	coreCfg := core.Config{
-		MaxDistError: cfg.MaxDistError,
-		MaxRTT:       threshold,
+		MaxDistError: MaxDistError,
+		MaxRTT:       stats.Threshold,
 		Range:        cfg.Deploy.Range,
 	}
 	if cfg.DisableRTTFilter {
 		coreCfg.MaxRTT = math.MaxFloat64
 	}
-	det, err := core.NewDetector(cfg.Detector, coreCfg, func() core.RTTStats {
-		if cfg.RTTStats != nil {
-			return *cfg.RTTStats
-		}
-		return calibration().Stats()
-	})
+	det, err := core.NewDetector(cfg.Detector, coreCfg, func() core.RTTStats { return *stats })
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
@@ -312,13 +300,6 @@ func Run(cfg Config) (*Result, error) {
 		Uplink:       uplink,
 		Src:          src.Split("nodes"),
 		WormholeRate: cfg.WormholeRate,
-	}
-	if cfg.DisableWormholeFilter {
-		env.WormholeRate = 0
-		// A disabled wormhole filter also ignores attacker marks; the
-		// env's detector factory cannot express that, so nodes fall
-		// back to rate 0 and marks still fire. True ablation of marks
-		// is attacker-friendly anyway; rate 0 is the honest half.
 	}
 
 	// Build nodes: beacons (benign and malicious) then sensors.

@@ -45,15 +45,13 @@ func TestValidate(t *testing.T) {
 		func(c *Config) { c.Deploy.N = 0 },
 		func(c *Config) { c.Revoke.ReportCap = -1 },
 		func(c *Config) { c.Strategy.PN = 2 },
-		func(c *Config) { c.MaxDistError = 0 },
 		func(c *Config) { c.WormholeRate = 1.5 },
 		func(c *Config) { c.WormholeRate = math.NaN() },
-		func(c *Config) { c.MaxDistError = math.NaN() },
 		func(c *Config) { c.AttackBias = math.NaN() },
-		func(c *Config) { c.MaxDistError = math.Inf(1) },
-		func(c *Config) { c.RTTThreshold = math.NaN() },
-		func(c *Config) { c.RTTThreshold = -1 },
-		func(c *Config) { c.RTTThreshold = math.Inf(1) },
+		func(c *Config) { c.RTTStats = &core.RTTStats{Threshold: math.NaN()} },
+		func(c *Config) { c.RTTStats = &core.RTTStats{Threshold: -1} },
+		func(c *Config) { c.RTTStats = &core.RTTStats{Threshold: math.Inf(1)} },
+		func(c *Config) { c.RTTStats = &core.RTTStats{} },
 		func(c *Config) { c.CalibrationTrials = -1 },
 		func(c *Config) { c.CalibrationTrials = core.MaxCalibrationTrials + 1 },
 	}
@@ -87,7 +85,7 @@ func TestCleanNetworkNoRevocations(t *testing.T) {
 	}
 	// Mean localization error should be within a small multiple of the
 	// ranging error.
-	if res.LocErrMean > 3*cfg.MaxDistError {
+	if res.LocErrMean > 3*MaxDistError {
 		t.Errorf("clean-network mean localization error %v ft", res.LocErrMean)
 	}
 }
