@@ -23,18 +23,18 @@
 // from mahalanobis, ml and paper (default: all three). An unknown or
 // repeated name fails before anything runs.
 //
-// -width and -height size each plot in characters: each at most 4096,
-// checked before anything runs; a plot smaller than 8×4 is raised to it.
-//
 // -json writes every figure result — series, notes, and the aggregate
 // ScenarioMetrics (per-phase timings, packet/collision/filter counters)
 // — as one machine-readable JSON document ("-" for stdout). -cpuprofile
 // and -memprofile write pprof profiles of the whole regeneration.
 //
-// -cache memoizes simulation trials content-addressed under -cache-dir,
-// so a re-run recomputes only trials whose config, seed, or code salt
-// changed; figure output is byte-identical either way. -cache-clear
-// deletes the cache directory first (a from-scratch cold run).
+// Figures in one run share their trials in memory: fig12 and fig13 run
+// one detection sweep, and every sweep that pins the RTT calibration
+// measures it once. -cache also keeps the trials content-addressed on
+// disk under -cache-dir, so a re-run recomputes only trials whose config,
+// seed, or code salt changed, and prints the cache tally; figure output
+// is byte-identical either way. -cache-clear deletes the cache directory
+// first (a from-scratch cold run).
 package main
 
 import (
@@ -56,10 +56,11 @@ import (
 	"beaconsec/internal/metrics"
 )
 
-// maxPlotSize bounds -width and -height. A plot is rendered as
-// width×height bytes only after every figure has been computed, so a
-// larger value must fail first, not then.
-const maxPlotSize = 4096
+// plotWidth and plotHeight size each ASCII plot in characters.
+const (
+	plotWidth  = 72
+	plotHeight = 20
+)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -75,8 +76,6 @@ func run(args []string, out io.Writer) (err error) {
 	quick := fs.Bool("quick", false, "reduced trials and network size")
 	seed := fs.Uint64("seed", 1, "random seed")
 	outDir := fs.String("out", "", "directory for CSV and text output (optional)")
-	width := fs.Int("width", 72, fmt.Sprintf("plot width in characters (at most %d)", maxPlotSize))
-	height := fs.Int("height", 20, fmt.Sprintf("plot height in characters (at most %d)", maxPlotSize))
 	workers := fs.Int("workers", 0, "trial and figure concurrency (0 = all CPUs)")
 	progress := fs.Bool("progress", true, "print per-figure trial progress to stderr")
 	jsonOut := fs.String("json", "", "write results as JSON to FILE ('-' for stdout)")
@@ -87,12 +86,6 @@ func run(args []string, out io.Writer) (err error) {
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to FILE")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *width > maxPlotSize {
-		return fmt.Errorf("-width %d exceeds %d", *width, maxPlotSize)
-	}
-	if *height > maxPlotSize {
-		return fmt.Errorf("-height %d exceeds %d", *height, maxPlotSize)
 	}
 	var detectorNames []string
 	if *detectors != "" {
@@ -128,13 +121,15 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("cache dir: clear: %w", err)
 		}
 	}
-	var trialCache *cache.Cache
+	// Without -cache the trial cache is memory-only, so figures of one
+	// run still compute each shared trial once.
+	var cacheCfg cache.Config
 	if *useCache {
-		c, cerr := cache.New(cache.Config{Dir: *cacheDir})
-		if cerr != nil {
-			return fmt.Errorf("cache dir: %w", cerr)
-		}
-		trialCache = c
+		cacheCfg.Dir = *cacheDir
+	}
+	trialCache, err := cache.New(cacheCfg)
+	if err != nil {
+		return fmt.Errorf("cache dir: %w", err)
 	}
 
 	// Both profiles are flushed by deferred closers so they survive
@@ -174,7 +169,7 @@ func run(args []string, out io.Writer) (err error) {
 	for i := range runners {
 		res := results[i]
 		plot := res.Plot()
-		rendered := plot.Render(*width, *height)
+		rendered := plot.Render(plotWidth, plotHeight)
 		fmt.Fprintln(out, rendered)
 		for _, n := range res.Notes {
 			fmt.Fprintf(out, "  note: %s\n", n)
@@ -192,7 +187,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 
 	var cacheStats *cache.StatsSnapshot
-	if trialCache != nil {
+	if *useCache {
 		s := trialCache.Stats()
 		cacheStats = &s
 		fmt.Fprintf(out, "cache: %d hits, %d misses (%.1f%% hit rate), %d stored, %.1f MB read, %.1f MB written\n",

@@ -175,54 +175,27 @@ func TestRunWritesOutputFiles(t *testing.T) {
 	}
 }
 
-// TestRunRejectsOversizePlot pins the plot-size bound: a -width or
-// -height above maxPlotSize is an error before run does anything — it
-// does not even create the -out directory — while the bound itself and
-// values below textplot's minimum still render.
-func TestRunRejectsOversizePlot(t *testing.T) {
-	for _, flag := range []string{"-width", "-height"} {
-		for _, v := range []int64{math.MaxInt64, 1e10, maxPlotSize + 1} {
-			out := filepath.Join(t.TempDir(), "out")
-			var b strings.Builder
-			err := run([]string{"-fig", "fig05", "-progress=false", "-out", out, flag, strconv.FormatInt(v, 10)}, &b)
-			if err == nil || !strings.Contains(err.Error(), flag) {
-				t.Errorf("%s %d: err = %v, want an error naming %s", flag, v, err, flag)
-			}
-			if _, serr := os.Stat(out); b.Len() != 0 || serr == nil {
-				t.Errorf("%s %d: ran before failing (%d bytes printed, -out created: %v)", flag, v, b.Len(), serr == nil)
-			}
-		}
-	}
-	for _, size := range [][2]string{{"4096", "4"}, {"8", "4096"}, {"-3", "0"}} {
-		var b strings.Builder
-		if err := run([]string{"-fig", "fig05", "-width", size[0], "-height", size[1]}, &b); err != nil {
-			t.Errorf("-width %s -height %s: %v", size[0], size[1], err)
-		}
-	}
-}
-
-// FuzzRun feeds run arbitrary -width, -height, -workers and -detectors
-// values around the analytic fig05, writing no files: every value must
-// run or return an error, never panic, and a run with a -detectors entry
-// outside core.DetectorNames must be an error.
+// FuzzRun feeds run arbitrary -workers and -detectors values around the
+// analytic fig05, writing no files: every value must run or return an
+// error, never panic, and a run with a -detectors entry outside
+// core.DetectorNames must be an error.
 func FuzzRun(f *testing.F) {
 	for _, v := range []struct {
-		width, height, workers int
-		detectors              string
+		workers   int
+		detectors string
 	}{
-		{72, 20, 0, ""},
-		{math.MaxInt64, 20, 1, "paper,ml"},
-		{72, 1e10, -1, "ml{bias=20,lambda=0.5}"},
-		{maxPlotSize + 1, maxPlotSize, math.MaxInt64, " mahalanobis , paper"},
-		{math.MinInt64, math.MinInt64, math.MinInt64, "nope,,"},
-		{72, 20, 1, "mahalanobis,ml,paper"},
-		{72, 20, 1, "paper,"},
+		{0, ""},
+		{1, "paper,ml"},
+		{-1, "ml{bias=20,lambda=0.5}"},
+		{math.MaxInt64, " mahalanobis , paper"},
+		{math.MinInt64, "nope,,"},
+		{1, "mahalanobis,ml,paper"},
+		{1, "paper,"},
 	} {
-		f.Add(v.width, v.height, v.workers, v.detectors)
+		f.Add(v.workers, v.detectors)
 	}
-	f.Fuzz(func(t *testing.T, width, height, workers int, detectors string) {
+	f.Fuzz(func(t *testing.T, workers int, detectors string) {
 		err := run([]string{"-fig", "fig05", "-progress=false",
-			"-width", strconv.Itoa(width), "-height", strconv.Itoa(height),
 			"-workers", strconv.Itoa(workers), "-detectors", detectors}, io.Discard)
 		if err != nil || detectors == "" {
 			return
@@ -399,6 +372,34 @@ func TestRunCacheWarmRun(t *testing.T) {
 	}
 	if c, w := stripJSON(cold), stripJSON(warm); c != w {
 		t.Fatalf("warm results diverged from cold:\n%s\nvs\n%s", c, w)
+	}
+}
+
+// TestRunSharesTrialsWithoutCache pins the memory-only trial cache: with
+// no -cache, fig12 and fig13 still run their common detection sweep once
+// (two quick jobs), so fig13 replays fig12's trials, while the output
+// carries no cache tally and no cache line.
+func TestRunSharesTrialsWithoutCache(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-fig", "fig12,fig13", "-quick", "-workers", "1",
+		"-progress=false", "-json", "-"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	var doc jsonDoc
+	if err := json.Unmarshal([]byte(out[strings.Index(out, "{"):]), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var hits, misses uint64
+	for _, r := range doc.Results {
+		hits += r.Metrics.Timing.CacheHits
+		misses += r.Metrics.Timing.CacheMisses
+	}
+	if hits != 2 || misses != 2 {
+		t.Errorf("fig12,fig13: %d hits, %d misses; want 2 and 2", hits, misses)
+	}
+	if doc.Cache != nil || strings.Contains(out, "cache:") {
+		t.Errorf("cache tally reported without -cache: %+v", doc.Cache)
 	}
 }
 

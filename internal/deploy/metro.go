@@ -173,9 +173,8 @@ type IndexRange struct {
 //
 // The ranges are index-aligned, not space-aligned: the generator places
 // nodes independently per index, so any contiguous index range is an
-// unbiased spatial sample of the field. Consumers that need spatial
-// affinity (cross-shard radio in a future parallel protocol stack) query
-// the MetroGrid, which is global and shard-blind.
+// unbiased spatial sample of the field. Density queries go to the
+// MetroGrid, which is global and shard-blind.
 func (c MetroConfig) ShardRanges(k int) []IndexRange {
 	if k < 1 {
 		k = 1

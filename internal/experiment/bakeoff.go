@@ -44,7 +44,7 @@ func bakeoffCatchProb(name string, bias, eps float64) float64 {
 	return analysis.PaperCatchProb(bias, eps)
 }
 
-// ExtraBakeoff is extension experiment E3: the detector bake-off. Every
+// ExtraBakeoff is extension experiment E7: the detector bake-off. Every
 // detector of the grid runs the no-collusion revocation scenario over
 // the same P grid under two attacker profiles, with common random
 // numbers: the sweeps share one label per attacker profile, so the
@@ -66,7 +66,7 @@ func ExtraBakeoff(o Options) (Result, error) {
 	}
 	res := Result{
 		ID:     "extra-bakeoff",
-		Title:  "E3: detector bake-off — revocation detection rate vs P (common random numbers)",
+		Title:  "E7: detector bake-off — revocation detection rate vs P (common random numbers)",
 		XLabel: "P",
 		YLabel: "detection rate",
 	}

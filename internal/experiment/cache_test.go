@@ -117,13 +117,13 @@ func TestCacheSurvivesProcessRestart(t *testing.T) {
 	}
 }
 
-// TestEncodeKeySensitivity: an experiment sweep's cache key must separate
-// sweeps by kind (the sweep label), by detector, and by any config field,
-// and be stable for equal inputs. The key is the harness job fingerprint
-// over the label and the sweep's seed-zeroed scenario configs; the
-// boundaries between its parts are pinned by the harness package's
-// TestJobFingerprintSensitivity.
-func TestEncodeKeySensitivity(t *testing.T) {
+// TestSweepCacheKeySensitivity: an experiment sweep's cache key must
+// separate sweeps by kind (the sweep label), by detector, and by any
+// config field, and be stable for equal inputs. The key is the harness
+// job fingerprint over the label and the sweep's seed-zeroed scenario
+// configs; the boundaries between its parts are pinned by the harness
+// package's TestJobFingerprintSensitivity.
+func TestSweepCacheKeySensitivity(t *testing.T) {
 	o := Options{Quick: true, Seed: 1, Cache: testCache(t)}
 	hits := func(label string, mutate func(*scenario.Config)) uint64 {
 		t.Helper()

@@ -19,6 +19,15 @@ import (
 // distance-consistency check runs tier by tier with a slack that grows
 // with the reference's accumulated uncertainty.
 
+// A node estimates its position from at least minReferences references
+// and uses at most maxReferences, the nearest by measured distance. The
+// cap bounds the robust solver's subset search and matches real nodes,
+// which stop collecting once they have enough references.
+const (
+	minReferences = 3
+	maxReferences = 12
+)
+
 // IterativeConfig parameterizes multi-tier localization.
 type IterativeConfig struct {
 	// Range is the radio range: only neighbors within it supply
@@ -28,13 +37,6 @@ type IterativeConfig struct {
 	MaxDistError float64
 	// MaxRounds bounds promotion rounds; zero selects 8.
 	MaxRounds int
-	// MinReferences per estimate; zero selects 3.
-	MinReferences int
-	// MaxReferences caps how many references a node uses (the nearest
-	// by measured distance); zero selects 12. Bounds the robust
-	// solver's subset search and matches real nodes, which stop
-	// collecting once they have enough references.
-	MaxReferences int
 	// DetectMalicious runs the consistency check against promoted
 	// references: a reference whose measured distance disagrees with
 	// the requester's running estimate by more than ε plus both sides'
@@ -101,12 +103,6 @@ func IterativeLocalize(truth []geo.Point, isBeacon []bool, liars []bool,
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 8
 	}
-	if cfg.MinReferences == 0 {
-		cfg.MinReferences = 3
-	}
-	if cfg.MaxReferences == 0 {
-		cfg.MaxReferences = 12
-	}
 	res := IterativeResult{
 		Estimate:    make([]geo.Point, n),
 		Localized:   make([]bool, n),
@@ -157,13 +153,13 @@ func IterativeLocalize(truth []geo.Point, isBeacon []bool, liars []bool,
 				refs = append(refs, Reference{Loc: declared(j), Dist: measured})
 				uncs = append(uncs, res.Uncertainty[j])
 			}
-			if len(refs) < cfg.MinReferences {
+			if len(refs) < minReferences {
 				continue
 			}
-			if len(refs) > cfg.MaxReferences {
+			if len(refs) > maxReferences {
 				// Keep the nearest references by measured distance
 				// (selection sort prefix: reference counts are small).
-				for a := 0; a < cfg.MaxReferences; a++ {
+				for a := 0; a < maxReferences; a++ {
 					minIdx := a
 					for b := a + 1; b < len(refs); b++ {
 						if refs[b].Dist < refs[minIdx].Dist {
@@ -173,8 +169,8 @@ func IterativeLocalize(truth []geo.Point, isBeacon []bool, liars []bool,
 					refs[a], refs[minIdx] = refs[minIdx], refs[a]
 					uncs[a], uncs[minIdx] = uncs[minIdx], uncs[a]
 				}
-				refs = refs[:cfg.MaxReferences]
-				uncs = uncs[:cfg.MaxReferences]
+				refs = refs[:maxReferences]
+				uncs = uncs[:maxReferences]
 			}
 			var est geo.Point
 			var err error

@@ -1,15 +1,12 @@
 package revnet
 
-import (
-	"beaconsec/internal/metrics"
-	"beaconsec/internal/revoke"
-)
+import "beaconsec/internal/metrics"
 
 // Metrics holds the revnet wire-level counters. Every counter is an
-// atomic add (internal/metrics.Counter), so one Metrics may be shared by
-// a server, its per-connection goroutines, and any number of clients.
-// Server and client allocate their own when the config leaves Metrics
-// nil, so recording sites never branch.
+// atomic add (internal/metrics.Counter), so a server's per-connection
+// goroutines, or any number of clients, may share one. A server owns its
+// Metrics, and a client allocates one when its config leaves Metrics nil,
+// so recording sites never branch.
 type Metrics struct {
 	// Server-side connection lifecycle.
 	ConnsAccepted metrics.Counter
@@ -21,41 +18,16 @@ type Metrics struct {
 	BytesIn  metrics.Counter
 	BytesOut metrics.Counter
 
-	// Server-side request handling.
+	// Server-side request handling. Alert outcomes are counted once, by
+	// the station (revoke.Stats).
 	AuthFailures   metrics.Counter // frames whose HMAC tag failed to verify
 	ProtocolErrors metrics.Counter // well-signed frames of an unexpected type or addressing
 	QueriesServed  metrics.Counter
-
-	// Alerts by revoke.Outcome.
-	AlertsAccepted       metrics.Counter
-	AlertsRevoked        metrics.Counter
-	AlertsReporterCapped metrics.Counter
-	AlertsAlreadyRevoked metrics.Counter
-	AlertsSelfReport     metrics.Counter
-	AlertsDuplicate      metrics.Counter
 
 	// Client-side retry accounting.
 	Attempts  metrics.Counter // request attempts, including the first
 	Retries   metrics.Counter // attempts after the first
 	Exhausted metrics.Counter // requests that failed every attempt
-}
-
-// recordOutcome counts one handled alert under its outcome.
-func (m *Metrics) recordOutcome(o revoke.Outcome) {
-	switch o {
-	case revoke.OutcomeAccepted:
-		m.AlertsAccepted.Inc()
-	case revoke.OutcomeRevoked:
-		m.AlertsRevoked.Inc()
-	case revoke.OutcomeReporterCapped:
-		m.AlertsReporterCapped.Inc()
-	case revoke.OutcomeAlreadyRevoked:
-		m.AlertsAlreadyRevoked.Inc()
-	case revoke.OutcomeSelfReport:
-		m.AlertsSelfReport.Inc()
-	case revoke.OutcomeDuplicate:
-		m.AlertsDuplicate.Inc()
-	}
 }
 
 // Snapshot is the JSON-exportable view of a Metrics at one instant.
@@ -72,8 +44,6 @@ type Snapshot struct {
 	ProtocolErrors uint64 `json:"protocol_errors"`
 	QueriesServed  uint64 `json:"queries_served"`
 
-	Alerts map[string]uint64 `json:"alerts"`
-
 	Attempts  uint64 `json:"attempts"`
 	Retries   uint64 `json:"retries"`
 	Exhausted uint64 `json:"exhausted"`
@@ -83,7 +53,7 @@ type Snapshot struct {
 // sides are recording.
 func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
-		return Snapshot{Alerts: map[string]uint64{}}
+		return Snapshot{}
 	}
 	return Snapshot{
 		ConnsAccepted:  m.ConnsAccepted.Load(),
@@ -95,16 +65,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		AuthFailures:   m.AuthFailures.Load(),
 		ProtocolErrors: m.ProtocolErrors.Load(),
 		QueriesServed:  m.QueriesServed.Load(),
-		Alerts: map[string]uint64{
-			revoke.OutcomeAccepted.String():       m.AlertsAccepted.Load(),
-			revoke.OutcomeRevoked.String():        m.AlertsRevoked.Load(),
-			revoke.OutcomeReporterCapped.String(): m.AlertsReporterCapped.Load(),
-			revoke.OutcomeAlreadyRevoked.String(): m.AlertsAlreadyRevoked.Load(),
-			revoke.OutcomeSelfReport.String():     m.AlertsSelfReport.Load(),
-			revoke.OutcomeDuplicate.String():      m.AlertsDuplicate.Load(),
-		},
-		Attempts:  m.Attempts.Load(),
-		Retries:   m.Retries.Load(),
-		Exhausted: m.Exhausted.Load(),
+		Attempts:       m.Attempts.Load(),
+		Retries:        m.Retries.Load(),
+		Exhausted:      m.Exhausted.Load(),
 	}
 }

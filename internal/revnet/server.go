@@ -32,8 +32,6 @@ type ServerConfig struct {
 	// IdleTimeout bounds how long a connection may sit between frames
 	// before the server drops it. Zero means no limit.
 	IdleTimeout time.Duration
-	// Metrics, when non-nil, receives wire and outcome counters.
-	Metrics *Metrics
 }
 
 // Server is the networked base station: a goroutine-per-connection TCP
@@ -66,13 +64,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Shards > revoke.MaxShards {
 		return nil, fmt.Errorf("revnet: %d shards exceeds the maximum %d", cfg.Shards, revoke.MaxShards)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &Metrics{}
-	}
 	return &Server{
 		cfg:     cfg,
 		station: revoke.NewSharded(cfg.Revoke, cfg.Shards),
-		m:       cfg.Metrics,
+		m:       &Metrics{},
 		conns:   make(map[net.Conn]struct{}),
 	}, nil
 }
@@ -290,7 +285,6 @@ func (s *Server) serveFrame(frame []byte, keys *reporterMAC) (frameReply, bool) 
 	switch p := pkt.Payload.(type) {
 	case packet.AlertUplink:
 		out := s.station.HandleAlert(src, p.Target)
-		s.m.recordOutcome(out)
 		status = packet.RevocationStatus{
 			Target:  p.Target,
 			Outcome: uint8(out),

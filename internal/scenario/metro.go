@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"beaconsec/internal/deploy"
@@ -39,15 +40,14 @@ import (
 //
 // The kernel is space-partitioned (DESIGN.md §14): the streamed
 // deployment is split into K contiguous index-range shards
-// (deploy.ShardRanges), each shard owns a private sim.Scheduler with its
-// own queue, depth histogram, and accumulators, and the shards advance in
-// conservative lockstep windows of one probe timeout (the lookahead,
-// metroTimeout) separated by barriers. K=1 is one shard behind a
-// one-party barrier. Because probe chains are node-local and per-node
-// rng is index-split, the partition cannot change any probe outcome:
-// every identity-pinned field of MetroResult is byte-identical at any
-// worker count (see MetroResult.Identity and
-// TestRunMetroWorkerInvariance).
+// (deploy.ShardRanges), and each shard owns a private sim.Scheduler, rng
+// root and MetroResult. The shards share nothing they write, only the
+// read-only count grid: each ingests its chunks and then runs its own
+// windows of one probe timeout until its queue drains. Because probe
+// chains are node-local and per-node rng is index-split, the partition
+// cannot change any probe outcome: every identity-pinned field of
+// MetroResult is byte-identical at any worker count (see
+// MetroResult.Identity and TestRunMetroWorkerInvariance).
 
 // MetroConfig parameterizes one metro-scale run. Start from MetroPaper:
 // the probe protocol's shape is fixed by the constants below, so only the
@@ -59,13 +59,12 @@ type MetroConfig struct {
 	// K = len(Deploy.ShardRanges(Workers)) space-partitioned shards, each
 	// on its own goroutine (K=1 for Workers ≤ 1, and fewer than Workers
 	// when the population has fewer streaming chunks). It is a pure
-	// performance knob excluded from cache-key material — the
-	// identity-pinned fields of MetroResult (everything
-	// MetroResult.Identity covers) are byte-identical at any worker count;
-	// only the scheduler instrumentation (Sim.MaxPending, QueueDepth's
-	// distribution) is per-shard, with the merge semantics documented on
-	// MetroResult.
-	Workers int `json:"-"`
+	// performance knob: the identity-pinned fields of MetroResult
+	// (everything MetroResult.Identity covers) are byte-identical at any
+	// worker count; only the scheduler instrumentation (Sim.MaxPending,
+	// QueueDepth's distribution) is per-shard, with the merge semantics
+	// documented on MetroResult.
+	Workers int
 	// Seed drives the probe randomness (placement comes from
 	// Deploy.Seed).
 	Seed uint64
@@ -80,9 +79,9 @@ const (
 	// metroSpacing is the base virtual-time gap between a node's rounds
 	// (each node jitters around it): 200 ms.
 	metroSpacing sim.Time = 200 * sim.CPUHz / 1000
-	// metroTimeout is the reply deadline of one probe, 20 ms. It doubles
-	// as the kernel's conservative lookahead: no probe chain can affect
-	// virtual times more than one metroTimeout past its current event.
+	// metroTimeout is the reply deadline of one probe, 20 ms. It is also
+	// the length of a shard's run window: a shard checks for cancellation
+	// before each.
 	metroTimeout sim.Time = 20 * sim.CPUHz / 1000
 	// metroLossRate is the probability a probe gets no reply.
 	metroLossRate = 0.02
@@ -121,10 +120,13 @@ func (c MetroConfig) Validate() error {
 // these documented semantics: Sim counters are summed across shards,
 // Sim.MaxPending is the max over shards (each shard's private queue
 // high-water mark, so it shrinks roughly by 1/K vs K=1),
-// Sim.VirtualCycles is the max over shards and is rounded up to the last
-// conservative epoch boundary at every K, and QueueDepth merges the
-// per-shard depth histograms (total Count still equals the number of
-// schedules, but the distribution reflects shard-local depths).
+// Sim.VirtualCycles is the max over shards of each shard's clock, which
+// stops at the end of its last window (how many windows a shard runs
+// depends on the partition: RunUntil discards a cancelled event past its
+// deadline when it trails another cancelled event, and which events
+// trail which differs by shard), and QueueDepth merges the per-shard
+// depth histograms (total Count still equals the number of schedules,
+// but the distribution reflects shard-local depths).
 type MetroResult struct {
 	// Population (from the deployment grid).
 	Nodes     int64 `json:"nodes"`
@@ -204,32 +206,10 @@ func (r *MetroResult) Identity() MetroIdentity {
 	}
 }
 
-// metroAccum is the constant-size accumulator one scheduler's probe
-// chains fold into. Each shard owns one, and the kernel merges them in
-// ascending shard order. All sums are exact (counters are integers and
-// RTT observations are integral cycle counts far below 2^53), so the
-// merge is associative and the merged totals equal the K=1 ones bit for
-// bit.
-type metroAccum struct {
-	probes          int64
-	replies         int64
-	timeouts        int64
-	maliciousProbes int64
-
-	flaggedMalicious int64
-	flaggedBenign    int64
-
-	rtt *metrics.Histogram
-}
-
-func newMetroAccum() *metroAccum {
-	return &metroAccum{rtt: metrics.NewHistogram(metrics.ExpBounds(64, 2, 16)...)}
-}
-
 // metroChain is one node's whole probe protocol: its own event, its rng
 // stream (held by value, index-split from the shard root), the in-flight
 // probe's outcome, the round counter, and its shard, whose scheduler and
-// accumulator it uses. Every event the chain schedules
+// result it uses. Every event the chain schedules
 // fires the chain itself through Fire, so a probe exchange allocates
 // nothing and makes no closure.
 //
@@ -269,11 +249,11 @@ const (
 )
 
 // addMetroNode wires one node's probe chain onto its shard's scheduler,
-// folding outcomes into the shard's accumulator. This is the whole
-// per-node protocol: the chain touches nothing but its own rng stream
+// folding outcomes into the shard's result. This is the whole per-node
+// protocol: the chain touches nothing but its own rng stream
 // (index-split from the shard root), the read-only grid, and its shard's
-// scheduler and accumulator — which is exactly why a node lands in a
-// shard without changing any outcome.
+// scheduler and result — which is exactly why a node lands in a shard
+// without changing any outcome.
 func addMetroNode(s *metroShard, grid *deploy.MetroGrid, n deploy.MetroNode) {
 	ch := &metroChain{src: s.root.MakeIndex(uint64(n.Index)), shard: s}
 	if _, b, m := grid.CountsNear(n.Loc, deploy.MetroRange); b > 0 {
@@ -293,7 +273,7 @@ func (ch *metroChain) Fire() {
 	case stepReply:
 		ch.reply()
 	case stepTimeout:
-		ch.shard.acc.timeouts++
+		ch.shard.res.Timeouts++
 		ch.done()
 	}
 }
@@ -301,13 +281,13 @@ func (ch *metroChain) Fire() {
 // probe draws one probe's outcome and queues its timeout and, unless the
 // probe is lost, its reply.
 func (ch *metroChain) probe() {
-	acc, sched := ch.shard.acc, ch.shard.sched
-	acc.probes++
+	res, sched := &ch.shard.res, ch.shard.sched
+	res.Probes++
 	ch.isMal = ch.src.Bool(ch.pMal)
 	lost := ch.src.Bool(metroLossRate)
 	ch.declaredErr = ch.src.Uniform(-MaxDistError, MaxDistError)
 	if ch.isMal {
-		acc.maliciousProbes++
+		res.MaliciousProbes++
 		ch.declaredErr += metroAttackBias
 	}
 	ch.rtt = sim.Time(1 + ch.src.Intn(int(metroTimeout)/2)) // replies always beat the timeout
@@ -320,17 +300,17 @@ func (ch *metroChain) probe() {
 	sched.AtEvent(&ch.ev, sched.Now()+ch.rtt, ch)
 }
 
-// reply folds an answered probe into the accumulator, applying the ε_max
-// consistency check, and cancels the probe's timeout.
+// reply folds an answered probe into the shard's result, applying the
+// ε_max consistency check, and cancels the probe's timeout.
 func (ch *metroChain) reply() {
-	acc := ch.shard.acc
-	acc.replies++
-	acc.rtt.Observe(float64(ch.rtt))
+	res := &ch.shard.res
+	res.Replies++
+	res.RTT.Observe(float64(ch.rtt))
 	if math.Abs(ch.declaredErr) > MaxDistError {
 		if ch.isMal {
-			acc.flaggedMalicious++
+			res.FlaggedMalicious++
 		} else {
-			acc.flaggedBenign++
+			res.FlaggedBenign++
 		}
 	}
 	ch.timeout.Cancel()
@@ -351,83 +331,62 @@ func (ch *metroChain) done() {
 
 // metroShard is one worker of the kernel: a contiguous index-range
 // slice of the population on a private scheduler. Nothing it writes is
-// shared — queue, depth histogram, accumulator, and the rng root
+// shared — queue, result (its depth histogram included) and the rng root
 // (re-derived per shard from the seed) are all shard-local; the count
 // grid is shared read-only.
 type metroShard struct {
 	sched *sim.Scheduler
-	depth *metrics.Histogram
-	acc   *metroAccum
 	root  *rng.Source
 	in    chan []deploy.MetroNode
 	err   error
+	res   MetroResult
 }
 
-// epochBarrier synchronizes the shards' conservative time windows: no
-// shard enters window w until every shard has retired window w-1. Each
-// arrival carries the shard's pending-event count and its vote to quit
-// (a cancelled context); the barrier resolves one collective verdict per
-// generation, so every shard takes the same exit decision and nobody is
-// left waiting — the classic conservative-parallel-DES lockstep
-// (Chandy–Misra with a global lookahead instead of per-link null
-// messages, which one metroTimeout horizon makes sufficient).
-type epochBarrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	parties int
-	waiting int
-	gen     uint64
-
-	pending int64
-	quit    bool
-	// verdict of the generation that last completed
-	lastCont bool
-	lastQuit bool
-}
-
-func newEpochBarrier(parties int) *epochBarrier {
-	b := &epochBarrier{parties: parties}
-	b.cond.L = &b.mu
-	return b
-}
-
-// arrive blocks until all parties have arrived, then reports the
-// collective verdict: cont is true iff some shard still has pending
-// events and nobody voted to quit; aborted is true when a quit vote (a
-// cancelled context) ended the run, distinguishing abort from a normal
-// drain.
-func (b *epochBarrier) arrive(pending int64, quit bool) (cont, aborted bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pending += pending
-	b.quit = b.quit || quit
-	b.waiting++
-	if b.waiting == b.parties {
-		b.lastCont = b.pending > 0 && !b.quit
-		b.lastQuit = b.quit
-		b.pending = 0
-		b.quit = false
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		return b.lastCont, b.lastQuit
+// run ingests the shard's chunks, scheduling each node's chain in index
+// order, then runs windows of one metroTimeout until the queue drains,
+// checking ctx before each window.
+func (s *metroShard) run(ctx context.Context, grid *deploy.MetroGrid) {
+	for chunk := range s.in {
+		for i := range chunk {
+			addMetroNode(s, grid, chunk[i])
+		}
 	}
-	gen := b.gen
-	for gen == b.gen {
-		b.cond.Wait()
+	for end := metroTimeout; s.sched.Pending() > 0; end += metroTimeout {
+		if s.err = ctx.Err(); s.err != nil {
+			return
+		}
+		s.sched.RunUntil(end)
 	}
-	return b.lastCont, b.lastQuit
+	s.res.Sim = s.sched.Stats()
+}
+
+// merge folds another shard's result into r. Counters and histogram
+// buckets sum exactly (RTT observations are integral cycle counts far
+// below 2^53), and sim.Stats.Merge sums the scheduler counters and keeps
+// the max of MaxPending and VirtualCycles.
+func (r *MetroResult) merge(o *MetroResult) {
+	r.Probes += o.Probes
+	r.Replies += o.Replies
+	r.Timeouts += o.Timeouts
+	r.MaliciousProbes += o.MaliciousProbes
+	r.FlaggedMalicious += o.FlaggedMalicious
+	r.FlaggedBenign += o.FlaggedBenign
+	r.Sim.Merge(o.Sim)
+	r.QueueDepth.Merge(o.QueueDepth)
+	r.RTT.Merge(o.RTT)
 }
 
 // RunMetro executes one metro-scale run on
-// K = len(cfg.Deploy.ShardRanges(cfg.Workers)) shards. Peak memory is
-// O(nodes) only in the per-node state (one 152-byte metroChain, its event
-// and rng stream inline) and the pooled probe timeouts (~0.11 per node
-// at peak), never in retained results: accumulators are constant-size
-// and the deployment exists only as its count grid. After a node is
-// added, its probe exchanges allocate nothing. Cancelling ctx aborts
-// the run — mid-stream or at the next epoch barrier — and returns the
-// context's error.
+// K = len(cfg.Deploy.ShardRanges(cfg.Workers)) shards, each on its own
+// goroutine, and merges their results in ascending shard order. Peak
+// memory is O(nodes) only in the per-node state (one 152-byte
+// metroChain, its event and rng stream inline) and the pooled probe
+// timeouts (~0.11 per node at peak), never in retained results: results
+// are constant-size and the deployment exists only as its count grid.
+// After a node is added, its probe exchanges allocate nothing.
+// Cancelling ctx aborts the run — mid-stream or before a shard's next
+// window — and returns the context's error; a context cancelled after
+// every shard has drained yields the finished result.
 func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -438,79 +397,43 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 	}
 	k := len(cfg.Deploy.ShardRanges(cfg.Workers))
 	shards := make([]*metroShard, k)
+	var wg sync.WaitGroup
 	for i := range shards {
 		depth := sim.DepthHistogram()
-		shards[i] = &metroShard{
+		s := &metroShard{
 			sched: sim.NewWithConfig(sim.Config{Depth: depth}),
-			depth: depth,
-			acc:   newMetroAccum(),
 			root:  rng.New(cfg.Seed).Split("metro-probes"),
-			in:    make(chan []deploy.MetroNode, 2),
+			in:    make(chan []deploy.MetroNode, 2), // two queued chunks let the stream run ahead of the ingest
+			res:   MetroResult{QueueDepth: depth, RTT: metrics.NewHistogram(metrics.ExpBounds(64, 2, 16)...)},
 		}
+		shards[i] = s
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.run(ctx, grid)
+		}()
 	}
 
-	// Producer: one pass over the stream in index order, routing a copy
-	// of each chunk to its owning shard (Stream reuses the chunk slice).
+	// One pass over the stream in index order, routing a copy of each
+	// chunk to its owning shard (Stream reuses the chunk slice).
 	// Chunk-aligned shard ranges mean a chunk never splits.
-	var streamErr error
-	go func() {
-		defer func() {
-			for _, s := range shards {
-				close(s.in)
-			}
-		}()
-		streamErr = cfg.Deploy.StreamShards(k, func(shard int, chunk []deploy.MetroNode) error {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			buf := make([]deploy.MetroNode, len(chunk))
-			copy(buf, chunk)
-			select {
-			case shards[shard].in <- buf:
-				return nil
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		})
-	}()
-
-	// Shard workers: ingest the shard's nodes (scheduling each chain in
-	// index order), then advance in conservative lockstep windows of one
-	// lookahead until the global pending population drains. Today no
-	// event crosses shards — probe chains are node-local — so the barrier
-	// never changes an outcome; it is the interface that stays correct
-	// when a future protocol stack injects cross-shard events with
-	// horizon ≥ lookahead. At K=1 it is one lock per epoch and doubles as
-	// the cancellation check.
-	barrier := newEpochBarrier(k)
-	var wg sync.WaitGroup
+	err = cfg.Deploy.StreamShards(k, func(shard int, chunk []deploy.MetroNode) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		select {
+		case shards[shard].in <- slices.Clone(chunk):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	})
 	for _, s := range shards {
-		wg.Add(1)
-		go func(s *metroShard) {
-			defer wg.Done()
-			for chunk := range s.in {
-				for i := range chunk {
-					addMetroNode(s, grid, chunk[i])
-				}
-			}
-			for epoch := uint64(1); ; epoch++ {
-				cont, aborted := barrier.arrive(s.sched.Pending(), ctx.Err() != nil)
-				if !cont {
-					if aborted {
-						if s.err = ctx.Err(); s.err == nil {
-							s.err = context.Canceled
-						}
-					}
-					break
-				}
-				s.sched.RunUntil(sim.Time(epoch) * metroTimeout)
-			}
-		}(s)
+		close(s.in)
 	}
 	wg.Wait()
-
-	if streamErr != nil {
-		return nil, fmt.Errorf("scenario: metro stream: %w", streamErr)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: metro stream: %w", err)
 	}
 	for _, s := range shards {
 		if s.err != nil {
@@ -518,48 +441,13 @@ func RunMetro(ctx context.Context, cfg MetroConfig) (*MetroResult, error) {
 		}
 	}
 
-	accs := make([]*metroAccum, k)
-	stats := make([]sim.Stats, k)
-	depths := make([]*metrics.Histogram, k)
-	for i, s := range shards {
-		accs[i] = s.acc
-		stats[i] = s.sched.Stats()
-		depths[i] = s.depth
+	res := shards[0].res
+	for _, s := range shards[1:] {
+		res.merge(&s.res)
 	}
-	return assembleMetroResult(grid, accs, stats, depths), nil
-}
-
-// assembleMetroResult merges per-shard accumulators into the final
-// result in ascending shard order. With one shard this is that shard's
-// result verbatim; with many, the identity-pinned fields merge exactly
-// (integer sums and integral histogram observations) and the scheduler
-// instrumentation merges per the semantics documented on MetroResult
-// (counter sums, max of MaxPending and VirtualCycles, depth-histogram
-// bucket sums).
-func assembleMetroResult(grid *deploy.MetroGrid, accs []*metroAccum, stats []sim.Stats, depths []*metrics.Histogram) *MetroResult {
-	res := &MetroResult{
-		Nodes:      grid.TotalNodes,
-		Beacons:    grid.TotalBeacons,
-		Malicious:  grid.TotalMalicious,
-		QueueDepth: depths[0].Clone(),
-		RTT:        accs[0].rtt.Clone(),
-	}
-	res.Sim = stats[0]
-	for i := 1; i < len(accs); i++ {
-		res.QueueDepth.Merge(depths[i])
-		res.RTT.Merge(accs[i].rtt)
-		res.Sim.Merge(stats[i])
-	}
-	for _, a := range accs {
-		res.Probes += a.probes
-		res.Replies += a.replies
-		res.Timeouts += a.timeouts
-		res.MaliciousProbes += a.maliciousProbes
-		res.FlaggedMalicious += a.flaggedMalicious
-		res.FlaggedBenign += a.flaggedBenign
-	}
+	res.Nodes, res.Beacons, res.Malicious = grid.TotalNodes, grid.TotalBeacons, grid.TotalMalicious
 	if res.MaliciousProbes > 0 {
 		res.FlagRate = float64(res.FlaggedMalicious) / float64(res.MaliciousProbes)
 	}
-	return res
+	return &res, nil
 }

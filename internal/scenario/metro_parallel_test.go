@@ -10,6 +10,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"beaconsec/internal/metrics"
+	"beaconsec/internal/sim"
 )
 
 // metroHeapIdentityPath is the MetroIdentity of MetroPaper(10_000, 11)
@@ -83,6 +86,37 @@ func TestRunMetroWorkerInvariance(t *testing.T) {
 	})
 }
 
+// TestMetroResultMerge pins the shard merge: counters and histogram
+// observations add, and MaxPending and VirtualCycles keep the larger
+// shard's value.
+func TestMetroResultMerge(t *testing.T) {
+	shard := func(n int64, clock uint64) *MetroResult {
+		r := &MetroResult{Probes: n, Replies: n, Timeouts: n, MaliciousProbes: n,
+			FlaggedMalicious: n, FlaggedBenign: n,
+			Sim:        sim.Stats{Events: uint64(n), Scheduled: uint64(n), Cancelled: uint64(n), MaxPending: n, VirtualCycles: clock},
+			QueueDepth: sim.DepthHistogram(),
+			RTT:        metrics.NewHistogram(1, 2),
+		}
+		r.QueueDepth.Observe(float64(n))
+		r.RTT.Observe(1)
+		return r
+	}
+	r := shard(3, 100)
+	r.merge(shard(5, 40))
+	for _, c := range []int64{r.Probes, r.Replies, r.Timeouts, r.MaliciousProbes, r.FlaggedMalicious,
+		r.FlaggedBenign, int64(r.Sim.Events), int64(r.Sim.Scheduled), int64(r.Sim.Cancelled)} {
+		if c != 8 {
+			t.Fatalf("a counter merged to %d, want 3 + 5: %+v", c, r)
+		}
+	}
+	if r.Sim.MaxPending != 5 || r.Sim.VirtualCycles != 100 {
+		t.Errorf("MaxPending %d, VirtualCycles %d; want each shard's max, 5 and 100", r.Sim.MaxPending, r.Sim.VirtualCycles)
+	}
+	if r.QueueDepth.Count != 2 || r.RTT.Count != 2 {
+		t.Errorf("histograms hold %d depth and %d RTT observations, want 2 each", r.QueueDepth.Count, r.RTT.Count)
+	}
+}
+
 // TestRunMetroCanceledContext pins the cancellation contract at the
 // stream boundary: a context canceled before the run starts aborts the
 // run during ingest with the context's error and no result.
@@ -103,10 +137,10 @@ func TestRunMetroCanceledContext(t *testing.T) {
 }
 
 // TestRunMetroCancelMidRun cancels a large run from another goroutine
-// shortly after it starts, so cancellation lands mid-stream or at an
-// epoch barrier (the quit vote, at K=1 too) rather than at the entry
-// check. The population is sized to take far
-// longer than the cancel delay on any machine.
+// shortly after it starts, so cancellation lands mid-stream or at a
+// shard's check before its next window (at K=1 too) rather than at the
+// entry check. The population is sized to take far longer than the
+// cancel delay on any machine.
 func TestRunMetroCancelMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-population cancellation test; run without -short")
