@@ -3,8 +3,8 @@
 // It builds every cmd/*, examples/* and the bench module without inlining
 // (-gcflags=all=-l, so each called function keeps its own symbol), lists
 // their beaconsec text symbols with go tool nm, and matches them against
-// every func declared in the non-test files of the root package and
-// internal/. A declaration that no program links must be on allow.txt
+// every func declared in the non-test files of internal/, the packages
+// the programs link. A declaration that no program links must be on allow.txt
 // beside this file, one symbol per line with a "#" reason naming the test
 // or fault path that keeps it. An allow-list entry that is linked, no
 // longer declared or has no reason is reported too. The exit status is
@@ -79,7 +79,7 @@ func check() ([]string, error) {
 			problems = append(problems, "allowed but linked: "+sym)
 		}
 	}
-	fmt.Printf("reach: %d linked beaconsec functions, %d declared in . and internal/, %d allowed unlinked\n",
+	fmt.Printf("reach: %d linked beaconsec functions, %d declared in internal/, %d allowed unlinked\n",
 		len(linked), len(declared), len(allow))
 	return problems, nil
 }
@@ -146,10 +146,10 @@ func stripTypeArgs(sym string) string {
 }
 
 // declaredFuncs returns the symbol of every func declared in the non-test
-// files of the root package and internal/, spelled as go tool nm prints it.
-// init functions are skipped: they link with their package.
+// files of internal/, spelled as go tool nm prints it. init functions are
+// skipped: they link with their package.
 func declaredFuncs() ([]string, error) {
-	js, err := output("", "go", "list", "-json", ".", "./internal/...")
+	js, err := output("", "go", "list", "-json", "./internal/...")
 	if err != nil {
 		return nil, err
 	}

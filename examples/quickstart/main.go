@@ -8,17 +8,18 @@ import (
 	"fmt"
 	"log"
 
-	"beaconsec"
+	"beaconsec/internal/analysis"
+	"beaconsec/internal/scenario"
 )
 
 func main() {
-	cfg := beaconsec.PaperScenario()
+	cfg := scenario.Paper()
 	// The attacker sends misleading beacon signals to 20% of requesters
 	// and behaves normally for the rest (the paper's P = 0.2 operating
 	// point).
-	cfg.Strategy = beaconsec.StrategyForP(0.2)
+	cfg.Strategy = analysis.StrategyForP(0.2)
 
-	res, err := beaconsec.RunScenario(cfg)
+	res, err := scenario.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func main() {
 
 	// The closed-form §3.2 prediction at the measured neighborhood size,
 	// for comparison.
-	pop := beaconsec.PaperPopulation()
-	theory := beaconsec.RevocationRate(0.2, cfg.Deploy.DetectingIDs, cfg.Revoke.AlertThreshold, int(res.AvgNc), pop)
+	pop := analysis.PaperPopulation()
+	theory := analysis.RevocationRate(0.2, cfg.Deploy.DetectingIDs, cfg.Revoke.AlertThreshold, int(res.AvgNc), pop)
 	fmt.Printf("theoretical detection rate at Nc=%.0f: %.0f%%\n", res.AvgNc, 100*theory)
 }

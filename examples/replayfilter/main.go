@@ -7,14 +7,19 @@ package main
 
 import (
 	"fmt"
+	"log"
 
-	"beaconsec"
+	"beaconsec/internal/core"
+	"beaconsec/internal/geo"
 )
 
 func main() {
 	// Step 1 — calibrate: measure RTT = (t4-t1) - (t3-t2) over 10,000
 	// benign exchanges on the simulated MICA2 radio stack.
-	cal := beaconsec.CalibrateRTT(10000, 42)
+	cal, err := core.CalibrateRTT(10000, 42, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("=== RTT calibration (Figure 4) ===")
 	fmt.Printf("x_min = %.0f cycles, x_max = %.0f cycles, spread = %.2f bit-times\n",
 		cal.XMin(), cal.XMax(), cal.SpreadBits())
@@ -22,53 +27,53 @@ func main() {
 
 	// Step 2 — configure the detector: maximum ranging error 10 ft,
 	// radio range 150 ft, and the calibrated threshold.
-	det := beaconsec.DetectorConfig{
+	det := core.Config{
 		MaxDistError: 10,
 		MaxRTT:       cal.Threshold(),
 		Range:        150,
 	}
 
 	// The detecting beacon node sits at the origin and knows it.
-	me := beaconsec.Point{X: 0, Y: 0}
+	me := geo.Point{X: 0, Y: 0}
 	typicalRTT := cal.Quantile(0.5)
 
 	cases := []struct {
 		name string
-		obs  beaconsec.Observation
+		obs  core.Observation
 	}{
 		{
 			"benign neighbor at (100,0), honest signal",
-			beaconsec.Observation{
+			core.Observation{
 				OwnLoc: me, OwnKnown: true,
-				Claimed:      beaconsec.Point{X: 100, Y: 0},
+				Claimed:      geo.Point{X: 100, Y: 0},
 				MeasuredDist: 103, // within the ±10 ft ranging error
 				RTT:          typicalRTT,
 			},
 		},
 		{
 			"compromised beacon manipulating transmit power (+50 ft bias)",
-			beaconsec.Observation{
+			core.Observation{
 				OwnLoc: me, OwnKnown: true,
-				Claimed:      beaconsec.Point{X: 100, Y: 0},
+				Claimed:      geo.Point{X: 100, Y: 0},
 				MeasuredDist: 150, // enlarged: would corrupt localization
 				RTT:          typicalRTT,
 			},
 		},
 		{
 			"far beacon's signal replayed through a wormhole (detector fired)",
-			beaconsec.Observation{
+			core.Observation{
 				OwnLoc: me, OwnKnown: true,
-				Claimed:          beaconsec.Point{X: 700, Y: 600}, // beyond range
-				MeasuredDist:     90,                              // distance to the tunnel exit
-				RTT:              typicalRTT,                      // analog tunnel: no extra delay
+				Claimed:          geo.Point{X: 700, Y: 600}, // beyond range
+				MeasuredDist:     90,                        // distance to the tunnel exit
+				RTT:              typicalRTT,                // analog tunnel: no extra delay
 				WormholeDetected: true,
 			},
 		},
 		{
 			"neighbor's signal recorded and replayed by a local attacker",
-			beaconsec.Observation{
+			core.Observation{
 				OwnLoc: me, OwnKnown: true,
-				Claimed:      beaconsec.Point{X: 100, Y: 0},
+				Claimed:      geo.Point{X: 100, Y: 0},
 				MeasuredDist: 60,                 // distance to the attacker, not the beacon
 				RTT:          typicalRTT + 49152, // one 16-byte packet of delay
 			},

@@ -13,25 +13,27 @@ import (
 	"log"
 	"time"
 
-	"beaconsec"
+	"beaconsec/internal/analysis"
 	"beaconsec/internal/crypto"
+	"beaconsec/internal/geo"
 	"beaconsec/internal/ident"
 	"beaconsec/internal/revnet"
 	"beaconsec/internal/revoke"
+	"beaconsec/internal/scenario"
 )
 
 func main() {
 	// A reduced network keeps the sweep fast; densities match the paper.
-	base := beaconsec.PaperScenario()
+	base := scenario.Paper()
 	base.Deploy.N = 500
 	base.Deploy.Nb = 55
 	base.Deploy.Na = 5
-	base.Deploy.Field = beaconsec.Square(710)
+	base.Deploy.Field = geo.Square(710)
 	base.Collude = true // the colluders are the interesting part here
 
 	// The attacker picks the P that maximizes misled sensors for these
 	// thresholds (the paper's assumption for Figure 14).
-	pop := beaconsec.Population{N: base.Deploy.N, Nb: base.Deploy.Nb, Na: base.Deploy.Na}
+	pop := analysis.Population{N: base.Deploy.N, Nb: base.Deploy.Nb, Na: base.Deploy.Na}
 
 	fmt.Println("=== threshold trade-off at tau' = 2 (colluding reporters) ===")
 	fmt.Println("tau   detection  false-pos  collusion-bound  comment")
@@ -39,15 +41,15 @@ func main() {
 		cfg := base
 		cfg.Revoke.ReportCap = tau
 		cfg.Revoke.AlertThreshold = 2
-		_, pStar := beaconsec.MaxAffected(cfg.Deploy.DetectingIDs, 2, 60, pop)
-		cfg.Strategy = beaconsec.StrategyForP(pStar)
+		_, pStar := analysis.MaxAffected(cfg.Deploy.DetectingIDs, 2, 60, pop)
+		cfg.Strategy = analysis.StrategyForP(pStar)
 		cfg.Seed = uint64(100 + tau)
 
-		res, err := beaconsec.RunScenario(cfg)
+		res, err := scenario.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bound := beaconsec.FalsePositiveBound(1, cfg.Deploy.Na, tau, 2, cfg.WormholeRate)
+		bound := analysis.FalsePositiveBound(1, cfg.Deploy.Na, tau, 2, cfg.WormholeRate)
 		comment := ""
 		switch {
 		case res.FalsePositiveRate > 0.15:

@@ -10,24 +10,27 @@ import (
 	"fmt"
 	"log"
 
-	"beaconsec"
+	"beaconsec/internal/analysis"
+	"beaconsec/internal/geo"
+	"beaconsec/internal/localization"
+	"beaconsec/internal/scenario"
 )
 
 func main() {
 	// Part 1 — the micro view: one sensor, four references, one lie.
 	fmt.Println("=== one corrupted reference skews multilateration ===")
-	truth := beaconsec.Point{X: 75, Y: 75}
-	beacons := []beaconsec.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 0, Y: 150}, {X: 150, Y: 150}}
-	refs := make([]beaconsec.Reference, len(beacons))
+	truth := geo.Point{X: 75, Y: 75}
+	beacons := []geo.Point{{X: 0, Y: 0}, {X: 150, Y: 0}, {X: 0, Y: 150}, {X: 150, Y: 150}}
+	refs := make([]localization.Reference, len(beacons))
 	for i, b := range beacons {
-		refs[i] = beaconsec.Reference{Loc: b, Dist: truth.Dist(b)}
+		refs[i] = localization.Reference{Loc: b, Dist: truth.Dist(b)}
 	}
-	clean, err := beaconsec.Multilaterate(refs)
+	clean, err := localization.Multilaterate(refs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	refs[0].Dist += 50 // a compromised beacon enlarges its distance
-	skewed, err := beaconsec.Multilaterate(refs)
+	skewed, err := localization.Multilaterate(refs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,9 +38,9 @@ func main() {
 		truth, clean.Dist(truth), skewed.Dist(truth))
 
 	// Part 2 — the macro view: a 1,000-node network at P = 0.5.
-	run := func(defended bool) *beaconsec.ScenarioResult {
-		cfg := beaconsec.PaperScenario()
-		cfg.Strategy = beaconsec.StrategyForP(0.5)
+	run := func(defended bool) *scenario.Result {
+		cfg := scenario.Paper()
+		cfg.Strategy = analysis.StrategyForP(0.5)
 		cfg.Collude = false // isolate the localization effect
 		cfg.CalibrationTrials = 1000
 		if !defended {
@@ -45,7 +48,7 @@ func main() {
 			cfg.WormholeRate = 0                // no wormhole filter
 			cfg.Revoke.AlertThreshold = 1 << 20 // never revoke
 		}
-		res, err := beaconsec.RunScenario(cfg)
+		res, err := scenario.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

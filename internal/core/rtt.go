@@ -40,23 +40,13 @@ const MaxCalibrationTrials = 1 << 24
 
 // CalibrateRTT measures trials request/reply exchanges and returns the
 // empirical distribution. The paper performs 10,000 trials on MICA2
-// motes; this is the simulated equivalent. It panics on a trial count
-// outside [1, MaxCalibrationTrials]; use CalibrateRTTWorkers for an
-// error return and an explicit worker bound.
-func CalibrateRTT(trials int, seed uint64) Calibration {
-	cal, err := CalibrateRTTWorkers(trials, seed, 0)
-	if err != nil {
-		panic(err.Error())
-	}
-	return cal
-}
-
-// CalibrateRTTWorkers is CalibrateRTT on a bounded worker pool: the
-// exchanges are measured in fixed-size batches, each on its own
-// dedicated two-node network seeded from the batch index, and the
-// batches run concurrently on the trial harness. The merged distribution
-// is identical for any worker count (0 means one worker per CPU).
-func CalibrateRTTWorkers(trials int, seed uint64, workers int) (Calibration, error) {
+// motes; this is the simulated equivalent. The exchanges are measured in
+// fixed-size batches, each on its own dedicated two-node network seeded
+// from the batch index, and the batches run concurrently on the trial
+// harness with at most workers workers (0 means one per CPU). The merged
+// distribution is identical for any worker count. A trial count outside
+// [1, MaxCalibrationTrials] is an error.
+func CalibrateRTT(trials int, seed uint64, workers int) (Calibration, error) {
 	if trials <= 0 || trials > MaxCalibrationTrials {
 		return Calibration{}, fmt.Errorf("core: calibration trials %d outside [1, %d]", trials, MaxCalibrationTrials)
 	}
@@ -138,9 +128,6 @@ func measureRTTBatch(trials int, pairDist float64, seed uint64) []float64 {
 	sched.Run()
 	return samples
 }
-
-// Len returns the number of samples.
-func (c Calibration) Len() int { return len(c.samples) }
 
 // XMin returns the paper's x_min: the maximum x with F(x) = 0, i.e. the
 // smallest observed RTT.

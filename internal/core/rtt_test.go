@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"beaconsec/internal/phy"
@@ -13,13 +11,17 @@ import (
 
 func calibrate(t *testing.T, trials int, seed uint64) Calibration {
 	t.Helper()
-	return CalibrateRTT(trials, seed)
+	c, err := CalibrateRTT(trials, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestCalibrateRTTBasic(t *testing.T) {
 	c := calibrate(t, 2000, 1)
-	if c.Len() != 2000 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.samples) != 2000 {
+		t.Fatalf("%d samples", len(c.samples))
 	}
 	if c.XMin() < 4*phy.JitterMin-1 {
 		t.Errorf("XMin = %v below theoretical floor %v", c.XMin(), 4*phy.JitterMin)
@@ -137,8 +139,8 @@ func calibrationFromSamples(samples []float64) Calibration {
 
 func TestCalibrationFromSamples(t *testing.T) {
 	c := calibrationFromSamples([]float64{5, 1, 3})
-	if c.XMin() != 1 || c.XMax() != 5 || c.Len() != 3 {
-		t.Errorf("from samples: min %v max %v len %d", c.XMin(), c.XMax(), c.Len())
+	if c.XMin() != 1 || c.XMax() != 5 || len(c.samples) != 3 {
+		t.Errorf("from samples: min %v max %v len %d", c.XMin(), c.XMax(), len(c.samples))
 	}
 	if got := c.CDF(3); got < 0.66 || got > 0.67 {
 		t.Errorf("CDF(3) = %v, want 2/3", got)
@@ -155,15 +157,15 @@ func TestEmptyCalibration(t *testing.T) {
 func TestCalibrateRTTWorkersDeterministic(t *testing.T) {
 	// 1,200 trials span three batches; the merged sample set must be
 	// identical whatever the worker count.
-	base, err := CalibrateRTTWorkers(1200, 5, 1)
+	base, err := CalibrateRTT(1200, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Len() != 1200 {
-		t.Fatalf("Len = %d", base.Len())
+	if len(base.samples) != 1200 {
+		t.Fatalf("%d samples", len(base.samples))
 	}
 	for _, workers := range []int{0, 2, 8} {
-		c, err := CalibrateRTTWorkers(1200, 5, workers)
+		c, err := CalibrateRTT(1200, 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,31 +175,20 @@ func TestCalibrateRTTWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func TestCalibrateRTTWorkersInvalidTrials(t *testing.T) {
+func TestCalibrateRTTInvalidTrials(t *testing.T) {
 	// Counts above the maximum would overflow the batch count or
 	// allocate an unbounded sample buffer.
 	for _, trials := range []int{0, -1, MaxCalibrationTrials + 1, math.MaxInt} {
-		if _, err := CalibrateRTTWorkers(trials, 1, 1); err == nil {
-			t.Errorf("CalibrateRTTWorkers(%d) did not error", trials)
+		if _, err := CalibrateRTT(trials, 1, 1); err == nil {
+			t.Errorf("CalibrateRTT(%d) did not error", trials)
 		}
 	}
 }
 
-func TestCalibrateRTTInvalidTrialsPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("CalibrateRTT(0) did not panic")
-		}
-		if msg := fmt.Sprint(r); strings.HasPrefix(msg, "core: core:") {
-			t.Errorf("panic message %q repeats its prefix", msg)
-		}
-	}()
-	CalibrateRTT(0, 1)
-}
-
 func BenchmarkCalibrateRTT1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		CalibrateRTT(1000, uint64(i))
+		if _, err := CalibrateRTT(1000, uint64(i), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

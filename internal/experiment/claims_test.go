@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/csv"
 	"math"
 	"os"
@@ -161,5 +162,48 @@ func TestFig14Claims(t *testing.T) {
 	many, ok := firstFPRAt(s["Na=10,tau'=3"], 0.9)
 	if !ok || many < 1.5*few {
 		t.Errorf("Na=10, τ′=3 reaches detection 0.9 at FPR %v (reached: %v), want at least 1.5 × %v", many, ok, few)
+	}
+}
+
+// TestExtraMetroClaims: at every committed population the one-shard
+// malicious flag rate lies within three binomial standard errors of
+// 0.735, and the timeout rate within three of the configured 2% loss. A
+// malicious reply's 1.5ε bias is caught with probability 0.75, but the
+// rate's denominator counts every malicious probe, the 2% lost before
+// any reply too, so the expected rate is 0.75 × 0.98. Each population is
+// rerun at seed 1 for its probe counts, and its rates must equal the
+// CSV's.
+func TestExtraMetroClaims(t *testing.T) {
+	const catch, loss = 0.75, 0.02
+	flagWant := catch * (1 - loss)
+	s := readSeries(t, "extra-metro")
+	flags, timeouts := s["malicious flag rate"], s["timeout rate"]
+	if len(flags) == 0 || len(flags) != len(timeouts) {
+		t.Fatalf("extra-metro.csv: %d flag-rate rows against %d timeout-rate rows", len(flags), len(timeouts))
+	}
+	for i, f := range flags {
+		to := timeouts[i]
+		if to.x != f.x {
+			t.Fatalf("extra-metro.csv: row %d is at %v nodes in flag rate, %v in timeout rate", i, f.x, to.x)
+		}
+		n := int64(f.x)
+		res, err := scenario.RunMetro(context.Background(), scenario.MetroPaper(n, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FlagRate != f.y {
+			t.Errorf("%d nodes: the run's flag rate is %v, the CSV's %v", n, res.FlagRate, f.y)
+		}
+		if rate := float64(res.Timeouts) / float64(res.Probes); rate != to.y {
+			t.Errorf("%d nodes: the run's timeout rate is %v, the CSV's %v", n, rate, to.y)
+		}
+		if se := math.Sqrt(flagWant * (1 - flagWant) / float64(res.MaliciousProbes)); math.Abs(f.y-flagWant) > 3*se {
+			t.Errorf("%d nodes: flag rate %v is %.1f SE from %v over %d malicious probes",
+				n, f.y, (f.y-flagWant)/se, flagWant, res.MaliciousProbes)
+		}
+		if se := math.Sqrt(loss * (1 - loss) / float64(res.Probes)); math.Abs(to.y-loss) > 3*se {
+			t.Errorf("%d nodes: timeout rate %v is %.1f SE from %v over %d probes",
+				n, to.y, (to.y-loss)/se, loss, res.Probes)
+		}
 	}
 }

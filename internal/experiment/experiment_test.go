@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -85,6 +86,20 @@ func TestFig4Headlines(t *testing.T) {
 		if s.Y[i] < s.Y[i-1] {
 			t.Fatalf("CDF not monotone at %d", i)
 		}
+	}
+	// The quantile note runs from x_min to x_max, the CDF's ends.
+	var qs []string
+	for _, n := range r.Notes {
+		if list, ok := strings.CutPrefix(n, "RTT quantiles "); ok {
+			_, values, _ := strings.Cut(list, ": ")
+			qs = strings.Fields(strings.TrimSuffix(values, " cycles"))
+		}
+	}
+	if len(qs) != len(fig4Quantiles) {
+		t.Fatalf("quantile note lists %d values, want %d: %v", len(qs), len(fig4Quantiles), r.Notes)
+	}
+	if lo, hi := fmt.Sprintf("%.0f", s.X[0]), fmt.Sprintf("%.0f", s.X[len(s.X)-1]); qs[0] != lo || qs[len(qs)-1] != hi {
+		t.Errorf("quantile note runs %s to %s, want x_min %s to x_max %s", qs[0], qs[len(qs)-1], lo, hi)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"beaconsec/internal/analysis"
 	"beaconsec/internal/core"
@@ -14,15 +15,19 @@ import (
 	"beaconsec/internal/textplot"
 )
 
+// fig4Quantiles are the RTT quantiles Figure 4's notes list: x_min, the
+// tails, the quartiles, the median and x_max.
+var fig4Quantiles = []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+
 // Fig4 regenerates Figure 4: the empirical CDF of the no-attack RTT,
 // measured over 10,000 request/reply exchanges (500 in quick mode), with
-// the x_min / x_max / spread headline values.
+// the x_min / x_max / spread headline values and a quantile table.
 func Fig4(o Options) (Result, error) {
 	trials := 10000
 	if o.Quick {
 		trials = 500
 	}
-	cal, err := core.CalibrateRTTWorkers(trials, o.Seed, o.Workers)
+	cal, err := core.CalibrateRTT(trials, o.Seed, o.Workers)
 	if err != nil {
 		return Result{}, err
 	}
@@ -34,6 +39,12 @@ func Fig4(o Options) (Result, error) {
 		xs = append(xs, x)
 		ys = append(ys, cal.CDF(x))
 	}
+	probs := make([]string, len(fig4Quantiles))
+	rtts := make([]string, len(fig4Quantiles))
+	for i, q := range fig4Quantiles {
+		probs[i] = fmt.Sprint(q)
+		rtts[i] = fmt.Sprintf("%.0f", cal.Quantile(q))
+	}
 	return Result{
 		ID:     "fig04",
 		Title:  "Cumulative distribution of round-trip time (no attack)",
@@ -42,6 +53,7 @@ func Fig4(o Options) (Result, error) {
 		Series: []textplot.Series{{Label: fmt.Sprintf("empirical CDF (%d trials)", trials), X: xs, Y: ys}},
 		Notes: []string{
 			fmt.Sprintf("x_min = %.0f cycles, x_max = %.0f cycles", cal.XMin(), cal.XMax()),
+			fmt.Sprintf("RTT quantiles %s: %s cycles", strings.Join(probs, ", "), strings.Join(rtts, " ")),
 			fmt.Sprintf("spread = %.2f bit-times (paper: ~4.5); replay threshold = %.0f cycles",
 				cal.SpreadBits(), cal.Threshold()),
 			fmt.Sprintf("one 16-byte packet = %d cycles: any store-and-forward replay is caught",
@@ -83,7 +95,7 @@ func calStats(o Options) (core.RTTStats, error) {
 			Seed   uint64
 		}{calTrials, seed},
 		Run: func(context.Context, harness.Job) (core.RTTStats, error) {
-			cal, err := core.CalibrateRTTWorkers(calTrials, seed, o.Workers)
+			cal, err := core.CalibrateRTT(calTrials, seed, o.Workers)
 			return cal.Stats(), err
 		},
 	})

@@ -77,9 +77,13 @@ func newTestEnv(t *testing.T, seed uint64, dep *deploy.Deployment) *fixture {
 		RangeError: 10,
 	})
 	bs := revoke.NewSharded(revoke.Config{ReportCap: 10, AlertThreshold: 0}, 1)
+	cal, err := core.CalibrateRTT(1000, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coreCfg := core.Config{
 		MaxDistError: 10,
-		MaxRTT:       core.CalibrateRTT(1000, seed).Threshold(),
+		MaxRTT:       cal.Threshold(),
 		Range:        dep.Cfg.Range,
 	}
 	det, err := core.NewDetector(core.DefaultDetectorName, coreCfg, nil)

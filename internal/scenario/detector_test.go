@@ -105,10 +105,10 @@ func TestSubtleAttackSeparatesDetectors(t *testing.T) {
 // Unpinned, the threshold and the statistics share one calibration.
 func TestRTTStatsPinSkipsCalibration(t *testing.T) {
 	calibrations := 0
-	defer func(f func(int, uint64) core.Calibration) { calibrateRTT = f }(calibrateRTT)
-	calibrateRTT = func(trials int, seed uint64) core.Calibration {
+	defer func(f func(int, uint64, int) (core.Calibration, error)) { calibrateRTT = f }(calibrateRTT)
+	calibrateRTT = func(trials int, seed uint64, workers int) (core.Calibration, error) {
 		calibrations++
-		return core.CalibrateRTT(trials, seed)
+		return core.CalibrateRTT(trials, seed, workers)
 	}
 	cfg := smallConfig(0.3, 1)
 	cfg.Detector = "mahalanobis"

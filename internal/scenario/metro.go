@@ -121,12 +121,11 @@ func (c MetroConfig) Validate() error {
 // Sim.MaxPending is the max over shards (each shard's private queue
 // high-water mark, so it shrinks roughly by 1/K vs K=1),
 // Sim.VirtualCycles is the max over shards of each shard's clock, which
-// stops at the end of its last window (how many windows a shard runs
-// depends on the partition: RunUntil discards a cancelled event past its
-// deadline when it trails another cancelled event, and which events
-// trail which differs by shard), and QueueDepth merges the per-shard
-// depth histograms (total Count still equals the number of schedules,
-// but the distribution reflects shard-local depths).
+// stops at the end of its last window, so it is the end of the window
+// holding the run's last event (cancelled or not) and the same at every
+// K, and QueueDepth merges the per-shard depth histograms (total Count
+// still equals the number of schedules, but the distribution reflects
+// shard-local depths).
 type MetroResult struct {
 	// Population (from the deployment grid).
 	Nodes     int64 `json:"nodes"`

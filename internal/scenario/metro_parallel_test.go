@@ -46,10 +46,15 @@ func TestRunMetroWorkerInvariance(t *testing.T) {
 					w, want, w, got)
 			}
 			// The per-shard instrumentation still has to account for
-			// the same workload: shard-local high-water marks can only
+			// the same workload: the last window ends at the same
+			// virtual time, shard-local high-water marks can only
 			// shrink, never exceed the K=1 standing population, and the
 			// depth histogram must record every schedule exactly once
 			// across shards.
+			if par.Sim.VirtualCycles != one.Sim.VirtualCycles {
+				t.Errorf("workers=%d: VirtualCycles %d, K=1 %d",
+					w, par.Sim.VirtualCycles, one.Sim.VirtualCycles)
+			}
 			if par.Sim.MaxPending > one.Sim.MaxPending {
 				t.Errorf("workers=%d: MaxPending %d exceeds K=1 %d",
 					w, par.Sim.MaxPending, one.Sim.MaxPending)
@@ -71,6 +76,7 @@ func TestRunMetroWorkerInvariance(t *testing.T) {
 		}
 		want, _ := json.Marshal(ref)
 		cfg := MetroPaper(10_000, 11)
+		var clock uint64 // K=1's; the identity does not cover it
 		for _, w := range []int{1, 2, 3, runtime.NumCPU()} {
 			cfg.Workers = w
 			res, err := RunMetro(context.Background(), cfg)
@@ -81,6 +87,11 @@ func TestRunMetroWorkerInvariance(t *testing.T) {
 			if string(got) != string(want) {
 				t.Errorf("workers=%d diverged from the heap queue's identity:\nheap: %s\ngot:  %s",
 					w, want, got)
+			}
+			if w == 1 {
+				clock = res.Sim.VirtualCycles
+			} else if res.Sim.VirtualCycles != clock {
+				t.Errorf("workers=%d: VirtualCycles %d, K=1 %d", w, res.Sim.VirtualCycles, clock)
 			}
 		}
 	})

@@ -271,7 +271,11 @@ func Run(cfg Config) (*Result, error) {
 		if trials == 0 {
 			trials = 2000
 		}
-		st := calibrateRTT(trials, cfg.Seed^0xCA11B8).Stats()
+		cal, err := calibrateRTT(trials, cfg.Seed^0xCA11B8, 0)
+		if err != nil {
+			return nil, err
+		}
+		st := cal.Stats()
 		stats = &st
 	}
 	coreCfg := core.Config{

@@ -385,3 +385,16 @@ func TestRunAllocs(t *testing.T) {
 		t.Errorf("%.2f mallocs per probe, want at most 5.75", perProbe)
 	}
 }
+
+// BenchmarkScenarioPaperScale runs one full paper-scale simulation per
+// iteration — the headline end-to-end cost.
+func BenchmarkScenarioPaperScale(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := Paper()
+		cfg.Seed = uint64(i + 1)
+		cfg.CalibrationTrials = 500
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -294,24 +294,33 @@ func (s *Scheduler) push(ev *Event, at Time, h Handler) {
 // whether an event was executed.
 func (s *Scheduler) Step() bool {
 	for s.q.size() > 0 {
-		ev := s.q.pop()
-		h := ev.h
-		// Release ev before firing h: h may file new events, an owned
-		// ev among them, and a pooled ev can be the next one At takes.
-		if ev.pooled {
-			s.recycle(ev)
-		} else {
-			ev.h = nil
+		if s.fireNext() {
+			return true
 		}
-		if h == nil { // cancelled
-			continue
-		}
-		s.now = ev.at
-		s.fired++
-		h.Fire()
-		return true
 	}
 	return false
+}
+
+// fireNext pops the head event and, unless it was cancelled, advances
+// the clock to its time and fires it. It reports whether a handler ran.
+// Call only when the queue is not empty.
+func (s *Scheduler) fireNext() bool {
+	ev := s.q.pop()
+	h := ev.h
+	// Release ev before firing h: h may file new events, an owned ev
+	// among them, and a pooled ev can be the next one At takes.
+	if ev.pooled {
+		s.recycle(ev)
+	} else {
+		ev.h = nil
+	}
+	if h == nil { // cancelled
+		return false
+	}
+	s.now = ev.at
+	s.fired++
+	h.Fire()
+	return true
 }
 
 // Run executes events until the queue drains.
@@ -321,14 +330,15 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with time ≤ deadline, then advances the clock
-// to deadline. Events scheduled beyond deadline remain queued.
+// to deadline. Events scheduled beyond deadline, cancelled ones too,
+// remain queued: the deadline is checked before every pop.
 func (s *Scheduler) RunUntil(deadline Time) {
 	for {
 		at, ok := s.q.nextAt()
 		if !ok || at > deadline {
 			break
 		}
-		s.Step()
+		s.fireNext()
 	}
 	if s.now < deadline {
 		s.now = deadline

@@ -156,6 +156,25 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilStopsBehindCancelled: a cancelled event inside the window
+// must not carry RunUntil on to the live event queued behind it.
+func TestRunUntilStopsBehindCancelled(t *testing.T) {
+	s := New()
+	fired := 0
+	s.At(10, func() { fired++ }).Cancel()
+	s.At(20, func() { fired++ })
+	s.RunUntil(15)
+	if fired != 0 {
+		t.Errorf("RunUntil(15) fired %d events, want 0", fired)
+	}
+	if s.Now() != 15 {
+		t.Errorf("clock = %v after RunUntil(15), want 15", s.Now())
+	}
+	if s.Pending() != 1 {
+		t.Errorf("pending = %d after RunUntil(15), want 1", s.Pending())
+	}
+}
+
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	s := New()
 	s.RunUntil(500)

@@ -136,9 +136,20 @@ func diffQueues(t *testing.T, script []byte, laned bool) {
 				t.Fatalf("step outcome diverged: heap %v wheel %v", sh, sw)
 			}
 		case 4: // run until a deadline (exercises cursor overshoot + rewind)
-			d := decodeDelta(next(), next(), next())
-			heap.RunUntil(heap.Now() + d)
-			wheel.RunUntil(wheel.Now() + d)
+			// Both schedulers share RunUntil, so the oracle cannot see it
+			// overshoot: check the window against the deadline itself.
+			deadline := heap.Now() + decodeDelta(next(), next(), next())
+			from := len(hLog)
+			heap.RunUntil(deadline)
+			wheel.RunUntil(deadline)
+			for _, f := range hLog[from:] {
+				if f.at > deadline {
+					t.Fatalf("RunUntil(%v) fired event %d at %v", deadline, f.id, f.at)
+				}
+			}
+			if heap.Now() != deadline {
+				t.Fatalf("clock %v after RunUntil(%v)", heap.Now(), deadline)
+			}
 		case 5: // burst of steps
 			n := int(next()) % 16
 			for j := 0; j < n; j++ {
@@ -191,6 +202,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{1, 4, 255, 255, 3, 3, 3, 3})
 	f.Add([]byte{0, 3, 200, 10, 4, 1, 0, 40, 0, 1, 0, 3, 2, 0, 3})
 	f.Add([]byte{1, 2, 9, 9, 1, 4, 200, 200, 4, 2, 0, 1, 0, 0, 0, 1, 3})
+	f.Add([]byte{0, 1, 0, 10, 0, 1, 0, 20, 2, 0, 4, 1, 0, 15}) // deadline between a cancelled and a live event
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			script = script[:4096]
